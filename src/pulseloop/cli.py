@@ -26,8 +26,7 @@ from .envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec, TimeGrid,
                        default_grid, embed, make_pulse)
 from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, demodulate, design_lowpass,
                     suggested_cutoff, synthesize_beat)
-from .sysid import (CVConfig, SolverConvergenceError, cross_validate,
-                    estimate_kernel)
+from .sysid import CVConfig, cross_validate, estimate_kernel
 from .channel import ChannelConfig, SimulatedChannel, apply_channel
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
                    SingularUpdateError, closed_loop)
@@ -368,8 +367,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, KeyError, ValueError, OSError) as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverConvergenceError, SingularUpdateError,
-            MeasurementError) as exc:
+    except (SingularUpdateError, MeasurementError) as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
@@ -62,14 +61,15 @@ class LoopConfig:
     """Closed-loop driver settings.
 
     ``memory`` and ``lambda_reg`` parameterize the kernel estimation
-    used by the transfer-function method; the estimate is refreshed
-    every iteration unless ``reestimate_model_each_iter`` is off.
+    used by the transfer-function method, which re-estimates the kernel
+    from every measurement that does not meet ``convergence_mase``.
+    ``lambda_reg = 0`` selects the exact minimum-norm least-squares fit
+    (see ``estimate_kernel`` for its singular-value cutoff).
     """
 
     method: str = "transfer-function"
     max_loop_iters: int = 10
     offline: LMConfig = field(default_factory=LMConfig)
-    reestimate_model_each_iter: bool = True
     convergence_mase: float = 1e-3
     memory: int = DEFAULT_MEMORY
     lambda_reg: float = 0.0
@@ -143,27 +143,33 @@ def jacobian(model: VolterraModel, env: ComplexEnvelope) -> np.ndarray:
     return j
 
 
-def _sparse_jacobian(h1: np.ndarray, n: int) -> sp.spmatrix:
-    diags = [np.full(n - m, h1[m]) for m in range(len(h1))]
-    return sp.diags(diags, offsets=[-m for m in range(len(h1))],
-                    format="csc", shape=(n, n))
+def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
+    """Lower-banded storage of J^H J for the banded Toeplitz Jacobian.
+
+    Row d holds G[c + d, c] = sum_k conj(h1[k]) h1[k + d] over the k with
+    k + d < M and c + d + k < n: the kernel autocorrelation at lag d,
+    truncated where the taps run past the signal end in the last M - 1
+    columns. Entries outside the matrix are zero.
+    """
+    m = len(h1)
+    padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
+    lag = np.arange(m)[:, None]
+    partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
+    last = n - 1 - lag - np.arange(n)  # largest k inside the signal
+    ab = np.take_along_axis(partial, np.clip(last, 0, m - 1), axis=1)
+    ab[last < 0] = 0
+    return ab
 
 
-def _normal_banded(h1: np.ndarray, n: int):
-    """Lower-banded storage of J^H J for the banded Toeplitz Jacobian."""
-    j = _sparse_jacobian(h1, n)
-    g = (j.conj().T @ j).tocoo()
-    bw = len(h1) - 1
-    ab = np.zeros((bw + 1, n), dtype=complex)
-    keep = (g.row >= g.col) & (g.row - g.col <= bw)
-    np.add.at(ab, (g.row[keep] - g.col[keep], g.col[keep]), g.data[keep])
-    return j, ab
-
-
-def _damped_step(j: sp.spmatrix, ab: np.ndarray, residual: np.ndarray,
+def _damped_step(h1: np.ndarray, ab: np.ndarray, residual: np.ndarray,
                  lam: float) -> np.ndarray:
-    """Solve (J^H J + lam I) step = J^H residual via a banded Cholesky."""
-    rhs = j.conj().T @ residual
+    """Solve (J^H J + lam I) step = J^H residual via a banded Cholesky.
+
+    J^H residual is the correlation of the residual with the taps,
+    computed as a convolution of the reversed residual.
+    """
+    n = len(residual)
+    rhs = np.convolve(residual[::-1], h1.conj())[:n][::-1]
     abd = ab.copy()
     abd[0] += lam
     try:
@@ -187,8 +193,9 @@ def lm_step(model: VolterraModel, s_in: ComplexEnvelope,
         raise GridMismatchError("lm_step requires one common grid")
     if lambda_damp < 0:
         raise InvalidSpecError("lambda_damp must be >= 0")
-    j, ab = _normal_banded(model.h1, s_in.grid.n)
-    step = _damped_step(j, ab, s_target.samples - s_out.samples, lambda_damp)
+    ab = _normal_banded(model.h1, s_in.grid.n)
+    step = _damped_step(model.h1, ab, s_target.samples - s_out.samples,
+                        lambda_damp)
     return s_in.with_samples(s_in.samples + step)
 
 
@@ -207,7 +214,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     """
     if model.memory > s_target.grid.n:
         raise InvalidSpecError("model memory exceeds the target length")
-    j, ab = _normal_banded(model.h1, s_target.grid.n)
+    ab = _normal_banded(model.h1, s_target.grid.n)
     s = s_target.samples.copy()
     target = s_target.samples
 
@@ -222,7 +229,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
         if cost < config.cost_tol:
             break
         try:
-            step = _damped_step(j, ab, target - out, lam)
+            step = _damped_step(model.h1, ab, target - out, lam)
         except SingularUpdateError:
             lam *= config.lambda_up
             continue
@@ -296,9 +303,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
         c = mse_cost(s_out, s_target)
         done = m <= config.convergence_mase
         if not done and config.method == "transfer-function":
-            if model is None or config.reestimate_model_each_iter:
-                model = estimate_kernel(s_in, s_out, config.memory,
-                                        config.lambda_reg)
+            model = estimate_kernel(s_in, s_out, config.memory,
+                                    config.lambda_reg)
         merr = float("nan")
         if model is not None:
             merr = mase(fitted_output(model, s_in), s_out)

@@ -12,15 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError)
 
 DEFAULT_MEMORY = 64  # taps at 1 ns spacing; covers post-delay ringing
-
-
-class SolverConvergenceError(RuntimeError):
-    """Iterative least-squares solver stopped before reaching tolerance."""
 
 
 @dataclass(frozen=True)
@@ -85,29 +80,20 @@ def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     return a
 
 
-def _stack_real(a: np.ndarray) -> np.ndarray:
-    """Real block matrix equivalent to complex multiplication by ``a``."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+def _ridge_path(a: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
+    """Minimizers of ||a th - y||^2 + lam ||th||^2, one row per ``lam``.
 
-
-def _solve_ridge(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize ||a th - b||^2 + lam ||th||^2 over complex th via LSQR.
-
-    The complex system is rewritten as an equivalent real one (real and
-    imaginary parts stacked), on which the complex ridge penalty is the
-    plain Euclidean damping LSQR implements. Returns the minimum-norm
-    minimizer when the system is underdetermined.
+    One thin complex SVD a = U diag(s) V^H gives the whole ridge path,
+    th(lam) = V diag(s / (s^2 + lam)) U^H y. Singular values at or below
+    the cutoff eps * max(a.shape) * s_max (NumPy's ``lstsq`` default) are
+    dropped, so lam = 0 yields the minimum-norm least-squares solution
+    with directions the data cannot resolve set to zero.
     """
-    ncoef = a.shape[1]
-    ar = _stack_real(a)
-    br = np.concatenate([b.real, b.imag])
-    res = spla.lsqr(ar, br, damp=np.sqrt(lam), atol=1e-14, btol=1e-14,
-                    iter_lim=50 * 2 * ncoef)
-    theta, istop, residual = res[0], res[1], res[3]
-    if istop == 7:
-        raise SolverConvergenceError(
-            f"LSQR hit its iteration limit; residual norm {residual:.3e}")
-    return theta[:ncoef] + 1j * theta[ncoef:]
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
+    u, s, vh = u[:, keep], s[keep], vh[keep]
+    gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
+    return (gain * (u.conj().T @ y)) @ vh.conj()
 
 
 def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
@@ -123,7 +109,8 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
     lambda_reg : float
         Nonnegative ridge weight on all coefficients including the
         offset; zero requests the plain (minimum-norm) least squares
-        solution.
+        solution, with design-matrix singular values at or below
+        eps * max(n, memory + 1) * s_max dropped.
     """
     if inp.grid != out.grid:
         raise GridMismatchError("input and output grids differ")
@@ -133,7 +120,7 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         raise InvalidSpecError(
             f"need at least {memory + 1} samples, got {inp.grid.n}")
     a = build_design_matrix(inp, memory)
-    theta = _solve_ridge(a, out.samples, lambda_reg)
+    theta = _ridge_path(a, out.samples, [lambda_reg])[0]
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
 
@@ -180,16 +167,14 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     a = build_design_matrix(inp, memory)
     y = out.samples
     blocks = np.array_split(np.arange(n), cv.folds)
-    scores = np.zeros((len(cv.lambda_grid), 2))
-    for i, lam in enumerate(cv.lambda_grid):
-        mse_sum = 0.0
-        for val_idx in blocks:
-            train = np.ones(n, dtype=bool)
-            train[val_idx] = False
-            theta = _solve_ridge(a[train], y[train], lam)
-            r = a[val_idx] @ theta - y[val_idx]
-            mse_sum += float(np.mean(np.abs(r) ** 2))
-        scores[i] = (lam, mse_sum / cv.folds)
+    mse_sum = np.zeros(len(cv.lambda_grid))
+    for val_idx in blocks:
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        thetas = _ridge_path(a[train], y[train], cv.lambda_grid)
+        r = thetas @ a[val_idx].T - y[val_idx]
+        mse_sum += np.mean(np.abs(r) ** 2, axis=1)
+    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
     return lambda_star, scores
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
+from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
                                 default_grid, make_pulse, mase, mse_cost)
 from pulseloop.loop import (LMConfig, LoopConfig, MeasurementError,
-                            ReplayChannel, SingularUpdateError, closed_loop,
-                            jacobian, lm_step, offline_iterate, tf_free_step)
+                            ReplayChannel, SingularUpdateError, _damped_step,
+                            _normal_banded, closed_loop, jacobian, lm_step,
+                            offline_iterate, tf_free_step)
 from pulseloop.sysid import VolterraModel, volterra_forward
 
 
@@ -134,6 +136,29 @@ def test_lm_step_grid_mismatch():
     b = _env(np.ones(8), dt=2e-9)
     with pytest.raises(GridMismatchError):
         lm_step(model, a, b, a, 1e-3)
+
+
+# -------------------------------------------------- banded normal equations
+
+@pytest.mark.parametrize("n, memory", [(300, 64), (100, 64), (64, 64),
+                                       (12, 1)])
+def test_normal_band_and_adjoint_match_dense_jacobian(n, memory):
+    rng = np.random.default_rng(n + memory)
+    h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    j = jacobian(VolterraModel(h0=0.0, h1=h1), _env(np.zeros(n)))
+    gram = j.conj().T @ j
+    expected = np.zeros((memory, n), dtype=complex)
+    for d in range(memory):
+        expected[d, :n - d] = np.diagonal(gram, -d)
+    ab = _normal_banded(h1, n)
+    np.testing.assert_allclose(ab, expected, rtol=0,
+                               atol=1e-12 * np.max(np.abs(gram)))
+    # With a zero band and unit damping the step is J^H r itself.
+    adjoint = j.conj().T @ r
+    step = _damped_step(h1, np.zeros_like(ab), r, 1.0)
+    np.testing.assert_allclose(step, adjoint, rtol=0,
+                               atol=1e-12 * np.max(np.abs(adjoint)))
 
 
 # ----------------------------------------------------------- offline_iterate
@@ -309,6 +334,23 @@ def test_closed_loop_simulated_tf_180ns():
     assert report.converged
     assert len(report.records) <= 6
     assert report.mase_trace[-1] <= 1e-3
+
+
+def test_closed_loop_tf_2us_converges_with_exact_least_squares_kernel():
+    # At 2 us the loop fits 4000 samples with lambda_reg = 0, an
+    # ill-posed problem whose minimum-norm taps reach 2e2-3e2; the
+    # pre-distortion must still land below the gate on the second shot.
+    target = _gate(2e-6)
+    for seed in range(4):
+        chan = SimulatedChannel(ChannelConfig(),
+                                cutoff=suggested_cutoff(2e-6),
+                                trace_noise_sigma=0.02, seed=seed)
+        report = closed_loop(chan.measure, target,
+                             LoopConfig(method="transfer-function",
+                                        convergence_mase=2e-4))
+        assert report.converged
+        assert len(report.records) == 2
+        assert report.mase_trace[-1] <= 1.2e-4
 
 
 def test_closed_loop_wraps_callback_failures():

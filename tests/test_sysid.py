@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from pulseloop.channel import ChannelConfig, SimulatedChannel
+from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
-                                InvalidSpecError, TimeGrid, ZeroSignalError,
+                                InvalidSpecError, PulseSpec, TimeGrid,
+                                ZeroSignalError, default_grid, make_pulse,
                                 mase)
+from pulseloop.loop import _align_to_target
 from pulseloop.sysid import (CVConfig, VolterraModel, build_design_matrix,
                              cross_validate, estimate_kernel, fitted_output,
                              model_error, volterra_forward)
@@ -192,6 +196,62 @@ def test_estimate_rejects_bad_inputs():
         estimate_kernel(short, short, 4, 0.0)
     with pytest.raises(InvalidSpecError):
         estimate_kernel(inp, inp, 4, -1.0)
+
+
+# ------------------------------- numerics against dense least-squares oracles
+
+def _gate_pair(duration, seed=0):
+    """Gate-standin input and its aligned default-channel measurement."""
+    inp = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                     default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(), cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=seed)
+    return inp, _align_to_target(chan.measure(inp), inp)
+
+
+def _ridge_oracle(a, y, lam):
+    """Ridge solution as least squares on the augmented [a; sqrt(lam) I]."""
+    if lam == 0:
+        return np.linalg.lstsq(a, y, rcond=None)[0]
+    ncoef = a.shape[1]
+    aug = np.vstack([a, np.sqrt(lam) * np.eye(ncoef)])
+    return np.linalg.lstsq(aug, np.concatenate([y, np.zeros(ncoef)]),
+                           rcond=None)[0]
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("duration, n", [(1.8e-7, 360), (5e-7, 1000)])
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-3, 1.0])
+def test_estimate_matches_dense_least_squares_on_gate(duration, n, lam):
+    # The lengths the transfer-function loop fits at 180 ns and 500 ns,
+    # where the design matrix has condition number 1e5-5e7.
+    inp, out = _gate_pair(duration)
+    assert inp.grid.n == n
+    model = estimate_kernel(inp, out, 64, lam)
+    ref = _ridge_oracle(build_design_matrix(inp, 64), out.samples, lam)
+    assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-6
+
+
+def test_cv_scores_equal_per_lambda_refits_fold_by_fold():
+    inp, out = _gate_pair(1.8e-7, seed=1)
+    cv = CVConfig()
+    _, scores = cross_validate(inp, out, 64, cv)
+    a = build_design_matrix(inp, 64)
+    y = out.samples
+    n = inp.grid.n
+    for row, lam in zip(scores, cv.lambda_grid):
+        fold_mse = []
+        for val_idx in np.array_split(np.arange(n), cv.folds):
+            train = np.ones(n, dtype=bool)
+            train[val_idx] = False
+            theta = _ridge_oracle(a[train], y[train], lam)
+            r = a[val_idx] @ theta - y[val_idx]
+            fold_mse.append(np.mean(np.abs(r) ** 2))
+        assert row[0] == lam
+        assert row[1] == pytest.approx(np.mean(fold_mse), rel=1e-6)
 
 
 # ----------------------------------------------------------- cross_validate
