@@ -17,8 +17,8 @@ from .demod import (AliasingError, BeatTrace, FilterSpec, demodulate,
                     design_lowpass, filtfilt, suggested_cutoff,
                     synthesize_beat)
 from .sysid import (CVConfig, VolterraModel, build_design_matrix,
-                    cross_validate, estimate_kernel, fitted_output,
-                    model_error, volterra_forward)
+                    cross_validate, estimate_kernel, model_error,
+                    volterra_forward)
 from .channel import (AcoustoOpticParams, ChannelConfig, SimulatedChannel,
                       apply_channel, calibrate_kappa, default_kernel,
                       peak_quadrature_phase, quadrature_phase,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize as opt
+import scipy.signal as sig
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, ZeroSignalError,
                        shift_samples)
@@ -102,7 +103,10 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     e^{i kappa z^2 / w0} dz with Gaussian weighting w(z) = exp(-z^2/w0^2)
     by composite trapezoid quadrature. The z lattice is locked to the
     acoustic retardation: z = m * v * dt / refine, so P(t - z/v) is the
-    envelope's linear interpolant evaluated without phase error.
+    envelope's linear interpolant evaluated without phase error. The
+    interpolation is folded into the kernel (a polyphase decomposition),
+    so the convolution runs at the envelope rate rather than on the
+    refined lattice.
 
     Parameters
     ----------
@@ -132,23 +136,37 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
         raise InvalidSpecError(
             f"only {m_hi - m_lo} quadrature steps across the interaction "
             f"region; need >= {MIN_QUADRATURE_STEPS} (reduce dt or refine)")
-    z = np.arange(m_lo, m_hi + 1) * dz
+    m = np.arange(m_lo, m_hi + 1)
+    z = m * dz
     g = np.exp(-(z / params.w0) ** 2) * np.exp(1j * kappa * z ** 2 / params.w0)
     w = np.full(len(z), dz)
     w[0] *= 0.5
     w[-1] *= 0.5
     ker = g * w
-    if refine == 1:
-        p_fine = p
-    else:
-        p_fine = np.interp(np.arange(n * refine) / refine, np.arange(n), p)
-    full = np.convolve(p_fine, ker)
-    r_fine = np.zeros(len(p_fine), dtype=complex)
-    lo = max(0, m_lo)
-    hi = min(len(p_fine), len(full) + m_lo)
-    r_fine[lo:hi] = full[lo - m_lo:hi - m_lo]
+    # Lattice point m lies s = refine*d - m sub-steps before coarse sample
+    # d = ceil(m / refine), so the interpolant weighs p[k-d] by 1 - s/refine
+    # and p[k-d+1] by s/refine. Summing over each d gives two coarse
+    # kernels c0 and c1 from d_lo = ceil(m_lo / refine); c1 moved one
+    # sample earlier joins c0 in one kernel starting at d_lo - 1.
+    d = -(-m // refine)
+    frac = (refine * d - m) / refine
+    d_lo = int(d[0])
+    c0 = np.zeros(d[-1] - d_lo + 1, dtype=complex)
+    c1 = np.zeros_like(c0)
+    np.add.at(c0, d - d_lo, ker * (1.0 - frac))
+    np.add.at(c1, d - d_lo, ker * frac)
+    full = sig.fftconvolve(p, np.append(0.0, c0) + np.append(c1, 0.0))
+    # The moved c1 reads p[0] one step before the refined signal starts,
+    # and misses np.interp's end clamp (p[-1] held one step past the end).
+    full[:len(c1)] -= p[0] * c1
+    full[n:] += p[-1] * c1
+    k0 = d_lo - 1  # output sample of full[0]
+    r = np.zeros(n, dtype=complex)
+    lo = max(0, k0)
+    hi = max(lo, min(n, len(full) + k0))
+    r[lo:hi] = full[lo - k0:hi - k0]
     pref = -1j * params.r0 * np.exp(1j * params.phi)
-    return pref * r_fine[::refine]
+    return pref * r
 
 
 def quadrature_phase(r) -> np.ndarray:
@@ -303,7 +321,7 @@ class SimulatedChannel:
     """
 
     PAD_PRE = 500      # samples ahead of the request window
-    PAD_POST = 2200    # samples behind: delay + kernel + transit + edges
+    PAD_POST = 2200    # least padding behind it, see ``post_pad``
 
     def __init__(self, config: ChannelConfig | None = None,
                  cutoff: float = _demod.DEFAULT_CUTOFF,
@@ -321,10 +339,28 @@ class SimulatedChannel:
 
     def measure(self, env: ComplexEnvelope) -> ComplexEnvelope:
         from .envelope import embed
-        ext = embed(env, self.PAD_PRE, self.PAD_POST)
+        ext = embed(env, self.PAD_PRE,
+                    post_pad(self.config, env.grid.dt, self.cutoff))
         out = apply_channel(ext, self.config)
         trace = _demod.synthesize_beat(out, self.f_beat, self.fs,
                                        noise_sigma=self.trace_noise_sigma,
                                        seed=self.seed + self.calls)
         self.calls += 1
         return _demod.demodulate(trace, self.f_beat, self.filter, ext.grid)
+
+
+def post_pad(config: ChannelConfig, dt: float,
+             cutoff: float = _demod.DEFAULT_CUTOFF) -> int:
+    """Zero samples to append behind a request so the response fits.
+
+    The response outlasts the request by the bulk delay, the kernel
+    memory, one acoustic transit (when the modulator stage is on) and
+    the settling of a demodulation filter at ``cutoff`` (three of its
+    periods, as in ``filtfilt``'s padding); never less than
+    ``SimulatedChannel.PAD_POST``.
+    """
+    need = (int(round(config.delay / dt)) + len(config.volterra.h1)
+            + int(np.ceil(3.0 / (cutoff * dt))))
+    if config.aom_enabled:
+        need += int(np.ceil(config.aom.transit_time / dt))
+    return max(SimulatedChannel.PAD_POST, need)

@@ -27,11 +27,12 @@ from .envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec, TimeGrid,
 from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, demodulate, design_lowpass,
                     suggested_cutoff, synthesize_beat)
 from .sysid import CVConfig, cross_validate, estimate_kernel
-from .channel import ChannelConfig, SimulatedChannel, apply_channel
+from .channel import SimulatedChannel, apply_channel, post_pad
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
                    SingularUpdateError, closed_loop)
-from .optics import (RayState, design_single_lens, design_three_lens,
-                     propagate_ray, sensitivity, waist_vs_input_waist)
+from .optics import (RayState, aperture_check, design_single_lens,
+                     design_three_lens, propagate_ray, sensitivity,
+                     waist_vs_input_waist)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,7 +116,8 @@ def _cmd_simulate(args) -> int:
     env = fileio.read_envelope(run.in_path(args.input))
     config = fileio.read_channel_json(run.in_path(args.channel))
     # Extend the grid so the delayed, smeared output stays inside it.
-    ext = embed(env, SimulatedChannel.PAD_PRE, SimulatedChannel.PAD_POST)
+    ext = embed(env, SimulatedChannel.PAD_PRE,
+                post_pad(config, env.grid.dt))
     out = apply_channel(ext, config)
     fileio.write_envelope(run.out_path(args.out), out)
     if args.trace_out:
@@ -231,12 +233,12 @@ def _cmd_optics(args) -> int:
         th_out = np.zeros_like(dts)
         ok = np.zeros_like(dts)
         for i, dt in enumerate(dts):
-            ray = propagate_ray(
-                train, RayState(L=args.dl_per_k * dt,
-                                theta=args.dtheta_per_k * dt), marker)
+            drift = RayState(L=args.dl_per_k * dt,
+                             theta=args.dtheta_per_k * dt)
+            ray = propagate_ray(train, drift, marker)
             l_out[i], th_out[i] = ray.L, ray.theta
-            ok[i] = float(abs(ray.L) <= args.aperture / 2
-                          and abs(ray.theta) <= args.bragg_tol)
+            ok[i] = float(aperture_check(train, drift, args.aperture,
+                                         args.bragg_tol, marker).ok)
         text = fileio._csv_text("delta_T_K,L_m,theta_rad,within_limits",
                                 (dts, l_out, th_out, ok))
         fileio.atomic_write_text(run.out_path("aperture.csv"), text)

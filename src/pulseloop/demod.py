@@ -86,8 +86,11 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     Zero net phase in the passband; the effective magnitude response is
     |H|^2. Padding is odd-reflection of length 3x(filter order) at both
     ends, extended automatically when the cutoff transient is longer.
+    Complex input is filtered as one sequence; the coefficients are real,
+    so that equals filtering the real and imaginary parts apart.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False)
     min_len = 3 * filt.order
     if len(x) <= min_len:
         raise InvalidSpecError(
@@ -158,8 +161,8 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     """Recover the complex envelope from a beat-note trace.
 
     Mixes with e^{-i 2 pi f_beat t}, scales by 2 to undo the half lost
-    to the negative-frequency image, filters I and Q with zero-phase
-    ``filtfilt``, and decimates onto ``out_grid``.
+    to the negative-frequency image, filters the complex baseband with
+    one zero-phase ``filtfilt``, and decimates onto ``out_grid``.
 
     The filter cutoff must stay below f_beat so the image at 2*f_beat is
     rejected, and ``out_grid`` must be sample-aligned with the trace.
@@ -168,9 +171,7 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
         raise InvalidSpecError(
             f"cutoff {filt.cutoff} must be below f_beat {f_beat}")
     t = trace.grid.times()
-    z = 2.0 * trace.samples * np.exp(-2j * np.pi * f_beat * t)
-    zi = filtfilt(filt, z.real)
-    zq = filtfilt(filt, z.imag)
+    z = filtfilt(filt, 2.0 * trace.samples * np.exp(-2j * np.pi * f_beat * t))
     step = out_grid.dt / trace.grid.dt
     step_int = int(round(step))
     if abs(step - step_int) > 1e-6 or step_int < 1:
@@ -182,4 +183,4 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     idx = k0 + step_int * np.arange(out_grid.n)
     if idx[0] < 0 or idx[-1] >= trace.grid.n:
         raise InvalidSpecError("out_grid extends beyond the trace")
-    return ComplexEnvelope(out_grid, (zi + 1j * zq)[idx])
+    return ComplexEnvelope(out_grid, z[idx])

@@ -19,7 +19,7 @@ from scipy.linalg import solveh_banded
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        align_delay, mase, mse_cost)
 from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
-                    fitted_output)
+                    volterra_forward)
 
 LOOP_METHODS = ("transfer-function", "transfer-function-free")
 
@@ -297,7 +297,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
             raw = measure(s_in)
         except Exception as exc:
             raise MeasurementError(
-                f"measurement callback failed at iteration {it}") from exc
+                f"measurement callback failed at iteration {it}: "
+                f"{type(exc).__name__}: {exc}") from exc
         s_out = _align_to_target(raw, s_target)
         m = mase(s_out, s_target)
         c = mse_cost(s_out, s_target)
@@ -307,7 +308,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                                     config.lambda_reg)
         merr = float("nan")
         if model is not None:
-            merr = mase(fitted_output(model, s_in), s_out)
+            merr = mase(volterra_forward(model, s_in), s_out)
         records.append(IterationRecord(index=it, s_pred=s_in, s_out=s_out,
                                        mase=m, mse=c, model_error=merr))
         if done:

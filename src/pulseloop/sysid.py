@@ -179,16 +179,10 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     return lambda_star, scores
 
 
-def fitted_output(model: VolterraModel,
-                  env: ComplexEnvelope) -> ComplexEnvelope:
-    """Model prediction for an input; alias of ``volterra_forward``."""
-    return volterra_forward(model, env)
-
-
 def model_error(model: VolterraModel, inp: ComplexEnvelope,
                 out: ComplexEnvelope):
     """Error metrics between the model's prediction and a measurement."""
     from .envelope import metric_report
     if inp.grid != out.grid:
         raise GridMismatchError("input and output grids differ")
-    return metric_report(fitted_output(model, inp), out)
+    return metric_report(volterra_forward(model, inp), out)

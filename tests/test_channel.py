@@ -5,12 +5,14 @@ import pytest
 
 from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                ChannelConfig, SimulatedChannel, apply_channel,
-                               calibrate_kappa, default_kernel,
+                               calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
                                reflectance_trace)
+from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
                                 default_grid, make_pulse, shift_samples)
+from pulseloop.loop import LoopConfig, closed_loop
 from pulseloop.sysid import VolterraModel
 
 PARAMS = AcoustoOpticParams()
@@ -98,6 +100,56 @@ def test_reflectance_step_halving_converges():
     b = reflectance_trace(env, PARAMS, KAPPA_CALIBRATED, refine=6)
     scale = np.max(np.abs(b))
     assert np.max(np.abs(a - b)) / scale < 1e-6
+
+
+def _fine_rate_reflectance(p_env, params, kappa, refine):
+    # Oracle: interpolate the amplitude onto the refined z lattice and
+    # convolve there directly, then keep every refine-th output.
+    p = p_env.amplitude
+    n = len(p)
+    dz = params.v * p_env.grid.dt / refine
+    m_lo = int(np.ceil(params.L1 / dz))
+    m_hi = int(np.floor(params.L2 / dz))
+    z = np.arange(m_lo, m_hi + 1) * dz
+    ker = np.exp(-(z / params.w0) ** 2) * np.exp(1j * kappa * z ** 2
+                                                 / params.w0) * dz
+    ker[0] *= 0.5
+    ker[-1] *= 0.5
+    p_fine = np.interp(np.arange(n * refine) / refine, np.arange(n), p)
+    full = np.convolve(p_fine, ker)
+    r_fine = np.zeros(len(p_fine), dtype=complex)
+    lo = max(0, m_lo)
+    hi = min(len(p_fine), len(full) + m_lo)
+    r_fine[lo:hi] = full[lo - m_lo:hi - m_lo]
+    return -1j * params.r0 * np.exp(1j * params.phi) * r_fine[::refine]
+
+
+def _reflectance_inputs():
+    rng = np.random.default_rng(30)
+    cases = {}
+    # Uniform noise never vanishes, so the last sample exercises the
+    # interpolant's end clamp.
+    for n in (100, 3060):
+        cases[f"noise-{n}"] = ComplexEnvelope(
+            TimeGrid(0.0, 1e-9, n), 0.2 + rng.random(n)
+            + 1j * rng.standard_normal(n))
+    for duration in (1.8e-7, 2e-6):
+        grid = default_grid(duration)
+        cases[f"gate-{grid.n}"] = make_pulse(
+            PulseSpec(kind="gate-standin", duration=duration), grid)
+    # A drive still on at the window end, on a short grid.
+    cases["ramp-200"] = ComplexEnvelope(
+        TimeGrid(0.0, 1e-9, 200), np.linspace(0.0, 1.0, 200) + 0j)
+    return cases
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(_reflectance_inputs()))
+def test_reflectance_matches_fine_rate_oracle(refine, name):
+    env = _reflectance_inputs()[name]
+    got = reflectance_trace(env, PARAMS, KAPPA_CALIBRATED, refine=refine)
+    want = _fine_rate_reflectance(env, PARAMS, KAPPA_CALIBRATED, refine)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_reflectance_rejects_degenerate_region_and_coarse_grid():
@@ -289,3 +341,42 @@ def test_simulated_channel_fresh_noise_per_call_replayable():
     b = SimulatedChannel(trace_noise_sigma=0.02, seed=5)
     np.testing.assert_array_equal(b.measure(target).samples, first.samples)
     np.testing.assert_array_equal(b.measure(target).samples, second.samples)
+
+
+def test_post_pad_keeps_the_default_window_and_grows_with_delay():
+    assert post_pad(ChannelConfig(), 1e-9) == SimulatedChannel.PAD_POST
+    assert post_pad(ChannelConfig(), 1e-9, cutoff=120e6) == 2200
+    transit = int(np.ceil(PARAMS.transit_time / 1e-9))
+    assert post_pad(ChannelConfig(delay=5e-6), 1e-9) == (
+        5000 + 64 + transit + 150)
+    assert post_pad(ChannelConfig(delay=5e-6, aom_enabled=False),
+                    1e-9) == 5000 + 64 + 150
+
+
+@pytest.mark.parametrize("delay", [0.0, 2.6e-6, 3.5e-6, 5e-6])
+def test_measurement_window_holds_the_delayed_response(delay):
+    # With a pass-through kernel and no modulator stage, a window long
+    # enough for the delay returns the whole pulse energy.
+    grid = default_grid(5e-7)
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7), grid)
+    chan = SimulatedChannel(_identity_config(delay=delay), cutoff=24e6)
+    out = chan.measure(target)
+    assert out.grid.n == grid.n + 500 + post_pad(chan.config, 1e-9, 24e6)
+    assert out.norm() == pytest.approx(target.norm(), rel=1e-3)
+
+
+@pytest.mark.parametrize("method", ["transfer-function",
+                                    "transfer-function-free"])
+@pytest.mark.parametrize("delay", [1.4e-6, 2.6e-6, 3.5e-6, 5e-6])
+def test_closed_loop_converges_across_acoustic_delays(method, delay):
+    # Delays past the fixed 2200-sample pad used to truncate the
+    # response (2.6 us) or blank it entirely (3.5 us and beyond).
+    duration = 5e-7
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(delay=delay),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=1)
+    report = closed_loop(chan.measure, target, LoopConfig(method=method))
+    assert report.converged
+    assert len(report.records) <= 3

@@ -81,6 +81,19 @@ def test_simulate_and_demod_round_trip(outdir):
                                atol=5e-3)
 
 
+def test_simulate_window_grows_with_the_channel_delay(outdir):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"), delay=3.5e-6,
+                          volterra=VolterraModel.identity(),
+                          aom_enabled=False)
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--outdir", outdir]) == 0
+    inp = fileio.read_envelope_csv(pulse)
+    sim = fileio.read_envelope_csv(os.path.join(outdir, "simulated.csv"))
+    assert sim.grid.n == inp.grid.n + 500 + 3500 + 1 + 150
+    assert sim.norm() == pytest.approx(inp.norm(), rel=1e-12)
+
+
 def test_missing_input_exits_2(outdir, capsys):
     chan = _write_channel(os.path.join(outdir, "chan.json"))
     code = main(["simulate", "--input", os.path.join(outdir, "none.csv"),

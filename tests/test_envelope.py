@@ -247,6 +247,29 @@ def test_align_delay_is_idempotent():
     assert second == 0.0
 
 
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+@pytest.mark.parametrize("extra", [0, 700])
+def test_align_delay_lag_matches_direct_correlation(duration, extra):
+    # The FFT correlation must pick the same integer lag as the direct
+    # O(n^2) one, also when the measurement window is the longer one.
+    ref = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                     default_grid(duration))
+    n = ref.grid.n + extra
+    rng = np.random.default_rng(int(duration * 1e9) + extra)
+    for shift in rng.integers(-ref.grid.n // 4, ref.grid.n // 4, size=4):
+        padded = np.zeros(n, dtype=complex)
+        padded[:ref.grid.n] = ref.samples
+        noisy = (shift_samples(padded, int(shift))
+                 + 0.02 * (rng.standard_normal(n)
+                           + 1j * rng.standard_normal(n)))
+        measured = _env(TimeGrid(0.0, 1e-9, n), noisy)
+        corr = np.correlate(measured.amplitude, ref.amplitude, mode="full")
+        want = int(np.argmax(corr)) - (ref.grid.n - 1)
+        _, delay = align_delay(measured, ref)
+        assert round(delay / 1e-9) == want
+        assert abs(want - shift) <= 2
+
+
 def test_align_delay_rejects_zero_signal():
     grid = TimeGrid(0.0, 1e-9, 64)
     env = _env(grid, np.zeros(64))

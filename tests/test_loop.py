@@ -7,7 +7,8 @@ from pulseloop.channel import ChannelConfig, SimulatedChannel
 from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
-                                default_grid, make_pulse, mase, mse_cost)
+                                ZeroSignalError, default_grid, make_pulse,
+                                mase, mse_cost)
 from pulseloop.loop import (LMConfig, LoopConfig, MeasurementError,
                             ReplayChannel, SingularUpdateError, _damped_step,
                             _normal_banded, closed_loop, jacobian, lm_step,
@@ -361,6 +362,17 @@ def test_closed_loop_wraps_callback_failures():
 
     with pytest.raises(MeasurementError, match="iteration 1"):
         closed_loop(broken, target, LoopConfig(max_loop_iters=3))
+
+
+def test_closed_loop_measurement_error_names_the_cause():
+    target = _gate(3e-7)
+
+    def blank(env):
+        raise ZeroSignalError("reflectance trace is identically zero")
+
+    with pytest.raises(MeasurementError,
+                       match="iteration 1: ZeroSignalError: reflectance"):
+        closed_loop(blank, target, LoopConfig(max_loop_iters=3))
 
 
 def test_closed_loop_records_are_complete():

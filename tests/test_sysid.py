@@ -11,8 +11,8 @@ from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 mase)
 from pulseloop.loop import _align_to_target
 from pulseloop.sysid import (CVConfig, VolterraModel, build_design_matrix,
-                             cross_validate, estimate_kernel, fitted_output,
-                             model_error, volterra_forward)
+                             cross_validate, estimate_kernel, model_error,
+                             volterra_forward)
 
 
 def _env(samples, dt=1e-9):
@@ -71,6 +71,14 @@ def test_forward_identity_kernel():
     rng = np.random.default_rng(2)
     env = _random_env(rng, 12)
     model = VolterraModel(h0=0.0, h1=np.array([1.0 + 0j]))
+    np.testing.assert_array_equal(volterra_forward(model, env).samples,
+                                  env.samples)
+
+
+def test_forward_identity_model():
+    rng = np.random.default_rng(14)
+    env = _random_env(rng, 20)
+    model = VolterraModel.identity()
     np.testing.assert_array_equal(volterra_forward(model, env).samples,
                                   env.samples)
 
@@ -326,21 +334,13 @@ def test_cv_config_validation():
         CVConfig(folds=5, lambda_grid=())
 
 
-# ------------------------------------------- fitted_output and model_error
-
-def test_fitted_output_identity_model():
-    rng = np.random.default_rng(14)
-    env = _random_env(rng, 20)
-    model = VolterraModel.identity()
-    np.testing.assert_array_equal(fitted_output(model, env).samples,
-                                  env.samples)
-
+# ------------------------------------------------------------- model_error
 
 def test_estimation_round_trip_mase():
     rng = np.random.default_rng(15)
     inp, out = _noisy_channel_pair(rng)
     model = estimate_kernel(inp, out, 4, 0.0)
-    assert mase(fitted_output(model, inp), out) < 1e-8
+    assert mase(volterra_forward(model, inp), out) < 1e-8
 
 
 def test_model_error_on_noisy_data_is_noise_scale():
@@ -376,7 +376,7 @@ def test_model_error_matches_independent_metrics():
     inp, out = _noisy_channel_pair(rng, sigma=2e-3)
     model = estimate_kernel(inp, out, 4, 1e-4)
     report = model_error(model, inp, out)
-    fitted = fitted_output(model, inp)
+    fitted = volterra_forward(model, inp)
     assert report.mase == pytest.approx(mase(fitted, out), rel=1e-12)
     resid = fitted.samples - out.samples
     assert report.mse == pytest.approx(np.mean(np.abs(resid) ** 2),
