@@ -22,10 +22,11 @@ import time
 import numpy as np
 
 from . import __version__, fileio
-from .envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec, TimeGrid,
-                       default_grid, embed, make_pulse)
-from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, demodulate, design_lowpass,
-                    suggested_cutoff, synthesize_beat)
+from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
+                       PulseSpec, TimeGrid, ZeroSignalError, default_grid,
+                       embed, make_pulse)
+from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, AliasingError, demodulate,
+                    design_lowpass, suggested_cutoff, synthesize_beat)
 from .sysid import CVConfig, cross_validate, estimate_kernel
 from .channel import SimulatedChannel, apply_channel, post_pad
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
@@ -155,7 +156,10 @@ def _cmd_estimate(args) -> int:
     if args.lambda_reg is not None:
         lam = args.lambda_reg
     else:
-        grid = tuple(float(v) for v in args.lambda_grid.split(","))
+        try:
+            grid = tuple(float(v) for v in args.lambda_grid.split(","))
+        except ValueError as exc:
+            raise InvalidSpecError(f"--lambda-grid: {exc}") from exc
         cv = CVConfig(folds=args.cv_folds, lambda_grid=grid)
         lam, scores = cross_validate(inp, aligned, args.memory, cv)
         fileio.write_scores_csv(run.out_path(args.scores_out), scores)
@@ -218,6 +222,8 @@ def _load_train(args, run: _Run):
 
 def _cmd_optics(args) -> int:
     run = _Run("optics", args)
+    if args.steps < 1:
+        raise InvalidSpecError(f"--steps must be >= 1, got {args.steps}")
     train = _load_train(args, run)
     marker = args.marker if args.marker in train.markers else None
     if args.analysis == "sensitivity":
@@ -366,7 +372,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, KeyError, ValueError, OSError) as exc:
+    except (OSError, InvalidSpecError, GridMismatchError, ZeroSignalError,
+            AliasingError) as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularUpdateError, MeasurementError) as exc:

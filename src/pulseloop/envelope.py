@@ -127,8 +127,12 @@ def default_grid(duration: float, dt: float = DEFAULT_DT,
                  margin_frac: float = 0.5) -> TimeGrid:
     """Grid sized to hold a pulse of the given duration, centered, with
     near-zero margin of ``margin_frac * duration`` on each side."""
-    n = int(round(duration * (1 + 2 * margin_frac) / dt))
-    return TimeGrid(t0=0.0, dt=dt, n=n)
+    if not dt > 0:
+        raise InvalidSpecError(f"dt must be positive, got {dt}")
+    n = duration * (1 + 2 * margin_frac) / dt
+    if not np.isfinite(n):
+        raise InvalidSpecError(f"grid length {n} is not finite")
+    return TimeGrid(t0=0.0, dt=dt, n=int(round(n)))
 
 
 def make_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexEnvelope:

@@ -69,10 +69,34 @@ def _read_csv(path: str, expected_header: str) -> np.ndarray:
             raise InvalidSpecError(
                 f"{path}: expected header {expected_header!r}, "
                 f"got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: {exc}") from exc
     if data.shape[1] != len(expected_header.split(",")):
         raise InvalidSpecError(f"{path}: wrong column count")
     return data
+
+
+def _read_json(path: str, from_dict):
+    """Parse a JSON object file through ``from_dict``.
+
+    Malformed JSON, a missing key or a bad value raises
+    ``InvalidSpecError`` naming the file.
+    """
+    with open(path, "r") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise InvalidSpecError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{path}: expected a JSON object")
+    try:
+        return from_dict(obj)
+    except KeyError as exc:
+        raise InvalidSpecError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{path}: bad value: {exc}") from exc
 
 
 def _grid_from_times(t: np.ndarray, path: str) -> TimeGrid:
@@ -106,13 +130,15 @@ def write_envelope_json(path: str, env: ComplexEnvelope) -> None:
         "q": env.samples.imag.tolist()}))
 
 
-def read_envelope_json(path: str) -> ComplexEnvelope:
-    with open(path, "r") as fh:
-        obj = json.load(fh)
+def _envelope_from_dict(obj: dict) -> ComplexEnvelope:
     i = np.asarray(obj["i"], dtype=float)
     q = np.asarray(obj["q"], dtype=float)
     grid = TimeGrid(t0=float(obj["t0"]), dt=float(obj["dt"]), n=len(i))
     return ComplexEnvelope(grid, i + 1j * q)
+
+
+def read_envelope_json(path: str) -> ComplexEnvelope:
+    return _read_json(path, _envelope_from_dict)
 
 
 def read_envelope(path: str) -> ComplexEnvelope:
@@ -161,8 +187,7 @@ def write_model_json(path: str, model: VolterraModel) -> None:
 
 
 def read_model_json(path: str) -> VolterraModel:
-    with open(path, "r") as fh:
-        return model_from_dict(json.load(fh))
+    return _read_json(path, model_from_dict)
 
 
 def write_scores_csv(path: str, scores: np.ndarray) -> None:
@@ -205,8 +230,7 @@ def write_channel_json(path: str, config: ChannelConfig) -> None:
 
 
 def read_channel_json(path: str) -> ChannelConfig:
-    with open(path, "r") as fh:
-        return channel_from_dict(json.load(fh))
+    return _read_json(path, channel_from_dict)
 
 
 # ------------------------------------------------------------ optics trains
@@ -232,8 +256,7 @@ def write_train_json(path: str, train: OpticalTrain) -> None:
 
 
 def read_train_json(path: str) -> OpticalTrain:
-    with open(path, "r") as fh:
-        return train_from_dict(json.load(fh))
+    return _read_json(path, train_from_dict)
 
 
 # ------------------------------------------------------------- loop reports

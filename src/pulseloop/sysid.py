@@ -80,20 +80,40 @@ def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     return a
 
 
-def _ridge_path(a: np.ndarray, y: np.ndarray, lams) -> np.ndarray:
-    """Minimizers of ||a th - y||^2 + lam ||th||^2, one row per ``lam``.
+def _triangular(rows: np.ndarray) -> np.ndarray:
+    """R factor of a tall matrix, reduced in row blocks (TSQR).
 
-    One thin complex SVD a = U diag(s) V^H gives the whole ridge path,
-    th(lam) = V diag(s / (s^2 + lam)) U^H y. Singular values at or below
-    the cutoff eps * max(a.shape) * s_max (NumPy's ``lstsq`` default) are
-    dropped, so lam = 0 yields the minimum-norm least-squares solution
-    with directions the data cannot resolve set to zero.
+    Blocks of 8 x columns rows are each reduced by QR and their stacked
+    factors are reduced again the same way, so every QR runs on a
+    cache-sized block; Q is never formed. The result has rows^H rows = R^H R. A block
+    with fewer rows than columns gives a trapezoidal factor, which
+    stacks the same way.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
+    step = 8 * rows.shape[1]
+    if len(rows) <= step:
+        return np.linalg.qr(rows, mode="r")
+    return _triangular(np.vstack([np.linalg.qr(rows[i:i + step], mode="r")
+                                  for i in range(0, len(rows), step)]))
+
+
+def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
+    """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
+
+    ``rz`` is a factor of the n-row matrix [A | y] (as from
+    ``_triangular``): with r = rz[:, :-1] and z = rz[:, -1], A^H A = r^H r
+    and A^H y = r^H z. One thin complex SVD r = U diag(s) V^H then gives
+    the whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z.
+    Singular values at or below the cutoff eps * max(n, columns) * s_max
+    (NumPy's ``lstsq`` default for A itself, not for the smaller factor)
+    are dropped, so lam = 0 yields the minimum-norm least-squares
+    solution with directions the data cannot resolve set to zero.
+    """
+    r, z = rz[:, :-1], rz[:, -1]
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(n, r.shape[1]) * s[0]
     u, s, vh = u[:, keep], s[keep], vh[keep]
     gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
-    return (gain * (u.conj().T @ y)) @ vh.conj()
+    return (gain * (u.conj().T @ z)) @ vh.conj()
 
 
 def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
@@ -120,7 +140,8 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         raise InvalidSpecError(
             f"need at least {memory + 1} samples, got {inp.grid.n}")
     a = build_design_matrix(inp, memory)
-    theta = _ridge_path(a, out.samples, [lambda_reg])[0]
+    rz = _triangular(np.column_stack([a, out.samples]))
+    theta = _ridge_path(rz, inp.grid.n, [lambda_reg])[0]
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
 
@@ -154,9 +175,12 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
 
     Splits the samples into ``cv.folds`` contiguous blocks; each block
     serves once as the validation set while the model is fitted on the
-    remaining rows. Returns ``(lambda_star, scores)`` where ``scores``
-    is an array of (lambda, mean validation MSE) rows in grid order and
-    lambda_star attains the table minimum (first entry on ties).
+    remaining rows. Each block's rows of [A | y] are reduced to an R
+    factor once; a fold's fit reduces the other blocks' stacked factors
+    and takes one small SVD for the whole lambda grid. Returns
+    ``(lambda_star, scores)`` where ``scores`` is an array of (lambda,
+    mean validation MSE) rows in grid order and lambda_star attains the
+    table minimum (first entry on ties).
     """
     if inp.grid != out.grid:
         raise GridMismatchError("input and output grids differ")
@@ -165,14 +189,13 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
         raise InvalidSpecError(
             f"cannot split {n} samples into {cv.folds} folds")
     a = build_design_matrix(inp, memory)
-    y = out.samples
-    blocks = np.array_split(np.arange(n), cv.folds)
+    parts = np.array_split(np.column_stack([a, out.samples]), cv.folds)
+    factors = [_triangular(part) for part in parts]
     mse_sum = np.zeros(len(cv.lambda_grid))
-    for val_idx in blocks:
-        train = np.ones(n, dtype=bool)
-        train[val_idx] = False
-        thetas = _ridge_path(a[train], y[train], cv.lambda_grid)
-        r = thetas @ a[val_idx].T - y[val_idx]
+    for k, val in enumerate(parts):
+        rz = _triangular(np.vstack(factors[:k] + factors[k + 1:]))
+        thetas = _ridge_path(rz, n - len(val), cv.lambda_grid)
+        r = thetas @ val[:, :-1].T - val[:, -1]
         mse_sum += np.mean(np.abs(r) ** 2, axis=1)
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])

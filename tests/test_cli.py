@@ -59,6 +59,20 @@ def test_invalid_pulse_parameters_exit_2(outdir, capsys):
     assert "pulseloop pulse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pulse", "--kind", "constant", "--duration", "1e-7", "--dt", "0"],
+    ["pulse", "--kind", "constant", "--duration", "nan"],
+    ["estimate", "--input", "{pulse}", "--output", "{pulse}",
+     "--lambda-grid", "1e-3,abc"],
+    ["optics", "aperture", "--steps", "-1"],
+])
+def test_bad_numeric_flags_exit_2(outdir, capsys, argv):
+    pulse = _make_pulse(outdir)
+    argv = [a.format(pulse=pulse) for a in argv]
+    assert main(argv + ["--outdir", outdir]) == 2
+    assert f"pulseloop {argv[0]}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_and_demod_round_trip(outdir):
@@ -99,6 +113,33 @@ def test_missing_input_exits_2(outdir, capsys):
     code = main(["simulate", "--input", os.path.join(outdir, "none.csv"),
                  "--channel", chan, "--outdir", outdir])
     assert code == 2
+
+
+def test_channel_json_missing_key_exits_2_naming_it(outdir, capsys):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    obj = json.load(open(chan))
+    del obj["volterra"]["h1_re"]
+    with open(chan, "w") as fh:
+        json.dump(obj, fh)
+    code = main(["simulate", "--input", pulse, "--channel", chan,
+                 "--outdir", outdir])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "h1_re" in err and chan in err
+
+
+def test_library_key_error_is_not_a_usage_error(outdir, monkeypatch):
+    # Only bad arguments and inputs exit 2; a KeyError inside library
+    # code is a bug and must surface with its traceback.
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("pulseloop.cli.estimate_kernel", broken)
+    pulse = _make_pulse(outdir)
+    with pytest.raises(KeyError, match="internal"):
+        main(["estimate", "--input", pulse, "--output", pulse,
+              "--lambda", "1e-6", "--outdir", outdir])
 
 
 # ---------------------------------------------------------------- estimate

@@ -1,0 +1,158 @@
+"""Property tests: invariants of the sample algebra, the forward model,
+delay alignment, envelope files and kernel estimation over random
+inputs."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from pulseloop import fileio  # noqa: E402
+from pulseloop.envelope import (ComplexEnvelope, TimeGrid,  # noqa: E402
+                                align_delay, crop, embed, shift_samples)
+from pulseloop.sysid import (VolterraModel, build_design_matrix,  # noqa: E402
+                             estimate_kernel, volterra_forward)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _noise(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _env(samples, t0=0.0, dt=1e-9):
+    return ComplexEnvelope(TimeGrid(t0, dt, len(samples)), samples)
+
+
+# ------------------------------------------------ shift / embed / crop
+
+@given(seed=seeds, n=st.integers(2, 64), k=st.integers(-80, 80))
+def test_shift_moves_samples_and_zero_fills(seed, n, k):
+    x = _noise(seed, n)
+    out = shift_samples(x, k)
+    expected = np.zeros(n, dtype=complex)
+    for i in range(n):
+        if 0 <= i - k < n:
+            expected[i] = x[i - k]
+    np.testing.assert_array_equal(out, expected)
+
+
+@given(seed=seeds, n=st.integers(2, 64), j=st.integers(0, 40),
+       k=st.integers(0, 40), sign=st.sampled_from([1, -1]))
+def test_shifts_in_one_direction_compose(seed, n, j, k, sign):
+    x = _noise(seed, n)
+    np.testing.assert_array_equal(
+        shift_samples(shift_samples(x, sign * j), sign * k),
+        shift_samples(x, sign * (j + k)))
+
+
+@given(seed=seeds, n=st.integers(2, 64), before=st.integers(0, 30),
+       after=st.integers(0, 30), k0=st.integers(-1000, 1000))
+def test_crop_undoes_embed(seed, n, before, after, k0):
+    env = _env(_noise(seed, n), t0=k0 * 1e-9)
+    ext = embed(env, before, after)
+    assert ext.grid.n == n + before + after
+    assert ext.grid.t0 == pytest.approx(env.grid.t0 - before * 1e-9,
+                                        abs=1e-18)
+    back = crop(ext, env.grid)
+    assert back.grid == env.grid
+    np.testing.assert_array_equal(back.samples, env.samples)
+
+
+@given(seed=seeds, n=st.integers(2, 64), before=st.integers(0, 30),
+       after=st.integers(0, 30), k=st.integers(0, 30))
+def test_shifting_an_embedded_envelope_moves_its_padding(seed, n, before,
+                                                         after, k):
+    env = _env(_noise(seed, n))
+    k = min(k, after)
+    shifted = shift_samples(embed(env, before, after).samples, k)
+    np.testing.assert_array_equal(
+        shifted, embed(env, before + k, after - k).samples)
+
+
+# ---------------------------------------------------- volterra_forward
+
+@given(seed=seeds, n=st.integers(8, 200), memory=st.integers(1, 8),
+       alpha=st.complex_numbers(max_magnitude=10, allow_nan=False),
+       beta=st.complex_numbers(max_magnitude=10, allow_nan=False))
+def test_forward_is_affine(seed, n, memory, alpha, beta):
+    rng = np.random.default_rng(seed)
+    model = VolterraModel(h0=complex(*rng.standard_normal(2)),
+                          h1=_noise(seed + 1, memory))
+    x, y = _noise(seed + 2, n), _noise(seed + 3, n)
+
+    def lin(samples):
+        return volterra_forward(model, _env(samples)).samples - model.h0
+
+    scale = 1.0 + abs(alpha) + abs(beta)
+    np.testing.assert_allclose(lin(alpha * x + beta * y),
+                               alpha * lin(x) + beta * lin(y),
+                               atol=1e-12 * scale * n)
+
+
+# --------------------------------------------------------- align_delay
+
+@given(seed=seeds, n=st.integers(64, 512), extra=st.integers(0, 128),
+       shift_frac=st.floats(-0.25, 0.25), width=st.floats(0.02, 0.2),
+       sigma=st.floats(0.0, 0.05))
+def test_align_delay_is_idempotent(seed, n, extra, shift_frac, width,
+                                   sigma):
+    t = np.arange(n) / n - 0.5
+    ref = _env(np.exp(-0.5 * (t / width) ** 2) * np.exp(1j * t))
+    measured = np.zeros(n + extra, dtype=complex)
+    measured[:n] = shift_samples(ref.samples, int(shift_frac * n))
+    measured += sigma * _noise(seed, n + extra)
+    aligned, _ = align_delay(_env(measured), ref)
+    assert align_delay(aligned, ref)[1] == 0.0
+
+
+# ---------------------------------------------------- envelope CSV file
+
+@settings(max_examples=50)
+@given(data=st.data(), n=st.integers(2, 40),
+       dt=st.floats(1e-12, 1e-6), k0=st.integers(-10 ** 4, 10 ** 4))
+def test_envelope_csv_round_trip_is_exact(tmp_path_factory, data, n, dt,
+                                          k0):
+    i = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    q = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    samples = np.empty(n, dtype=complex)
+    samples.real, samples.imag = i, q
+    env = _env(samples, t0=k0 * dt, dt=dt)
+    path = str(tmp_path_factory.mktemp("csv") / "env.csv")
+    fileio.write_envelope_csv(path, env)
+    back = fileio.read_envelope_csv(path)
+    # Samples and t0 come back bit for bit; dt is re-inferred from the
+    # time column, so it carries float-subtraction rounding.
+    np.testing.assert_array_equal(back.samples.real, i)
+    np.testing.assert_array_equal(back.samples.imag, q)
+    assert back.grid.t0 == env.grid.t0
+    assert back.grid.n == n
+    assert back.grid.dt == pytest.approx(dt, rel=1e-9)
+
+
+# ----------------------------------------------------- estimate_kernel
+
+def _ridge_oracle(a, y, lam):
+    """Ridge solution as least squares on the augmented [a; sqrt(lam) I]."""
+    ncoef = a.shape[1]
+    aug = np.vstack([a, np.sqrt(lam) * np.eye(ncoef)])
+    return np.linalg.lstsq(aug, np.concatenate([y, np.zeros(ncoef)]),
+                           rcond=None)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, memory=st.integers(1, 64), extra=st.integers(1, 1200),
+       lam=st.sampled_from([0.0, 1e-6, 1.0]))
+def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
+                                                         extra, lam):
+    # n runs from memory + 1 (square) to well past several row blocks.
+    n = memory + extra
+    inp, out = _env(_noise(seed, n)), _env(_noise(seed + 1, n))
+    model = estimate_kernel(inp, out, memory, lam)
+    theta = np.concatenate([[model.h0], model.h1])
+    ref = _ridge_oracle(build_design_matrix(inp, memory), out.samples, lam)
+    assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)

@@ -231,35 +231,96 @@ def _rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("duration, n", [(1.8e-7, 360), (5e-7, 1000)])
+def _cv_oracle(inp, out, memory, cv):
+    """Mean validation MSE per lambda from per-fold augmented refits."""
+    a = build_design_matrix(inp, memory)
+    y = out.samples
+    n = inp.grid.n
+    mse = np.zeros(len(cv.lambda_grid))
+    for val_idx in np.array_split(np.arange(n), cv.folds):
+        train = np.ones(n, dtype=bool)
+        train[val_idx] = False
+        for i, lam in enumerate(cv.lambda_grid):
+            theta = _ridge_oracle(a[train], y[train], lam)
+            r = a[val_idx] @ theta - y[val_idx]
+            mse[i] += np.mean(np.abs(r) ** 2) / cv.folds
+    return mse
+
+
+@pytest.mark.parametrize("duration, n", [(1.8e-7, 360), (5e-7, 1000),
+                                         (2e-6, 4000)])
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-3, 1.0])
 def test_estimate_matches_dense_least_squares_on_gate(duration, n, lam):
-    # The lengths the transfer-function loop fits at 180 ns and 500 ns,
-    # where the design matrix has condition number 1e5-5e7.
+    # The lengths the transfer-function loop fits at 180 ns, 500 ns and
+    # 2 us, where the design matrix has condition number 1e5-5e7. At
+    # n = 4000 the R factor is reduced over 8 row blocks, the last one
+    # ragged.
     inp, out = _gate_pair(duration)
     assert inp.grid.n == n
+    model = estimate_kernel(inp, out, 64, lam)
+    a = build_design_matrix(inp, 64)
+    theta = np.concatenate([[model.h0], model.h1])
+    ref = _ridge_oracle(a, out.samples, lam)
+    if n == 4000 and lam == 0:
+        # Condition number 4.7e7: unregularized taps are fixed only to
+        # about cond * eps by the data; the fitted output is not.
+        assert _rel_err(a @ theta, a @ ref) < 1e-9
+    else:
+        assert _rel_err(theta, ref) < 1e-6
+
+
+@pytest.mark.parametrize("n", [529, 66])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_estimate_block_edges_match_dense_least_squares(n, lam):
+    # 529 rows leave a one-row last block (blocks are 8 x 66 rows);
+    # memory + 2 rows fit in one block with one spare row.
+    rng = np.random.default_rng(n)
+    inp, out = _random_env(rng, n), _random_env(rng, n)
     model = estimate_kernel(inp, out, 64, lam)
     ref = _ridge_oracle(build_design_matrix(inp, 64), out.samples, lam)
     assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-6
 
 
-def test_cv_scores_equal_per_lambda_refits_fold_by_fold():
-    inp, out = _gate_pair(1.8e-7, seed=1)
+def test_minimum_norm_cutoff_counts_the_design_rows():
+    # A near-constant input leaves one design singular value at 1.3e-14
+    # of the largest: under the lstsq cutoff eps * max(rows, columns)
+    # (8.9e-13 at n = 4000, 7.1e-13 for a 3200-row training fold) but
+    # above eps times the much smaller R factor's shape. Taken from the
+    # factor's shape, the cutoff would keep it and the taps blow up.
+    rng = np.random.default_rng(3)
+    n = 4000
+    inp = _env(1.0 + 3e-14 * (rng.standard_normal(n)
+                              + 1j * rng.standard_normal(n)))
+    out = _random_env(rng, n)
+    model = estimate_kernel(inp, out, 4, 0.0)
+    ref = _ridge_oracle(build_design_matrix(inp, 4), out.samples, 0.0)
+    assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-9
+    cv = CVConfig(5, (0.0,))
+    _, scores = cross_validate(inp, out, 4, cv)
+    np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
+                               rtol=1e-6)
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_cv_scores_equal_per_lambda_refits_fold_by_fold(duration):
+    inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig()
     _, scores = cross_validate(inp, out, 64, cv)
-    a = build_design_matrix(inp, 64)
-    y = out.samples
-    n = inp.grid.n
-    for row, lam in zip(scores, cv.lambda_grid):
-        fold_mse = []
-        for val_idx in np.array_split(np.arange(n), cv.folds):
-            train = np.ones(n, dtype=bool)
-            train[val_idx] = False
-            theta = _ridge_oracle(a[train], y[train], lam)
-            r = a[val_idx] @ theta - y[val_idx]
-            fold_mse.append(np.mean(np.abs(r) ** 2))
-        assert row[0] == lam
-        assert row[1] == pytest.approx(np.mean(fold_mse), rel=1e-6)
+    np.testing.assert_array_equal(scores[:, 0], cv.lambda_grid)
+    np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 64, cv),
+                               rtol=1e-6)
+
+
+@pytest.mark.parametrize("n, folds", [(90, 3), (529, 5), (66, 2)])
+def test_cv_block_edges_match_refits(n, folds):
+    # n = 90 in 3 folds trains on 60 rows for 65 coefficients, an
+    # underdetermined minimum-norm fit from trapezoidal block factors.
+    rng = np.random.default_rng(n)
+    inp, out = _random_env(rng, n), _random_env(rng, n)
+    cv = CVConfig(folds, (0.0, 1e-6, 1e-3, 1.0))
+    _, scores = cross_validate(inp, out, 64, cv)
+    np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 64, cv),
+                               rtol=1e-6)
 
 
 # ----------------------------------------------------------- cross_validate
