@@ -11,6 +11,7 @@ the distortion physics can be tested in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize as opt
@@ -106,7 +107,9 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     envelope's linear interpolant evaluated without phase error. The
     interpolation is folded into the kernel (a polyphase decomposition),
     so the convolution runs at the envelope rate rather than on the
-    refined lattice.
+    refined lattice. That kernel depends only on the geometry (v, w0,
+    L1, L2), ``dt``, ``kappa`` and ``refine``, not on the envelope, so
+    it is memoized per setting and a repeat call only convolves.
 
     Parameters
     ----------
@@ -129,16 +132,37 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
         raise InvalidSpecError(f"refine must be >= 1, got {refine}")
     p = p_env.amplitude
     n = len(p)
-    dz = params.v * p_env.grid.dt / refine
-    m_lo = int(np.ceil(params.L1 / dz))
-    m_hi = int(np.floor(params.L2 / dz))
+    kern, c1, d_lo = _polyphase_kernel(params.v, params.w0, params.L1,
+                                       params.L2, p_env.grid.dt, kappa,
+                                       refine)
+    full = sig.fftconvolve(p, kern)
+    # The moved c1 reads p[0] one step before the refined signal starts,
+    # and misses np.interp's end clamp (p[-1] held one step past the end).
+    full[:len(c1)] -= p[0] * c1
+    full[n:] += p[-1] * c1
+    k0 = d_lo - 1  # output sample of full[0]
+    r = np.zeros(n, dtype=complex)
+    lo = max(0, k0)
+    hi = max(lo, min(n, len(full) + k0))
+    r[lo:hi] = full[lo - k0:hi - k0]
+    pref = -1j * params.r0 * np.exp(1j * params.phi)
+    return pref * r
+
+
+@lru_cache(maxsize=32)
+def _polyphase_kernel(v: float, w0: float, L1: float, L2: float, dt: float,
+                      kappa: float, refine: int):
+    """Read-only envelope-rate kernel, its c1 part and d_lo."""
+    dz = v * dt / refine
+    m_lo = int(np.ceil(L1 / dz))
+    m_hi = int(np.floor(L2 / dz))
     if m_hi - m_lo < MIN_QUADRATURE_STEPS:
         raise InvalidSpecError(
             f"only {m_hi - m_lo} quadrature steps across the interaction "
             f"region; need >= {MIN_QUADRATURE_STEPS} (reduce dt or refine)")
     m = np.arange(m_lo, m_hi + 1)
     z = m * dz
-    g = np.exp(-(z / params.w0) ** 2) * np.exp(1j * kappa * z ** 2 / params.w0)
+    g = np.exp(-(z / w0) ** 2) * np.exp(1j * kappa * z ** 2 / w0)
     w = np.full(len(z), dz)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -155,18 +179,10 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     c1 = np.zeros_like(c0)
     np.add.at(c0, d - d_lo, ker * (1.0 - frac))
     np.add.at(c1, d - d_lo, ker * frac)
-    full = sig.fftconvolve(p, np.append(0.0, c0) + np.append(c1, 0.0))
-    # The moved c1 reads p[0] one step before the refined signal starts,
-    # and misses np.interp's end clamp (p[-1] held one step past the end).
-    full[:len(c1)] -= p[0] * c1
-    full[n:] += p[-1] * c1
-    k0 = d_lo - 1  # output sample of full[0]
-    r = np.zeros(n, dtype=complex)
-    lo = max(0, k0)
-    hi = max(lo, min(n, len(full) + k0))
-    r[lo:hi] = full[lo - k0:hi - k0]
-    pref = -1j * params.r0 * np.exp(1j * params.phi)
-    return pref * r
+    kern = np.append(0.0, c0) + np.append(c1, 0.0)
+    kern.setflags(write=False)
+    c1.setflags(write=False)
+    return kern, c1, d_lo
 
 
 def quadrature_phase(r) -> np.ndarray:
@@ -328,6 +344,12 @@ class SimulatedChannel:
                  trace_noise_sigma: float = 0.0, seed: int = 0,
                  f_beat: float = _demod.DEFAULT_F_BEAT,
                  fs: float = _demod.DEFAULT_FS, filter_order: int = 4):
+        if fs <= 2 * f_beat:
+            raise _demod.AliasingError(
+                f"fs {fs} must exceed twice f_beat {f_beat}")
+        if cutoff >= f_beat:
+            raise InvalidSpecError(
+                f"cutoff {cutoff} must be below f_beat {f_beat}")
         self.config = config if config is not None else ChannelConfig()
         self.cutoff = cutoff
         self.trace_noise_sigma = trace_noise_sigma

@@ -8,7 +8,8 @@ forward-backward Butterworth filter, and resampling to the working grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.signal as sig
@@ -46,17 +47,26 @@ class BeatTrace:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Low-pass filter as a stable cascade of second-order sections."""
+    """Low-pass filter as a stable cascade of second-order sections.
+
+    ``zi`` is the steady-state step response of each section
+    (``scipy.signal.sosfilt_zi``), computed once here; ``filtfilt``
+    scales it by the edge value of each pass.
+    """
 
     order: int
     cutoff: float
     fs: float
     sos: np.ndarray
+    zi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.sos, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "sos", arr)
+        zi = sig.sosfilt_zi(arr)
+        zi.setflags(write=False)
+        object.__setattr__(self, "zi", zi)
 
 
 def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
@@ -86,8 +96,12 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     Zero net phase in the passband; the effective magnitude response is
     |H|^2. Padding is odd-reflection of length 3x(filter order) at both
     ends, extended automatically when the cutoff transient is longer.
-    Complex input is filtered as one sequence; the coefficients are real,
-    so that equals filtering the real and imaginary parts apart.
+    Each pass starts from the filter's stored steady state ``filt.zi``
+    scaled by its first sample: the recipe of
+    ``scipy.signal.sosfiltfilt`` with ``padtype="odd"``, whose output
+    this equals bit for bit. Complex input is filtered as one sequence;
+    the coefficients are real, so that equals filtering the real and
+    imaginary parts apart.
     """
     x = np.asarray(x)
     x = x.astype(complex if np.iscomplexobj(x) else float, copy=False)
@@ -98,8 +112,13 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     # Transient of a cutoff-limited filter spans ~fs/cutoff samples; pad
     # generously so edge effects stay out of the record interior.
     padlen = min(len(x) - 1, max(min_len, int(3 * filt.fs / filt.cutoff)))
+    ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x,
+                          2 * x[-1:] - x[-2:-(padlen + 2):-1]))
     # copy: scipy's section filter needs a writable coefficient buffer
-    return sig.sosfiltfilt(filt.sos.copy(), x, padtype="odd", padlen=padlen)
+    sos = filt.sos.copy()
+    y, _ = sig.sosfilt(sos, ext, zi=filt.zi * ext[:1])
+    y, _ = sig.sosfilt(sos, y[::-1], zi=filt.zi * y[-1:])
+    return y[::-1][padlen:-padlen]
 
 
 def suggested_cutoff(duration: float) -> float:
@@ -147,8 +166,7 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
             f"fs {fs} must be an integer multiple of the envelope rate")
     n_hi = env.grid.n * up_int
     hi = sig.resample(env.samples, n_hi)
-    t = env.grid.t0 + np.arange(n_hi) / fs
-    v = np.real(hi * np.exp(2j * np.pi * f_beat * t))
+    v = np.real(hi * _beat_carrier(env.grid.t0, fs, n_hi, f_beat))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         v = v + noise_sigma * rng.standard_normal(n_hi)
@@ -165,13 +183,17 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     one zero-phase ``filtfilt``, and decimates onto ``out_grid``.
 
     The filter cutoff must stay below f_beat so the image at 2*f_beat is
-    rejected, and ``out_grid`` must be sample-aligned with the trace.
+    rejected, the filter must be designed for the trace's sample rate,
+    and ``out_grid`` must be sample-aligned with the trace.
     """
     if filt.cutoff >= f_beat:
         raise InvalidSpecError(
             f"cutoff {filt.cutoff} must be below f_beat {f_beat}")
-    t = trace.grid.times()
-    z = filtfilt(filt, 2.0 * trace.samples * np.exp(-2j * np.pi * f_beat * t))
+    if abs(filt.fs * trace.grid.dt - 1.0) > 1e-9:
+        raise InvalidSpecError(
+            f"filter designed at fs {filt.fs} but the trace is sampled at "
+            f"{1.0 / trace.grid.dt}")
+    z = filtfilt(filt, 2.0 * trace.samples * _mixer(trace.grid, f_beat))
     step = out_grid.dt / trace.grid.dt
     step_int = int(round(step))
     if abs(step - step_int) > 1e-6 or step_int < 1:
@@ -184,3 +206,20 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     if idx[0] < 0 or idx[-1] >= trace.grid.n:
         raise InvalidSpecError("out_grid extends beyond the trace")
     return ComplexEnvelope(out_grid, z[idx])
+
+
+# The carriers depend only on the grid and f_beat, which stay fixed over
+# the shots of a loop, so each is computed once and shared read-only.
+@lru_cache(maxsize=16)
+def _beat_carrier(t0: float, fs: float, n: int, f_beat: float) -> np.ndarray:
+    t = t0 + np.arange(n) / fs
+    out = np.exp(2j * np.pi * f_beat * t)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _mixer(grid: TimeGrid, f_beat: float) -> np.ndarray:
+    out = np.exp(-2j * np.pi * f_beat * grid.times())
+    out.setflags(write=False)
+    return out

@@ -6,6 +6,7 @@ line so a plain ``pytest -v`` run doubles as an acceptance report.
 
 import json
 import os
+from pathlib import Path
 import time
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_acceptance_9_loop_runs_are_deterministic(capsys, tmp_path):
         with open(os.path.join(dirs[0], name), "rb") as fa, \
                 open(os.path.join(dirs[1], name), "rb") as fb:
             identical = identical and fa.read() == fb.read()
-    reports = [json.load(open(os.path.join(d, "report.json"))) for d in dirs]
+    reports = [json.loads(Path(d, "report.json").read_text()) for d in dirs]
     _verdict(capsys, 9, identical,
              f"two seeded loop runs: report.json and convergence.csv byte "
              f"identical, {len(reports[0]['records'])} iterations each")

@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.signal as sig
 
 from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                ChannelConfig, SimulatedChannel, apply_channel,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
                                reflectance_trace)
-from pulseloop.demod import suggested_cutoff
+from pulseloop.demod import AliasingError, suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
-                                default_grid, make_pulse, shift_samples)
+                                default_grid, embed, make_pulse,
+                                shift_samples)
 from pulseloop.loop import LoopConfig, closed_loop
-from pulseloop.sysid import VolterraModel
+from pulseloop.sysid import VolterraModel, volterra_forward
 
 PARAMS = AcoustoOpticParams()
 
@@ -380,3 +382,127 @@ def test_closed_loop_converges_across_acoustic_delays(method, delay):
     report = closed_loop(chan.measure, target, LoopConfig(method=method))
     assert report.converged
     assert len(report.records) <= 3
+
+
+def test_simulated_channel_rejects_cutoff_at_or_above_the_beat():
+    # Such a filter passes the 2 f_beat image; it used to fail only at
+    # the first measurement.
+    for cutoff in (200e6, 250e6):
+        with pytest.raises(InvalidSpecError, match="f_beat"):
+            SimulatedChannel(cutoff=cutoff)
+    SimulatedChannel(cutoff=120e6)
+
+
+def test_simulated_channel_rejects_an_undersampled_beat():
+    for fs, f_beat in ((4e8, 200e6), (1e9, 600e6)):
+        with pytest.raises(AliasingError):
+            SimulatedChannel(fs=fs, f_beat=f_beat)
+
+
+# ------------------------------------------- memoized shot-invariant work
+
+def _uncached_reflectance(p_env, params, kappa, refine=3):
+    # reflectance_trace with its polyphase kernel rebuilt on every call.
+    p = p_env.amplitude
+    n = len(p)
+    dz = params.v * p_env.grid.dt / refine
+    m = np.arange(int(np.ceil(params.L1 / dz)),
+                  int(np.floor(params.L2 / dz)) + 1)
+    z = m * dz
+    g = np.exp(-(z / params.w0) ** 2) * np.exp(1j * kappa * z ** 2
+                                               / params.w0)
+    w = np.full(len(z), dz)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    ker = g * w
+    d = -(-m // refine)
+    frac = (refine * d - m) / refine
+    d_lo = int(d[0])
+    c0 = np.zeros(d[-1] - d_lo + 1, dtype=complex)
+    c1 = np.zeros_like(c0)
+    np.add.at(c0, d - d_lo, ker * (1.0 - frac))
+    np.add.at(c1, d - d_lo, ker * frac)
+    full = sig.fftconvolve(p, np.append(0.0, c0) + np.append(c1, 0.0))
+    full[:len(c1)] -= p[0] * c1
+    full[n:] += p[-1] * c1
+    k0 = d_lo - 1
+    r = np.zeros(n, dtype=complex)
+    lo = max(0, k0)
+    hi = max(lo, min(n, len(full) + k0))
+    r[lo:hi] = full[lo - k0:hi - k0]
+    return -1j * params.r0 * np.exp(1j * params.phi) * r
+
+
+def _uncached_measure(chan, env, shot):
+    # SimulatedChannel.measure with every shot-invariant quantity (the
+    # reflectance kernel, both carriers, the filter state) recomputed.
+    cfg = chan.config
+    assert cfg.noise_sigma == 0
+    ext = embed(env, chan.PAD_PRE, post_pad(cfg, env.grid.dt, chan.cutoff))
+    d = int(round(cfg.delay / ext.grid.dt))
+    out = volterra_forward(cfg.volterra,
+                           ext.with_samples(shift_samples(ext.samples, d)))
+    if cfg.aom_enabled:
+        theta = quadrature_phase(
+            _uncached_reflectance(out, cfg.aom, cfg.mismatch_kappa))
+        out = out.with_samples(out.samples * np.exp(1j * theta))
+    up = int(round(chan.fs * ext.grid.dt))
+    n_hi = ext.grid.n * up
+    t = ext.grid.t0 + np.arange(n_hi) / chan.fs
+    v = np.real(sig.resample(out.samples, n_hi)
+                * np.exp(2j * np.pi * chan.f_beat * t))
+    rng = np.random.default_rng(chan.seed + shot)
+    v = v + chan.trace_noise_sigma * rng.standard_normal(n_hi)
+    t = ext.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
+    z = 2.0 * v * np.exp(-2j * np.pi * chan.f_beat * t)
+    padlen = min(n_hi - 1, max(3 * chan.filter.order,
+                               int(3 * chan.fs / chan.cutoff)))
+    sos = sig.butter(chan.filter.order, chan.cutoff, fs=chan.fs,
+                     output="sos")
+    z = sig.sosfiltfilt(sos, z, padtype="odd", padlen=padlen)
+    return z[::up]
+
+
+def test_measure_equals_the_uncached_pipeline_shot_by_shot():
+    # Channels that differ in cutoff, pulse grid, grid origin, beat
+    # frequency, trace rate and modulator geometry take turns, with
+    # reflectance calls on other settings in between, so a cache keyed
+    # on too little would hand one of them another's kernel or carrier.
+    cases = []
+    for duration in (1.8e-7, 5e-7, 2e-6):
+        grid = default_grid(duration)
+        target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                            grid)
+        cases.append((SimulatedChannel(cutoff=suggested_cutoff(duration),
+                                       trace_noise_sigma=0.02, seed=1),
+                      target))
+    gate = cases[0][1]
+    moved = ComplexEnvelope(TimeGrid(gate.grid.t0 + 37e-9, gate.grid.dt,
+                                     gate.grid.n), gate.samples)
+    narrow = ChannelConfig(aom=AcoustoOpticParams(w0=50e-6),
+                           mismatch_kappa=2000.0)
+    cases += [
+        (SimulatedChannel(cutoff=40e6, trace_noise_sigma=0.02, seed=2),
+         moved),
+        (SimulatedChannel(cutoff=40e6, f_beat=300e6, trace_noise_sigma=0.02,
+                          seed=3), gate),
+        (SimulatedChannel(cutoff=40e6, fs=4e9, trace_noise_sigma=0.02,
+                          seed=4), gate),
+        (SimulatedChannel(narrow, cutoff=40e6, trace_noise_sigma=0.02,
+                          seed=5), gate),
+    ]
+    fine = make_pulse(PulseSpec(kind="gate-standin", duration=1.8e-7),
+                      default_grid(1.8e-7, dt=5e-10))
+    others = [(gate, AcoustoOpticParams(v=600.0), KAPPA_CALIBRATED, 3),
+              (gate, PARAMS, 0.0, 3),
+              (gate, PARAMS, KAPPA_CALIBRATED, 2),
+              (fine, PARAMS, KAPPA_CALIBRATED, 3)]
+    for shot in range(3):
+        for k, (chan, env) in enumerate(cases):
+            got = chan.measure(env)
+            want = _uncached_measure(chan, env, shot)
+            assert np.array_equal(got.samples, want), (shot, k)
+            p_env, params, kappa, refine = others[k % len(others)]
+            assert np.array_equal(
+                reflectance_trace(p_env, params, kappa, refine=refine),
+                _uncached_reflectance(p_env, params, kappa, refine)), k

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_pulse_writes_envelope_and_manifest(outdir):
                           default_grid(5e-7))
     np.testing.assert_allclose(env.samples, expected.samples, atol=1e-16)
 
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    manifest = json.loads(Path(outdir, "manifest.json").read_text())
     assert manifest["command"] == "pulse"
     assert manifest["outputs"]["pulse.csv"] == fileio.sha256_file(path)
     assert "duration_s" in manifest
@@ -118,7 +119,7 @@ def test_missing_input_exits_2(outdir, capsys):
 def test_channel_json_missing_key_exits_2_naming_it(outdir, capsys):
     pulse = _make_pulse(outdir)
     chan = _write_channel(os.path.join(outdir, "chan.json"))
-    obj = json.load(open(chan))
+    obj = json.loads(Path(chan).read_text())
     del obj["volterra"]["h1_re"]
     with open(chan, "w") as fh:
         json.dump(obj, fh)
@@ -154,7 +155,7 @@ def test_estimate_with_cross_validation(outdir):
                  "--outdir", outdir]) == 0
     model = fileio.read_model_json(os.path.join(outdir, "model.json"))
     assert model.memory == 64
-    scores = open(os.path.join(outdir, "scores.csv")).read().splitlines()
+    scores = Path(outdir, "scores.csv").read_text().splitlines()
     assert scores[0] == "lambda,validation_mse"
     assert len(scores) == 8  # default 7-point grid
 
@@ -181,9 +182,9 @@ def test_loop_example_invocation(outdir):
                  "--method", "tf-free", "--max-iters", "10",
                  "--outdir", outdir])
     assert code == 0
-    report = json.load(open(os.path.join(outdir, "report.json")))
+    report = json.loads(Path(outdir, "report.json").read_text())
     assert report["converged"] is True
-    conv = open(os.path.join(outdir, "convergence.csv")).read().splitlines()
+    conv = Path(outdir, "convergence.csv").read_text().splitlines()
     assert conv[0] == "iteration,mase"
     assert len(conv) == len(report["records"]) + 1
     # Per-iteration envelope snapshots accompany the report.
@@ -197,7 +198,7 @@ def test_loop_method_full_names_accepted(outdir):
     code = main(["loop", "--target", pulse, "--channel", chan,
                  "--method", "transfer-function", "--outdir", outdir])
     assert code == 0
-    report = json.load(open(os.path.join(outdir, "report.json")))
+    report = json.loads(Path(outdir, "report.json").read_text())
     assert report["final_model"] is not None
 
 
@@ -254,7 +255,7 @@ def test_loop_runs_are_byte_identical(tmp_path):
 
 def test_optics_sensitivity_output(outdir):
     assert main(["optics", "sensitivity", "--outdir", outdir]) == 0
-    lines = open(os.path.join(outdir, "sensitivity.csv")).read().splitlines()
+    lines = Path(outdir, "sensitivity.csv").read_text().splitlines()
     assert lines[0] == "dL_dL_in,dL_dtheta_in,dtheta_dL_in,dtheta_dtheta_in"
     assert len(lines) == 2
 
@@ -262,7 +263,7 @@ def test_optics_sensitivity_output(outdir):
 def test_optics_aperture_table(outdir):
     assert main(["optics", "aperture", "--t-max", "20", "--steps", "5",
                  "--outdir", outdir]) == 0
-    lines = open(os.path.join(outdir, "aperture.csv")).read().splitlines()
+    lines = Path(outdir, "aperture.csv").read_text().splitlines()
     assert lines[0] == "delta_T_K,L_m,theta_rad,within_limits"
     assert len(lines) == 6
     first = lines[1].split(",")
@@ -273,7 +274,7 @@ def test_optics_aperture_table(outdir):
 def test_optics_waist_sweep(outdir):
     assert main(["optics", "waist-sweep", "--design", "three-waist",
                  "--steps", "7", "--outdir", outdir]) == 0
-    lines = open(os.path.join(outdir, "waist_sweep.csv")).read().splitlines()
+    lines = Path(outdir, "waist_sweep.csv").read_text().splitlines()
     assert lines[0] == "w_in_m,waist_m,offset_m,within_rayleigh"
     rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
     assert rows[0, 3] == 0.0 and rows[-1, 3] == 1.0
@@ -310,6 +311,6 @@ def test_manifest_names_inputs_by_content_hash(outdir):
     chan = _write_channel(os.path.join(outdir, "chan.json"))
     assert main(["simulate", "--input", pulse, "--channel", chan,
                  "--outdir", outdir]) == 0
-    manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+    manifest = json.loads(Path(outdir, "manifest.json").read_text())
     assert manifest["inputs"][pulse] == fileio.sha256_file(pulse)
     assert manifest["inputs"][chan] == fileio.sha256_file(chan)

@@ -150,23 +150,52 @@ def test_filtfilt_preserves_in_band_tone():
     assert phase == pytest.approx(phase0, abs=1e-3)
 
 
-def test_filtfilt_matches_reference_padding_rule():
-    # Reference forward-backward run with the same odd-reflection
-    # padding; the step response must agree exactly and be symmetric
-    # about the step location.
-    filt = design_lowpass(4, 50e6, FS)
-    n = 2048
-    x = np.zeros(n)
-    x[n // 2:] = 1.0
-    y = filtfilt(filt, x)
+def _filtfilt_inputs():
+    rng = np.random.default_rng(12)
+    step = np.zeros(2048)
+    step[1024:] = 1.0
+    noise = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    # (order, cutoff, x): the padding is 3 fs / cutoff = 120 samples at
+    # 50 MHz, clipped to len - 1 on the short inputs (13 samples is the
+    # shortest an order-4 filter accepts), and 3 * order when the cutoff
+    # transient is shorter than that (800 MHz).
+    return {
+        "step": (4, 50e6, step),
+        "complex-noise": (4, 50e6, noise),
+        "clipped": (4, 50e6, rng.standard_normal(100)),
+        "clipped-complex": (4, 50e6, noise[:100]),
+        "minimum-length": (4, 50e6, noise[:13]),
+        "minimum-length-real": (4, 50e6, step[1018:1031]),
+        "order-padding": (4, 800e6, noise[:300]),
+        "order-7": (7, 20e6, noise),
+    }
 
-    padlen = min(n - 1, max(3 * filt.order, int(3 * filt.fs / filt.cutoff)))
-    ref = sig.sosfiltfilt(filt.sos.copy(), x, padtype="odd", padlen=padlen)
-    np.testing.assert_allclose(y, ref, atol=1e-15)
-    # Symmetry: y(step + k) - 0.5 == 0.5 - y(step - k) near the edge.
+
+def test_filtfilt_matches_reference_padding_rule():
+    # scipy's forward-backward filter with the same odd-reflection
+    # padding is the oracle, bit for bit.
+    inputs = _filtfilt_inputs()
+    for name, (order, cutoff, x) in inputs.items():
+        filt = design_lowpass(order, cutoff, FS)
+        y = filtfilt(filt, x)
+        padlen = min(len(x) - 1, max(3 * order, int(3 * FS / cutoff)))
+        ref = sig.sosfiltfilt(filt.sos.copy(), x, padtype="odd",
+                              padlen=padlen)
+        assert y.dtype == ref.dtype, name
+        assert np.array_equal(y, ref), name
+    # Symmetry: y(step + k) - 0.5 == 0.5 - y(step - k) near the step.
+    y = filtfilt(design_lowpass(4, 50e6, FS), inputs["step"][2])
     k = np.arange(1, 200)
-    np.testing.assert_allclose(y[n // 2 + k - 1] - 0.5,
-                               0.5 - y[n // 2 - k], atol=1e-9)
+    np.testing.assert_allclose(y[1024 + k - 1] - 0.5, 0.5 - y[1024 - k],
+                               atol=1e-9)
+
+
+def test_filter_initial_state_is_stored_read_only():
+    filt = design_lowpass(4, 20e6, FS)
+    assert np.array_equal(filt.zi, sig.sosfilt_zi(filt.sos))
+    assert not filt.zi.flags.writeable
+    with pytest.raises(ValueError):
+        filt.zi[0, 0] = 1.0
 
 
 def test_filtfilt_rejects_short_sequences():
@@ -253,6 +282,17 @@ def test_demodulate_rejects_high_cutoff():
     filt = design_lowpass(4, 250e6, FS)
     with pytest.raises(InvalidSpecError):
         demodulate(trace, F_BEAT, filt, env.grid)
+
+
+def test_demodulate_rejects_filter_for_another_sample_rate():
+    # A 24 MHz filter designed at 4 GS/s would act at 12 MHz on a
+    # 2 GS/s trace.
+    env = _constant_env(512)
+    trace = synthesize_beat(env, f_beat=F_BEAT, fs=FS)
+    with pytest.raises(InvalidSpecError, match="fs"):
+        demodulate(trace, F_BEAT, design_lowpass(4, 24e6, 2 * FS), env.grid)
+    demodulate(trace, F_BEAT, design_lowpass(4, 24e6, FS * (1 + 1e-12)),
+               env.grid)
 
 
 def test_demodulate_rejects_misaligned_grid():

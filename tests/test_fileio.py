@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_envelope_csv_round_trip_is_exact(tmp_path):
     assert back.grid.dt == pytest.approx(env.grid.dt, rel=1e-12)
     assert back.grid.n == env.grid.n
     np.testing.assert_array_equal(back.samples, env.samples)
-    header = open(path).readline().strip()
+    header = Path(path).read_text().splitlines()[0]
     assert header == "t_s,i,q"
 
 
@@ -48,7 +49,7 @@ def test_envelope_json_round_trip_is_exact(tmp_path):
     back = fileio.read_envelope_json(path)
     assert back.grid == env.grid
     np.testing.assert_array_equal(back.samples, env.samples)
-    data = json.load(open(path))
+    data = json.loads(Path(path).read_text())
     assert set(data) == {"t0", "dt", "i", "q"}
 
 
@@ -60,7 +61,7 @@ def test_envelope_extension_dispatch(tmp_path):
         fileio.write_envelope(path, env)
         back = fileio.read_envelope(path)
         np.testing.assert_array_equal(back.samples, env.samples)
-    assert open(str(tmp_path / "a.dat")).readline().strip() == "t_s,i,q"
+    assert (tmp_path / "a.dat").read_text().splitlines()[0] == "t_s,i,q"
 
 
 def test_envelope_csv_rejects_wrong_header(tmp_path):
@@ -89,7 +90,7 @@ def test_trace_csv_round_trip(tmp_path):
     back = fileio.read_trace_csv(path)
     assert back.grid == trace.grid
     np.testing.assert_array_equal(back.samples, trace.samples)
-    assert open(path).readline().strip() == "t_s,v"
+    assert Path(path).read_text().splitlines()[0] == "t_s,v"
 
 
 # ------------------------------------------------------------------- models
@@ -104,7 +105,7 @@ def test_model_json_round_trip(tmp_path):
     back = fileio.read_model_json(path)
     assert back.h0 == model.h0
     np.testing.assert_array_equal(back.h1, model.h1)
-    data = json.load(open(path))
+    data = json.loads(Path(path).read_text())
     assert set(data) == {"h0_re", "h0_im", "h1_re", "h1_im"}
 
 
@@ -112,7 +113,7 @@ def test_scores_csv_format(tmp_path):
     scores = np.array([[1e-6, 0.25], [1e-3, 0.125]])
     path = str(tmp_path / "scores.csv")
     fileio.write_scores_csv(path, scores)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "lambda,validation_mse"
     assert len(lines) == 3
 
@@ -164,7 +165,7 @@ def _tiny_report():
 def test_report_json_shape(tmp_path):
     path = str(tmp_path / "report.json")
     fileio.write_report_json(path, _tiny_report())
-    data = json.load(open(path))
+    data = json.loads(Path(path).read_text())
     assert data["converged"] is True
     assert len(data["records"]) == 2
     assert data["records"][0]["model_error"] is None  # NaN becomes null
@@ -175,7 +176,7 @@ def test_report_json_shape(tmp_path):
 def test_convergence_csv(tmp_path):
     path = str(tmp_path / "conv.csv")
     fileio.write_convergence_csv(path, _tiny_report())
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "iteration,mase"
     assert lines[1].startswith("1,")
     assert lines[2].startswith("2,")
@@ -186,11 +187,11 @@ def test_convergence_csv(tmp_path):
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "out.txt")
     fileio.atomic_write_text(path, "hello\n")
-    assert open(path).read() == "hello\n"
+    assert Path(path).read_text() == "hello\n"
     assert os.listdir(tmp_path) == ["out.txt"]
     # Overwrite goes through a fresh temp file as well.
     fileio.atomic_write_text(path, "world\n")
-    assert open(path).read() == "world\n"
+    assert Path(path).read_text() == "world\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
@@ -199,7 +200,7 @@ def test_write_is_byte_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     fileio.write_envelope_csv(a, env)
     fileio.write_envelope_csv(b, env)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     assert fileio.sha256_file(a) == fileio.sha256_file(b)
 
 
