@@ -10,22 +10,20 @@ beam-delivery analysis.
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        MetricReport, PulseSpec, TimeGrid, ZeroSignalError,
-                       align_delay, crop, default_grid, embed, iq_join,
-                       iq_split, make_pulse, mase, metric_report, mse_cost,
-                       shift_samples)
+                       align_delay, crop, default_grid, embed, make_pulse,
+                       mase, metric_report, mse_cost, shift_samples)
 from .demod import (AliasingError, BeatTrace, FilterSpec, demodulate,
                     design_lowpass, filtfilt, suggested_cutoff,
                     synthesize_beat)
 from .sysid import (CVConfig, VolterraModel, build_design_matrix,
-                    cross_validate, estimate_kernel, model_error,
-                    volterra_forward)
+                    cross_validate, estimate_kernel, volterra_forward)
 from .channel import (AcoustoOpticParams, ChannelConfig, SimulatedChannel,
                       apply_channel, calibrate_kappa, default_kernel,
                       peak_quadrature_phase, quadrature_phase,
                       reflectance_trace)
 from .loop import (IterationRecord, LMConfig, LoopConfig, LoopReport,
                    MeasurementError, OfflineResult, ReplayChannel,
-                   SingularUpdateError, closed_loop, jacobian, lm_step,
+                   SingularUpdateError, closed_loop, jacobian,
                    offline_iterate, tf_free_step)
 from .optics import (ABCDElement, ApertureReport, GaussianBeam, OpticalTrain,
                      RayState, SensitivityReport, aperture_check,

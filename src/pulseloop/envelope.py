@@ -311,17 +311,3 @@ def embed(env: ComplexEnvelope, pad_before: int,
     samples = np.zeros(grid.n, dtype=complex)
     samples[pad_before:pad_before + g.n] = env.samples
     return ComplexEnvelope(grid, samples)
-
-
-def iq_split(env: ComplexEnvelope) -> tuple[np.ndarray, np.ndarray]:
-    """Return (I, Q) sample sequences."""
-    return env.samples.real.copy(), env.samples.imag.copy()
-
-
-def iq_join(i, q, grid: TimeGrid) -> ComplexEnvelope:
-    """Rebuild an envelope from I and Q sequences on a grid."""
-    i = np.asarray(i, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if len(i) != len(q):
-        raise InvalidSpecError("I and Q lengths differ")
-    return ComplexEnvelope(grid, i + 1j * q)

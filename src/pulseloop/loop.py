@@ -2,7 +2,8 @@
 
 Two update strategies produce the next input pulse from a measurement:
 the transfer-function method identifies the channel kernel and inverts
-it offline by damped (Levenberg-Marquardt) iterations, and the
+it offline by iterated Tikhonov steps (a fixed damping, one banded
+Cholesky factor of the normal equations), and the
 transfer-function-free method feeds the output error straight back onto
 the input. The loop driver alternates measure / align / update until
 the amplitude error reaches the noise floor.
@@ -10,11 +11,12 @@ the amplitude error reaches the noise floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        align_delay, mase, mse_cost)
@@ -24,8 +26,12 @@ from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
 LOOP_METHODS = ("transfer-function", "transfer-function-free")
 
 
+# Tikhonov weight added to the diagonal of J^H J in the offline inversion.
+_DAMPING = 1e-3
+
+
 class SingularUpdateError(RuntimeError):
-    """Damped normal system was singular; retry with larger damping."""
+    """Damped normal system could not be Cholesky-factored."""
 
 
 class MeasurementError(RuntimeError):
@@ -34,26 +40,20 @@ class MeasurementError(RuntimeError):
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Damping schedule for the offline iterations.
+    """Stopping rule for the offline iterations.
 
-    Classic accept/reject damping: shrink lambda after a cost-reducing
-    step, grow it and retry otherwise.
+    At most ``max_iters`` iterated-Tikhonov steps are taken, stopping
+    early once the mean squared cost falls below ``cost_tol``.
     """
 
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
     max_iters: int = 50
     cost_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise InvalidSpecError("lambda0 must be positive")
-        if self.lambda_up <= 1 or not 0 < self.lambda_down < 1:
-            raise InvalidSpecError(
-                "need lambda_up > 1 and 0 < lambda_down < 1")
-        if self.cost_tol <= 0:
-            raise InvalidSpecError("cost_tol must be positive")
+        if self.max_iters < 0:
+            raise InvalidSpecError("max_iters must be >= 0")
+        if not (math.isfinite(self.cost_tol) and self.cost_tol > 0):
+            raise InvalidSpecError("cost_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ class LoopConfig:
 
     method: str = "transfer-function"
     max_loop_iters: int = 10
-    offline: LMConfig = field(default_factory=LMConfig)
     convergence_mase: float = 1e-3
     memory: int = DEFAULT_MEMORY
     lambda_reg: float = 0.0
@@ -80,6 +79,16 @@ class LoopConfig:
                 f"method must be one of {LOOP_METHODS}, got {self.method!r}")
         if self.max_loop_iters < 1:
             raise InvalidSpecError("max_loop_iters must be >= 1")
+        if self.memory < 1:
+            raise InvalidSpecError(f"memory must be >= 1, got {self.memory}")
+        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+            raise InvalidSpecError(
+                f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
+        if not (math.isfinite(self.convergence_mase)
+                and self.convergence_mase > 0):
+            raise InvalidSpecError(
+                "convergence_mase must be finite and positive, got "
+                f"{self.convergence_mase}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class LoopReport:
 
 
 class OfflineResult(NamedTuple):
-    """Pre-distorted pulse plus the accepted-step cost trace."""
+    """Pre-distorted pulse plus the cost before and after each step."""
 
     s_pred: ComplexEnvelope
     costs: np.ndarray
@@ -161,60 +170,35 @@ def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
     return ab
 
 
-def _damped_step(h1: np.ndarray, ab: np.ndarray, residual: np.ndarray,
-                 lam: float) -> np.ndarray:
-    """Solve (J^H J + lam I) step = J^H residual via a banded Cholesky.
-
-    J^H residual is the correlation of the residual with the taps,
-    computed as a convolution of the reversed residual.
-    """
-    n = len(residual)
-    rhs = np.convolve(residual[::-1], h1.conj())[:n][::-1]
-    abd = ab.copy()
-    abd[0] += lam
-    try:
-        return solveh_banded(abd, rhs, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularUpdateError(
-            f"damped system not positive definite at lambda={lam}") from exc
-
-
-def lm_step(model: VolterraModel, s_in: ComplexEnvelope,
-            s_target: ComplexEnvelope, s_out: ComplexEnvelope,
-            lambda_damp: float) -> ComplexEnvelope:
-    """One damped Gauss-Newton update of the input pulse.
-
-    Returns s_in - (J^H J + lambda I)^{-1} grad with gradient
-    -J^H (s_target - s_out), solved as a Hermitian banded linear system
-    (never by explicit inversion). Raises ``SingularUpdateError`` when
-    the damped system is singular; callers respond by raising lambda.
-    """
-    if not (s_in.grid == s_target.grid == s_out.grid):
-        raise GridMismatchError("lm_step requires one common grid")
-    if lambda_damp < 0:
-        raise InvalidSpecError("lambda_damp must be >= 0")
-    ab = _normal_banded(model.h1, s_in.grid.n)
-    step = _damped_step(model.h1, ab, s_target.samples - s_out.samples,
-                        lambda_damp)
-    return s_in.with_samples(s_in.samples + step)
+def _adjoint(h1: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """J^H r: the correlation of r with the taps, as a reversed convolution."""
+    n = len(r)
+    return np.convolve(r[::-1], h1.conj())[:n][::-1]
 
 
 def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
                     config: LMConfig = LMConfig()) -> OfflineResult:
-    """Damped iterations computing the pre-distorted input pulse.
+    """Iterated Tikhonov computing the pre-distorted input pulse.
 
-    Starting from the target itself, each iteration proposes a damped
-    Gauss-Newton update; updates that reduce the mean squared cost
-    between the model's fitted output and the target are accepted (and
-    the damping relaxed), others rejected (and the damping raised).
-    Stops when the cost falls below ``config.cost_tol`` or the iteration
-    budget runs out, returning the best input found either way, with
-    ``converged`` flagging which case occurred. The returned cost trace
-    covers accepted steps and is non-increasing.
+    Starting from the target itself, each iteration adds the step
+    (J^H J + lambda I)^{-1} J^H (target - fitted(s)) with a fixed
+    lambda = 1e-3, taken from one banded Cholesky factor computed up
+    front. For this linear model the mean squared cost between the
+    fitted output and the target never increases, so every step is
+    kept. Stops when the cost falls below ``config.cost_tol`` or after
+    ``config.max_iters`` steps, with ``converged`` flagging which case
+    occurred. Raises ``SingularUpdateError`` when the damped normal
+    matrix cannot be factored.
     """
     if model.memory > s_target.grid.n:
         raise InvalidSpecError("model memory exceeds the target length")
     ab = _normal_banded(model.h1, s_target.grid.n)
+    ab[0] += _DAMPING
+    try:
+        factor = (cholesky_banded(ab, lower=True), True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularUpdateError(
+            "damped normal matrix is not positive definite") from exc
     s = s_target.samples.copy()
     target = s_target.samples
 
@@ -224,44 +208,29 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     out = fitted(s)
     cost = float(np.mean(np.abs(target - out) ** 2))
     costs = [cost]
-    lam = config.lambda0
     for _ in range(config.max_iters):
         if cost < config.cost_tol:
             break
-        try:
-            step = _damped_step(model.h1, ab, target - out, lam)
-        except SingularUpdateError:
-            lam *= config.lambda_up
-            continue
-        s_try = s + step
-        out_try = fitted(s_try)
-        cost_try = float(np.mean(np.abs(target - out_try) ** 2))
-        if cost_try < cost:
-            s, out, cost = s_try, out_try, cost_try
-            costs.append(cost)
-            lam *= config.lambda_down
-        else:
-            lam *= config.lambda_up
+        s = s + cho_solve_banded(factor, _adjoint(model.h1, target - out))
+        out = fitted(s)
+        cost = float(np.mean(np.abs(target - out) ** 2))
+        costs.append(cost)
     return OfflineResult(s_pred=s_target.with_samples(s),
                          costs=np.array(costs),
                          converged=cost < config.cost_tol)
 
 
 def tf_free_step(s_in: ComplexEnvelope, s_target: ComplexEnvelope,
-                 s_out: ComplexEnvelope,
-                 corrected_sign: bool = True) -> ComplexEnvelope:
+                 s_out: ComplexEnvelope) -> ComplexEnvelope:
     """Model-free input update from the measured output error.
 
     Returns s_in + (s_target - s_out), a unity-gain error feedback whose
-    fixed point is s_out = s_target. ``corrected_sign=False`` selects
-    the opposite sign, s_in - (s_target - s_out), kept for comparison:
-    it moves away from the target on any near-identity channel.
+    fixed point is s_out = s_target.
     """
     if not (s_in.grid == s_target.grid == s_out.grid):
         raise GridMismatchError("tf_free_step requires one common grid")
-    err = s_target.samples - s_out.samples
-    sign = 1.0 if corrected_sign else -1.0
-    return s_in.with_samples(s_in.samples + sign * err)
+    return s_in.with_samples(s_in.samples
+                             + (s_target.samples - s_out.samples))
 
 
 def _align_to_target(raw: ComplexEnvelope,
@@ -286,8 +255,14 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     Below ``config.convergence_mase`` the loop stops converged;
     otherwise the next input comes from the configured method: identify
     the kernel and invert it offline (transfer-function), or feed the
-    error back directly (transfer-function-free).
+    error back directly (transfer-function-free). A kernel memory that
+    does not fit the target is rejected before the first measurement.
     """
+    if (config.method == "transfer-function"
+            and config.memory + 1 > s_target.grid.n):
+        raise InvalidSpecError(
+            f"memory {config.memory} needs at least {config.memory + 1} "
+            f"target samples, got {s_target.grid.n}")
     s_in = s_target
     records = []
     model: Optional[VolterraModel] = None
@@ -315,7 +290,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
             converged = True
             break
         if config.method == "transfer-function":
-            s_in = offline_iterate(model, s_target, config.offline).s_pred
+            s_in = offline_iterate(model, s_target).s_pred
         else:
             s_in = tf_free_step(s_in, s_target, s_out)
     return LoopReport(records=tuple(records), converged=converged,

@@ -200,12 +200,3 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
     return lambda_star, scores
-
-
-def model_error(model: VolterraModel, inp: ComplexEnvelope,
-                out: ComplexEnvelope):
-    """Error metrics between the model's prediction and a measurement."""
-    from .envelope import metric_report
-    if inp.grid != out.grid:
-        raise GridMismatchError("input and output grids differ")
-    return metric_report(volterra_forward(model, inp), out)

@@ -210,6 +210,15 @@ def test_loop_requires_exactly_one_backend(outdir, capsys):
                  "--replay", outdir, "--outdir", outdir]) == 2
 
 
+def test_loop_bad_memory_exits_2_without_a_report(outdir, capsys):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["loop", "--target", pulse, "--channel", chan,
+                 "--memory", "0", "--outdir", outdir]) == 2
+    assert "memory" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "report.json"))
+
+
 def test_loop_non_convergence_exits_3(outdir):
     pulse = _make_pulse(outdir)
     chan = _write_channel(os.path.join(outdir, "chan.json"))

@@ -6,9 +6,8 @@ import pytest
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
                                 ZeroSignalError, align_delay, crop,
-                                default_grid, embed, iq_join, iq_split,
-                                make_pulse, mase, metric_report, mse_cost,
-                                shift_samples)
+                                default_grid, embed, make_pulse, mase,
+                                metric_report, mse_cost, shift_samples)
 
 
 def _env(grid, samples):
@@ -277,24 +276,7 @@ def test_align_delay_rejects_zero_signal():
         align_delay(env, env)
 
 
-# ------------------------------------------------------- iq views and crop
-
-def test_iq_split_constant():
-    grid = TimeGrid(0.0, 1e-9, 6)
-    env = _env(grid, np.full(6, 0.6 + 0.8j))
-    i, q = iq_split(env)
-    np.testing.assert_array_equal(i, np.full(6, 0.6))
-    np.testing.assert_array_equal(q, np.full(6, 0.8))
-
-
-def test_iq_round_trip_is_identity():
-    grid = TimeGrid(0.0, 1e-9, 32)
-    rng = np.random.default_rng(23)
-    env = _env(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    i, q = iq_split(env)
-    back = iq_join(i, q, grid)
-    np.testing.assert_array_equal(back.samples, env.samples)
-
+# ------------------------------------------------------ phase views and crop
 
 def test_unit_amplitude_quarter_phase_is_i():
     grid = TimeGrid(0.0, 1e-9, 4)
@@ -302,12 +284,6 @@ def test_unit_amplitude_quarter_phase_is_i():
     np.testing.assert_allclose(env.samples, 1j * np.ones(4), atol=1e-15)
     np.testing.assert_allclose(env.amplitude, 1.0)
     np.testing.assert_allclose(env.phase, np.pi / 2)
-
-
-def test_iq_join_length_mismatch():
-    grid = TimeGrid(0.0, 1e-9, 4)
-    with pytest.raises(InvalidSpecError):
-        iq_join(np.zeros(4), np.zeros(3), grid)
 
 
 def test_embed_then_crop_round_trip():

@@ -1,19 +1,21 @@
-"""Levenberg-Marquardt offline correction and the closed feedback loop."""
+"""Offline correction by iterated Tikhonov and the closed feedback loop."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
+
+from pulseloop import loop
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
 from pulseloop.demod import suggested_cutoff
-from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
-                                InvalidSpecError, PulseSpec, TimeGrid,
-                                ZeroSignalError, default_grid, make_pulse,
-                                mase, mse_cost)
+from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError,
+                                PulseSpec, TimeGrid, ZeroSignalError,
+                                default_grid, make_pulse, mase, mse_cost)
 from pulseloop.loop import (LMConfig, LoopConfig, MeasurementError,
-                            ReplayChannel, SingularUpdateError, _damped_step,
-                            _normal_banded, closed_loop, jacobian, lm_step,
-                            offline_iterate, tf_free_step)
-from pulseloop.sysid import VolterraModel, volterra_forward
+                            ReplayChannel, SingularUpdateError, _adjoint,
+                            _align_to_target, _normal_banded, closed_loop,
+                            jacobian, offline_iterate, tf_free_step)
+from pulseloop.sysid import VolterraModel, estimate_kernel, volterra_forward
 
 
 def _env(samples, dt=1e-9):
@@ -75,70 +77,6 @@ def test_jacobian_matches_finite_differences():
                 assert np.max(np.abs(column - j[:, m])) / scale < 1e-6
 
 
-# ----------------------------------------------------------------- lm_step
-
-def test_lm_step_zero_gradient_fixed_point():
-    rng = np.random.default_rng(41)
-    model = VolterraModel(h0=0.1, h1=np.array([0.8, 0.1j]))
-    s_in = _random_env(rng, 16)
-    target = _random_env(rng, 16)
-    pred = lm_step(model, s_in, target, target, 1e-3)
-    np.testing.assert_allclose(pred.samples, s_in.samples, atol=1e-12)
-
-
-def test_lm_step_identity_model_is_residual_feedback():
-    rng = np.random.default_rng(42)
-    s_in = _random_env(rng, 12)
-    target = _random_env(rng, 12)
-    out = _random_env(rng, 12)
-    pred = lm_step(VolterraModel.identity(), s_in, target, out, 0.0)
-    np.testing.assert_allclose(pred.samples,
-                               s_in.samples + (target.samples - out.samples),
-                               atol=1e-10)
-
-
-def test_lm_step_infinite_damping_freezes_input():
-    rng = np.random.default_rng(43)
-    model = VolterraModel(h0=0.0, h1=np.array([0.9, -0.2 + 0.1j]))
-    s_in = _random_env(rng, 16)
-    target = _random_env(rng, 16)
-    out = _random_env(rng, 16)
-    pred = lm_step(model, s_in, target, out, 1e12)
-    np.testing.assert_allclose(pred.samples, s_in.samples, atol=1e-9)
-
-
-def test_lm_step_matches_dense_normal_equations():
-    rng = np.random.default_rng(44)
-    model = VolterraModel(h0=0.05 - 0.02j,
-                          h1=np.array([0.8, -0.3 + 0.2j, 0.1j]))
-    s_in = _random_env(rng, 8)
-    target = _random_env(rng, 8)
-    out = _random_env(rng, 8)
-    lam = 0.37
-    pred = lm_step(model, s_in, target, out, lam)
-
-    j = jacobian(model, s_in)
-    h = j.conj().T @ j + lam * np.eye(8)
-    grad = -j.conj().T @ (target.samples - out.samples)
-    expected = s_in.samples - np.linalg.solve(h, grad)
-    np.testing.assert_allclose(pred.samples, expected, atol=1e-10)
-
-
-def test_lm_step_singular_system_raises():
-    zero = VolterraModel(h0=0.0, h1=np.zeros(2, dtype=complex))
-    env = _env(np.ones(8))
-    with pytest.raises(SingularUpdateError):
-        lm_step(zero, env, env, env.with_samples(0 * env.samples), 0.0)
-
-
-def test_lm_step_grid_mismatch():
-    model = VolterraModel.identity()
-    a = _env(np.ones(8))
-    b = _env(np.ones(8), dt=2e-9)
-    with pytest.raises(GridMismatchError):
-        lm_step(model, a, b, a, 1e-3)
-
-
 # -------------------------------------------------- banded normal equations
 
 @pytest.mark.parametrize("n, memory", [(300, 64), (100, 64), (64, 64),
@@ -155,10 +93,8 @@ def test_normal_band_and_adjoint_match_dense_jacobian(n, memory):
     ab = _normal_banded(h1, n)
     np.testing.assert_allclose(ab, expected, rtol=0,
                                atol=1e-12 * np.max(np.abs(gram)))
-    # With a zero band and unit damping the step is J^H r itself.
     adjoint = j.conj().T @ r
-    step = _damped_step(h1, np.zeros_like(ab), r, 1.0)
-    np.testing.assert_allclose(step, adjoint, rtol=0,
+    np.testing.assert_allclose(_adjoint(h1, r), adjoint, rtol=0,
                                atol=1e-12 * np.max(np.abs(adjoint)))
 
 
@@ -172,6 +108,95 @@ def test_offline_identity_model_converges_immediately():
     assert len(result.costs) == 1
     np.testing.assert_allclose(result.s_pred.samples, target.samples,
                                atol=1e-9)
+
+
+def _dense_tikhonov_steps(model, target, steps):
+    """Iterated Tikhonov on the dense Jacobian, damping 1e-3."""
+    j = jacobian(model, target)
+    t = target.samples
+    h = j.conj().T @ j + 1e-3 * np.eye(len(t))
+    s = t.copy()
+    for _ in range(steps):
+        s = s + np.linalg.solve(h, j.conj().T @ (t - j @ s - model.h0))
+    return s
+
+
+def test_offline_one_step_matches_dense_normal_equations():
+    rng = np.random.default_rng(44)
+    model = VolterraModel(h0=0.05 - 0.02j,
+                          h1=np.array([0.8, -0.3 + 0.2j, 0.1j]))
+    target = _random_env(rng, 8)
+    result = offline_iterate(model, target,
+                             LMConfig(max_iters=1, cost_tol=1e-30))
+    assert len(result.costs) == 2
+    np.testing.assert_allclose(result.s_pred.samples,
+                               _dense_tikhonov_steps(model, target, 1),
+                               atol=1e-10)
+
+
+def test_offline_three_steps_match_dense_iterated_tikhonov():
+    # The damping stays at 1e-3 and every step is kept, so three steps
+    # follow the dense recurrence s += (J^H J + 1e-3 I)^-1 J^H r(s).
+    rng = np.random.default_rng(55)
+    model = VolterraModel(h0=0.1 + 0.05j,
+                          h1=np.array([0.02, 1.0, 0.5 - 0.2j, 0.1j]))
+    target = _random_env(rng, 24)
+    result = offline_iterate(model, target,
+                             LMConfig(max_iters=3, cost_tol=1e-30))
+    assert len(result.costs) == 4
+    expected = _dense_tikhonov_steps(model, target, 3)
+    np.testing.assert_allclose(result.s_pred.samples, expected, rtol=0,
+                               atol=1e-9 * np.max(np.abs(expected)))
+    # The third step moved the input, so the comparison sees it.
+    third = expected - _dense_tikhonov_steps(model, target, 2)
+    assert np.max(np.abs(third)) > 1e-6 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_offline_first_step_equals_the_solveh_banded_step(duration):
+    # The loop fits a lambda = 0 kernel to one gate shot and takes one
+    # offline step from the target. Solving the damped banded normal
+    # equations with solveh_banded is the reference: the step taken
+    # from the Cholesky factor must equal it bit for bit.
+    target = _gate(duration)
+    chan = SimulatedChannel(ChannelConfig(),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=2)
+    s_out = _align_to_target(chan.measure(target), target)
+    model = estimate_kernel(target, s_out, 64, 0.0)
+    n = target.grid.n
+    assert n == round(2 * duration / 1e-9)
+
+    t = target.samples
+    residual = t - (np.convolve(t, model.h1)[:n] + model.h0)
+    rhs = np.convolve(residual[::-1], model.h1.conj())[:n][::-1]
+    ab = _normal_banded(model.h1, n)
+    ab[0] += 1e-3
+    expected = t + solveh_banded(ab, rhs, lower=True)
+
+    result = offline_iterate(model, target,
+                             LMConfig(max_iters=1, cost_tol=1e-30))
+    assert np.array_equal(result.s_pred.samples, expected)
+
+
+def test_offline_unfactorable_normal_matrix_raises(monkeypatch):
+    def not_positive_definite(ab, lower):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(loop, "cholesky_banded", not_positive_definite)
+    target = _env(np.ones(8))
+    with pytest.raises(SingularUpdateError):
+        offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, 0.1])),
+                        target)
+
+
+def test_lm_config_validation():
+    LMConfig(max_iters=0)
+    for kwargs in ({"max_iters": -1}, {"cost_tol": 0.0},
+                   {"cost_tol": -1e-6}, {"cost_tol": float("nan")},
+                   {"cost_tol": float("inf")}):
+        with pytest.raises(InvalidSpecError):
+            LMConfig(**kwargs)
 
 
 def test_offline_four_tap_cost_below_1e6():
@@ -263,20 +288,6 @@ def test_tf_free_diverges_outside_the_contraction_band():
     ratios = np.array(errors[1:]) / np.array(errors[:-1])
     np.testing.assert_allclose(ratios, abs(1 - gain), rtol=1e-9)
     assert errors[-1] > errors[0]
-
-
-def test_tf_free_printed_sign_moves_away_from_target():
-    # The uncorrected variant doubles the identity-channel error per
-    # step instead of closing it.
-    rng = np.random.default_rng(53)
-    target = _random_env(rng, 16)
-    s_in = target.with_samples(target.samples + 0.1)
-    s_out = s_in
-    pred = tf_free_step(s_in, target, s_out, corrected_sign=False)
-    before = np.linalg.norm(s_out.samples - target.samples)
-    after = np.linalg.norm(
-        pred.samples - target.samples)
-    assert after == pytest.approx(2 * before, rel=1e-9)
 
 
 # --------------------------------------------------------------- closed_loop
@@ -373,6 +384,44 @@ def test_closed_loop_measurement_error_names_the_cause():
     with pytest.raises(MeasurementError,
                        match="iteration 1: ZeroSignalError: reflectance"):
         closed_loop(blank, target, LoopConfig(max_loop_iters=3))
+
+
+def _counting(measure):
+    calls = []
+
+    def counted(env):
+        calls.append(env)
+        return measure(env)
+    return counted, calls
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"memory": 0}, {"memory": -3}, {"lambda_reg": -1.0},
+    {"lambda_reg": float("nan")}, {"lambda_reg": float("inf")},
+    {"convergence_mase": -1.0}, {"convergence_mase": 0.0},
+    {"convergence_mase": float("nan")}])
+def test_bad_loop_settings_fail_before_the_first_shot(kwargs):
+    target = _gate(1.8e-7)
+    chan = SimulatedChannel(ChannelConfig(), cutoff=67e6)
+    measure, calls = _counting(chan.measure)
+    with pytest.raises(InvalidSpecError):
+        closed_loop(measure, target, LoopConfig(**kwargs))
+    assert calls == []
+
+
+def test_kernel_memory_longer_than_target_fails_before_the_first_shot():
+    target = _gate(1.8e-7)
+    n = target.grid.n
+    chan = SimulatedChannel(ChannelConfig(), cutoff=67e6)
+    measure, calls = _counting(chan.measure)
+    with pytest.raises(InvalidSpecError, match="memory"):
+        closed_loop(measure, target, LoopConfig(memory=n))
+    assert calls == []
+    # The model-free method fits no kernel, so its memory is unused.
+    report = closed_loop(measure, target,
+                         LoopConfig(method="transfer-function-free",
+                                    memory=n, max_loop_iters=1))
+    assert len(calls) == len(report.records) == 1
 
 
 def test_closed_loop_records_are_complete():
