@@ -15,6 +15,7 @@ are 0 (success), 2 (invalid arguments or inputs), 3 (non-convergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -154,16 +155,15 @@ def _cmd_estimate(args) -> int:
     from .loop import _align_to_target
     aligned = _align_to_target(out, inp)
     if args.lambda_reg is not None:
-        lam = args.lambda_reg
+        model = estimate_kernel(inp, aligned, args.memory, args.lambda_reg)
     else:
         try:
             grid = tuple(float(v) for v in args.lambda_grid.split(","))
         except ValueError as exc:
             raise InvalidSpecError(f"--lambda-grid: {exc}") from exc
         cv = CVConfig(folds=args.cv_folds, lambda_grid=grid)
-        lam, scores = cross_validate(inp, aligned, args.memory, cv)
+        _, scores, model = cross_validate(inp, aligned, args.memory, cv)
         fileio.write_scores_csv(run.out_path(args.scores_out), scores)
-    model = estimate_kernel(inp, aligned, args.memory, lam)
     fileio.write_model_json(run.out_path(args.model_out), model)
     run.finish()
     return EXIT_OK
@@ -262,7 +262,10 @@ def _cmd_optics(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="pulseloop",
         description="Closed-loop correction of modulator pulse distortion. "

@@ -116,6 +116,16 @@ def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     return (gain * (u.conj().T @ z)) @ vh.conj()
 
 
+def _check_pair(inp: ComplexEnvelope, out: ComplexEnvelope,
+                memory: int) -> None:
+    """Reject a pair that cannot determine ``memory`` taps and an offset."""
+    if inp.grid != out.grid:
+        raise GridMismatchError("input and output grids differ")
+    if inp.grid.n < memory + 1:
+        raise InvalidSpecError(
+            f"need at least {memory + 1} samples, got {inp.grid.n}")
+
+
 def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
                     memory: int, lambda_reg: float) -> VolterraModel:
     """Fit offset and kernel by regularized least squares.
@@ -132,13 +142,10 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
     """
-    if inp.grid != out.grid:
-        raise GridMismatchError("input and output grids differ")
-    if lambda_reg < 0:
-        raise InvalidSpecError(f"lambda_reg must be >= 0, got {lambda_reg}")
-    if inp.grid.n < memory + 1:
+    _check_pair(inp, out, memory)
+    if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
         raise InvalidSpecError(
-            f"need at least {memory + 1} samples, got {inp.grid.n}")
+            f"lambda_reg must be finite and >= 0, got {lambda_reg}")
     a = build_design_matrix(inp, memory)
     rz = _triangular(np.column_stack([a, out.samples]))
     theta = _ridge_path(rz, inp.grid.n, [lambda_reg])[0]
@@ -164,26 +171,30 @@ class CVConfig:
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise InvalidSpecError("lambda_grid must be nonempty")
-        if any(v < 0 for v in grid):
-            raise InvalidSpecError("lambda_grid values must be >= 0")
+        if not all(np.isfinite(v) and v >= 0 for v in grid):
+            raise InvalidSpecError(
+                f"lambda_grid values must be finite and >= 0, got {grid}")
         object.__setattr__(self, "lambda_grid", grid)
 
 
 def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
                    cv: CVConfig):
-    """Pick the ridge weight with the lowest held-out error.
+    """Pick the ridge weight with the lowest held-out error and fit with it.
 
     Splits the samples into ``cv.folds`` contiguous blocks; each block
     serves once as the validation set while the model is fitted on the
     remaining rows. Each block's rows of [A | y] are reduced to an R
     factor once; a fold's fit reduces the other blocks' stacked factors
-    and takes one small SVD for the whole lambda grid. Returns
-    ``(lambda_star, scores)`` where ``scores`` is an array of (lambda,
-    mean validation MSE) rows in grid order and lambda_star attains the
-    table minimum (first entry on ties).
+    and takes one small SVD for the whole lambda grid. The final fit
+    reduces all the blocks' factors, which gives a factor of the whole
+    [A | y] (TSQR), so the full design matrix is never factored again.
+    Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
+    (lambda, mean validation MSE) rows in grid order, lambda_star attains
+    the table minimum (first entry on ties), and ``model`` is the fit to
+    all samples at lambda_star, as ``estimate_kernel`` would return it up
+    to rounding.
     """
-    if inp.grid != out.grid:
-        raise GridMismatchError("input and output grids differ")
+    _check_pair(inp, out, memory)
     n = inp.grid.n
     if cv.folds > n:
         raise InvalidSpecError(
@@ -199,4 +210,5 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
         mse_sum += np.mean(np.abs(r) ** 2, axis=1)
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    return lambda_star, scores
+    theta = _ridge_path(_triangular(np.vstack(factors)), n, [lambda_star])[0]
+    return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pulseloop import fileio
+from pulseloop import cli, fileio
 from pulseloop.channel import ChannelConfig
-from pulseloop.cli import main
+from pulseloop.cli import build_parser, main
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
-from pulseloop.sysid import VolterraModel
+from pulseloop.loop import _align_to_target
+from pulseloop.sysid import VolterraModel, estimate_kernel
 
 
 @pytest.fixture()
@@ -170,6 +171,104 @@ def test_estimate_with_fixed_lambda_skips_scores(outdir):
                  "--lambda", "1e-6", "--outdir", outdir]) == 0
     assert os.path.exists(os.path.join(outdir, "model.json"))
     assert not os.path.exists(os.path.join(outdir, "scores.csv"))
+
+
+def _simulated_pair(outdir):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--outdir", outdir]) == 0
+    return pulse, os.path.join(outdir, "simulated.csv")
+
+
+@pytest.mark.parametrize("flags, calls", [([], (1, 0)),
+                                          (["--lambda", "1e-6"], (0, 1))])
+def test_estimate_fits_once(outdir, monkeypatch, flags, calls):
+    # Cross-validation returns the final fit, so the full design matrix
+    # is factored only when --lambda pins the weight.
+    pulse, simulated = _simulated_pair(outdir)
+    counts = {}
+
+    def counted(name):
+        func = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("cross_validate")
+    counted("estimate_kernel")
+    assert main(["estimate", "--input", pulse, "--output", simulated,
+                 "--outdir", outdir] + flags) == 0
+    assert (counts.get("cross_validate", 0),
+            counts.get("estimate_kernel", 0)) == calls
+
+
+def test_estimate_cv_model_equals_a_fit_at_the_scores_minimum(outdir):
+    pulse, simulated = _simulated_pair(outdir)
+    assert main(["estimate", "--input", pulse, "--output", simulated,
+                 "--outdir", outdir]) == 0
+    scores = np.array([line.split(",") for line in Path(
+        outdir, "scores.csv").read_text().splitlines()[1:]], dtype=float)
+    lam = scores[np.argmin(scores[:, 1]), 0]
+    inp = fileio.read_envelope(pulse)
+    out = _align_to_target(fileio.read_envelope(simulated), inp)
+    ref = estimate_kernel(inp, out, 64, lam)
+    model = fileio.read_model_json(os.path.join(outdir, "model.json"))
+    got = np.concatenate([[model.h0], model.h1])
+    want = np.concatenate([[ref.h0], ref.h1])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],
+                                   ["--lambda-grid", "1e-3,nan"]])
+def test_estimate_non_finite_lambda_exits_2(outdir, capsys, flags):
+    pulse, simulated = _simulated_pair(outdir)
+    assert main(["estimate", "--input", pulse, "--output", simulated,
+                 "--outdir", outdir] + flags) == 2
+    err = capsys.readouterr().err
+    assert "pulseloop estimate" in err and "lambda" in err
+    assert not os.path.exists(os.path.join(outdir, "model.json"))
+
+
+# ------------------------------------------------------------------ parser
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_keeps_no_flags_between_runs(tmp_path):
+    runs = {}
+    for name, argv in [
+            ("short", ["pulse", "--kind", "gaussian", "--duration", "1e-7"]),
+            ("long", ["pulse", "--kind", "gaussian", "--duration", "3e-7"])]:
+        runs[name] = str(tmp_path / name)
+        os.makedirs(runs[name])
+        assert main(argv + ["--outdir", runs[name]]) == 0
+    for name, duration in [("short", 1e-7), ("long", 3e-7)]:
+        manifest = json.loads(Path(runs[name], "manifest.json").read_text())
+        assert manifest["config"]["duration"] == duration
+        # Each run fills in fwhm on its own arguments; the parser's
+        # default stays unset, so the second pulse gets its own width.
+        assert manifest["config"]["fwhm"] is None
+        env = fileio.read_envelope_csv(os.path.join(runs[name], "pulse.csv"))
+        expected = make_pulse(
+            PulseSpec(kind="gaussian", duration=duration,
+                      fwhm=0.3 * duration), default_grid(duration))
+        np.testing.assert_allclose(env.samples, expected.samples,
+                                   atol=1e-16)
+
+    pulse, simulated = _simulated_pair(str(tmp_path))
+    for memory, flags in [(32, ["--memory", "32"]), (64, [])]:
+        outdir = str(tmp_path / f"estimate_{memory}")
+        os.makedirs(outdir)
+        assert main(["estimate", "--input", pulse, "--output", simulated,
+                     "--outdir", outdir] + flags) == 0
+        manifest = json.loads(Path(outdir, "manifest.json").read_text())
+        assert manifest["config"]["memory"] == memory
+        model = fileio.read_model_json(os.path.join(outdir, "model.json"))
+        assert model.memory == memory
 
 
 # -------------------------------------------------------------------- loop

@@ -1,6 +1,6 @@
 """Property tests: invariants of the sample algebra, the forward model,
-delay alignment, envelope files and kernel estimation over random
-inputs."""
+delay alignment, envelope files, kernel estimation and the
+cross-validated fit over random inputs."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 from pulseloop import fileio  # noqa: E402
 from pulseloop.envelope import (ComplexEnvelope, TimeGrid,  # noqa: E402
                                 align_delay, crop, embed, shift_samples)
-from pulseloop.sysid import (VolterraModel, build_design_matrix,  # noqa: E402
+from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
+                             build_design_matrix, cross_validate,
                              estimate_kernel, volterra_forward)
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -153,6 +154,24 @@ def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
     n = memory + extra
     inp, out = _env(_noise(seed, n)), _env(_noise(seed + 1, n))
     model = estimate_kernel(inp, out, memory, lam)
+    theta = np.concatenate([[model.h0], model.h1])
+    ref = _ridge_oracle(build_design_matrix(inp, memory), out.samples, lam)
+    assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, memory=st.integers(1, 64), extra=st.integers(1, 600),
+       folds=st.integers(2, 6),
+       grid=st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), min_size=1,
+                     max_size=4, unique=True))
+def test_cv_model_matches_augmented_least_squares_at_lambda_star(
+        seed, memory, extra, folds, grid):
+    # The final fit reduces the fold factors instead of the design
+    # matrix; folds may train on fewer rows than coefficients.
+    n = memory + extra
+    inp, out = _env(_noise(seed, n)), _env(_noise(seed + 1, n))
+    lam, _, model = cross_validate(inp, out, memory,
+                                   CVConfig(min(folds, n), tuple(grid)))
     theta = np.concatenate([[model.h0], model.h1])
     ref = _ridge_oracle(build_design_matrix(inp, memory), out.samples, lam)
     assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)

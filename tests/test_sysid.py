@@ -231,6 +231,10 @@ def _rel_err(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
+def _theta(model):
+    return np.concatenate([[model.h0], model.h1])
+
+
 def _cv_oracle(inp, out, memory, cv):
     """Mean validation MSE per lambda from per-fold augmented refits."""
     a = build_design_matrix(inp, memory)
@@ -294,18 +298,21 @@ def test_minimum_norm_cutoff_counts_the_design_rows():
     out = _random_env(rng, n)
     model = estimate_kernel(inp, out, 4, 0.0)
     ref = _ridge_oracle(build_design_matrix(inp, 4), out.samples, 0.0)
-    assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-9
+    assert _rel_err(_theta(model), ref) < 1e-9
     cv = CVConfig(5, (0.0,))
-    _, scores = cross_validate(inp, out, 4, cv)
+    _, scores, cv_model = cross_validate(inp, out, 4, cv)
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
                                rtol=1e-6)
+    # The final fit reduces the fold factors but keeps the cutoff of all
+    # 4000 rows, so it drops the same direction.
+    assert _rel_err(_theta(cv_model), ref) < 1e-9
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_cv_scores_equal_per_lambda_refits_fold_by_fold(duration):
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig()
-    _, scores = cross_validate(inp, out, 64, cv)
+    _, scores, _ = cross_validate(inp, out, 64, cv)
     np.testing.assert_array_equal(scores[:, 0], cv.lambda_grid)
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 64, cv),
                                rtol=1e-6)
@@ -318,9 +325,35 @@ def test_cv_block_edges_match_refits(n, folds):
     rng = np.random.default_rng(n)
     inp, out = _random_env(rng, n), _random_env(rng, n)
     cv = CVConfig(folds, (0.0, 1e-6, 1e-3, 1.0))
-    _, scores = cross_validate(inp, out, 64, cv)
+    _, scores, _ = cross_validate(inp, out, 64, cv)
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 64, cv),
                                rtol=1e-6)
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_cv_model_equals_estimate_kernel_on_gate(duration):
+    # The final fit comes from the stacked fold factors, a different
+    # reduction of the same rows than estimate_kernel's full-data TSQR.
+    inp, out = _gate_pair(duration, seed=1)
+    lam, _, model = cross_validate(inp, out, 64, CVConfig())
+    assert lam > 0
+    ref = estimate_kernel(inp, out, 64, lam)
+    assert _rel_err(_theta(model), _theta(ref)) < 1e-9
+
+
+@pytest.mark.parametrize("n, folds", [(90, 3), (529, 5), (66, 2)])
+@pytest.mark.parametrize("lam", [1e-3, 0.0])
+def test_cv_model_equals_estimate_kernel_at_block_edges(n, folds, lam):
+    rng = np.random.default_rng(n + folds)
+    inp, out = _random_env(rng, n), _random_env(rng, n)
+    lam_star, _, model = cross_validate(inp, out, 64, CVConfig(folds, (lam,)))
+    assert lam_star == lam
+    ref = estimate_kernel(inp, out, 64, lam)
+    if lam > 0:
+        assert _rel_err(_theta(model), _theta(ref)) < 1e-9
+    else:
+        a = build_design_matrix(inp, 64)
+        assert _rel_err(a @ _theta(model), a @ _theta(ref)) < 1e-9
 
 
 # ----------------------------------------------------------- cross_validate
@@ -341,7 +374,7 @@ def test_cv_noiseless_picks_smallest_lambda():
     rng = np.random.default_rng(10)
     inp, out = _noisy_channel_pair(rng)
     cv = CVConfig(folds=5, lambda_grid=(1e-6, 1e-4, 1e-2, 1.0))
-    lam, scores = cross_validate(inp, out, 4, cv)
+    lam, scores, _ = cross_validate(inp, out, 4, cv)
     assert lam == 1e-6
     assert scores.shape == (4, 2)
 
@@ -363,7 +396,7 @@ def test_cv_noisy_prefers_regularization():
     out = out.with_samples(out.samples + 1e-2 * (rng.standard_normal(n)
                                                  + 1j * rng.standard_normal(n)))
     grid = (1e-12, 1e-6, 1e-4, 1e-2, 1.0)
-    lam, scores = cross_validate(inp, out, 32, CVConfig(5, grid))
+    lam, scores, _ = cross_validate(inp, out, 32, CVConfig(5, grid))
     assert lam > grid[0]
     chosen = scores[list(grid).index(lam), 1]
     unregularized = scores[0, 1]
@@ -373,7 +406,7 @@ def test_cv_noisy_prefers_regularization():
 def test_cv_single_lambda_grid():
     rng = np.random.default_rng(12)
     inp, out = _noisy_channel_pair(rng)
-    lam, scores = cross_validate(inp, out, 4, CVConfig(3, (0.5,)))
+    lam, scores, _ = cross_validate(inp, out, 4, CVConfig(3, (0.5,)))
     assert lam == 0.5
     assert scores.shape == (1, 2)
 
@@ -383,7 +416,7 @@ def test_cv_never_selects_above_table_minimum():
     for trial in range(5):
         inp, out = _noisy_channel_pair(rng, sigma=5e-3)
         grid = tuple(np.logspace(-8, 2, 6))
-        lam, scores = cross_validate(inp, out, 8, CVConfig(4, grid))
+        lam, scores, _ = cross_validate(inp, out, 8, CVConfig(4, grid))
         chosen = scores[list(grid).index(lam), 1]
         assert chosen == pytest.approx(np.min(scores[:, 1]), rel=1e-12)
 
@@ -393,6 +426,28 @@ def test_cv_config_validation():
         CVConfig(folds=1)
     with pytest.raises(InvalidSpecError):
         CVConfig(folds=5, lambda_grid=())
+
+
+@pytest.mark.parametrize("grid", [(np.nan, 1e-3), (1e-3, np.nan), (np.inf,),
+                                  (1e-3, -np.inf), (-1e-3,)])
+def test_cv_config_rejects_non_finite_or_negative_lambda(grid):
+    with pytest.raises(InvalidSpecError, match="lambda_grid"):
+        CVConfig(5, grid)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_estimate_rejects_non_finite_lambda(lam):
+    rng = np.random.default_rng(20)
+    inp, out = _noisy_channel_pair(rng)
+    with pytest.raises(InvalidSpecError, match=f"lambda_reg.*got {lam}"):
+        estimate_kernel(inp, out, 4, lam)
+
+
+def test_cv_rejects_too_few_samples_for_the_final_fit():
+    rng = np.random.default_rng(21)
+    inp = _random_env(rng, 8)
+    with pytest.raises(InvalidSpecError, match="at least 9 samples"):
+        cross_validate(inp, inp, 8, CVConfig(2, (1e-3,)))
 
 
 # ------------------------------------------------------- fitted-output error
@@ -409,9 +464,8 @@ def test_model_error_on_noisy_data_is_noise_scale():
     # the fitted-output MASE lands at that scale rather than at zero.
     rng = np.random.default_rng(16)
     inp, out = _noisy_channel_pair(rng, n=1000, sigma=1e-3)
-    lam, _ = cross_validate(inp, out, 8,
-                            CVConfig(5, tuple(np.logspace(-8, 0, 5))))
-    model = estimate_kernel(inp, out, 8, lam)
+    _, _, model = cross_validate(inp, out, 8,
+                                 CVConfig(5, tuple(np.logspace(-8, 0, 5))))
     assert mase(volterra_forward(model, inp), out) < 1e-3
 
 
