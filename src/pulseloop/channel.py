@@ -17,8 +17,8 @@ import numpy as np
 import scipy.optimize as opt
 import scipy.signal as sig
 
-from .envelope import (ComplexEnvelope, InvalidSpecError, ZeroSignalError,
-                       shift_samples)
+from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
+                       ZeroSignalError, embed)
 from .sysid import VolterraModel, volterra_forward
 from . import demod as _demod
 
@@ -236,7 +236,6 @@ def calibrate_kappa(params: AcoustoOpticParams, target_peak: float = 0.25,
     n = int(round(8 * fwhm / dt))
     t = (np.arange(n) - (n - 1) / 2) * dt
     p = np.exp(-4 * np.log(2) * (t / fwhm) ** 2)
-    from .envelope import TimeGrid
     env = ComplexEnvelope(TimeGrid(0.0, dt, n), p.astype(complex))
 
     def peak_phase(kappa):
@@ -297,17 +296,19 @@ def apply_channel(env: ComplexEnvelope,
                   config: ChannelConfig) -> ComplexEnvelope:
     """Send an envelope through the simulated distorting channel.
 
-    Stages: integer-sample delay shift, offset-plus-FIR distortion,
-    quadrature phase multiplication e^{i theta(t)} driven by the current
-    amplitude (when enabled), then additive complex Gaussian noise of
-    standard deviation ``noise_sigma`` per complex sample. Repeat calls
-    with the same config are bit-identical; the generator is created
-    per call from ``config.seed``.
+    Stages: the bulk delay, offset-plus-FIR distortion, quadrature phase
+    multiplication e^{i theta(t)} driven by the current amplitude (when
+    enabled), then additive complex Gaussian noise of standard deviation
+    ``noise_sigma`` per complex sample. The delay moves the grid origin
+    instead of the samples: the output grid starts d = round(delay/dt)
+    samples after ``env.grid.t0``, so no delay truncates the response.
+    Repeat calls with the same config are bit-identical; the generator
+    is created per call from ``config.seed`` and draws one value pair
+    per output sample.
     """
-    d = int(round(config.delay / env.grid.dt))
-    if d >= env.grid.n:
-        raise InvalidSpecError("delay exceeds the signal window")
-    out = env.with_samples(shift_samples(env.samples, d))
+    g = env.grid
+    d = _delay_samples(config, g.dt)
+    out = ComplexEnvelope(TimeGrid(g.t0 + d * g.dt, g.dt, g.n), env.samples)
     out = volterra_forward(config.volterra, out)
     if config.aom_enabled:
         r = reflectance_trace(out, config.aom, config.mismatch_kappa)
@@ -322,22 +323,41 @@ def apply_channel(env: ComplexEnvelope,
     return out
 
 
+def record_response(env: ComplexEnvelope, config: ChannelConfig,
+                    cutoff: float = _demod.DEFAULT_CUTOFF) -> ComplexEnvelope:
+    """Channel response to a request on the window it is recorded on.
+
+    The window opens ``SimulatedChannel.PAD_PRE`` samples before the
+    delayed response and closes ``post_pad`` samples behind the end of
+    the request, counted on the request's own grid. The request is
+    padded with ``PAD_PRE`` zeros ahead and ``post_pad - d`` behind, and
+    ``apply_channel`` then moves the origin by the d delay samples, so
+    none of the samples ahead of the response are computed.
+    """
+    dt = env.grid.dt
+    tail = post_pad(config, dt, cutoff) - _delay_samples(config, dt)
+    return apply_channel(embed(env, SimulatedChannel.PAD_PRE, tail), config)
+
+
 class SimulatedChannel:
     """Measurement front end around the simulated channel.
 
-    ``measure`` embeds the request in a longer window (so the delayed
-    and ringing response is not truncated), applies the channel, renders
-    the result as a noisy heterodyne beat trace, and demodulates it back
-    to an envelope on the extended grid. Callers recover the bulk delay
-    with ``align_delay`` and crop to their working grid.
+    ``measure`` records the channel's response to a request on the
+    window of ``record_response`` (from just before the delayed response
+    to the end of its ringing and filter settling), renders it as a
+    noisy heterodyne beat trace, and demodulates it back to an envelope
+    on that window. Callers recover the bulk delay with ``align_delay``
+    and crop to their working grid.
 
     Each call draws fresh trace noise from a per-instance seed sequence,
     so repeated measurements differ shot to shot but a rebuilt instance
-    replays the identical sequence.
+    replays the identical sequence. The noise of each trace sample
+    depends only on its time relative to the request, not on the delay:
+    the draws for the delay's samples ahead of the window are skipped.
     """
 
-    PAD_PRE = 500      # samples ahead of the request window
-    PAD_POST = 2200    # least padding behind it, see ``post_pad``
+    PAD_PRE = 500      # samples ahead of the delayed response
+    PAD_POST = 2200    # least samples behind the request, see ``post_pad``
 
     def __init__(self, config: ChannelConfig | None = None,
                  cutoff: float = _demod.DEFAULT_CUTOFF,
@@ -360,29 +380,33 @@ class SimulatedChannel:
         self.calls = 0
 
     def measure(self, env: ComplexEnvelope) -> ComplexEnvelope:
-        from .envelope import embed
-        ext = embed(env, self.PAD_PRE,
-                    post_pad(self.config, env.grid.dt, self.cutoff))
-        out = apply_channel(ext, self.config)
+        out = record_response(env, self.config, self.cutoff)
+        rng = np.random.default_rng(self.seed + self.calls)
+        skipped = _delay_samples(self.config, env.grid.dt)
+        rng.standard_normal(skipped * int(round(self.fs * env.grid.dt)))
         trace = _demod.synthesize_beat(out, self.f_beat, self.fs,
                                        noise_sigma=self.trace_noise_sigma,
-                                       seed=self.seed + self.calls)
+                                       seed=rng)
         self.calls += 1
-        return _demod.demodulate(trace, self.f_beat, self.filter, ext.grid)
+        return _demod.demodulate(trace, self.f_beat, self.filter, out.grid)
 
 
 def post_pad(config: ChannelConfig, dt: float,
              cutoff: float = _demod.DEFAULT_CUTOFF) -> int:
-    """Zero samples to append behind a request so the response fits.
+    """Samples from the end of a request to the end of its window.
 
-    The response outlasts the request by the bulk delay, the kernel
-    memory, one acoustic transit (when the modulator stage is on) and
-    the settling of a demodulation filter at ``cutoff`` (three of its
-    periods, as in ``filtfilt``'s padding); never less than
-    ``SimulatedChannel.PAD_POST``.
+    Counted on the request's grid: the response outlasts the request by
+    the bulk delay, the kernel memory, one acoustic transit (when the
+    modulator stage is on) and the settling of a demodulation filter at
+    ``cutoff`` (three of its periods, as in ``filtfilt``'s padding);
+    never less than ``SimulatedChannel.PAD_POST``.
     """
-    need = (int(round(config.delay / dt)) + len(config.volterra.h1)
+    need = (_delay_samples(config, dt) + len(config.volterra.h1)
             + int(np.ceil(3.0 / (cutoff * dt))))
     if config.aom_enabled:
         need += int(np.ceil(config.aom.transit_time / dt))
     return max(SimulatedChannel.PAD_POST, need)
+
+
+def _delay_samples(config: ChannelConfig, dt: float) -> int:
+    return int(round(config.delay / dt))

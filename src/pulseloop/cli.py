@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__, fileio
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        PulseSpec, TimeGrid, ZeroSignalError, default_grid,
-                       embed, make_pulse)
+                       make_pulse)
 from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, AliasingError, demodulate,
                     design_lowpass, suggested_cutoff, synthesize_beat)
 from .sysid import CVConfig, cross_validate, estimate_kernel
-from .channel import SimulatedChannel, apply_channel, post_pad
+from .channel import SimulatedChannel, record_response
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
                    SingularUpdateError, closed_loop)
 from .optics import (RayState, aperture_check, design_single_lens,
@@ -117,10 +117,7 @@ def _cmd_simulate(args) -> int:
     run = _Run("simulate", args)
     env = fileio.read_envelope(run.in_path(args.input))
     config = fileio.read_channel_json(run.in_path(args.channel))
-    # Extend the grid so the delayed, smeared output stays inside it.
-    ext = embed(env, SimulatedChannel.PAD_PRE,
-                post_pad(config, env.grid.dt))
-    out = apply_channel(ext, config)
+    out = record_response(env, config)
     fileio.write_envelope(run.out_path(args.out), out)
     if args.trace_out:
         trace = synthesize_beat(out, f_beat=args.beat_hz, fs=args.fs,

@@ -69,8 +69,12 @@ class FilterSpec:
         object.__setattr__(self, "zi", zi)
 
 
+@lru_cache(maxsize=32)
 def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     """Design a Butterworth low-pass as second-order sections.
+
+    Memoized on the arguments: a ``FilterSpec`` is frozen with read-only
+    arrays, so every caller with the same settings shares one.
 
     Parameters
     ----------
@@ -149,8 +153,9 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
     noise_sigma : float
         Standard deviation of additive white Gaussian noise per trace
         sample, in the same normalized units as the envelope.
-    seed : int
-        Noise generator seed; identical seeds give identical traces.
+    seed : int or numpy.random.Generator
+        Noise generator seed, or a generator to draw from (used as is);
+        identical seeds give identical traces.
 
     Returns
     -------

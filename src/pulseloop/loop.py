@@ -18,8 +18,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .demod import AliasingError
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       align_delay, mase, mse_cost)
+                       ZeroSignalError, align_delay, mase, mse_cost)
 from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
                     volterra_forward)
 
@@ -36,6 +37,14 @@ class SingularUpdateError(RuntimeError):
 
 class MeasurementError(RuntimeError):
     """Measurement callback failed inside the closed loop."""
+
+
+# What a measurement may fail with: the package's own errors and I/O,
+# the set ``cli.main`` reports as exit codes. Anything else (a TypeError
+# from a buggy callback, say) is a bug and keeps its traceback.
+_MEASUREMENT_FAILURES = (OSError, InvalidSpecError, GridMismatchError,
+                         ZeroSignalError, AliasingError, SingularUpdateError,
+                         MeasurementError)
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,9 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     the kernel and invert it offline (transfer-function), or feed the
     error back directly (transfer-function-free). A kernel memory that
     does not fit the target is rejected before the first measurement.
+    A measurement failing with one of the package's errors or an
+    ``OSError`` raises ``MeasurementError`` naming the iteration; any
+    other exception propagates unchanged.
     """
     if (config.method == "transfer-function"
             and config.memory + 1 > s_target.grid.n):
@@ -270,7 +282,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     for it in range(1, config.max_loop_iters + 1):
         try:
             raw = measure(s_in)
-        except Exception as exc:
+        except _MEASUREMENT_FAILURES as exc:
             raise MeasurementError(
                 f"measurement callback failed at iteration {it}: "
                 f"{type(exc).__name__}: {exc}") from exc

@@ -1,5 +1,7 @@
 """Simulated distorting channel: delay, kernel, quadrature physics, noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.signal as sig
@@ -9,7 +11,8 @@ from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
                                reflectance_trace)
-from pulseloop.demod import AliasingError, suggested_cutoff
+from pulseloop.demod import (AliasingError, demodulate, suggested_cutoff,
+                             synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
                                 default_grid, embed, make_pulse,
@@ -218,14 +221,15 @@ def test_identity_config_is_identity():
 
 
 def test_pure_delay_shifts_by_fourteen_hundred_samples():
+    # The delay moves the grid origin; the samples stay where they are.
     grid = TimeGrid(0.0, 1e-9, 4096)
     env = make_pulse(PulseSpec(kind="gaussian", duration=8e-7, fwhm=2e-7),
                      grid)
     out = apply_channel(env, _identity_config(delay=1.4e-6))
-    np.testing.assert_array_equal(out.samples,
-                                  shift_samples(env.samples, 1400))
+    np.testing.assert_array_equal(out.samples, env.samples)
+    assert out.grid == TimeGrid(1400 * 1e-9, 1e-9, 4096)
     _, delay = align_delay(out, env)
-    assert delay == pytest.approx(1.4e-6)
+    assert delay == 0.0
 
 
 def test_aom_stage_matches_manual_composition():
@@ -283,11 +287,13 @@ def test_channel_noise_is_bit_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_channel_rejects_oversized_delay_and_kernel():
+def test_channel_rejects_an_oversized_kernel_but_not_delay():
     grid = TimeGrid(0.0, 1e-9, 64)
     env = ComplexEnvelope(grid, np.ones(64, dtype=complex))
-    with pytest.raises(InvalidSpecError):
-        apply_channel(env, _identity_config(delay=1e-7))
+    # A delay longer than the window only moves its origin.
+    out = apply_channel(env, _identity_config(delay=1e-7))
+    assert out.grid.t0 == pytest.approx(1e-7, abs=1e-18)
+    np.testing.assert_array_equal(out.samples, env.samples)
     long_kernel = VolterraModel(h0=0.0, h1=np.ones(65, dtype=complex))
     with pytest.raises(InvalidSpecError):
         apply_channel(env, _identity_config(volterra=long_kernel))
@@ -363,7 +369,13 @@ def test_measurement_window_holds_the_delayed_response(delay):
     target = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7), grid)
     chan = SimulatedChannel(_identity_config(delay=delay), cutoff=24e6)
     out = chan.measure(target)
-    assert out.grid.n == grid.n + 500 + post_pad(chan.config, 1e-9, 24e6)
+    # The window opens 500 samples before the delayed response and ends
+    # post_pad samples behind the request.
+    d = int(round(delay / 1e-9))
+    tail = post_pad(chan.config, 1e-9, 24e6) - d
+    assert out.grid.n == 500 + grid.n + tail
+    assert out.grid.t0 == pytest.approx(grid.t0 + (d - 500) * 1e-9,
+                                        abs=1e-15)
     assert out.norm() == pytest.approx(target.norm(), rel=1e-3)
 
 
@@ -436,24 +448,29 @@ def _uncached_reflectance(p_env, params, kappa, refine=3):
 def _uncached_measure(chan, env, shot):
     # SimulatedChannel.measure with every shot-invariant quantity (the
     # reflectance kernel, both carriers, the filter state) recomputed.
+    # The window runs from PAD_PRE samples before the delayed response
+    # to post_pad samples behind the request.
     cfg = chan.config
     assert cfg.noise_sigma == 0
-    ext = embed(env, chan.PAD_PRE, post_pad(cfg, env.grid.dt, chan.cutoff))
-    d = int(round(cfg.delay / ext.grid.dt))
-    out = volterra_forward(cfg.volterra,
-                           ext.with_samples(shift_samples(ext.samples, d)))
+    dt = env.grid.dt
+    d = int(round(cfg.delay / dt))
+    ext = embed(env, chan.PAD_PRE, post_pad(cfg, dt, chan.cutoff) - d)
+    out = volterra_forward(cfg.volterra, ComplexEnvelope(
+        TimeGrid(ext.grid.t0 + d * dt, dt, ext.grid.n), ext.samples))
     if cfg.aom_enabled:
         theta = quadrature_phase(
             _uncached_reflectance(out, cfg.aom, cfg.mismatch_kappa))
         out = out.with_samples(out.samples * np.exp(1j * theta))
-    up = int(round(chan.fs * ext.grid.dt))
-    n_hi = ext.grid.n * up
-    t = ext.grid.t0 + np.arange(n_hi) / chan.fs
+    up = int(round(chan.fs * dt))
+    n_hi = out.grid.n * up
+    t = out.grid.t0 + np.arange(n_hi) / chan.fs
     v = np.real(sig.resample(out.samples, n_hi)
                 * np.exp(2j * np.pi * chan.f_beat * t))
+    # Noise as if drawn from the request-anchored origin d samples ahead.
     rng = np.random.default_rng(chan.seed + shot)
-    v = v + chan.trace_noise_sigma * rng.standard_normal(n_hi)
-    t = ext.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
+    v = v + chan.trace_noise_sigma * rng.standard_normal(d * up + n_hi)[
+        d * up:]
+    t = out.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
     z = 2.0 * v * np.exp(-2j * np.pi * chan.f_beat * t)
     padlen = min(n_hi - 1, max(3 * chan.filter.order,
                                int(3 * chan.fs / chan.cutoff)))
@@ -506,3 +523,47 @@ def test_measure_equals_the_uncached_pipeline_shot_by_shot():
             assert np.array_equal(
                 reflectance_trace(p_env, params, kappa, refine=refine),
                 _uncached_reflectance(p_env, params, kappa, refine)), k
+
+
+# ----------------------------------------- window opened by the response
+
+def _request_anchored_measure(chan, env, shot):
+    # The measurement as recorded from PAD_PRE samples before the
+    # request: the delay shifts the samples right inside that window and
+    # the trace noise is drawn from its first trace sample on.
+    cfg = chan.config
+    dt = env.grid.dt
+    ext = embed(env, chan.PAD_PRE, post_pad(cfg, dt, chan.cutoff))
+    d = int(round(cfg.delay / dt))
+    shifted = ext.with_samples(shift_samples(ext.samples, d))
+    out = apply_channel(shifted, replace(cfg, delay=0.0))
+    trace = synthesize_beat(out, chan.f_beat, chan.fs,
+                            noise_sigma=chan.trace_noise_sigma,
+                            seed=chan.seed + shot)
+    return demodulate(trace, chan.f_beat, chan.filter, ext.grid), d
+
+
+@pytest.mark.parametrize("delay", [0.0, 1.4e-6, 2.6e-6, 5e-6])
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_measure_matches_the_request_anchored_window(duration, delay):
+    # Opening the window PAD_PRE samples before the delayed response
+    # drops only samples that hold no response, and every trace sample
+    # keeps the noise value it had in the request-anchored window.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(delay=delay),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=7)
+    pre = chan.PAD_PRE
+    for shot in range(2):
+        got = chan.measure(target)
+        want, d = _request_anchored_measure(chan, target, shot)
+        dt = target.grid.dt
+        assert got.grid.n == want.grid.n - d
+        assert got.grid.t0 == pytest.approx(
+            target.grid.t0 + (d - pre) * dt, abs=1e-6 * dt)
+        peak = np.max(np.abs(want.samples))
+        err = np.max(np.abs(got.samples[pre:] - want.samples[pre + d:]))
+        assert err <= 1e-7 * peak, (shot, err / peak)
+        if d == 0:
+            assert np.array_equal(got.samples, want.samples)

@@ -97,7 +97,7 @@ def test_simulate_and_demod_round_trip(outdir):
                                atol=5e-3)
 
 
-def test_simulate_window_grows_with_the_channel_delay(outdir):
+def test_simulate_window_starts_just_before_the_delayed_response(outdir):
     pulse = _make_pulse(outdir)
     chan = _write_channel(os.path.join(outdir, "chan.json"), delay=3.5e-6,
                           volterra=VolterraModel.identity(),
@@ -106,7 +106,10 @@ def test_simulate_window_grows_with_the_channel_delay(outdir):
                  "--outdir", outdir]) == 0
     inp = fileio.read_envelope_csv(pulse)
     sim = fileio.read_envelope_csv(os.path.join(outdir, "simulated.csv"))
-    assert sim.grid.n == inp.grid.n + 500 + 3500 + 1 + 150
+    # 500 samples ahead of the response, which starts 3500 samples after
+    # the request; behind it the kernel memory and filter settling.
+    assert sim.grid.n == 500 + inp.grid.n + 1 + 150
+    assert sim.grid.t0 == pytest.approx(inp.grid.t0 + 3000e-9, abs=1e-12)
     assert sim.norm() == pytest.approx(inp.norm(), rel=1e-12)
 
 

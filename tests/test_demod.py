@@ -123,6 +123,22 @@ def test_lowpass_rejects_bad_parameters():
         design_lowpass(4, -1.0, FS)
 
 
+def test_lowpass_design_is_shared_read_only_and_bad_settings_keep_failing():
+    filt = design_lowpass(4, 23e6, FS)
+    assert design_lowpass(4, 23e6, FS) is filt
+    assert design_lowpass(5, 23e6, FS) is not filt
+    for arr in (filt.sos, filt.zi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    # A failed design is not memoized: every call raises again.
+    for _ in range(3):
+        with pytest.raises(InvalidSpecError, match="order"):
+            design_lowpass(13, 23e6, FS)
+        with pytest.raises(InvalidSpecError, match="cutoff"):
+            design_lowpass(4, FS / 2, FS)
+
+
 # ----------------------------------------------------------------- filtfilt
 
 def test_filtfilt_zero_in_zero_out():

@@ -369,10 +369,27 @@ def test_closed_loop_wraps_callback_failures():
     target = _gate(3e-7)
 
     def broken(env):
-        raise RuntimeError("detector offline")
+        raise OSError("detector offline")
 
     with pytest.raises(MeasurementError, match="iteration 1"):
         closed_loop(broken, target, LoopConfig(max_loop_iters=3))
+
+
+@pytest.mark.parametrize("bug", [TypeError("unsupported operand"),
+                                 KeyError("gain")])
+def test_closed_loop_lets_callback_bugs_through(bug):
+    # Only the package's own errors and OSError are measurement
+    # failures; a bug in the callback surfaces as itself, traceback and
+    # all.
+    target = _gate(3e-7)
+
+    def buggy(env):
+        raise bug
+
+    with pytest.raises(type(bug)) as info:
+        closed_loop(buggy, target, LoopConfig(max_loop_iters=3))
+    assert info.value is bug
+    assert info.traceback[-1].name == "buggy"
 
 
 def test_closed_loop_measurement_error_names_the_cause():
