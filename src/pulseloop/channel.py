@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.optimize as opt
-import scipy.signal as sig
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
                        ZeroSignalError, embed)
@@ -109,7 +109,8 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     so the convolution runs at the envelope rate rather than on the
     refined lattice. That kernel depends only on the geometry (v, w0,
     L1, L2), ``dt``, ``kappa`` and ``refine``, not on the envelope, so
-    it is memoized per setting and a repeat call only convolves.
+    it and its spectrum (per transform size) are memoized, and a repeat
+    call transforms only the envelope.
 
     Parameters
     ----------
@@ -132,10 +133,14 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
         raise InvalidSpecError(f"refine must be >= 1, got {refine}")
     p = p_env.amplitude
     n = len(p)
-    kern, c1, d_lo = _polyphase_kernel(params.v, params.w0, params.L1,
-                                       params.L2, p_env.grid.dt, kappa,
-                                       refine)
-    full = sig.fftconvolve(p, kern)
+    key = (params.v, params.w0, params.L1, params.L2, p_env.grid.dt, kappa,
+           refine)
+    kern, c1, d_lo = _polyphase_kernel(*key)
+    # The transforms scipy.signal.fftconvolve runs, with the kernel's
+    # spectrum taken from the cache instead of recomputed.
+    length = n + len(kern) - 1
+    size = sfft.next_fast_len(length, False)
+    full = sfft.ifft(sfft.fft(p, size) * _kernel_spectrum(*key, size))[:length]
     # The moved c1 reads p[0] one step before the refined signal starts,
     # and misses np.interp's end clamp (p[-1] held one step past the end).
     full[:len(c1)] -= p[0] * c1
@@ -183,6 +188,16 @@ def _polyphase_kernel(v: float, w0: float, L1: float, L2: float, dt: float,
     kern.setflags(write=False)
     c1.setflags(write=False)
     return kern, c1, d_lo
+
+
+@lru_cache(maxsize=32)
+def _kernel_spectrum(v: float, w0: float, L1: float, L2: float, dt: float,
+                     kappa: float, refine: int, size: int) -> np.ndarray:
+    """Read-only length-``size`` FFT of ``_polyphase_kernel``'s kernel."""
+    spec = sfft.fft(_polyphase_kernel(v, w0, L1, L2, dt, kappa, refine)[0],
+                    size)
+    spec.setflags(write=False)
+    return spec
 
 
 def quadrature_phase(r) -> np.ndarray:

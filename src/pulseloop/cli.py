@@ -175,7 +175,9 @@ def _cmd_loop(args) -> int:
         raise InvalidSpecError("pass exactly one of --channel / --replay")
     if args.channel is not None:
         config = fileio.read_channel_json(run.in_path(args.channel))
-        cutoff = args.cutoff_hz or suggested_cutoff(target.grid.span / 2)
+        cutoff = args.cutoff_hz
+        if cutoff is None:
+            cutoff = suggested_cutoff(target.grid.span / 2)
         channel = SimulatedChannel(config, cutoff=cutoff,
                                    trace_noise_sigma=args.trace_noise_sigma,
                                    seed=args.seed)

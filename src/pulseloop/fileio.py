@@ -22,7 +22,9 @@ from .sysid import VolterraModel
 from .channel import AcoustoOpticParams, ChannelConfig
 from .optics import ABCDElement, OpticalTrain
 
-FLOAT_FMT = "%.17g"   # shortest run of digits that round-trips float64
+# 17 significant digits (trailing zeros dropped): enough for every float64
+# to round-trip, though not always the shortest string that does.
+FLOAT_FMT = "%.17g"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -48,17 +50,14 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: str, columns) -> str:
-    rows = [",".join(_fmt(c[i]) for c in columns)
-            for i in range(len(columns[0]))]
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join([FLOAT_FMT] * len(columns))
+    rows = [row % values for values in zip(*columns)]
     return header + "\n" + "\n".join(rows) + ("\n" if rows else "")
 
 

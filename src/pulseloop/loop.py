@@ -173,9 +173,13 @@ def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
     padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
     lag = np.arange(m)[:, None]
     partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
-    last = n - 1 - lag - np.arange(n)  # largest k inside the signal
-    ab = np.take_along_axis(partial, np.clip(last, 0, m - 1), axis=1)
-    ab[last < 0] = 0
+    start = max(0, n - m)  # columns before it hold the full sums
+    ab = np.empty((m, n), dtype=complex)
+    ab[:, :start] = partial[:, -1:]
+    last = n - 1 - lag - np.arange(start, n)  # largest k inside the signal
+    ab[:, start:] = np.take_along_axis(partial, np.clip(last, 0, m - 1),
+                                       axis=1)
+    ab[:, start:][last < 0] = 0
     return ab
 
 

@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.signal as sig
 
 from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                ChannelConfig, SimulatedChannel, apply_channel,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
-                               reflectance_trace)
+                               reflectance_trace, _kernel_spectrum,
+                               _polyphase_kernel)
 from pulseloop.demod import (AliasingError, demodulate, suggested_cutoff,
                              synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
@@ -523,6 +525,47 @@ def test_measure_equals_the_uncached_pipeline_shot_by_shot():
             assert np.array_equal(
                 reflectance_trace(p_env, params, kappa, refine=refine),
                 _uncached_reflectance(p_env, params, kappa, refine)), k
+
+
+def _gate_window(n):
+    # A 500 ns gate pulse opened PAD_PRE samples ahead, as measure does.
+    gate = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7),
+                      default_grid(5e-7))
+    pre = SimulatedChannel.PAD_PRE
+    return embed(gate, pre, n - gate.grid.n - pre)
+
+
+@pytest.mark.parametrize("kappa", [KAPPA_CALIBRATED, 2000.0])
+@pytest.mark.parametrize("refine", [1, 3])
+@pytest.mark.parametrize("n", [1660, 2300, 5300])
+def test_reflectance_equals_the_fftconvolve_composition(n, refine, kappa):
+    # The measurement windows at 180 ns / 500 ns / 2 us; the cached
+    # kernel spectrum must reproduce fftconvolve's transforms exactly.
+    env = _gate_window(n)
+    for _ in range(2):
+        assert np.array_equal(
+            reflectance_trace(env, PARAMS, kappa, refine=refine),
+            _uncached_reflectance(env, PARAMS, kappa, refine))
+
+
+def test_kernel_spectrum_is_cached_read_only_per_transform_size():
+    kappa = 1234.5  # a setting no other test caches
+    key = (PARAMS.v, PARAMS.w0, PARAMS.L1, PARAMS.L2, 1e-9, kappa, 3)
+    span = len(_polyphase_kernel(*key)[0]) - 1
+    size = sfft.next_fast_len(1660 + span, False)
+    longest = size - span  # the longest window on the same transform
+    assert longest > 1660
+    before = _kernel_spectrum.cache_info()
+    for n in (1660, 1660, longest, 5300):
+        reflectance_trace(_gate_window(n), PARAMS, kappa)
+    after = _kernel_spectrum.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits - before.hits == 2
+    spec = _kernel_spectrum(*key, size)
+    assert spec is _kernel_spectrum(*key, size)
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
 
 
 # ----------------------------------------- window opened by the response

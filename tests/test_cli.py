@@ -10,6 +10,7 @@ import pytest
 from pulseloop import cli, fileio
 from pulseloop.channel import ChannelConfig
 from pulseloop.cli import build_parser, main
+from pulseloop.demod import DEFAULT_CUTOFF, suggested_cutoff
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
 from pulseloop.loop import _align_to_target
 from pulseloop.sysid import VolterraModel, estimate_kernel
@@ -319,6 +320,33 @@ def test_loop_bad_memory_exits_2_without_a_report(outdir, capsys):
                  "--memory", "0", "--outdir", outdir]) == 2
     assert "memory" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(outdir, "report.json"))
+
+
+def test_loop_zero_cutoff_exits_2_naming_it(outdir, capsys):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["loop", "--target", pulse, "--channel", chan,
+                 "--cutoff-hz", "0", "--outdir", outdir]) == 2
+    assert "cutoff" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "report.json"))
+
+
+def test_loop_default_cutoff_is_the_suggested_one(outdir, monkeypatch):
+    seen = []
+
+    class Recording(cli.SimulatedChannel):
+        def __init__(self, config, cutoff, **kwargs):
+            seen.append(cutoff)
+            super().__init__(config, cutoff=cutoff, **kwargs)
+
+    monkeypatch.setattr(cli, "SimulatedChannel", Recording)
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["loop", "--target", pulse, "--channel", chan,
+                 "--method", "tf-free", "--outdir", outdir]) == 0
+    span = fileio.read_envelope(pulse).grid.span
+    assert seen == [suggested_cutoff(span / 2)]
+    assert seen[0] != DEFAULT_CUTOFF
 
 
 def test_loop_non_convergence_exits_3(outdir):

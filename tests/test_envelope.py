@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.signal as sig
 
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
@@ -267,6 +268,38 @@ def test_align_delay_lag_matches_direct_correlation(duration, extra):
         _, delay = align_delay(measured, ref)
         assert round(delay / 1e-9) == want
         assert abs(want - shift) <= 2
+
+
+def _fftconvolve_align(measured, reference):
+    """align_delay's result with the correlation run by fftconvolve."""
+    corr = sig.fftconvolve(measured.amplitude, reference.amplitude[::-1])
+    lag = int(np.argmax(corr)) - (reference.grid.n - 1)
+    return shift_samples(measured.samples, -lag), lag * measured.grid.dt
+
+
+@pytest.mark.parametrize("n_measured", [2300, 1000, 1660])
+def test_align_delay_equals_the_fftconvolve_correlation(n_measured):
+    # Besides noisy gate pulses, flat windows put a plateau of equal
+    # correlation values in exact arithmetic, so the chosen lag there
+    # hangs on the last bit of every FFT output.
+    ref = make_pulse(PulseSpec(kind="gate-standin", duration=8e-7),
+                     TimeGrid(0.0, 1e-9, 1660))
+    rng = np.random.default_rng(n_measured)
+    measured = [np.ones(n_measured)]
+    for shift in (-300, 0, 250):
+        padded = np.zeros(n_measured, dtype=complex)
+        k = min(n_measured, ref.grid.n)
+        padded[:k] = ref.samples[:k]
+        measured.append(shift_samples(padded, shift)
+                        + 0.02 * (rng.standard_normal(n_measured)
+                                  + 1j * rng.standard_normal(n_measured)))
+    for reference in (ref, ref.with_samples(np.ones(ref.grid.n))):
+        for samples in measured:
+            env = _env(TimeGrid(0.0, 1e-9, n_measured), samples)
+            got, delay = align_delay(env, reference)
+            want, want_delay = _fftconvolve_align(env, reference)
+            assert delay == want_delay
+            assert np.array_equal(got.samples, want)
 
 
 def test_align_delay_rejects_zero_signal():

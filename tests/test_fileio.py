@@ -214,3 +214,25 @@ def test_full_precision_floats_survive(tmp_path):
     back = fileio.read_envelope_csv(path)
     assert back.samples[0].real == value
     assert back.samples[0].imag == np.pi
+
+
+def _csv_text_per_value(header, columns):
+    """Reference CSV formatter: one ``FLOAT_FMT`` call per indexed value."""
+    rows = [",".join(fileio.FLOAT_FMT % c[i] for c in columns)
+            for i in range(len(columns[0]))]
+    return header + "\n" + "\n".join(rows) + ("\n" if rows else "")
+
+
+@pytest.mark.parametrize("columns", [
+    (np.random.default_rng(3).standard_normal(1660) * 1e-6,
+     np.random.default_rng(4).standard_normal(1660),
+     np.random.default_rng(5).standard_normal(1660) * 1e300),
+    (np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0 / 3.0, 1e-9]),),
+    (np.arange(12), np.linspace(0.0, 1.0, 12)),
+    (np.zeros(0), np.zeros(0)),
+])
+def test_csv_text_equals_the_per_value_formatter(columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    assert (fileio._csv_text(header, columns)
+            == _csv_text_per_value(header, columns))

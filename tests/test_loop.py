@@ -98,6 +98,27 @@ def test_normal_band_and_adjoint_match_dense_jacobian(n, memory):
                                atol=1e-12 * np.max(np.abs(adjoint)))
 
 
+def _normal_banded_gather_all(h1, n):
+    """Reference band fill gathering every column from the partial sums."""
+    m = len(h1)
+    padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
+    lag = np.arange(m)[:, None]
+    partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
+    last = n - 1 - lag - np.arange(n)
+    ab = np.take_along_axis(partial, np.clip(last, 0, m - 1), axis=1)
+    ab[last < 0] = 0
+    return ab
+
+
+@pytest.mark.parametrize("n, memory", [(360, 64), (1000, 64), (4000, 64),
+                                       (64, 64), (65, 64), (12, 1)])
+def test_normal_band_equals_the_all_column_gather(n, memory):
+    rng = np.random.default_rng(7 * n + memory)
+    h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
+    assert np.array_equal(_normal_banded(h1, n),
+                          _normal_banded_gather_all(h1, n))
+
+
 # ----------------------------------------------------------- offline_iterate
 
 def test_offline_identity_model_converges_immediately():
