@@ -301,10 +301,15 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise InvalidSpecError("delay must be >= 0")
-        if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.delay) and self.delay >= 0):
+            raise InvalidSpecError(
+                f"delay must be finite and >= 0, got {self.delay}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidSpecError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not np.isfinite(self.mismatch_kappa):
+            raise InvalidSpecError(
+                f"mismatch_kappa must be finite, got {self.mismatch_kappa}")
 
 
 def apply_channel(env: ComplexEnvelope,
@@ -369,6 +374,9 @@ class SimulatedChannel:
     replays the identical sequence. The noise of each trace sample
     depends only on its time relative to the request, not on the delay:
     the draws for the delay's samples ahead of the window are skipped.
+    The constructor rejects a cutoff at or above the beat, an
+    undersampled beat and a trace noise sigma that is negative or not
+    finite, so a bad setting fails before the first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -385,6 +393,9 @@ class SimulatedChannel:
         if cutoff >= f_beat:
             raise InvalidSpecError(
                 f"cutoff {cutoff} must be below f_beat {f_beat}")
+        if not (np.isfinite(trace_noise_sigma) and trace_noise_sigma >= 0):
+            raise InvalidSpecError(f"trace_noise_sigma must be finite and "
+                                   f">= 0, got {trace_noise_sigma}")
         self.config = config if config is not None else ChannelConfig()
         self.cutoff = cutoff
         self.trace_noise_sigma = trace_noise_sigma

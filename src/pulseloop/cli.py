@@ -118,11 +118,13 @@ def _cmd_simulate(args) -> int:
     env = fileio.read_envelope(run.in_path(args.input))
     config = fileio.read_channel_json(run.in_path(args.channel))
     out = record_response(env, config)
-    fileio.write_envelope(run.out_path(args.out), out)
+    trace = None  # synthesized before any write, so a bad flag writes nothing
     if args.trace_out:
         trace = synthesize_beat(out, f_beat=args.beat_hz, fs=args.fs,
                                 noise_sigma=args.trace_noise_sigma,
                                 seed=config.seed)
+    fileio.write_envelope(run.out_path(args.out), out)
+    if trace is not None:
         fileio.write_trace_csv(run.out_path(args.trace_out), trace)
     run.finish()
     return EXIT_OK
@@ -224,7 +226,9 @@ def _cmd_optics(args) -> int:
     if args.steps < 1:
         raise InvalidSpecError(f"--steps must be >= 1, got {args.steps}")
     train = _load_train(args, run)
-    marker = args.marker if args.marker in train.markers else None
+    marker = args.marker
+    if marker is None and "aom" in train.markers:
+        marker = "aom"
     if args.analysis == "sensitivity":
         s = sensitivity(train, marker)
         rows = (np.array([s.dL_dL_in]), np.array([s.dL_dtheta_in]),
@@ -350,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default="three-compact",
                    choices=["single", "three-compact", "three-waist"],
                    help="built-in design when --train is not given")
-    p.add_argument("--marker", default="aom")
+    p.add_argument("--marker", default=None,
+                   help="plane to analyze (default: aom when the train has "
+                        "it, else the train end)")
     p.add_argument("--aperture", type=float, default=0.6e-3)
     p.add_argument("--bragg-tol", type=float, default=125e-6)
     p.add_argument("--dl-per-k", type=float, default=2e-6,

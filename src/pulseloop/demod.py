@@ -152,7 +152,8 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         Output trace sample rate; must exceed 2*f_beat.
     noise_sigma : float
         Standard deviation of additive white Gaussian noise per trace
-        sample, in the same normalized units as the envelope.
+        sample, in the same normalized units as the envelope; finite and
+        >= 0.
     seed : int or numpy.random.Generator
         Noise generator seed, or a generator to draw from (used as is);
         identical seeds give identical traces.
@@ -164,6 +165,9 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
     """
     if fs <= 2 * f_beat:
         raise AliasingError(f"fs {fs} must exceed twice f_beat {f_beat}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidSpecError(
+            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     up = fs * env.grid.dt
     up_int = int(round(up))
     if abs(up - up_int) > 1e-9 or up_int < 1:

@@ -4,18 +4,16 @@ ABCD matrices propagate ray coordinates (height, angle) and the complex
 Gaussian beam parameter through lens trains; from the composed matrix
 follow the alignment sensitivities at the modulator plane, aperture and
 Bragg-angle margins under thermal pointing drift, and the waist-position
-behavior versus input beam size. Design helpers search lens spacings for
-the single-lens reference and the three-lens delivery trains.
+behavior versus input beam size. Design helpers solve the lens spacings
+of the single-lens reference and the three-lens trains in closed form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .envelope import InvalidSpecError
 
@@ -85,7 +83,7 @@ class OpticalTrain:
 
     A marker maps a name to a boundary index: marker ``i`` designates
     the plane after the first ``i`` elements. ``k`` records the tuned
-    inter-lens spacing when the train came out of a design search.
+    inter-lens spacing when the train came out of a design helper.
     """
 
     elements: tuple
@@ -295,34 +293,18 @@ def design_single_lens(wavelength: float = DESIGN_WAVELENGTH,
         markers={"aom": 3})
 
 
-def _design_search(residual_fn, lower, upper):
-    """Deterministic multi-start bounded least-squares over spacings."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    best = None
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        x0 = lower + (upper - lower) * rng.random(len(lower))
-        try:
-            sol = least_squares(residual_fn, x0, bounds=(lower, upper))
-        except ValueError:
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or best.cost > 1e-8:
-        raise InvalidSpecError("design search did not reach its targets")
-    return best.x
-
-
-def _three_lens_matrix(k, d3, d4):
-    m = np.eye(2)
-    for em in (thin_lens(F1), free_space(k), thin_lens(F2), free_space(d3),
-               thin_lens(F3), free_space(d4)):
-        m = em.matrix @ m
-    return m
-
-
 WAIST_MATCHED_D4 = 0.20  # fixed final gap of the waist-matched variant, m
+_GAP = np.array([[0.0, 1.0], [0.0, 0.0]])  # free_space(x) = I + x * _GAP
+
+
+def _in_box(k, d3, d4=WAIST_MATCHED_D4) -> bool:
+    """Whether three-lens spacings lie in the admissible design box."""
+    return 0.01 <= k <= 0.50 and 0.01 <= d3 <= 0.80 and 0.005 <= d4 <= 0.30
+
+
+def _three_lens(k, d3, d4):
+    return (thin_lens(F1), free_space(k), thin_lens(F2), free_space(d3),
+            thin_lens(F3), free_space(d4))
 
 
 def design_three_lens(wavelength: float = DESIGN_WAVELENGTH,
@@ -332,63 +314,80 @@ def design_three_lens(wavelength: float = DESIGN_WAVELENGTH,
     """Three-lens delivery train solved for the target beam size.
 
     Fixed focal lengths 200 mm / -50 mm / 70 mm (Galilean telescope plus
-    focusing lens); a deterministic multi-start search tunes the
-    telescope spacing k and the following gaps. Two variants:
+    focusing lens); the ABCD q-law gives the telescope spacing k and the
+    gaps d3 and d4 in closed form, each confined to its box: k in
+    [0.01, 0.50] m, d3 in [0.01, 0.80] m, d4 in [0.005, 0.30] m. With no
+    solution in the box, ``InvalidSpecError`` names the unmet target.
+    Two variants:
 
     - "compact": the alignment-insensitive delivery design. Targets the
       1/e^2 spot radius ``w_target`` on the marker plane together with
       an angle sensitivity dL/dtheta_in 2.5 times below the single-lens
       reference and dtheta/dtheta_in of zero (thermal pointing drift
       neither walks the beam off the aperture nor off the Bragg angle).
-      The beam waist itself then falls slightly upstream of the marker:
-      a paraxial identity links exact waist placement to large
+      These fix k and d3; the spot then holds at two d4, with the waist
+      upstream of the marker (taken when in the box) or downstream. A
+      paraxial identity links exact waist placement to large
       |dtheta/dtheta_in|, so one train cannot have both.
     - "waist-matched": places an actual beam waist of size ``w_target``
       on the marker plane for the design input waist (the last gap is
-      held at ``WAIST_MATCHED_D4`` and the two conditions determine k
-      and the middle gap). Used for waist-position studies; alignment
-      sensitivity is not constrained.
+      held at ``WAIST_MATCHED_D4``; k is a root of one quadratic, the
+      larger of those in the box, and fixes the middle gap). Used for
+      waist-position studies; alignment sensitivity is not constrained.
     """
-    k, d3, d4 = _solved_spacings(wavelength, w_in, w_target, mode)
-    return OpticalTrain(
-        elements=(thin_lens(F1), free_space(k), thin_lens(F2),
-                  free_space(d3), thin_lens(F3), free_space(d4)),
-        markers={"aom": 6},
-        k=float(k))
-
-
-@lru_cache(maxsize=None)
-def _solved_spacings(wavelength, w_in, w_target, mode):
-    b_single = np.pi * w_in * w_target / wavelength
-    q_in = complex(0.0, np.pi * w_in ** 2 / wavelength)
-
-    def beam_out(k, d3, d4):
-        m = _three_lens_matrix(k, d3, d4)
-        q = (m[0, 0] * q_in + m[0, 1]) / (m[1, 0] * q_in + m[1, 1])
-        return m, q
-
+    z_in = np.pi * w_in ** 2 / wavelength
+    z_target = np.pi * w_target ** 2 / wavelength
     if mode == "compact":
-        def residual(x):
-            m, q = beam_out(*x)
-            w_waist = np.sqrt(wavelength * q.imag / np.pi)
-            spot = w_waist * np.sqrt(1 + (q.real / q.imag) ** 2)
-            return [(spot - w_target) / w_target,
-                    (m[0, 1] - b_single / 2.5) / b_single,
-                    m[1, 1]]
-
-        k, d3, d4 = _design_search(residual, [0.01, 0.01, 0.005],
-                                   [0.50, 0.80, 0.30])
+        # D = 0 and B = b fix k and d3; det = 1 then makes C = -1/b, so d4
+        # only moves the waist (z_out = b^2/z_in) relative to the marker.
+        b = np.pi * w_in * w_target / wavelength / 2.5
+        k = F2 * (1 - b / F3)
+        d3 = F3 * (b - k) / b
+        if not _in_box(k, d3):
+            raise InvalidSpecError(
+                f"compact design: dL/dtheta_in = {b:.4g} m at dtheta/dtheta_in"
+                f" = 0 needs k = {k:.4g} m, d3 = {d3:.4g} m, outside the box")
+        m = OpticalTrain(_three_lens(k, d3, 0.0)).matrix()
+        z_out = b ** 2 / z_in
+        excess = z_target / z_out - 1  # (w_target / w_out)^2 - 1
+        offset = z_out * np.sqrt(excess) if excess >= 0 else np.nan
+        # The waist lies d4 + A/C upstream of the marker; upstream first.
+        a_c = m[0, 0] / m[1, 0]
+        d4 = [x for x in (offset - a_c, -offset - a_c) if _in_box(k, d3, x)]
+        if not d4:
+            raise InvalidSpecError(f"compact design: no d4 in [0.005, 0.30] m"
+                                   f" gives the {w_target:.4g} m spot")
+        d4 = float(d4[0])
     elif mode == "waist-matched":
-        zr_target = np.pi * w_target ** 2 / wavelength
-
-        def residual(x):
-            _, q = beam_out(x[0], x[1], WAIST_MATCHED_D4)
-            w_waist = np.sqrt(wavelength * q.imag / np.pi)
-            return [(w_waist - w_target) / w_target,
-                    q.real / zr_target]
-
-        k, d3 = _design_search(residual, [0.01, 0.01], [0.50, 0.80])
+        k, d3 = _waist_matched_spacings(z_in, z_target, w_target)
         d4 = WAIST_MATCHED_D4
     else:
         raise InvalidSpecError(f"unknown design mode {mode!r}")
-    return float(k), float(d3), float(d4)
+    return OpticalTrain(elements=_three_lens(k, d3, d4), markers={"aom": 6},
+                        k=float(k))
+
+
+def _waist_matched_spacings(z_in, z_target, w_target):
+    # q_out = i z_target for q_in = i z_in where B + z_in z_target C and
+    # z_in A - z_target D vanish: u(k) + d3 v(k) with u, v affine in k, so
+    # a common d3 exists where det[u, v], a quadratic in k, is zero.
+    g = free_space(WAIST_MATCHED_D4).matrix @ thin_lens(F3).matrix
+    l1, l2 = thin_lens(F1).matrix, thin_lens(F2).matrix
+
+    def conditions(m):
+        return np.array([m[0, 1] + z_in * z_target * m[1, 0],
+                         z_in * m[0, 0] - z_target * m[1, 1]])
+
+    (u0, u1), (v0, v1) = [[conditions(g @ h @ l2 @ t @ l1)
+                           for t in (np.eye(2), _GAP)]
+                          for h in (np.eye(2), _GAP)]
+    det = np.linalg.det
+    roots = np.roots([det([u1, v1]), det([u0, v1]) + det([u1, v0]),
+                      det([u0, v0])])
+    for k in sorted(roots[np.isreal(roots)].real, reverse=True):
+        u, v = u0 + k * u1, v0 + k * v1
+        d3 = -(u @ v) / (v @ v)
+        if _in_box(k, d3):
+            return float(k), float(d3)
+    raise InvalidSpecError(f"waist-matched design: no spacings in the box "
+                           f"place a {w_target:.4g} m waist at the marker")

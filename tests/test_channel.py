@@ -61,6 +61,19 @@ def test_params_validation():
         AcoustoOpticParams(L1=1e-4, L2=-1e-4)
 
 
+# -------------------------------------------------------------- ChannelConfig
+
+@pytest.mark.parametrize("field, value", [
+    ("delay", np.nan), ("delay", np.inf), ("delay", -1e-9),
+    ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("noise_sigma", -0.1),
+    ("mismatch_kappa", np.nan), ("mismatch_kappa", np.inf),
+    ("mismatch_kappa", -np.inf),
+])
+def test_channel_config_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidSpecError, match=field):
+        ChannelConfig(**{field: value})
+
+
 # --------------------------------------------------------- reflectance_trace
 
 def test_reflectance_zero_input_zero_output():
@@ -405,6 +418,13 @@ def test_simulated_channel_rejects_cutoff_at_or_above_the_beat():
         with pytest.raises(InvalidSpecError, match="f_beat"):
             SimulatedChannel(cutoff=cutoff)
     SimulatedChannel(cutoff=120e6)
+
+
+@pytest.mark.parametrize("value", [-0.02, np.nan, np.inf])
+def test_simulated_channel_rejects_bad_trace_noise(value):
+    # These used to give the noiseless measurement, bit for bit.
+    with pytest.raises(InvalidSpecError, match="trace_noise_sigma"):
+        SimulatedChannel(trace_noise_sigma=value)
 
 
 def test_simulated_channel_rejects_an_undersampled_beat():

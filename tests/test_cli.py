@@ -135,6 +135,39 @@ def test_channel_json_missing_key_exits_2_naming_it(outdir, capsys):
     assert "h1_re" in err and chan in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "loop"])
+def test_channel_json_nan_delay_exits_2_writing_nothing(tmp_path, capsys,
+                                                        command):
+    # Python's json reads NaN; it used to surface as a bare ValueError.
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    obj = json.loads(Path(chan).read_text())
+    obj["delay"] = float("nan")
+    Path(chan).write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    argv = (["simulate", "--input", pulse] if command == "simulate"
+            else ["loop", "--target", pulse])
+    assert main(argv + ["--channel", chan, "--outdir", str(out)]) == 2
+    assert "delay" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sigma", ["-0.5", "nan"])
+def test_bad_trace_noise_sigma_exits_2_writing_nothing(tmp_path, capsys,
+                                                       sigma):
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    out = tmp_path / "out"
+    assert main(["loop", "--target", pulse, "--channel", chan,
+                 "--trace-noise-sigma", sigma, "--outdir", str(out)]) == 2
+    assert "trace_noise_sigma" in capsys.readouterr().err
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--trace-out", "trace.csv", "--trace-noise-sigma", sigma,
+                 "--outdir", str(out)]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_library_key_error_is_not_a_usage_error(outdir, monkeypatch):
     # Only bad arguments and inputs exit 2; a KeyError inside library
     # code is a bug and must surface with its traceback.
@@ -425,6 +458,39 @@ def test_optics_accepts_train_file(outdir):
     fileio.write_train_json(train_path, design_three_lens(mode="compact"))
     assert main(["optics", "sensitivity", "--train", train_path,
                  "--outdir", outdir]) == 0
+
+
+def test_optics_default_marker_on_a_train_without_markers(outdir):
+    from pulseloop.optics import OpticalTrain, free_space, thin_lens
+    train = OpticalTrain(elements=(free_space(0.3), thin_lens(0.1),
+                                   free_space(0.05)))
+    train_path = os.path.join(outdir, "train.json")
+    fileio.write_train_json(train_path, train)
+    assert main(["optics", "sensitivity", "--train", train_path,
+                 "--outdir", outdir]) == 0
+    lines = Path(outdir, "sensitivity.csv").read_text().splitlines()
+    np.testing.assert_allclose([float(v) for v in lines[1].split(",")],
+                               train.matrix().ravel(), rtol=1e-15)
+
+
+def test_optics_default_marker_is_aom(outdir, tmp_path):
+    assert main(["optics", "sensitivity", "--outdir", outdir]) == 0
+    assert main(["optics", "sensitivity", "--marker", "aom",
+                 "--outdir", str(tmp_path)]) == 0
+    name = "sensitivity.csv"
+    assert (Path(outdir, name).read_text()
+            == Path(tmp_path, name).read_text())
+
+
+@pytest.mark.parametrize("analysis", ["sensitivity", "aperture",
+                                      "waist-sweep"])
+def test_optics_unknown_marker_exits_2_naming_it(tmp_path, capsys, analysis):
+    # An unknown marker used to fall back silently to the train end.
+    out = tmp_path / "out"
+    assert main(["optics", analysis, "--marker", "nope",
+                 "--outdir", str(out)]) == 2
+    assert "nope" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ------------------------------------------------------------- environment

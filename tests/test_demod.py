@@ -59,6 +59,12 @@ def test_synthesize_rejects_aliasing():
         synthesize_beat(env, f_beat=F_BEAT, fs=2 * F_BEAT)
 
 
+@pytest.mark.parametrize("sigma", [-0.02, np.nan, np.inf])
+def test_synthesize_rejects_negative_or_non_finite_noise(sigma):
+    with pytest.raises(InvalidSpecError, match="noise_sigma"):
+        synthesize_beat(_constant_env(128), noise_sigma=sigma)
+
+
 def test_trace_noise_is_seed_deterministic():
     env = _constant_env(256)
     a = synthesize_beat(env, noise_sigma=0.05, seed=9)

@@ -269,3 +269,37 @@ def test_three_lens_designs_record_the_tunable_spacing():
     assert compact.markers["aom"] == len(compact.elements)
     with pytest.raises(InvalidSpecError):
         design_three_lens(mode="nope")
+
+
+def test_default_three_lens_designs_keep_their_spacings():
+    # Spacings the earlier multi-start search found for the defaults.
+    compact = design_three_lens(mode="compact")
+    spacings = [e.parameter for e in compact.elements[1::2]]
+    np.testing.assert_allclose(
+        spacings, [0.11755160819145613, 0.03492077591486515,
+                   0.13456736979335968], rtol=1e-12, atol=0)
+    assert compact.k == spacings[0]
+    matched = design_three_lens(mode="waist-matched")
+    spacings = [e.parameter for e in matched.elements[1::2]]
+    np.testing.assert_allclose(
+        spacings, [0.1822777434824264, 0.13205418292386348, 0.20],
+        rtol=1e-12, atol=0)
+    assert matched.k == spacings[0]
+
+
+def test_compact_design_puts_the_waist_upstream_of_the_marker():
+    beam = GaussianBeam(DESIGN_WAVELENGTH, DESIGN_INPUT_WAIST)
+    out = propagate_beam(design_three_lens(mode="compact"), beam, "aom")
+    assert out.waist_position == pytest.approx(-0.0113, abs=1e-4)
+
+
+@pytest.mark.parametrize("w_in, w_target, unmet", [
+    (2e-3, DESIGN_TARGET_WAIST, "spot"),
+    (DESIGN_INPUT_WAIST, 120e-6, "spot"),
+    (3e-3, 100e-6, "dL/dtheta_in"),
+    (DESIGN_INPUT_WAIST, 10e-6, "dL/dtheta_in"),
+])
+def test_compact_design_outside_the_box_names_the_unmet_target(
+        w_in, w_target, unmet):
+    with pytest.raises(InvalidSpecError, match=unmet):
+        design_three_lens(w_in=w_in, w_target=w_target, mode="compact")

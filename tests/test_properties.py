@@ -1,17 +1,20 @@
 """Property tests: invariants of the sample algebra, the forward model,
-delay alignment, envelope files, kernel estimation and the
-cross-validated fit over random inputs."""
+delay alignment, envelope files, kernel estimation, the
+cross-validated fit and the three-lens designs over random inputs."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pulseloop import fileio  # noqa: E402
-from pulseloop.envelope import (ComplexEnvelope, TimeGrid,  # noqa: E402
-                                align_delay, crop, embed, shift_samples)
+from pulseloop.envelope import (ComplexEnvelope,  # noqa: E402
+                                InvalidSpecError, TimeGrid, align_delay,
+                                crop, embed, shift_samples)
+from pulseloop.optics import (GaussianBeam, design_three_lens,  # noqa: E402
+                              propagate_beam, sensitivity)
 from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
                              build_design_matrix, cross_validate,
                              estimate_kernel, volterra_forward)
@@ -175,3 +178,46 @@ def test_cv_model_matches_augmented_least_squares_at_lambda_star(
     theta = np.concatenate([[model.h0], model.h1])
     ref = _ridge_oracle(build_design_matrix(inp, memory), out.samples, lam)
     assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------- three-lens designs
+
+def _spacings_in_box(train):
+    k, d3, d4 = (e.parameter for e in train.elements[1::2])
+    return 0.01 <= k <= 0.50 and 0.01 <= d3 <= 0.80 and 0.005 <= d4 <= 0.30
+
+
+# The examples are inputs where the compact design used to come out with
+# its waist downstream of the marker.
+@given(w_in=st.floats(0.8e-3, 1.6e-3), w_target=st.floats(30e-6, 80e-6),
+       wavelength=st.sampled_from([405e-9, 780e-9]))
+@example(w_in=1.2e-3, w_target=50e-6, wavelength=405e-9)
+@example(w_in=1.2e-3, w_target=80e-6, wavelength=405e-9)
+@example(w_in=0.8e-3, w_target=63e-6, wavelength=405e-9)
+@example(w_in=1.2e-3, w_target=63e-6, wavelength=780e-9)
+def test_three_lens_designs_meet_their_targets_or_refuse(w_in, w_target,
+                                                         wavelength):
+    beam = GaussianBeam(wavelength, w_in)
+    try:
+        compact = design_three_lens(wavelength, w_in, w_target, "compact")
+    except InvalidSpecError:
+        pass
+    else:
+        out = propagate_beam(compact, beam, "aom")
+        s = sensitivity(compact, "aom")
+        b_single = np.pi * w_in * w_target / wavelength
+        assert _spacings_in_box(compact)
+        assert out.spot == pytest.approx(w_target, rel=1e-9)
+        assert s.dL_dtheta_in == pytest.approx(b_single / 2.5, rel=1e-9)
+        assert abs(s.dtheta_dtheta_in) <= 1e-9
+        assert out.waist_position < 0  # upstream of the marker
+    try:
+        matched = design_three_lens(wavelength, w_in, w_target,
+                                    "waist-matched")
+    except InvalidSpecError:
+        pass
+    else:
+        out = propagate_beam(matched, beam, "aom")
+        assert _spacings_in_box(matched)
+        assert out.w == pytest.approx(w_target, rel=1e-9)
+        assert abs(out.waist_position) <= 1e-9 * out.rayleigh
