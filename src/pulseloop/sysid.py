@@ -80,16 +80,19 @@ def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     return a
 
 
+_TSQR_BLOCK = 8  # rows per column in one block of ``_triangular``
+
+
 def _triangular(rows: np.ndarray) -> np.ndarray:
     """R factor of a tall matrix, reduced in row blocks (TSQR).
 
-    Blocks of 8 x columns rows are each reduced by QR and their stacked
-    factors are reduced again the same way, so every QR runs on a
-    cache-sized block; Q is never formed. The result has rows^H rows = R^H R. A block
-    with fewer rows than columns gives a trapezoidal factor, which
-    stacks the same way.
+    Blocks of ``_TSQR_BLOCK`` x columns rows are each reduced by QR and
+    their stacked factors are reduced again the same way, so every QR runs
+    on a cache-sized block; Q is never formed. The result has
+    rows^H rows = R^H R. A block with fewer rows than columns gives a
+    trapezoidal factor, which stacks the same way.
     """
-    step = 8 * rows.shape[1]
+    step = _TSQR_BLOCK * rows.shape[1]
     if len(rows) <= step:
         return np.linalg.qr(rows, mode="r")
     return _triangular(np.vstack([np.linalg.qr(rows[i:i + step], mode="r")
@@ -187,20 +190,25 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     factor once; a fold's fit reduces the other blocks' stacked factors
     and takes one small SVD for the whole lambda grid. The final fit
     reduces all the blocks' factors, which gives a factor of the whole
-    [A | y] (TSQR), so the full design matrix is never factored again.
+    [A | y] (TSQR), so a long design matrix is never factored again. A
+    record that fits one TSQR block is factored directly instead, as
+    ``estimate_kernel`` does: that QR has no more rows than the stacked
+    fold factors, and a short, near-square fit is ill-conditioned, so the
+    two reductions' rounding would differ by up to cond(A) * eps.
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
     the table minimum (first entry on ties), and ``model`` is the fit to
-    all samples at lambda_star, as ``estimate_kernel`` would return it up
-    to rounding.
+    all samples at lambda_star, as ``estimate_kernel`` would return it
+    (bit for bit when the record fits one block, up to rounding
+    otherwise).
     """
     _check_pair(inp, out, memory)
     n = inp.grid.n
     if cv.folds > n:
         raise InvalidSpecError(
             f"cannot split {n} samples into {cv.folds} folds")
-    a = build_design_matrix(inp, memory)
-    parts = np.array_split(np.column_stack([a, out.samples]), cv.folds)
+    rows = np.column_stack([build_design_matrix(inp, memory), out.samples])
+    parts = np.array_split(rows, cv.folds)
     factors = [_triangular(part) for part in parts]
     mse_sum = np.zeros(len(cv.lambda_grid))
     for k, val in enumerate(parts):
@@ -210,5 +218,7 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
         mse_sum += np.mean(np.abs(r) ** 2, axis=1)
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = _ridge_path(_triangular(np.vstack(factors)), n, [lambda_star])[0]
+    if n > _TSQR_BLOCK * rows.shape[1]:
+        rows = np.vstack(factors)
+    theta = _ridge_path(_triangular(rows), n, [lambda_star])[0]
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])
