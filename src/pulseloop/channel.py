@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.optimize as opt
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
                        ZeroSignalError, embed)
@@ -248,6 +247,7 @@ def calibrate_kappa(params: AcoustoOpticParams, target_peak: float = 0.25,
     acquires ``target_peak`` radians of quadrature phase (peak measured
     over the pulse support, see ``peak_quadrature_phase``).
     """
+    import scipy.optimize as opt  # deferred: no other command needs it
     n = int(round(8 * fwhm / dt))
     t = (np.arange(n) - (n - 1) / 2) * dt
     p = np.exp(-4 * np.log(2) * (t / fwhm) ** 2)
@@ -310,6 +310,8 @@ class ChannelConfig:
         if not np.isfinite(self.mismatch_kappa):
             raise InvalidSpecError(
                 f"mismatch_kappa must be finite, got {self.mismatch_kappa}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 def apply_channel(env: ComplexEnvelope,
@@ -375,8 +377,9 @@ class SimulatedChannel:
     depends only on its time relative to the request, not on the delay:
     the draws for the delay's samples ahead of the window are skipped.
     The constructor rejects a cutoff at or above the beat, an
-    undersampled beat and a trace noise sigma that is negative or not
-    finite, so a bad setting fails before the first shot.
+    undersampled beat, a trace noise sigma that is negative or not
+    finite and a negative seed, so a bad setting fails before the first
+    shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -396,6 +399,8 @@ class SimulatedChannel:
         if not (np.isfinite(trace_noise_sigma) and trace_noise_sigma >= 0):
             raise InvalidSpecError(f"trace_noise_sigma must be finite and "
                                    f">= 0, got {trace_noise_sigma}")
+        if seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {seed}")
         self.config = config if config is not None else ChannelConfig()
         self.cutoff = cutoff
         self.trace_noise_sigma = trace_noise_sigma

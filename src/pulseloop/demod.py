@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal as sig
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid)
+
+# scipy.signal is imported inside its four users: with the scipy.optimize
+# it loads, it is about half of ``import pulseloop``, and commands that
+# never filter or resample should not pay for it.
 
 DEFAULT_FS = 2e9        # trace sample rate, 2 GS/s
 DEFAULT_F_BEAT = 200e6  # beat at twice the 100 MHz modulator drive
@@ -64,7 +67,8 @@ class FilterSpec:
         arr = np.asarray(self.sos, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "sos", arr)
-        zi = sig.sosfilt_zi(arr)
+        from scipy.signal import sosfilt_zi
+        zi = sosfilt_zi(arr)
         zi.setflags(write=False)
         object.__setattr__(self, "zi", zi)
 
@@ -90,7 +94,8 @@ def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     if not 0 < cutoff < fs / 2:
         raise InvalidSpecError(
             f"cutoff {cutoff} must lie in (0, fs/2={fs / 2})")
-    sos = sig.butter(order, cutoff, btype="low", fs=fs, output="sos")
+    from scipy.signal import butter
+    sos = butter(order, cutoff, btype="low", fs=fs, output="sos")
     return FilterSpec(order=order, cutoff=cutoff, fs=fs, sos=sos)
 
 
@@ -118,10 +123,11 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     padlen = min(len(x) - 1, max(min_len, int(3 * filt.fs / filt.cutoff)))
     ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x,
                           2 * x[-1:] - x[-2:-(padlen + 2):-1]))
+    from scipy.signal import sosfilt
     # copy: scipy's section filter needs a writable coefficient buffer
     sos = filt.sos.copy()
-    y, _ = sig.sosfilt(sos, ext, zi=filt.zi * ext[:1])
-    y, _ = sig.sosfilt(sos, y[::-1], zi=filt.zi * y[-1:])
+    y, _ = sosfilt(sos, ext, zi=filt.zi * ext[:1])
+    y, _ = sosfilt(sos, y[::-1], zi=filt.zi * y[-1:])
     return y[::-1][padlen:-padlen]
 
 
@@ -174,7 +180,8 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         raise InvalidSpecError(
             f"fs {fs} must be an integer multiple of the envelope rate")
     n_hi = env.grid.n * up_int
-    hi = sig.resample(env.samples, n_hi)
+    from scipy.signal import resample
+    hi = resample(env.samples, n_hi)
     v = np.real(hi * _beat_carrier(env.grid.t0, fs, n_hi, f_beat))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

@@ -72,8 +72,10 @@ class LoopConfig:
     ``memory`` and ``lambda_reg`` parameterize the kernel estimation
     used by the transfer-function method, which re-estimates the kernel
     from every measurement that does not meet ``convergence_mase``.
-    ``lambda_reg = 0`` selects the exact minimum-norm least-squares fit
-    (see ``estimate_kernel`` for its singular-value cutoff).
+    ``lambda_reg = 0`` selects the exact minimum-norm least-squares fit:
+    back-substitution on the fit's triangular factor when a bound proves
+    it full rank, else an SVD with NumPy's ``lstsq`` singular-value
+    cutoff (see ``estimate_kernel``).
     """
 
     method: str = "transfer-function"

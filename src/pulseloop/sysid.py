@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError)
 
@@ -63,24 +64,47 @@ def volterra_forward(model: VolterraModel,
     return ComplexEnvelope(env.grid, y)
 
 
+def _regression_rows(env: ComplexEnvelope, memory: int,
+                     y=0.0) -> np.ndarray:
+    """Rows [1, x_n, ..., x_{n-M+1}, y_n] in one Fortran-ordered array.
+
+    The leading ``memory + 1`` columns are the design matrix (see
+    ``build_design_matrix``) and the last holds ``y``, so a fit factors
+    [A | y] without copying A into a second array. The order is LAPACK's
+    column-major layout.
+    """
+    n = env.grid.n
+    if not 1 <= memory <= n:
+        raise InvalidSpecError(f"memory {memory} out of range [1, {n}]")
+    x = env.samples
+    rows = np.zeros((n, memory + 2), dtype=complex, order="F")
+    rows[:, 0] = 1.0
+    for j in range(memory):
+        rows[j:, j + 1] = x[:n - j]
+    rows[:, -1] = y
+    return rows
+
+
 def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     """Regression matrix whose rows are [1, x_n, x_{n-1}, ..., x_{n-M+1}].
 
     Entries with negative signal index are zero (causal padding), so the
     matrix-vector product with [h0, h1] reproduces ``volterra_forward``.
     """
-    n = env.grid.n
-    if not 1 <= memory <= n:
-        raise InvalidSpecError(f"memory {memory} out of range [1, {n}]")
-    x = env.samples
-    a = np.zeros((n, memory + 1), dtype=complex)
-    a[:, 0] = 1.0
-    for j in range(memory):
-        a[j:, j + 1] = x[:n - j]
-    return a
+    return _regression_rows(env, memory)[:, :-1]
 
 
 _TSQR_BLOCK = 8  # rows per column in one block of ``_triangular``
+
+
+def _qr_r(block: np.ndarray) -> np.ndarray:
+    """R factor of one block, as ``np.linalg.qr(block, mode="r")``.
+
+    LAPACK's ``zgeqrf`` called directly: the same Householder reduction
+    bit for bit, without NumPy's generic-wrapper overhead.
+    """
+    qr = lapack.zgeqrf(block)[0]
+    return np.triu(qr[:min(qr.shape)])
 
 
 def _triangular(rows: np.ndarray) -> np.ndarray:
@@ -94,8 +118,8 @@ def _triangular(rows: np.ndarray) -> np.ndarray:
     """
     step = _TSQR_BLOCK * rows.shape[1]
     if len(rows) <= step:
-        return np.linalg.qr(rows, mode="r")
-    return _triangular(np.vstack([np.linalg.qr(rows[i:i + step], mode="r")
+        return _qr_r(rows)
+    return _triangular(np.vstack([_qr_r(rows[i:i + step])
                                   for i in range(0, len(rows), step)]))
 
 
@@ -117,6 +141,30 @@ def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     u, s, vh = u[:, keep], s[keep], vh[keep]
     gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
     return (gain * (u.conj().T @ z)) @ vh.conj()
+
+
+def _solve(rz: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """``_ridge_path(rz, n, [lam])[0]``, by back-substitution when it can.
+
+    At lam = 0 the square head r of the factor is triangular. When
+    1 / ||r^-1||_F > p * eps * max(n, p) * ||r||_F for p coefficients,
+    every singular value of r (at least 1 / ||r^-1||_F, while
+    s_max <= ||r||_F) lies above ``_ridge_path``'s cutoff by the factor
+    p, which covers the rounding of the computed inverse and of the
+    SVD's singular values. No direction would be dropped, so the
+    least-squares solution is r^-1 z, found by back-substitution, which
+    is as backward stable as the SVD (Golub & Van Loan, *Matrix
+    Computations*, 5.3). Any other fit, including a singular r, takes
+    the SVD path.
+    """
+    p = rz.shape[1] - 1
+    if lam == 0:
+        r, z = rz[:p, :p], rz[:p, p:]
+        r_inv, info = lapack.ztrtri(r)
+        bound = p * np.finfo(float).eps * max(n, p) * np.linalg.norm(r)
+        if info == 0 and np.linalg.norm(r_inv) * bound < 1.0:
+            return lapack.ztrtrs(r, z)[0][:, 0]
+    return _ridge_path(rz, n, [lam])[0]
 
 
 def _check_pair(inp: ComplexEnvelope, out: ComplexEnvelope,
@@ -144,14 +192,19 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         offset; zero requests the plain (minimum-norm) least squares
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
+
+    The design rows are reduced to a triangular factor R. At
+    ``lambda_reg = 0`` the fit back-substitutes on R when a bound on
+    ||R^-1|| proves that no singular value reaches the cutoff above (see
+    ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
+    the SVD of R with that cutoff.
     """
     _check_pair(inp, out, memory)
     if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
         raise InvalidSpecError(
             f"lambda_reg must be finite and >= 0, got {lambda_reg}")
-    a = build_design_matrix(inp, memory)
-    rz = _triangular(np.column_stack([a, out.samples]))
-    theta = _ridge_path(rz, inp.grid.n, [lambda_reg])[0]
+    rz = _triangular(_regression_rows(inp, memory, out.samples))
+    theta = _solve(rz, inp.grid.n, lambda_reg)
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
 
@@ -207,7 +260,7 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     if cv.folds > n:
         raise InvalidSpecError(
             f"cannot split {n} samples into {cv.folds} folds")
-    rows = np.column_stack([build_design_matrix(inp, memory), out.samples])
+    rows = _regression_rows(inp, memory, out.samples)
     parts = np.array_split(rows, cv.folds)
     factors = [_triangular(part) for part in parts]
     mse_sum = np.zeros(len(cv.lambda_grid))
@@ -220,5 +273,5 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
     if n > _TSQR_BLOCK * rows.shape[1]:
         rows = np.vstack(factors)
-    theta = _ridge_path(_triangular(rows), n, [lambda_star])[0]
+    theta = _solve(_triangular(rows), n, lambda_star)
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

@@ -67,7 +67,7 @@ def test_params_validation():
     ("delay", np.nan), ("delay", np.inf), ("delay", -1e-9),
     ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("noise_sigma", -0.1),
     ("mismatch_kappa", np.nan), ("mismatch_kappa", np.inf),
-    ("mismatch_kappa", -np.inf),
+    ("mismatch_kappa", -np.inf), ("seed", -1),
 ])
 def test_channel_config_rejects_non_finite_values(field, value):
     with pytest.raises(InvalidSpecError, match=field):
@@ -425,6 +425,14 @@ def test_simulated_channel_rejects_bad_trace_noise(value):
     # These used to give the noiseless measurement, bit for bit.
     with pytest.raises(InvalidSpecError, match="trace_noise_sigma"):
         SimulatedChannel(trace_noise_sigma=value)
+
+
+def test_simulated_channel_rejects_a_negative_seed():
+    # Shot k draws from seed + k; a negative seed used to fail only at
+    # the first noisy shot, with NumPy's bare ValueError.
+    with pytest.raises(InvalidSpecError, match="seed"):
+        SimulatedChannel(trace_noise_sigma=0.02, seed=-1)
+    SimulatedChannel(trace_noise_sigma=0.02, seed=0)
 
 
 def test_simulated_channel_rejects_an_undersampled_beat():

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulseloop
 from pulseloop import cli, fileio
 from pulseloop.channel import ChannelConfig
 from pulseloop.cli import build_parser, main
@@ -30,6 +33,19 @@ def _make_pulse(outdir, duration="5e-7", kind="gate-standin"):
     assert main(["pulse", "--kind", kind, "--duration", duration,
                  "--outdir", outdir]) == 0
     return os.path.join(outdir, "pulse.csv")
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    # They take about half of the import; only the commands that
+    # filter, resample or calibrate load them, on first use.
+    src = os.path.dirname(os.path.dirname(pulseloop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pulseloop, pulseloop.cli; print(sorted(m for m in "
+            "('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------------- pulse
@@ -352,6 +368,16 @@ def test_loop_bad_memory_exits_2_without_a_report(outdir, capsys):
     assert main(["loop", "--target", pulse, "--channel", chan,
                  "--memory", "0", "--outdir", outdir]) == 2
     assert "memory" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "report.json"))
+
+
+def test_loop_negative_seed_exits_2_naming_it(outdir, capsys):
+    pulse = _make_pulse(outdir)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["loop", "--target", pulse, "--channel", chan,
+                 "--trace-noise-sigma", "0.02", "--seed", "-1",
+                 "--outdir", outdir]) == 2
+    assert "seed" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(outdir, "report.json"))
 
 

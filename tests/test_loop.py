@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from pulseloop import loop
+from pulseloop import loop, sysid
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
 from pulseloop.demod import suggested_cutoff
@@ -384,6 +384,30 @@ def test_closed_loop_tf_2us_converges_with_exact_least_squares_kernel():
         assert report.converged
         assert len(report.records) == 2
         assert report.mase_trace[-1] <= 1.2e-4
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7])
+def test_closed_loop_tf_is_unchanged_by_back_substitution(duration,
+                                                          monkeypatch):
+    # Solving every lambda = 0 kernel fit through the SVD instead of by
+    # back-substitution gives the same shots and the same MASE traces.
+    target = _gate(duration)
+
+    def traces():
+        out = []
+        for seed in range(5):
+            chan = SimulatedChannel(ChannelConfig(),
+                                    cutoff=suggested_cutoff(duration),
+                                    trace_noise_sigma=0.02, seed=seed)
+            out.append(closed_loop(chan.measure, target).mase_trace)
+        return out
+
+    fast = traces()
+    monkeypatch.setattr(sysid, "_solve", lambda rz, n, lam:
+                        sysid._ridge_path(rz, n, [lam])[0])
+    for got, ref in zip(fast, traces()):
+        assert len(got) == len(ref)
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=0)
 
 
 def test_closed_loop_wraps_callback_failures():
