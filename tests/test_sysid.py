@@ -286,20 +286,8 @@ def test_estimate_block_edges_match_dense_least_squares(n, lam):
     assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-6
 
 
-def _near_constant_pair():
-    # A near-constant input leaves one design singular value at 1.3e-14
-    # of the largest: under the lstsq cutoff eps * max(rows, columns)
-    # (8.9e-13 at n = 4000, 7.1e-13 for a 3200-row training fold) but
-    # above eps times the much smaller R factor's shape.
-    rng = np.random.default_rng(3)
-    n = 4000
-    inp = _env(1.0 + 3e-14 * (rng.standard_normal(n)
-                              + 1j * rng.standard_normal(n)))
-    return inp, _random_env(rng, n)
-
-
 def _spy_ridge_path(monkeypatch):
-    """Count the calls to ``sysid._ridge_path`` made from here on."""
+    """Record the calls to ``sysid._ridge_path`` made from here on."""
     calls = []
     ridge_path = sysid._ridge_path
 
@@ -310,33 +298,31 @@ def _spy_ridge_path(monkeypatch):
     return calls
 
 
-def test_minimum_norm_cutoff_counts_the_design_rows():
-    # Taken from the factor's shape, the cutoff would keep the tiny
-    # singular value of ``_near_constant_pair`` and the taps blow up.
-    inp, out = _near_constant_pair()
+def test_minimum_norm_cutoff_counts_the_design_rows(monkeypatch):
+    # A near-constant input leaves one design singular value at 1.3e-14
+    # of the largest: under the lstsq cutoff eps * max(rows, columns)
+    # (8.9e-13 at n = 4000, 7.1e-13 for a 3200-row training fold) but
+    # above eps times the much smaller R factor's shape. Taken from the
+    # factor's shape, the cutoff would keep it and the taps blow up.
+    rng = np.random.default_rng(3)
+    n = 4000
+    inp = _env(1.0 + 3e-14 * (rng.standard_normal(n)
+                              + 1j * rng.standard_normal(n)))
+    out = _random_env(rng, n)
+    calls = _spy_ridge_path(monkeypatch)
     model = estimate_kernel(inp, out, 4, 0.0)
+    # The full-rank bound fails, so the fit falls back to the SVD.
+    assert len(calls) == 1
     ref = _ridge_oracle(build_design_matrix(inp, 4), out.samples, 0.0)
     assert _rel_err(_theta(model), ref) < 1e-9
     cv = CVConfig(5, (0.0,))
     _, scores, cv_model = cross_validate(inp, out, 4, cv)
+    assert len(calls) == 1 + cv.folds + 1
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
                                rtol=1e-6)
     # The final fit reduces the fold factors but keeps the cutoff of all
     # 4000 rows, so it drops the same direction.
     assert _rel_err(_theta(cv_model), ref) < 1e-9
-
-
-def test_rank_deficient_lambda_zero_fit_takes_the_svd(monkeypatch):
-    # The full-rank bound fails on the near-constant input, so both the
-    # plain fit and the cross-validated final fit fall back to the SVD,
-    # which drops the unresolved direction.
-    inp, out = _near_constant_pair()
-    calls = _spy_ridge_path(monkeypatch)
-    estimate_kernel(inp, out, 4, 0.0)
-    assert len(calls) == 1 and list(calls[0][2]) == [0.0]
-    folds = 5
-    cross_validate(inp, out, 4, CVConfig(folds, (0.0,)))
-    assert len(calls) == 1 + folds + 1
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
@@ -351,13 +337,6 @@ def test_back_substitution_matches_the_svd_on_gate(duration, monkeypatch):
     rz = sysid._triangular(sysid._regression_rows(inp, 64, out.samples))
     ref = sysid._ridge_path(rz, inp.grid.n, [0.0])[0]
     assert _rel_err(_theta(model), ref) < 1e-9
-
-
-def test_ridge_fits_always_take_the_svd(monkeypatch):
-    inp, out = _gate_pair(1.8e-7)
-    calls = _spy_ridge_path(monkeypatch)
-    estimate_kernel(inp, out, 64, 1e-6)
-    assert len(calls) == 1 and list(calls[0][2]) == [1e-6]
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
