@@ -4,6 +4,12 @@ The measurement chain represents an envelope as the real voltage
 v(t) = Re[s(t) e^{i 2 pi f_beat t}] on a fast detector grid, and recovers
 it by mixing back down, low-pass filtering both quadratures with a
 forward-backward Butterworth filter, and resampling to the working grid.
+
+The Butterworth sections are designed in closed form, and each filter
+pass runs as an exact block recursion on the cascade's state-space form
+(C. S. Burrus, "Block realization of digital filters", IEEE Trans. Audio
+Electroacoust. 20(4), 1972), so the module needs only ``scipy.fft`` and
+``scipy.linalg``, which ``import pulseloop`` loads anyway.
 """
 
 from __future__ import annotations
@@ -12,17 +18,19 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft as sfft
+from scipy.linalg import lapack, toeplitz
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid)
-
-# scipy.signal is imported inside its four users: with the scipy.optimize
-# it loads, it is about half of ``import pulseloop``, and commands that
-# never filter or resample should not pay for it.
 
 DEFAULT_FS = 2e9        # trace sample rate, 2 GS/s
 DEFAULT_F_BEAT = 200e6  # beat at twice the 100 MHz modulator drive
 DEFAULT_ORDER = 4
 DEFAULT_CUTOFF = 20e6
+
+# Samples per block of a filter pass: each block costs two small matrix
+# products, and the states at the block edges one banded solve.
+_BLOCK = 64
 
 
 class AliasingError(ValueError):
@@ -52,9 +60,13 @@ class BeatTrace:
 class FilterSpec:
     """Low-pass filter as a stable cascade of second-order sections.
 
-    ``zi`` is the steady-state step response of each section
-    (``scipy.signal.sosfilt_zi``), computed once here; ``filtfilt``
-    scales it by the edge value of each pass.
+    Each row of ``sos`` is ``[b0, b1, b2, 1, a1, a2]``, run in transposed
+    direct form II as ``scipy.signal.sosfilt`` runs it; a first-order
+    section has b2 = a2 = 0. Computed once here, read-only: ``zi``, the
+    steady-state response of each section to a unit step (the state
+    ``scipy.signal.sosfilt_zi`` returns), which ``filtfilt`` scales by
+    the edge value of each pass, and the block operators ``filtfilt``
+    runs the cascade with.
     """
 
     order: int
@@ -62,20 +74,85 @@ class FilterSpec:
     fs: float
     sos: np.ndarray
     zi: np.ndarray = field(init=False, repr=False, compare=False)
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.sos, dtype=float)
-        arr.setflags(write=False)
+        arr = np.array(self.sos, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 6 or len(arr) == 0:
+            raise InvalidSpecError(
+                f"sos must have shape (n_sections, 6), got {arr.shape}")
+        if not np.all(arr[:, 3] == 1.0):
+            raise InvalidSpecError("sos[:, 3] must be all ones")
+        blocks = (_steady_state(arr),) + _block_operators(arr)
+        for a in (arr,) + blocks:
+            a.setflags(write=False)
         object.__setattr__(self, "sos", arr)
-        from scipy.signal import sosfilt_zi
-        zi = sosfilt_zi(arr)
-        zi.setflags(write=False)
-        object.__setattr__(self, "zi", zi)
+        object.__setattr__(self, "zi", blocks[0])
+        object.__setattr__(self, "_blocks", blocks[1:])
+
+
+def _steady_state(sos: np.ndarray) -> np.ndarray:
+    # A section at rest under a constant input u holds z = u * zi_s with
+    # [[1 + a1, -1], [a2, 1]] zi_s = [b1 - a1 b0, b2 - a2 b0]; its input
+    # is the unit step scaled by the DC gain of the sections before it.
+    b, a = sos[:, :3], sos[:, 3:]
+    m = np.zeros((len(sos), 2, 2))
+    m[:, 0, 0] = 1.0 + a[:, 1]
+    m[:, 0, 1] = -1.0
+    m[:, 1, 0] = a[:, 2]
+    m[:, 1, 1] = 1.0
+    zi = np.linalg.solve(m, (b[:, 1:] - a[:, 1:] * b[:, :1])[..., None])
+    gain = np.cumprod(np.concatenate(([1.0], b.sum(1)[:-1] / a.sum(1)[:-1])))
+    return zi[..., 0] * gain[:, None]
+
+
+def _block_operators(sos: np.ndarray) -> tuple:
+    """Operators of one ``_BLOCK``-sample step of the section cascade.
+
+    With x_k the input block k and z_k the 2 x n_sections states before
+    it, y_k = O z_k + T x_k and z_k+1 = A^L z_k + G x_k. They come from
+    running the cascade's own recursion for L steps, from each unit state
+    with no input and from rest on a unit impulse: products of the state
+    matrix would round more on poles near the unit circle. Returned
+    transposed for row-vector blocks, (T', O', G'), with A^L laid out as
+    the band of the lower-triangular system that chains the states.
+    """
+    n_state = 2 * len(sos)
+    z = np.zeros((len(sos), 2, n_state + 1))
+    z.reshape(n_state, n_state + 1)[:, :n_state] = np.eye(n_state)
+    out = np.empty((_BLOCK, n_state + 1))
+    g = np.empty((_BLOCK, n_state))
+    u = np.zeros(n_state + 1)
+    u[-1] = 1.0
+    for j in range(_BLOCK):
+        for (b0, b1, b2, _, a1, a2), zs in zip(sos, z):
+            y = b0 * u + zs[0]
+            zs[0] = b1 * u - a1 * y + zs[1]
+            zs[1] = b2 * u - a2 * y
+            u = y
+        out[j] = u
+        g[_BLOCK - 1 - j] = z[:, :, -1].ravel()
+        u = np.zeros(n_state + 1)
+    power = z[:, :, :-1].reshape(n_state, n_state)
+    # Column j of the system: 1 on the diagonal, -A^L[:, j] in the next
+    # block's rows, n_state - j to 2 n_state - 1 - j below it.
+    band = np.zeros((2 * n_state, n_state))
+    band[0] = 1.0
+    for j in range(n_state):
+        band[n_state - j:2 * n_state - j, j] = -power[:, j]
+    return np.triu(toeplitz(out[:, -1])), out[:, :-1].T.copy(), g, band
 
 
 @lru_cache(maxsize=32)
 def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     """Design a Butterworth low-pass as second-order sections.
+
+    The analog prototype's poles -exp(i pi m / 2 order) are mapped by the
+    bilinear transform, prewarped so the -3 dB point lands on ``cutoff``;
+    each conjugate pair makes one section with a double zero at z = -1
+    and unit gain at DC, and an odd order adds one first-order section
+    for the real pole. Sections run from the pole farthest from the unit
+    circle to the nearest, as ``scipy.signal.butter`` orders them.
 
     Memoized on the arguments: a ``FilterSpec`` is frozen with read-only
     arrays, so every caller with the same settings shares one.
@@ -94,9 +171,19 @@ def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     if not 0 < cutoff < fs / 2:
         raise InvalidSpecError(
             f"cutoff {cutoff} must lie in (0, fs/2={fs / 2})")
-    from scipy.signal import butter
-    sos = butter(order, cutoff, btype="low", fs=fs, output="sos")
-    return FilterSpec(order=order, cutoff=cutoff, fs=fs, sos=sos)
+    t = np.tan(np.pi * cutoff / fs)
+    sos = []
+    if order % 2:
+        g = t / (1 + t)
+        sos.append([g, g, 0.0, 1.0, -(1 - t) / (1 + t), 0.0])
+    for m in range(1 + order % 2, order, 2):
+        # s = -cos(phi) +- i sin(phi) maps to z = (1 + t s) / (1 - t s).
+        c = np.cos(np.pi * m / (2 * order))
+        d = 1 + 2 * t * c + t * t
+        g = t * t / d
+        sos.append([g, 2 * g, g, 1.0, -2 * (1 - t * t) / d,
+                    (1 - 2 * t * c + t * t) / d])
+    return FilterSpec(order=order, cutoff=cutoff, fs=fs, sos=np.array(sos))
 
 
 def filtfilt(filt: FilterSpec, x) -> np.ndarray:
@@ -107,28 +194,65 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     ends, extended automatically when the cutoff transient is longer.
     Each pass starts from the filter's stored steady state ``filt.zi``
     scaled by its first sample: the recipe of
-    ``scipy.signal.sosfiltfilt`` with ``padtype="odd"``, whose output
-    this equals bit for bit. Complex input is filtered as one sequence;
-    the coefficients are real, so that equals filtering the real and
-    imaginary parts apart.
+    ``scipy.signal.sosfiltfilt`` with ``padtype="odd"``, which the
+    output matches to rounding (1e-12 of max |x| for cutoffs down to
+    fs/100). Complex input is filtered as its real and imaginary parts,
+    with the same operations on each, so the result equals filtering
+    them apart bit for bit.
     """
     x = np.asarray(x)
-    x = x.astype(complex if np.iscomplexobj(x) else float, copy=False)
+    x = np.ascontiguousarray(x, complex if np.iscomplexobj(x) else float)
+    n = len(x)
     min_len = 3 * filt.order
-    if len(x) <= min_len:
+    if n <= min_len:
         raise InvalidSpecError(
-            f"sequence length {len(x)} too short for order {filt.order}")
+            f"sequence length {n} too short for order {filt.order}")
     # Transient of a cutoff-limited filter spans ~fs/cutoff samples; pad
     # generously so edge effects stay out of the record interior.
-    padlen = min(len(x) - 1, max(min_len, int(3 * filt.fs / filt.cutoff)))
-    ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x,
-                          2 * x[-1:] - x[-2:-(padlen + 2):-1]))
-    from scipy.signal import sosfilt
-    # copy: scipy's section filter needs a writable coefficient buffer
-    sos = filt.sos.copy()
-    y, _ = sosfilt(sos, ext, zi=filt.zi * ext[:1])
-    y, _ = sosfilt(sos, y[::-1], zi=filt.zi * y[-1:])
-    return y[::-1][padlen:-padlen]
+    padlen = min(n - 1, max(min_len, int(3 * filt.fs / filt.cutoff)))
+    rows = x.view(float).reshape(n, 2).T if x.dtype == complex else x[None]
+    # Both passes run in one zero-filled buffer of whole blocks, so a call
+    # allocates few large arrays: each costs fresh, page-faulted memory.
+    n_ext = n + 2 * padlen
+    buf = np.zeros((len(rows), -(-n_ext // _BLOCK) * _BLOCK))
+    buf[:, :padlen] = 2 * rows[:, :1] - rows[:, padlen:0:-1]
+    buf[:, padlen:padlen + n] = rows
+    buf[:, padlen + n:n_ext] = 2 * rows[:, -1:] - rows[:, -2:-(padlen + 2):-1]
+    zi = filt.zi.ravel()
+    y = _block_pass(filt, buf, buf[:, :1] * zi)
+    buf[:, :n_ext] = y[:, n_ext - 1::-1]
+    y = _block_pass(filt, buf, buf[:, :1] * zi)
+    y = y[:, n_ext - 1 - padlen:padlen - 1:-1]
+    if x.dtype != complex:
+        return y[0]
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = y
+    return out
+
+
+def _block_pass(filt: FilterSpec, buf: np.ndarray,
+                z0: np.ndarray) -> np.ndarray:
+    """Run the cascade over each row of ``buf`` from the states ``z0``.
+
+    The rows hold whole blocks of ``_BLOCK`` samples. The states entering
+    the blocks solve the recursion z_k+1 = A^L z_k + G x_k as one banded
+    lower-triangular system; the outputs are then T x_k + O z_k. Every
+    row takes the same operations, so a row's result does not depend on
+    the rows beside it.
+    """
+    t_op, o_op, g_op, band = filt._blocks
+    rows = len(buf)
+    n_state = len(band[0])
+    xb = buf.reshape(rows, -1, _BLOCK)
+    k = xb.shape[1]
+    rhs = np.empty((rows, k, n_state))
+    rhs[:, 0] = z0
+    np.matmul(xb[:, :-1], g_op, out=rhs[:, 1:])
+    z, _ = lapack.dtbtrs(np.tile(band, k),
+                         rhs.reshape(rows, k * n_state).T, uplo="L")
+    y = xb @ t_op
+    y += z.T.reshape(rows, k, n_state) @ o_op
+    return y.reshape(rows, -1)
 
 
 def suggested_cutoff(duration: float) -> float:
@@ -180,8 +304,7 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         raise InvalidSpecError(
             f"fs {fs} must be an integer multiple of the envelope rate")
     n_hi = env.grid.n * up_int
-    from scipy.signal import resample
-    hi = resample(env.samples, n_hi)
+    hi = _upsample(env.samples, n_hi)
     v = np.real(hi * _beat_carrier(env.grid.t0, fs, n_hi, f_beat))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -222,6 +345,26 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     if idx[0] < 0 or idx[-1] >= trace.grid.n:
         raise InvalidSpecError("out_grid extends beyond the trace")
     return ComplexEnvelope(out_grid, z[idx])
+
+
+def _upsample(x: np.ndarray, num: int) -> np.ndarray:
+    """Fourier interpolation of complex ``x`` onto ``num`` >= len(x) points.
+
+    The two-sided branch of ``scipy.signal.resample``, operation for
+    operation, so equal to it bit for bit: the spectrum is zero-padded,
+    an even-length input's Nyquist bin split between +-fs/2.
+    """
+    n = len(x)
+    spec = sfft.fft(x)
+    half = n // 2 + 1
+    out = np.zeros(num, dtype=spec.dtype)
+    out[:half] = spec[:half]
+    if half < n:
+        out[half - n:] = spec[half - n:]
+    if n % 2 == 0 and num > n:
+        out[n // 2] /= 2
+        out[num - n // 2] = out[n // 2]
+    return sfft.ifft(out / (n / num), overwrite_x=True)
 
 
 # The carriers depend only on the grid and f_beat, which stay fixed over

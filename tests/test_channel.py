@@ -13,8 +13,8 @@ from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                peak_quadrature_phase, quadrature_phase,
                                reflectance_trace, _kernel_spectrum,
                                _polyphase_kernel)
-from pulseloop.demod import (AliasingError, demodulate, suggested_cutoff,
-                             synthesize_beat)
+from pulseloop.demod import (AliasingError, demodulate, design_lowpass,
+                             filtfilt, suggested_cutoff, synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
                                 default_grid, embed, make_pulse,
@@ -477,9 +477,11 @@ def _uncached_reflectance(p_env, params, kappa, refine=3):
 
 def _uncached_measure(chan, env, shot):
     # SimulatedChannel.measure with every shot-invariant quantity (the
-    # reflectance kernel, both carriers, the filter state) recomputed.
-    # The window runs from PAD_PRE samples before the delayed response
-    # to post_pad samples behind the request.
+    # reflectance kernel, both carriers, the filter and its operators)
+    # recomputed. The window runs from PAD_PRE samples before the delayed
+    # response to post_pad samples behind the request. Returns the shot,
+    # the same shot filtered by scipy's Butterworth design and
+    # sosfiltfilt instead, and max |z| of the filter input.
     cfg = chan.config
     assert cfg.noise_sigma == 0
     dt = env.grid.dt
@@ -502,12 +504,14 @@ def _uncached_measure(chan, env, shot):
         d * up:]
     t = out.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
     z = 2.0 * v * np.exp(-2j * np.pi * chan.f_beat * t)
+    filt = design_lowpass.__wrapped__(chan.filter.order, chan.cutoff,
+                                      chan.fs)
     padlen = min(n_hi - 1, max(3 * chan.filter.order,
                                int(3 * chan.fs / chan.cutoff)))
     sos = sig.butter(chan.filter.order, chan.cutoff, fs=chan.fs,
                      output="sos")
-    z = sig.sosfiltfilt(sos, z, padtype="odd", padlen=padlen)
-    return z[::up]
+    ref = sig.sosfiltfilt(sos, z, padtype="odd", padlen=padlen)
+    return filtfilt(filt, z)[::up], ref[::up], np.max(np.abs(z))
 
 
 def test_measure_equals_the_uncached_pipeline_shot_by_shot():
@@ -547,8 +551,10 @@ def test_measure_equals_the_uncached_pipeline_shot_by_shot():
     for shot in range(3):
         for k, (chan, env) in enumerate(cases):
             got = chan.measure(env)
-            want = _uncached_measure(chan, env, shot)
+            want, ref, scale = _uncached_measure(chan, env, shot)
             assert np.array_equal(got.samples, want), (shot, k)
+            # scipy's design and sosfiltfilt agree to rounding.
+            assert np.max(np.abs(want - ref)) <= 1e-12 * scale, (shot, k)
             p_env, params, kappa, refine = others[k % len(others)]
             assert np.array_equal(
                 reflectance_trace(p_env, params, kappa, refine=refine),

@@ -35,9 +35,34 @@ def _make_pulse(outdir, duration="5e-7", kind="gate-standin"):
     return os.path.join(outdir, "pulse.csv")
 
 
-def test_import_leaves_scipy_signal_and_optimize_unloaded():
-    # They take about half of the import; only the commands that
-    # filter, resample or calibrate load them, on first use.
+_SHOT_PATH = """
+import os, sys
+import pulseloop as pl
+from pulseloop import cli, fileio
+from pulseloop.envelope import PulseSpec, default_grid, make_pulse
+from pulseloop.loop import LOOP_METHODS
+target = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7),
+                    default_grid(5e-7))
+for method in LOOP_METHODS:
+    chan = pl.SimulatedChannel(cutoff=pl.suggested_cutoff(5e-7),
+                               trace_noise_sigma=0.02, seed=1)
+    pl.closed_loop(chan.measure, target, pl.LoopConfig(method=method))
+os.chdir(sys.argv[1])
+fileio.write_channel_json("chan.json", pl.ChannelConfig())
+assert cli.main(["pulse", "--kind", "gate-standin", "--duration", "5e-7"]) == 0
+assert cli.main(["simulate", "--input", "pulse.csv", "--channel", "chan.json",
+                 "--trace-out", "trace.csv"]) == 0
+assert cli.main(["demod", "--trace", "trace.csv"]) == 0
+print(sorted(m for m in ("scipy.signal", "scipy.optimize")
+             if m in sys.modules))
+"""
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded(tmp_path):
+    # Importing them takes about half of ``import pulseloop``. Neither the
+    # import nor the shot path (closed loops of both methods, simulate
+    # with a trace, demod) loads them; only ``calibrate_kappa`` imports
+    # scipy.optimize, on first use.
     src = os.path.dirname(os.path.dirname(pulseloop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -46,6 +71,11 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _SHOT_PATH, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "demodulated.csv").exists()
 
 
 # ------------------------------------------------------------------- pulse

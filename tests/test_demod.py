@@ -53,6 +53,22 @@ def test_phase_ramp_shifts_the_tone():
                                                             rel=1e-3)
 
 
+@pytest.mark.parametrize("n", [127, 128, 1660])
+@pytest.mark.parametrize("up", [1, 2, 3])
+def test_beat_upsampling_equals_scipy_resample(n, up):
+    # Odd and even lengths (an even one splits its Nyquist bin), and no
+    # resampling at all, bit for bit.
+    rng = np.random.default_rng(n + up)
+    grid = TimeGrid(3e-9, up / FS, n)
+    env = ComplexEnvelope(grid, rng.standard_normal(n)
+                          + 1j * rng.standard_normal(n))
+    trace = synthesize_beat(env, f_beat=F_BEAT, fs=FS)
+    t = grid.t0 + np.arange(n * up) / FS
+    ref = np.real(sig.resample(env.samples, n * up)
+                  * np.exp(2j * np.pi * F_BEAT * t))
+    assert np.array_equal(trace.samples, ref)
+
+
 def test_synthesize_rejects_aliasing():
     env = _constant_env(128)
     with pytest.raises(AliasingError):
@@ -195,21 +211,42 @@ def _filtfilt_inputs():
 
 def test_filtfilt_matches_reference_padding_rule():
     # scipy's forward-backward filter with the same odd-reflection
-    # padding is the oracle, bit for bit.
+    # padding is the oracle, to 1e-12 of the input's peak: the block
+    # recursion rounds differently from a sample-by-sample cascade.
     inputs = _filtfilt_inputs()
     for name, (order, cutoff, x) in inputs.items():
         filt = design_lowpass(order, cutoff, FS)
         y = filtfilt(filt, x)
         padlen = min(len(x) - 1, max(3 * order, int(3 * FS / cutoff)))
         ref = sig.sosfiltfilt(filt.sos.copy(), x, padtype="odd",
-                              padlen=padlen)
+                               padlen=padlen)
         assert y.dtype == ref.dtype, name
-        assert np.array_equal(y, ref), name
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(x)), name
     # Symmetry: y(step + k) - 0.5 == 0.5 - y(step - k) near the step.
     y = filtfilt(design_lowpass(4, 50e6, FS), inputs["step"][2])
     k = np.arange(1, 200)
     np.testing.assert_allclose(y[1024 + k - 1] - 0.5, 0.5 - y[1024 - k],
                                atol=1e-9)
+
+
+def test_filter_spec_runs_any_valid_sections():
+    # scipy's odd-order designs pair a double zero with the real pole and
+    # keep the whole gain in the first section; a FilterSpec built by hand
+    # on them filters as sosfiltfilt does.
+    x = _filtfilt_inputs()["complex-noise"][2]
+    for order in (3, 5, 6):
+        sos = sig.butter(order, 30e6, fs=FS, output="sos")
+        filt = FilterSpec(order=order, cutoff=30e6, fs=FS, sos=sos)
+        padlen = min(len(x) - 1, max(3 * order, int(3 * FS / 30e6)))
+        ref = sig.sosfiltfilt(sos, x, padtype="odd", padlen=padlen)
+        assert np.max(np.abs(filtfilt(filt, x) - ref)) <= 1e-12 * np.max(
+            np.abs(x)), order
+    with pytest.raises(InvalidSpecError, match="shape"):
+        FilterSpec(order=4, cutoff=30e6, fs=FS, sos=np.ones((2, 5)))
+    bad = sig.butter(4, 30e6, fs=FS, output="sos")
+    bad[1, 3] = 2.0
+    with pytest.raises(InvalidSpecError, match="ones"):
+        FilterSpec(order=4, cutoff=30e6, fs=FS, sos=bad)
 
 
 def test_filter_initial_state_is_stored_read_only():
