@@ -28,7 +28,7 @@ DEFAULT_F_BEAT = 200e6  # beat at twice the 100 MHz modulator drive
 DEFAULT_ORDER = 4
 DEFAULT_CUTOFF = 20e6
 
-# Samples per block of a filter pass: each block costs two small matrix
+# Samples per block of a filter pass: each block costs three small matrix
 # products, and the states at the block edges one banded solve.
 _BLOCK = 64
 
@@ -83,12 +83,13 @@ class FilterSpec:
                 f"sos must have shape (n_sections, 6), got {arr.shape}")
         if not np.all(arr[:, 3] == 1.0):
             raise InvalidSpecError("sos[:, 3] must be all ones")
-        blocks = (_steady_state(arr),) + _block_operators(arr)
-        for a in (arr,) + blocks:
+        zi = _steady_state(arr)
+        blocks = _block_operators(arr)
+        for a in (arr, zi) + blocks:
             a.setflags(write=False)
         object.__setattr__(self, "sos", arr)
-        object.__setattr__(self, "zi", blocks[0])
-        object.__setattr__(self, "_blocks", blocks[1:])
+        object.__setattr__(self, "zi", zi)
+        object.__setattr__(self, "_blocks", blocks)
 
 
 def _steady_state(sos: np.ndarray) -> np.ndarray:
@@ -200,7 +201,6 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     with the same operations on each, so the result equals filtering
     them apart bit for bit.
     """
-    x = np.asarray(x)
     x = np.ascontiguousarray(x, complex if np.iscomplexobj(x) else float)
     n = len(x)
     min_len = 3 * filt.order

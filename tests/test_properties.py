@@ -198,9 +198,10 @@ def _ridge_oracle(a, y, lam):
 def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
                                                          extra, lam):
     # n runs from memory + 1 (square) to well past several row blocks.
-    # Unregularized taps are fixed only to cond(A) x eps, which square
-    # fits push to 1e-3; two stable solvers may differ by a small
-    # multiple of it (20 at worst over 1,500 random fits).
+    # Unregularized taps are fixed only to about cond(A) x eps, and square
+    # fits reach cond(A) = 3e13. Two stable solvers differ by a small
+    # multiple of cond(A) x eps there (20 at worst over 1,500 random
+    # fits), so lam = 0 is bounded by 100 of it, never below 1e-8.
     n = memory + extra
     inp, out = _env(_noise(seed, n)), _env(_noise(seed + 1, n))
     model = estimate_kernel(inp, out, memory, lam)
