@@ -371,15 +371,13 @@ class SimulatedChannel:
     on that window. Callers recover the bulk delay with ``align_delay``
     and crop to their working grid.
 
-    Each call draws fresh trace noise from a per-instance seed sequence,
-    so repeated measurements differ shot to shot but a rebuilt instance
-    replays the identical sequence. The noise of each trace sample
-    depends only on its time relative to the request, not on the delay:
-    the draws for the delay's samples ahead of the window are skipped.
-    The constructor rejects a cutoff at or above the beat, an
-    undersampled beat, a trace noise sigma that is negative or not
-    finite and a negative seed, so a bad setting fails before the first
-    shot.
+    Shot k draws its trace noise from ``seed + k``, from the window's
+    first trace sample on, as ``pulseloop simulate`` does: repeated
+    measurements differ shot to shot, but a rebuilt instance replays the
+    identical sequence. The constructor rejects a cutoff at or above the
+    beat, an undersampled beat, a trace noise sigma that is negative or
+    not finite and a negative seed, so a bad setting fails before the
+    first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -412,12 +410,9 @@ class SimulatedChannel:
 
     def measure(self, env: ComplexEnvelope) -> ComplexEnvelope:
         out = record_response(env, self.config, self.cutoff)
-        rng = np.random.default_rng(self.seed + self.calls)
-        skipped = _delay_samples(self.config, env.grid.dt)
-        rng.standard_normal(skipped * int(round(self.fs * env.grid.dt)))
         trace = _demod.synthesize_beat(out, self.f_beat, self.fs,
                                        noise_sigma=self.trace_noise_sigma,
-                                       seed=rng)
+                                       seed=self.seed + self.calls)
         self.calls += 1
         return _demod.demodulate(trace, self.f_beat, self.filter, out.grid)
 

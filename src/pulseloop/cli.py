@@ -26,8 +26,9 @@ from . import __version__, fileio
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        PulseSpec, TimeGrid, ZeroSignalError, default_grid,
                        make_pulse)
-from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, AliasingError, demodulate,
-                    design_lowpass, suggested_cutoff, synthesize_beat)
+from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, AliasingError, _decimation,
+                    demodulate, design_lowpass, suggested_cutoff,
+                    synthesize_beat)
 from .sysid import CVConfig, cross_validate, estimate_kernel
 from .channel import SimulatedChannel, record_response
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
@@ -136,7 +137,7 @@ def _cmd_demod(args) -> int:
     run = _Run("demod", args)
     trace = fileio.read_trace_csv(run.in_path(args.trace))
     filt = design_lowpass(args.order, args.cutoff_hz, 1.0 / trace.grid.dt)
-    step = max(1, int(round(args.out_dt / trace.grid.dt)))
+    step = _decimation(args.out_dt, trace.grid.dt)
     out_grid = TimeGrid(t0=trace.grid.t0, dt=step * trace.grid.dt,
                         n=trace.grid.n // step)
     env = demodulate(trace, args.beat_hz, filt, out_grid)
@@ -310,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff-hz", type=float, default=20e6)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--out-dt", type=float, default=1e-9,
-                   help="sample period of the output envelope, s")
+                   help="sample period of the output envelope, s; a whole "
+                        "multiple of the trace period")
     p.add_argument("--out", default="demodulated.csv")
     _add_outdir(p)
     p.set_defaults(func=_cmd_demod)

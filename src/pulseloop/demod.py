@@ -208,8 +208,9 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
         raise InvalidSpecError(
             f"sequence length {n} too short for order {filt.order}")
     # Transient of a cutoff-limited filter spans ~fs/cutoff samples; pad
-    # generously so edge effects stay out of the record interior.
-    padlen = min(n - 1, max(min_len, int(3 * filt.fs / filt.cutoff)))
+    # generously so edge effects stay out of the record interior. Rounded,
+    # so a rate read back from a file 1 ulp low pads the same.
+    padlen = min(n - 1, max(min_len, round(3 * filt.fs / filt.cutoff)))
     rows = x.view(float).reshape(n, 2).T if x.dtype == complex else x[None]
     # Both passes run in one zero-filled buffer of whole blocks, so a call
     # allocates few large arrays: each costs fresh, page-faulted memory.
@@ -284,15 +285,17 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         Standard deviation of additive white Gaussian noise per trace
         sample, in the same normalized units as the envelope; finite and
         >= 0.
-    seed : int or numpy.random.Generator
-        Noise generator seed, or a generator to draw from (used as is);
-        identical seeds give identical traces.
+    seed : int
+        Noise generator seed; identical seeds give identical traces.
 
     Returns
     -------
     BeatTrace
         v(t) = Re[s(t) e^{i 2 pi f_beat t}] + n(t) starting at env.grid.t0.
     """
+    if not (np.isfinite(fs) and np.isfinite(f_beat)):
+        raise InvalidSpecError(
+            f"fs {fs} and f_beat {f_beat} must be finite")
     if fs <= 2 * f_beat:
         raise AliasingError(f"fs {fs} must exceed twice f_beat {f_beat}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
@@ -323,7 +326,8 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
 
     The filter cutoff must stay below f_beat so the image at 2*f_beat is
     rejected, the filter must be designed for the trace's sample rate,
-    and ``out_grid`` must be sample-aligned with the trace.
+    and ``out_grid`` must be sample-aligned with the trace, its period a
+    whole multiple of the trace's.
     """
     if filt.cutoff >= f_beat:
         raise InvalidSpecError(
@@ -332,19 +336,31 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
         raise InvalidSpecError(
             f"filter designed at fs {filt.fs} but the trace is sampled at "
             f"{1.0 / trace.grid.dt}")
+    step = _decimation(out_grid.dt, trace.grid.dt)
     z = filtfilt(filt, 2.0 * trace.samples * _mixer(trace.grid, f_beat))
-    step = out_grid.dt / trace.grid.dt
-    step_int = int(round(step))
-    if abs(step - step_int) > 1e-6 or step_int < 1:
-        raise InvalidSpecError("out_grid rate must divide the trace rate")
     offs = (out_grid.t0 - trace.grid.t0) / trace.grid.dt
     k0 = int(round(offs))
     if abs(offs - k0) > 1e-6:
         raise InvalidSpecError("out_grid is not sample-aligned with trace")
-    idx = k0 + step_int * np.arange(out_grid.n)
+    idx = k0 + step * np.arange(out_grid.n)
     if idx[0] < 0 or idx[-1] >= trace.grid.n:
         raise InvalidSpecError("out_grid extends beyond the trace")
     return ComplexEnvelope(out_grid, z[idx])
+
+
+def _decimation(out_dt: float, trace_dt: float) -> int:
+    """Trace samples per output sample, ``out_dt / trace_dt``.
+
+    The ratio must be a positive whole number to 1e-6, so the output
+    samples fall on trace samples.
+    """
+    step = out_dt / trace_dt
+    k = round(step) if np.isfinite(step) else 0
+    if k < 1 or abs(step - k) > 1e-6:
+        raise InvalidSpecError(
+            f"output period {out_dt} s must be a positive whole multiple "
+            f"of the trace period {trace_dt} s")
+    return k
 
 
 def _upsample(x: np.ndarray, num: int) -> np.ndarray:

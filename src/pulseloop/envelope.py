@@ -8,6 +8,7 @@ used as targets, and the two error metrics the loop optimizes against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,11 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidSpecError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidSpecError(
+                f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise InvalidSpecError(f"t0 must be finite, got {self.t0}")
         if self.n < 2:
             raise InvalidSpecError(f"need at least 2 samples, got {self.n}")
 

@@ -101,7 +101,8 @@ def _read_json(path: str, from_dict):
 def _grid_from_times(t: np.ndarray, path: str) -> TimeGrid:
     if len(t) < 2:
         raise InvalidSpecError(f"{path}: need at least two samples")
-    dt = float(t[1] - t[0])
+    # From the whole span: t[1] - t[0] loses digits when t0 is far from 0.
+    dt = float(t[-1] - t[0]) / (len(t) - 1)
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=dt * 1e-6):
         raise InvalidSpecError(f"{path}: time column is not uniform")
     return TimeGrid(t0=float(t[0]), dt=dt, n=len(t))

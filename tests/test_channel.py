@@ -498,10 +498,8 @@ def _uncached_measure(chan, env, shot):
     t = out.grid.t0 + np.arange(n_hi) / chan.fs
     v = np.real(sig.resample(out.samples, n_hi)
                 * np.exp(2j * np.pi * chan.f_beat * t))
-    # Noise as if drawn from the request-anchored origin d samples ahead.
     rng = np.random.default_rng(chan.seed + shot)
-    v = v + chan.trace_noise_sigma * rng.standard_normal(d * up + n_hi)[
-        d * up:]
+    v = v + chan.trace_noise_sigma * rng.standard_normal(n_hi)
     t = out.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
     z = 2.0 * v * np.exp(-2j * np.pi * chan.f_beat * t)
     filt = design_lowpass.__wrapped__(chan.filter.order, chan.cutoff,
@@ -516,9 +514,10 @@ def _uncached_measure(chan, env, shot):
 
 def test_measure_equals_the_uncached_pipeline_shot_by_shot():
     # Channels that differ in cutoff, pulse grid, grid origin, beat
-    # frequency, trace rate and modulator geometry take turns, with
+    # frequency, trace rate, modulator geometry and delay take turns, with
     # reflectance calls on other settings in between, so a cache keyed
     # on too little would hand one of them another's kernel or carrier.
+    # Every shot draws its noise from the window's first trace sample.
     cases = []
     for duration in (1.8e-7, 5e-7, 2e-6):
         grid = default_grid(duration)
@@ -542,6 +541,9 @@ def test_measure_equals_the_uncached_pipeline_shot_by_shot():
         (SimulatedChannel(narrow, cutoff=40e6, trace_noise_sigma=0.02,
                           seed=5), gate),
     ]
+    cases += [(SimulatedChannel(ChannelConfig(delay=delay), cutoff=40e6,
+                                trace_noise_sigma=0.02, seed=6), gate)
+              for delay in (0.0, 2.6e-6, 5e-6)]
     fine = make_pulse(PulseSpec(kind="gate-standin", duration=1.8e-7),
                       default_grid(1.8e-7, dt=5e-10))
     others = [(gate, AcoustoOpticParams(v=600.0), KAPPA_CALIBRATED, 3),
@@ -604,19 +606,16 @@ def test_kernel_spectrum_is_cached_read_only_per_transform_size():
 
 # ----------------------------------------- window opened by the response
 
-def _request_anchored_measure(chan, env, shot):
+def _request_anchored_measure(chan, env):
     # The measurement as recorded from PAD_PRE samples before the
-    # request: the delay shifts the samples right inside that window and
-    # the trace noise is drawn from its first trace sample on.
+    # request: the delay shifts the samples right inside that window.
     cfg = chan.config
     dt = env.grid.dt
     ext = embed(env, chan.PAD_PRE, post_pad(cfg, dt, chan.cutoff))
     d = int(round(cfg.delay / dt))
     shifted = ext.with_samples(shift_samples(ext.samples, d))
     out = apply_channel(shifted, replace(cfg, delay=0.0))
-    trace = synthesize_beat(out, chan.f_beat, chan.fs,
-                            noise_sigma=chan.trace_noise_sigma,
-                            seed=chan.seed + shot)
+    trace = synthesize_beat(out, chan.f_beat, chan.fs)
     return demodulate(trace, chan.f_beat, chan.filter, ext.grid), d
 
 
@@ -624,23 +623,20 @@ def _request_anchored_measure(chan, env, shot):
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_measure_matches_the_request_anchored_window(duration, delay):
     # Opening the window PAD_PRE samples before the delayed response
-    # drops only samples that hold no response, and every trace sample
-    # keeps the noise value it had in the request-anchored window.
+    # drops only samples that hold no response.
     target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
                         default_grid(duration))
     chan = SimulatedChannel(ChannelConfig(delay=delay),
-                            cutoff=suggested_cutoff(duration),
-                            trace_noise_sigma=0.02, seed=7)
+                            cutoff=suggested_cutoff(duration))
     pre = chan.PAD_PRE
-    for shot in range(2):
-        got = chan.measure(target)
-        want, d = _request_anchored_measure(chan, target, shot)
-        dt = target.grid.dt
-        assert got.grid.n == want.grid.n - d
-        assert got.grid.t0 == pytest.approx(
-            target.grid.t0 + (d - pre) * dt, abs=1e-6 * dt)
-        peak = np.max(np.abs(want.samples))
-        err = np.max(np.abs(got.samples[pre:] - want.samples[pre + d:]))
-        assert err <= 1e-7 * peak, (shot, err / peak)
-        if d == 0:
-            assert np.array_equal(got.samples, want.samples)
+    got = chan.measure(target)
+    want, d = _request_anchored_measure(chan, target)
+    dt = target.grid.dt
+    assert got.grid.n == want.grid.n - d
+    assert got.grid.t0 == pytest.approx(
+        target.grid.t0 + (d - pre) * dt, abs=1e-6 * dt)
+    peak = np.max(np.abs(want.samples))
+    err = np.max(np.abs(got.samples[pre:] - want.samples[pre + d:]))
+    assert err <= 1e-7 * peak, err / peak
+    if d == 0:
+        assert np.array_equal(got.samples, want.samples)

@@ -160,6 +160,34 @@ def test_simulate_window_starts_just_before_the_delayed_response(outdir):
     assert sim.norm() == pytest.approx(inp.norm(), rel=1e-12)
 
 
+@pytest.mark.parametrize("delay", [0.0, 1.4e-6, 5e-6])
+@pytest.mark.parametrize("duration", ["1.8e-7", "2e-6"])
+def test_simulate_then_demod_is_the_first_simulated_shot(tmp_path, duration,
+                                                         delay):
+    # One measurement, one noise rule: the trace written by simulate and
+    # demodulated at the default settings is shot 0 of a SimulatedChannel
+    # seeded with the channel's seed.
+    outdir = str(tmp_path)
+    pulse = _make_pulse(outdir, duration=duration)
+    chan = _write_channel(str(tmp_path / "chan.json"), delay=delay, seed=5)
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--trace-out", "trace.csv", "--trace-noise-sigma", "0.02",
+                 "--outdir", outdir]) == 0
+    assert main(["demod", "--trace", str(tmp_path / "trace.csv"),
+                 "--outdir", outdir]) == 0
+    got = fileio.read_envelope_csv(str(tmp_path / "demodulated.csv"))
+    config = fileio.read_channel_json(chan)
+    shot = pulseloop.SimulatedChannel(config, trace_noise_sigma=0.02,
+                                      seed=config.seed).measure(
+        fileio.read_envelope(pulse))
+    assert got.grid.n == shot.grid.n
+    assert got.grid.t0 == shot.grid.t0
+    assert abs(got.grid.dt - shot.grid.dt) <= 1e-14 * shot.grid.dt
+    peak = np.max(np.abs(shot.samples))
+    err = np.max(np.abs(got.samples - shot.samples))
+    assert err <= 1e-11 * peak, err / peak
+
+
 def test_missing_input_exits_2(outdir, capsys):
     chan = _write_channel(os.path.join(outdir, "chan.json"))
     code = main(["simulate", "--input", os.path.join(outdir, "none.csv"),
@@ -211,6 +239,59 @@ def test_bad_trace_noise_sigma_exits_2_writing_nothing(tmp_path, capsys,
                  "--trace-out", "trace.csv", "--trace-noise-sigma", sigma,
                  "--outdir", str(out)]) == 2
     assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key, value, commands", [
+    ("t0", float("nan"), ("simulate", "estimate", "loop")),
+    ("dt", float("nan"), ("simulate",)),
+    ("dt", float("inf"), ("estimate",)),
+])
+def test_envelope_json_non_finite_grid_exits_2(tmp_path, capsys, key, value,
+                                               commands):
+    # These used to run on (exit 0), stop as non-converged (exit 3) or
+    # end in a traceback.
+    pulse = _make_pulse(str(tmp_path))
+    bad = tmp_path / "bad.json"
+    fileio.write_envelope_json(str(bad), fileio.read_envelope(pulse))
+    obj = json.loads(bad.read_text())
+    obj[key] = value
+    bad.write_text(json.dumps(obj))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    argv = {"simulate": ["simulate", "--input", str(bad), "--channel", chan],
+            "estimate": ["estimate", "--input", str(bad), "--output", pulse],
+            "loop": ["loop", "--target", str(bad), "--channel", chan]}
+    for command in commands:
+        out = tmp_path / command
+        assert main(argv[command] + ["--outdir", str(out)]) == 2, command
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf"])
+def test_simulate_non_finite_trace_rate_exits_2(tmp_path, capsys, fs):
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--trace-out", "trace.csv", "--fs", fs,
+                 "--outdir", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("out_dt", ["0", "3e-10", "1.2e-9", "nan"])
+def test_demod_out_dt_off_the_trace_period_exits_2(tmp_path, capsys, out_dt):
+    # On a 0.5 ns trace these used to write 0.5 ns or 1 ns output, or end
+    # in a traceback.
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--trace-out", "trace.csv", "--outdir", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["demod", "--trace", str(tmp_path / "trace.csv"),
+                 "--out-dt", out_dt, "--outdir", str(out)]) == 2
+    assert "trace period" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -75,6 +75,15 @@ def test_synthesize_rejects_aliasing():
         synthesize_beat(env, f_beat=F_BEAT, fs=2 * F_BEAT)
 
 
+@pytest.mark.parametrize("fs, f_beat", [(np.nan, F_BEAT), (np.inf, F_BEAT),
+                                        (FS, np.nan), (FS, -np.inf)])
+def test_synthesize_rejects_non_finite_rates(fs, f_beat):
+    # A NaN or infinite fs used to end in a bare ValueError or an
+    # OverflowError; a NaN beat passed the aliasing check.
+    with pytest.raises(InvalidSpecError, match="f_beat .* must be finite"):
+        synthesize_beat(_constant_env(128), f_beat=f_beat, fs=fs)
+
+
 @pytest.mark.parametrize("sigma", [-0.02, np.nan, np.inf])
 def test_synthesize_rejects_negative_or_non_finite_noise(sigma):
     with pytest.raises(InvalidSpecError, match="noise_sigma"):

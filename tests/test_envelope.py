@@ -29,6 +29,10 @@ def test_grid_rejects_bad_parameters():
         TimeGrid(t0=0.0, dt=0.0, n=10)
     with pytest.raises(InvalidSpecError):
         TimeGrid(t0=0.0, dt=1e-9, n=1)
+    for t0, dt in ((np.nan, 1e-9), (np.inf, 1e-9), (0.0, np.nan),
+                   (0.0, np.inf)):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            TimeGrid(t0=t0, dt=dt, n=10)
 
 
 def test_default_grid_doubles_the_duration():

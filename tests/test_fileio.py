@@ -93,6 +93,18 @@ def test_trace_csv_round_trip(tmp_path):
     assert Path(path).read_text().splitlines()[0] == "t_s,v"
 
 
+@pytest.mark.parametrize("n", [64, 12345])
+def test_trace_csv_period_comes_from_the_whole_span(tmp_path, n):
+    # Far from t = 0, t[1] - t[0] keeps only the digits the origin leaves:
+    # 5e-10 read back as 5.000000000000376e-10 from t0 = 0.9 us.
+    trace = BeatTrace(TimeGrid(0.9e-6, 5e-10, n), np.zeros(n))
+    path = str(tmp_path / "trace.csv")
+    fileio.write_trace_csv(path, trace)
+    back = fileio.read_trace_csv(path)
+    assert back.grid.t0 == trace.grid.t0
+    assert abs(back.grid.dt - 5e-10) <= 4e-15 * 5e-10, back.grid.dt
+
+
 # ------------------------------------------------------------------- models
 
 def test_model_json_round_trip(tmp_path):

@@ -172,7 +172,7 @@ def test_filter_matches_scipy_butterworth_and_sosfiltfilt(data, seed, order,
                             worN=freqs, fs=FS)
     assert np.max(np.abs(h - h_ref)) <= tol
     x = _noise(seed, n) if is_complex else _noise(seed, n).real
-    padlen = min(n - 1, max(3 * order, int(3 * FS / cutoff)))
+    padlen = min(n - 1, max(3 * order, round(3 * FS / cutoff)))
     ref = sig.sosfiltfilt(sos, x, padtype="odd", padlen=padlen)
     y = filtfilt(filt, x)
     assert y.dtype == ref.dtype
