@@ -210,17 +210,43 @@ def quadrature_phase(r) -> np.ndarray:
     """
     r = np.asarray(r, dtype=complex)
     a = np.abs(r)
+    vidx, runs = _nearest_valid(a)
+    ph = np.repeat(np.unwrap(np.angle(r[vidx])), runs)
+    return ph - ph[int(np.argmax(a))]
+
+
+def _nearest_valid(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Valid samples of an amplitude trace and the runs they are held over.
+
+    A sample is valid where ``a`` is at least 1e-6 of its maximum.
+    Returns the valid sample indices and, for each, the number of
+    consecutive samples whose nearest valid sample it is (a tie goes to
+    the earlier one), so ``np.repeat(x[vidx], runs)`` holds ``x`` at
+    every sample's nearest valid sample.
+    """
     amax = float(a.max(initial=0.0))
     if amax == 0.0:
         raise ZeroSignalError("reflectance trace is identically zero")
     vidx = np.flatnonzero(a >= 1e-6 * amax)
-    ph_valid = np.unwrap(np.angle(r[vidx]))
-    idx = np.arange(len(r))
-    right = np.clip(np.searchsorted(vidx, idx), 0, len(vidx) - 1)
-    left = np.clip(right - 1, 0, len(vidx) - 1)
-    use_left = np.abs(idx - vidx[left]) <= np.abs(vidx[right] - idx)
-    ph = ph_valid[np.where(use_left, left, right)]
-    return ph - ph[int(np.argmax(a))]
+    # A valid sample holds through the midpoint to the next valid one, so
+    # a sample midway between two goes to the earlier.
+    ends = (vidx[:-1] + vidx[1:]) // 2
+    return vidx, np.diff(ends, prepend=-1, append=len(a) - 1)
+
+
+def _phase_factor(r: np.ndarray) -> np.ndarray:
+    """e^{i theta} for theta = ``quadrature_phase(r)``, without the phase.
+
+    The unit phasor r/|r| held at each sample's nearest valid sample,
+    times the conjugate of its value at the amplitude peak: the same
+    factor in exact arithmetic, with no unwrap and no complex exp.
+    """
+    a = np.abs(r)
+    vidx, runs = _nearest_valid(a)
+    k = int(np.argmax(a))
+    u = r[vidx]
+    u *= np.conj(r[k]) / a[k] / a[vidx]
+    return np.repeat(u, runs)
 
 
 def peak_quadrature_phase(env: ComplexEnvelope, params: AcoustoOpticParams,
@@ -320,7 +346,8 @@ def apply_channel(env: ComplexEnvelope,
 
     Stages: the bulk delay, offset-plus-FIR distortion, quadrature phase
     multiplication e^{i theta(t)} driven by the current amplitude (when
-    enabled), then additive complex Gaussian noise of standard deviation
+    enabled; applied as the reflectance's unit phasor, see
+    ``_phase_factor``), then additive complex Gaussian noise of standard deviation
     ``noise_sigma`` per complex sample. The delay moves the grid origin
     instead of the samples: the output grid starts d = round(delay/dt)
     samples after ``env.grid.t0``, so no delay truncates the response.
@@ -334,8 +361,7 @@ def apply_channel(env: ComplexEnvelope,
     out = volterra_forward(config.volterra, out)
     if config.aom_enabled:
         r = reflectance_trace(out, config.aom, config.mismatch_kappa)
-        theta = quadrature_phase(r)
-        out = out.with_samples(out.samples * np.exp(1j * theta))
+        out = out.with_samples(out.samples * _phase_factor(r))
     if config.noise_sigma > 0:
         rng = np.random.default_rng(config.seed)
         noise = (rng.standard_normal(env.grid.n)
@@ -374,10 +400,10 @@ class SimulatedChannel:
     Shot k draws its trace noise from ``seed + k``, from the window's
     first trace sample on, as ``pulseloop simulate`` does: repeated
     measurements differ shot to shot, but a rebuilt instance replays the
-    identical sequence. The constructor rejects a cutoff at or above the
-    beat, an undersampled beat, a trace noise sigma that is negative or
-    not finite and a negative seed, so a bad setting fails before the
-    first shot.
+    identical sequence. The constructor rejects a beat, rate or cutoff
+    that is not finite, a cutoff at or above the beat, an undersampled
+    beat, a trace noise sigma that is negative or not finite and a
+    negative seed, so a bad setting fails before the first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -388,6 +414,10 @@ class SimulatedChannel:
                  trace_noise_sigma: float = 0.0, seed: int = 0,
                  f_beat: float = _demod.DEFAULT_F_BEAT,
                  fs: float = _demod.DEFAULT_FS, filter_order: int = 4):
+        if not (np.isfinite(f_beat) and np.isfinite(fs)
+                and np.isfinite(cutoff)):
+            raise InvalidSpecError(f"f_beat {f_beat}, fs {fs} and cutoff "
+                                   f"{cutoff} must be finite")
         if fs <= 2 * f_beat:
             raise _demod.AliasingError(
                 f"fs {fs} must exceed twice f_beat {f_beat}")

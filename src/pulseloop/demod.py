@@ -308,10 +308,12 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
             f"fs {fs} must be an integer multiple of the envelope rate")
     n_hi = env.grid.n * up_int
     hi = _upsample(env.samples, n_hi)
-    v = np.real(hi * _beat_carrier(env.grid.t0, fs, n_hi, f_beat))
+    hi *= _beat_carrier(env.grid.t0, fs, n_hi, f_beat)
+    v = hi.real
     if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        v = v + noise_sigma * rng.standard_normal(n_hi)
+        noise = np.random.default_rng(seed).standard_normal(n_hi)
+        noise *= noise_sigma
+        v += noise
     grid = TimeGrid(t0=env.grid.t0, dt=1.0 / fs, n=n_hi)
     return BeatTrace(grid, v)
 
@@ -329,6 +331,8 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     and ``out_grid`` must be sample-aligned with the trace, its period a
     whole multiple of the trace's.
     """
+    if not np.isfinite(f_beat):
+        raise InvalidSpecError(f"f_beat {f_beat} must be finite")
     if filt.cutoff >= f_beat:
         raise InvalidSpecError(
             f"cutoff {filt.cutoff} must be below f_beat {f_beat}")

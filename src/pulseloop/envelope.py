@@ -265,7 +265,7 @@ def align_delay(measured: ComplexEnvelope,
         The shifted envelope on the measured grid, and the removed delay
         in seconds (positive when the measurement lags the reference).
     """
-    if not np.isclose(measured.grid.dt, reference.grid.dt, rtol=1e-9):
+    if not math.isclose(measured.grid.dt, reference.grid.dt, rel_tol=1e-9):
         raise GridMismatchError("sample periods differ")
     if measured.norm() == 0 or reference.norm() == 0:
         raise ZeroSignalError("cannot align an all-zero envelope")
@@ -301,7 +301,7 @@ def crop(env: ComplexEnvelope, grid: TimeGrid) -> ComplexEnvelope:
     The target grid must share the sample period and start an integer
     number of samples after the envelope's origin.
     """
-    if not np.isclose(env.grid.dt, grid.dt, rtol=1e-9):
+    if not math.isclose(env.grid.dt, grid.dt, rel_tol=1e-9):
         raise GridMismatchError("sample periods differ")
     offs = (grid.t0 - env.grid.t0) / env.grid.dt
     k = int(round(offs))
