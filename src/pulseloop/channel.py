@@ -235,11 +235,12 @@ def _nearest_valid(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase_factor(r: np.ndarray) -> np.ndarray:
-    """e^{i theta} for theta = ``quadrature_phase(r)``, without the phase.
+    """``exp(1j * quadrature_phase(r))``, without computing the phase.
 
     The unit phasor r/|r| held at each sample's nearest valid sample,
     times the conjugate of its value at the amplitude peak: the same
-    factor in exact arithmetic, with no unwrap and no complex exp.
+    factor in exact arithmetic, with no unwrap and no complex exp
+    (within 1e-15 on the gate-standin record windows).
     """
     a = np.abs(r)
     vidx, runs = _nearest_valid(a)
@@ -347,10 +348,11 @@ def apply_channel(env: ComplexEnvelope,
     Stages: the bulk delay, offset-plus-FIR distortion, quadrature phase
     multiplication e^{i theta(t)} driven by the current amplitude (when
     enabled; applied as the reflectance's unit phasor, see
-    ``_phase_factor``), then additive complex Gaussian noise of standard deviation
-    ``noise_sigma`` per complex sample. The delay moves the grid origin
-    instead of the samples: the output grid starts d = round(delay/dt)
-    samples after ``env.grid.t0``, so no delay truncates the response.
+    ``_phase_factor``), then additive complex Gaussian noise of standard
+    deviation ``noise_sigma`` per complex sample. The delay moves the grid
+    origin instead of the samples: the output grid starts
+    d = round(delay/dt) samples after ``env.grid.t0``, so no delay
+    truncates the response.
     Repeat calls with the same config are bit-identical; the generator
     is created per call from ``config.seed`` and draws one value pair
     per output sample.

@@ -215,6 +215,40 @@ def test_phase_held_at_nearest_valid_neighbor():
     assert theta[-1] == theta[valid[-1]]
 
 
+def _held_oracle(r):
+    # Each sample's nearest valid sample by brute force; np.argmin takes
+    # the first of two equally near ones, the earlier.
+    a = np.abs(r)
+    vidx = np.flatnonzero(a >= 1e-6 * a.max())
+    pos = np.argmin(np.abs(np.arange(len(r))[:, None] - vidx), axis=1)
+    return vidx, pos
+
+
+def test_phase_held_at_nearest_valid_sample_across_interior_gaps():
+    rng = np.random.default_rng(11)
+    n = 96
+    base = np.exp(1j * np.cumsum(rng.uniform(-2.5, 2.5, n)))
+    traces = []
+    # Gaps of odd and even length inside the trace, and at both ends.
+    for gaps in ([(10, 11), (20, 22), (30, 33), (40, 44)],
+                 [(0, 5), (50, 57), (70, 78), (90, 96)],
+                 [(i, i + 1) for i in range(1, n - 1, 2)]):
+        r = base.copy()
+        for lo, hi in gaps:
+            r[lo:hi] *= 1e-9
+        traces.append(r)
+    for _ in range(200):
+        m = int(rng.integers(1, 80))
+        r = (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        r[rng.random(m) < rng.uniform(0.1, 0.9)] *= 1e-8
+        traces.append(r)
+    for r in traces:
+        vidx, pos = _held_oracle(r)
+        ph = np.unwrap(np.angle(r[vidx]))[pos]
+        expected = ph - ph[int(np.argmax(np.abs(r)))]
+        np.testing.assert_array_equal(quadrature_phase(r), expected)
+
+
 def test_gaussian_peak_phase_near_quarter_radian():
     env = _gaussian_p(fwhm=3e-7)
     peak = peak_quadrature_phase(env, PARAMS, KAPPA_CALIBRATED)
@@ -247,21 +281,31 @@ def test_pure_delay_shifts_by_fourteen_hundred_samples():
     assert delay == 0.0
 
 
+def _record_window(duration):
+    # A gate-standin request padded to the window measure records it on.
+    env = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                     default_grid(duration))
+    cfg = ChannelConfig()
+    tail = (post_pad(cfg, env.grid.dt, suggested_cutoff(duration))
+            - int(round(cfg.delay / env.grid.dt)))
+    return embed(env, SimulatedChannel.PAD_PRE, tail)
+
+
 def test_aom_stage_matches_manual_composition():
     # The quadrature stage must equal reflectance + phase extraction
-    # applied by hand to the post-kernel signal.
-    env = _gaussian_p()
+    # applied by hand to the post-kernel signal, on a Gaussian pulse and
+    # on the record windows of the gate-standin pulses.
     kernel = default_kernel()
     config = ChannelConfig(delay=0.0, volterra=kernel, aom_enabled=True,
                            noise_sigma=0.0)
-    out = apply_channel(env, config)
-
-    from pulseloop.sysid import volterra_forward
-    mid = volterra_forward(kernel, env)
-    r = reflectance_trace(mid, config.aom, config.mismatch_kappa)
-    theta = quadrature_phase(r)
-    expected = mid.samples * np.exp(1j * theta)
-    np.testing.assert_allclose(out.samples, expected, atol=1e-14)
+    for env in [_gaussian_p()] + [_record_window(duration)
+                                  for duration in (1.8e-7, 5e-7, 2e-6)]:
+        out = apply_channel(env, config)
+        mid = volterra_forward(kernel, env)
+        r = reflectance_trace(mid, config.aom, config.mismatch_kappa)
+        theta = quadrature_phase(r)
+        expected = mid.samples * np.exp(1j * theta)
+        np.testing.assert_allclose(out.samples, expected, atol=1e-14)
 
 
 def test_pure_amplitude_input_gains_time_varying_phase():
@@ -441,6 +485,18 @@ def test_simulated_channel_rejects_an_undersampled_beat():
             SimulatedChannel(fs=fs, f_beat=f_beat)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(f_beat=float("nan")), dict(f_beat=float("inf")),
+    dict(fs=float("nan")), dict(fs=float("inf")),
+    dict(cutoff=float("nan"))])
+def test_simulated_channel_rejects_a_non_finite_beat_rate_or_cutoff(kwargs):
+    # NaN fails every comparison, so each must be caught before the
+    # aliasing and cutoff checks compare it.
+    name = next(iter(kwargs))
+    with pytest.raises(InvalidSpecError, match=name):
+        SimulatedChannel(**kwargs)
+
+
 # ------------------------------------------- memoized shot-invariant work
 
 def _uncached_reflectance(p_env, params, kappa, refine=3):
@@ -490,9 +546,15 @@ def _uncached_measure(chan, env, shot):
     out = volterra_forward(cfg.volterra, ComplexEnvelope(
         TimeGrid(ext.grid.t0 + d * dt, dt, ext.grid.n), ext.samples))
     if cfg.aom_enabled:
-        theta = quadrature_phase(
-            _uncached_reflectance(out, cfg.aom, cfg.mismatch_kappa))
-        out = out.with_samples(out.samples * np.exp(1j * theta))
+        # The unit phasor r/|r| at each sample's nearest valid sample,
+        # referenced to the amplitude peak.
+        r = _uncached_reflectance(out, cfg.aom, cfg.mismatch_kappa)
+        vidx, pos = _held_oracle(r)
+        a = np.abs(r)
+        k = int(np.argmax(a))
+        held = vidx[pos]
+        u = r[held] * (np.conj(r[k]) / a[k] / a[held])
+        out = out.with_samples(out.samples * u)
     up = int(round(chan.fs * dt))
     n_hi = out.grid.n * up
     t = out.grid.t0 + np.arange(n_hi) / chan.fs

@@ -363,6 +363,14 @@ def test_demodulate_rejects_filter_for_another_sample_rate():
                env.grid)
 
 
+@pytest.mark.parametrize("f_beat", [float("nan"), float("inf")])
+def test_demodulate_rejects_a_non_finite_beat_by_name(f_beat):
+    env = _constant_env(512)
+    trace = synthesize_beat(env)
+    with pytest.raises(InvalidSpecError, match="f_beat"):
+        demodulate(trace, f_beat, design_lowpass(4, 20e6, FS), env.grid)
+
+
 def test_demodulate_rejects_misaligned_grid():
     env = _constant_env(512)
     trace = synthesize_beat(env)

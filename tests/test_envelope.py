@@ -313,6 +313,17 @@ def test_align_delay_rejects_zero_signal():
         align_delay(env, env)
 
 
+def test_align_delay_rejects_a_different_sample_period():
+    # 1 ns and 2 ns differ by far more than rounding; an absolute
+    # tolerance above 1e-8 s would let them pass.
+    fine = _gaussian_env(TimeGrid(0.0, 1e-9, 128))
+    coarse = _gaussian_env(TimeGrid(0.0, 2e-9, 128), fwhm=1e-7)
+    with pytest.raises(GridMismatchError):
+        align_delay(coarse, fine)
+    with pytest.raises(GridMismatchError):
+        align_delay(fine, coarse)
+
+
 # ------------------------------------------------------ phase views and crop
 
 def test_unit_amplitude_quarter_phase_is_i():
@@ -331,6 +342,12 @@ def test_embed_then_crop_round_trip():
     assert padded.grid.t0 == pytest.approx(-50e-9)
     back = crop(padded, grid)
     np.testing.assert_allclose(back.samples, env.samples, atol=1e-15)
+
+
+def test_crop_rejects_a_different_sample_period():
+    env = _gaussian_env(TimeGrid(0.0, 2e-9, 128), fwhm=1e-7)
+    with pytest.raises(GridMismatchError):
+        crop(env, TimeGrid(0.0, 1e-9, 64))
 
 
 def test_metric_report_fields():
