@@ -10,7 +10,7 @@ the distortion physics can be tested in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +18,7 @@ import scipy.fft as sfft
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
                        ZeroSignalError, embed)
-from .sysid import VolterraModel, volterra_forward
+from .sysid import DEFAULT_MEMORY, VolterraModel, volterra_forward
 from . import demod as _demod
 
 DEFAULT_DELAY = 1.4e-6          # acoustic propagation to the beam, s
@@ -251,17 +251,17 @@ def _phase_factor(r: np.ndarray) -> np.ndarray:
 
 
 def peak_quadrature_phase(env: ComplexEnvelope, params: AcoustoOpticParams,
-                          kappa: float, amp_floor: float = 0.01) -> float:
+                          kappa: float) -> float:
     """Peak |phase| of the quadrature distortion over the pulse support.
 
-    The peak is taken where the reflectance amplitude is at least
-    ``amp_floor`` of its maximum: outside that support the held phase
-    reflects the validity boundary, not the envelope-tracking lobe.
+    The peak is taken where the reflectance amplitude is at least 1 % of
+    its maximum: outside that support the held phase reflects the
+    validity boundary, not the envelope-tracking lobe.
     """
     r = reflectance_trace(env, params, kappa)
     th = quadrature_phase(r)
     a = np.abs(r)
-    sel = a >= amp_floor * a.max()
+    sel = a >= 0.01 * a.max()
     return float(np.max(np.abs(th[sel])))
 
 
@@ -294,7 +294,8 @@ def calibrate_kappa(params: AcoustoOpticParams, target_peak: float = 0.25,
                             xtol=1e-3))
 
 
-def default_kernel(dt: float = 1e-9, memory: int = 64) -> VolterraModel:
+def default_kernel(dt: float = 1e-9,
+                   memory: int = DEFAULT_MEMORY) -> VolterraModel:
     """Distortion kernel of the simulated drive chain.
 
     A direct-feedthrough tap plus a slow complex one-pole response
@@ -331,9 +332,7 @@ class ChannelConfig:
         if not (np.isfinite(self.delay) and self.delay >= 0):
             raise InvalidSpecError(
                 f"delay must be finite and >= 0, got {self.delay}")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidSpecError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        _demod._check_noise("noise_sigma", self.noise_sigma)
         if not np.isfinite(self.mismatch_kappa):
             raise InvalidSpecError(
                 f"mismatch_kappa must be finite, got {self.mismatch_kappa}")
@@ -400,12 +399,15 @@ class SimulatedChannel:
     and crop to their working grid.
 
     Shot k draws its trace noise from ``seed + k``, from the window's
-    first trace sample on, as ``pulseloop simulate`` does: repeated
-    measurements differ shot to shot, but a rebuilt instance replays the
-    identical sequence. The constructor rejects a beat, rate or cutoff
+    first trace sample on, as ``pulseloop simulate`` does, and its
+    envelope noise (``config.noise_sigma``) from ``config.seed + k``:
+    repeated measurements differ shot to shot, but a rebuilt instance
+    replays the identical sequence, and shot 0 is the ``simulate`` shot.
+    The constructor designs the order-``DEFAULT_ORDER`` demodulation
+    filter and runs ``demod``'s own checks, so a beat, rate or cutoff
     that is not finite, a cutoff at or above the beat, an undersampled
     beat, a trace noise sigma that is negative or not finite and a
-    negative seed, so a bad setting fails before the first shot.
+    negative seed fail before the first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -415,20 +417,13 @@ class SimulatedChannel:
                  cutoff: float = _demod.DEFAULT_CUTOFF,
                  trace_noise_sigma: float = 0.0, seed: int = 0,
                  f_beat: float = _demod.DEFAULT_F_BEAT,
-                 fs: float = _demod.DEFAULT_FS, filter_order: int = 4):
-        if not (np.isfinite(f_beat) and np.isfinite(fs)
-                and np.isfinite(cutoff)):
-            raise InvalidSpecError(f"f_beat {f_beat}, fs {fs} and cutoff "
-                                   f"{cutoff} must be finite")
-        if fs <= 2 * f_beat:
-            raise _demod.AliasingError(
-                f"fs {fs} must exceed twice f_beat {f_beat}")
-        if cutoff >= f_beat:
-            raise InvalidSpecError(
-                f"cutoff {cutoff} must be below f_beat {f_beat}")
-        if not (np.isfinite(trace_noise_sigma) and trace_noise_sigma >= 0):
-            raise InvalidSpecError(f"trace_noise_sigma must be finite and "
-                                   f">= 0, got {trace_noise_sigma}")
+                 fs: float = _demod.DEFAULT_FS):
+        # The beat check runs first: it rejects a rate that is not
+        # finite, and the filter design rejects a cutoff that is not.
+        _demod._check_beat(f_beat, fs)
+        self.filter = _demod.design_lowpass(_demod.DEFAULT_ORDER, cutoff, fs)
+        _demod._check_cutoff(cutoff, f_beat)
+        _demod._check_noise("trace_noise_sigma", trace_noise_sigma)
         if seed < 0:
             raise InvalidSpecError(f"seed must be >= 0, got {seed}")
         self.config = config if config is not None else ChannelConfig()
@@ -437,11 +432,13 @@ class SimulatedChannel:
         self.seed = seed
         self.f_beat = f_beat
         self.fs = fs
-        self.filter = _demod.design_lowpass(filter_order, cutoff, fs)
         self.calls = 0
 
     def measure(self, env: ComplexEnvelope) -> ComplexEnvelope:
-        out = record_response(env, self.config, self.cutoff)
+        config = self.config
+        if config.noise_sigma > 0:
+            config = replace(config, seed=config.seed + self.calls)
+        out = record_response(env, config, self.cutoff)
         trace = _demod.synthesize_beat(out, self.f_beat, self.fs,
                                        noise_sigma=self.trace_noise_sigma,
                                        seed=self.seed + self.calls)

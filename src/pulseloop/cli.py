@@ -23,19 +23,19 @@ import time
 import numpy as np
 
 from . import __version__, fileio
-from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       PulseSpec, TimeGrid, ZeroSignalError, default_grid,
-                       make_pulse)
-from .demod import (DEFAULT_F_BEAT, DEFAULT_FS, AliasingError, _decimation,
-                    demodulate, design_lowpass, suggested_cutoff,
-                    synthesize_beat)
-from .sysid import CVConfig, cross_validate, estimate_kernel
+from .envelope import (DEFAULT_DT, ComplexEnvelope, GridMismatchError,
+                       InvalidSpecError, PulseSpec, TimeGrid, ZeroSignalError,
+                       default_grid, make_pulse)
+from .demod import (DEFAULT_CUTOFF, DEFAULT_F_BEAT, DEFAULT_FS, DEFAULT_ORDER,
+                    AliasingError, _decimation, demodulate, design_lowpass,
+                    suggested_cutoff, synthesize_beat)
+from .sysid import DEFAULT_MEMORY, CVConfig, cross_validate, estimate_kernel
 from .channel import SimulatedChannel, record_response
 from .loop import (LoopConfig, MeasurementError, ReplayChannel,
                    SingularUpdateError, closed_loop)
-from .optics import (RayState, aperture_check, design_single_lens,
-                     design_three_lens, propagate_ray, sensitivity,
-                     waist_vs_input_waist)
+from .optics import (APERTURE, BRAGG_TOLERANCE, DESIGN_WAVELENGTH, RayState,
+                     aperture_check, design_single_lens, design_three_lens,
+                     propagate_ray, sensitivity, waist_vs_input_waist)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -284,10 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pulse duration, s")
     p.add_argument("--fwhm", type=float, default=None,
                    help="gaussian width, s (default: 0.3 x duration)")
-    p.add_argument("--peak", type=float, default=1.0)
-    p.add_argument("--phase-jump-rad", type=float, default=np.pi)
-    p.add_argument("--phase-width-frac", type=float, default=0.05)
-    p.add_argument("--dt", type=float, default=1e-9)
+    p.add_argument("--peak", type=float, default=PulseSpec.peak)
+    p.add_argument("--phase-jump-rad", type=float,
+                   default=PulseSpec.phase_jump_rad)
+    p.add_argument("--phase-width-frac", type=float,
+                   default=PulseSpec.phase_width_frac)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--margin-frac", type=float, default=0.5)
     p.add_argument("--out", default="pulse.csv")
     _add_outdir(p)
@@ -308,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demod", help="recover an envelope from a beat trace")
     p.add_argument("--trace", required=True, help="beat trace CSV")
     p.add_argument("--beat-hz", type=float, default=DEFAULT_F_BEAT)
-    p.add_argument("--cutoff-hz", type=float, default=20e6)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--out-dt", type=float, default=1e-9,
+    p.add_argument("--cutoff-hz", type=float, default=DEFAULT_CUTOFF)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--out-dt", type=float, default=DEFAULT_DT,
                    help="sample period of the output envelope, s; a whole "
                         "multiple of the trace period")
     p.add_argument("--out", default="demodulated.csv")
@@ -320,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="identify the channel kernel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--memory", type=int, default=64)
+    p.add_argument("--memory", type=int, default=DEFAULT_MEMORY)
     p.add_argument("--lambda", dest="lambda_reg", type=float, default=None,
                    help="fixed ridge weight (omit to cross-validate)")
-    p.add_argument("--cv-folds", type=int, default=5)
+    p.add_argument("--cv-folds", type=int, default=CVConfig.folds)
     p.add_argument("--lambda-grid", default="1e-6,1e-5,1e-4,1e-3,1e-2,1e-1,1",
                    help="comma-separated ridge weights for cross-validation")
     p.add_argument("--model-out", default="model.json")
@@ -339,9 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of recorded output_*.csv (replay backend)")
     p.add_argument("--method", default="transfer-function",
                    choices=sorted(METHOD_ALIASES))
-    p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--converge-mase", type=float, default=1e-3)
-    p.add_argument("--memory", type=int, default=64)
+    p.add_argument("--max-iters", type=int,
+                   default=LoopConfig.max_loop_iters)
+    p.add_argument("--converge-mase", type=float,
+                   default=LoopConfig.convergence_mase)
+    p.add_argument("--memory", type=int, default=DEFAULT_MEMORY)
     p.add_argument("--cutoff-hz", type=float, default=None,
                    help="demod cutoff (default: scaled to the target span)")
     p.add_argument("--trace-noise-sigma", type=float, default=0.0)
@@ -359,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marker", default=None,
                    help="plane to analyze (default: aom when the train has "
                         "it, else the train end)")
-    p.add_argument("--aperture", type=float, default=0.6e-3)
-    p.add_argument("--bragg-tol", type=float, default=125e-6)
+    p.add_argument("--aperture", type=float, default=APERTURE)
+    p.add_argument("--bragg-tol", type=float, default=BRAGG_TOLERANCE)
     p.add_argument("--dl-per-k", type=float, default=2e-6,
                    help="input height drift coefficient, m/K")
     p.add_argument("--dtheta-per-k", type=float, default=10e-6,
@@ -369,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="temperature sweep end, K")
     p.add_argument("--w-min", type=float, default=300e-6)
     p.add_argument("--w-max", type=float, default=1200e-6)
-    p.add_argument("--wavelength", type=float, default=405e-9)
+    p.add_argument("--wavelength", type=float, default=DESIGN_WAVELENGTH)
     p.add_argument("--steps", type=int, default=41)
     _add_outdir(p)
     p.set_defaults(func=_cmd_optics)

@@ -293,28 +293,21 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
     BeatTrace
         v(t) = Re[s(t) e^{i 2 pi f_beat t}] + n(t) starting at env.grid.t0.
     """
-    if not (np.isfinite(fs) and np.isfinite(f_beat)):
-        raise InvalidSpecError(
-            f"fs {fs} and f_beat {f_beat} must be finite")
-    if fs <= 2 * f_beat:
-        raise AliasingError(f"fs {fs} must exceed twice f_beat {f_beat}")
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise InvalidSpecError(
-            f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    _check_beat(f_beat, fs)
+    _check_noise("noise_sigma", noise_sigma)
     up = fs * env.grid.dt
     up_int = int(round(up))
     if abs(up - up_int) > 1e-9 or up_int < 1:
         raise InvalidSpecError(
             f"fs {fs} must be an integer multiple of the envelope rate")
-    n_hi = env.grid.n * up_int
-    hi = _upsample(env.samples, n_hi)
-    hi *= _beat_carrier(env.grid.t0, fs, n_hi, f_beat)
+    grid = TimeGrid(t0=env.grid.t0, dt=1.0 / fs, n=env.grid.n * up_int)
+    hi = _upsample(env.samples, grid.n)
+    hi *= _carrier(grid, f_beat)
     v = hi.real
     if noise_sigma > 0:
-        noise = np.random.default_rng(seed).standard_normal(n_hi)
+        noise = np.random.default_rng(seed).standard_normal(grid.n)
         noise *= noise_sigma
         v += noise
-    grid = TimeGrid(t0=env.grid.t0, dt=1.0 / fs, n=n_hi)
     return BeatTrace(grid, v)
 
 
@@ -322,26 +315,27 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
                out_grid: TimeGrid) -> ComplexEnvelope:
     """Recover the complex envelope from a beat-note trace.
 
-    Mixes with e^{-i 2 pi f_beat t}, scales by 2 to undo the half lost
-    to the negative-frequency image, filters the complex baseband with
-    one zero-phase ``filtfilt``, and decimates onto ``out_grid``.
+    Mixes with e^{-i 2 pi f_beat t}, the conjugate of the carrier
+    ``synthesize_beat`` uses on the same grid, scales by 2 to undo the
+    half lost to the negative-frequency image, filters the complex
+    baseband with one zero-phase ``filtfilt``, and decimates onto
+    ``out_grid``.
 
-    The filter cutoff must stay below f_beat so the image at 2*f_beat is
-    rejected, the filter must be designed for the trace's sample rate,
-    and ``out_grid`` must be sample-aligned with the trace, its period a
+    The trace rate must exceed 2*f_beat (``AliasingError``), the filter
+    cutoff must stay below f_beat so the image at 2*f_beat is rejected,
+    the filter must be designed for the trace's sample rate, and
+    ``out_grid`` must be sample-aligned with the trace, its period a
     whole multiple of the trace's.
     """
-    if not np.isfinite(f_beat):
-        raise InvalidSpecError(f"f_beat {f_beat} must be finite")
-    if filt.cutoff >= f_beat:
-        raise InvalidSpecError(
-            f"cutoff {filt.cutoff} must be below f_beat {f_beat}")
+    _check_beat(f_beat, 1.0 / trace.grid.dt)
+    _check_cutoff(filt.cutoff, f_beat)
     if abs(filt.fs * trace.grid.dt - 1.0) > 1e-9:
         raise InvalidSpecError(
             f"filter designed at fs {filt.fs} but the trace is sampled at "
             f"{1.0 / trace.grid.dt}")
     step = _decimation(out_grid.dt, trace.grid.dt)
-    z = filtfilt(filt, 2.0 * trace.samples * _mixer(trace.grid, f_beat))
+    z = 2.0 * trace.samples * _carrier(trace.grid, f_beat)
+    z = filtfilt(filt, np.conjugate(z, out=z))
     offs = (out_grid.t0 - trace.grid.t0) / trace.grid.dt
     k0 = int(round(offs))
     if abs(offs - k0) > 1e-6:
@@ -387,18 +381,36 @@ def _upsample(x: np.ndarray, num: int) -> np.ndarray:
     return sfft.ifft(out / (n / num), overwrite_x=True)
 
 
-# The carriers depend only on the grid and f_beat, which stay fixed over
-# the shots of a loop, so each is computed once and shared read-only.
+# The carrier depends only on the trace grid and f_beat, which stay fixed
+# over the shots of a loop, so it is computed once and shared read-only
+# by the synthesis and the demodulation of each shot.
 @lru_cache(maxsize=16)
-def _beat_carrier(t0: float, fs: float, n: int, f_beat: float) -> np.ndarray:
-    t = t0 + np.arange(n) / fs
-    out = np.exp(2j * np.pi * f_beat * t)
+def _carrier(grid: TimeGrid, f_beat: float) -> np.ndarray:
+    """e^{i 2 pi f_beat t} on the trace grid's times."""
+    out = np.exp(2j * np.pi * f_beat * grid.times())
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=16)
-def _mixer(grid: TimeGrid, f_beat: float) -> np.ndarray:
-    out = np.exp(-2j * np.pi * f_beat * grid.times())
-    out.setflags(write=False)
-    return out
+def _check_beat(f_beat: float, fs: float) -> None:
+    """The beat and the rate are finite, and the rate resolves the beat."""
+    if not (np.isfinite(fs) and np.isfinite(f_beat)):
+        raise InvalidSpecError(
+            f"fs {fs} and f_beat {f_beat} must be finite")
+    if fs <= 2 * f_beat:
+        raise AliasingError(f"fs {fs} must exceed twice f_beat {f_beat}")
+
+
+def _check_cutoff(cutoff: float, f_beat: float) -> None:
+    """The filter cutoff lies below the beat, so the 2 f_beat image is
+    rejected."""
+    if not cutoff < f_beat:
+        raise InvalidSpecError(
+            f"cutoff {cutoff} must be below f_beat {f_beat}")
+
+
+def _check_noise(name: str, sigma: float) -> None:
+    """A noise standard deviation is finite and >= 0."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidSpecError(
+            f"{name} must be finite and >= 0, got {sigma}")

@@ -99,9 +99,9 @@ class ComplexEnvelope:
 class PulseSpec:
     """Parametric description of a library pulse.
 
-    ``kind`` selects the shape; ``fwhm`` applies to the gaussian kinds,
-    ``phase_jump_rad``/``phase_width_frac`` to the gate-standin, and
-    ``table`` carries explicit samples for the custom-table kind.
+    ``kind`` selects the shape; ``fwhm`` applies to the gaussian kinds
+    and ``phase_jump_rad``/``phase_width_frac`` to the gate-standin.
+    Explicit samples need no spec: ``ComplexEnvelope(grid, samples)``.
     """
 
     kind: str
@@ -110,10 +110,8 @@ class PulseSpec:
     peak: float = 1.0
     phase_jump_rad: float = np.pi
     phase_width_frac: float = 0.05
-    table: tuple | None = None
 
-    KINDS = ("truncated-gaussian", "gaussian", "gate-standin", "constant",
-             "custom-table")
+    KINDS = ("truncated-gaussian", "gaussian", "gate-standin", "constant")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -171,14 +169,6 @@ def make_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexEnvelope:
         samples = amp.astype(complex)
     elif spec.kind == "gate-standin":
         samples = _gate_standin(t, spec)
-    elif spec.kind == "custom-table":
-        if spec.table is None:
-            raise InvalidSpecError("custom-table kind requires a table")
-        arr = np.asarray(spec.table, dtype=complex)
-        if len(arr) != grid.n:
-            raise InvalidSpecError(
-                f"table length {len(arr)} does not match grid n {grid.n}")
-        samples = arr
     else:  # pragma: no cover - guarded by PulseSpec
         raise InvalidSpecError(spec.kind)
     return ComplexEnvelope(grid, samples)

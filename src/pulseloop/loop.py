@@ -69,20 +69,19 @@ class LMConfig:
 class LoopConfig:
     """Closed-loop driver settings.
 
-    ``memory`` and ``lambda_reg`` parameterize the kernel estimation
-    used by the transfer-function method, which re-estimates the kernel
-    from every measurement that does not meet ``convergence_mase``.
-    ``lambda_reg = 0`` selects the exact minimum-norm least-squares fit:
-    back-substitution on the fit's triangular factor when a bound proves
-    it full rank, else an SVD with NumPy's ``lstsq`` singular-value
-    cutoff (see ``estimate_kernel``).
+    ``memory`` sets the kernel length of the transfer-function method,
+    which re-estimates the kernel from every measurement that does not
+    meet ``convergence_mase``. The fit is unregularized (``lambda_reg =
+    0`` in ``estimate_kernel``): the exact minimum-norm least-squares
+    fit, by back-substitution on the fit's triangular factor when a bound
+    proves it full rank, else an SVD with NumPy's ``lstsq``
+    singular-value cutoff.
     """
 
     method: str = "transfer-function"
     max_loop_iters: int = 10
     convergence_mase: float = 1e-3
     memory: int = DEFAULT_MEMORY
-    lambda_reg: float = 0.0
 
     def __post_init__(self):
         if self.method not in LOOP_METHODS:
@@ -92,9 +91,6 @@ class LoopConfig:
             raise InvalidSpecError("max_loop_iters must be >= 1")
         if self.memory < 1:
             raise InvalidSpecError(f"memory must be >= 1, got {self.memory}")
-        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
-            raise InvalidSpecError(
-                f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
         if not (math.isfinite(self.convergence_mase)
                 and self.convergence_mase > 0):
             raise InvalidSpecError(
@@ -297,8 +293,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
         c = mse_cost(s_out, s_target)
         done = m <= config.convergence_mase
         if not done and config.method == "transfer-function":
-            model = estimate_kernel(s_in, s_out, config.memory,
-                                    config.lambda_reg)
+            model = estimate_kernel(s_in, s_out, config.memory, 0.0)
         merr = float("nan")
         if model is not None:
             merr = mase(volterra_forward(model, s_in), s_out)

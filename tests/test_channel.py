@@ -11,10 +11,11 @@ from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
                                ChannelConfig, SimulatedChannel, apply_channel,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
-                               reflectance_trace, _kernel_spectrum,
-                               _polyphase_kernel)
-from pulseloop.demod import (AliasingError, demodulate, design_lowpass,
-                             filtfilt, suggested_cutoff, synthesize_beat)
+                               record_response, reflectance_trace,
+                               _kernel_spectrum, _polyphase_kernel)
+from pulseloop.demod import (DEFAULT_ORDER, AliasingError, demodulate,
+                             design_lowpass, filtfilt, suggested_cutoff,
+                             synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
                                 default_grid, embed, make_pulse,
@@ -410,6 +411,38 @@ def test_simulated_channel_fresh_noise_per_call_replayable():
     np.testing.assert_array_equal(b.measure(target).samples, second.samples)
 
 
+def test_envelope_noise_is_drawn_per_shot_and_replayable():
+    # Shot k draws config.noise_sigma from config.seed + k; every shot
+    # used to add the seed's one pattern, which the model-free loop then
+    # learned. Shot 0 is the shot `pulseloop simulate` records.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7),
+                        default_grid(5e-7))
+    config = ChannelConfig(noise_sigma=0.05, seed=3)
+
+    def shot(k):
+        out = record_response(target, replace(config, seed=3 + k), 24e6)
+        trace = synthesize_beat(out)
+        return demodulate(trace, 200e6, design_lowpass(4, 24e6, 2e9),
+                          out.grid).samples
+
+    a = SimulatedChannel(config, cutoff=24e6)
+    first, second = a.measure(target), a.measure(target)
+    assert not np.array_equal(first.samples, second.samples)
+    assert np.array_equal(first.samples, shot(0))
+    assert np.array_equal(second.samples, shot(1))
+    b = SimulatedChannel(config, cutoff=24e6)
+    assert np.array_equal(b.measure(target).samples, first.samples)
+    assert np.array_equal(b.measure(target).samples, second.samples)
+    # The channel's own config keeps its seed.
+    assert a.config.seed == 3
+
+
+def test_simulated_channel_filters_at_the_default_order():
+    chan = SimulatedChannel(cutoff=24e6)
+    assert chan.filter is design_lowpass(DEFAULT_ORDER, 24e6, 2e9)
+    assert chan.filter.order == 4
+
+
 def test_post_pad_keeps_the_default_window_and_grows_with_delay():
     assert post_pad(ChannelConfig(), 1e-9) == SimulatedChannel.PAD_POST
     assert post_pad(ChannelConfig(), 1e-9, cutoff=120e6) == 2200
@@ -557,12 +590,12 @@ def _uncached_measure(chan, env, shot):
         out = out.with_samples(out.samples * u)
     up = int(round(chan.fs * dt))
     n_hi = out.grid.n * up
-    t = out.grid.t0 + np.arange(n_hi) / chan.fs
+    # One time axis, the trace grid's, for the beat and the mixer.
+    t = TimeGrid(out.grid.t0, 1.0 / chan.fs, n_hi).times()
     v = np.real(sig.resample(out.samples, n_hi)
                 * np.exp(2j * np.pi * chan.f_beat * t))
     rng = np.random.default_rng(chan.seed + shot)
     v = v + chan.trace_noise_sigma * rng.standard_normal(n_hi)
-    t = out.grid.t0 + (1.0 / chan.fs) * np.arange(n_hi)
     z = 2.0 * v * np.exp(-2j * np.pi * chan.f_beat * t)
     filt = design_lowpass.__wrapped__(chan.filter.order, chan.cutoff,
                                       chan.fs)

@@ -307,6 +307,19 @@ def test_demod_non_finite_beat_exits_2_naming_f_beat(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_demod_undersampled_beat_exits_2_naming_f_beat(tmp_path, capsys):
+    # 1.5 GHz is above half the 2 GS/s trace rate; it used to exit 0.
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--trace-out", "trace.csv", "--outdir", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["demod", "--trace", str(tmp_path / "trace.csv"),
+                 "--beat-hz", "1.5e9", "--outdir", str(out)]) == 2
+    assert "f_beat" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_library_key_error_is_not_a_usage_error(outdir, monkeypatch):
     # Only bad arguments and inputs exit 2; a KeyError inside library
     # code is a bug and must surface with its traceback.

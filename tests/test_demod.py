@@ -63,7 +63,7 @@ def test_beat_upsampling_equals_scipy_resample(n, up):
     env = ComplexEnvelope(grid, rng.standard_normal(n)
                           + 1j * rng.standard_normal(n))
     trace = synthesize_beat(env, f_beat=F_BEAT, fs=FS)
-    t = grid.t0 + np.arange(n * up) / FS
+    t = trace.grid.times()
     ref = np.real(sig.resample(env.samples, n * up)
                   * np.exp(2j * np.pi * F_BEAT * t))
     assert np.array_equal(trace.samples, ref)
@@ -368,6 +368,16 @@ def test_demodulate_rejects_a_non_finite_beat_by_name(f_beat):
     env = _constant_env(512)
     trace = synthesize_beat(env)
     with pytest.raises(InvalidSpecError, match="f_beat"):
+        demodulate(trace, f_beat, design_lowpass(4, 20e6, FS), env.grid)
+
+
+@pytest.mark.parametrize("f_beat", [FS / 2, 1.5e9])
+def test_demodulate_rejects_an_undersampled_beat(f_beat):
+    # The rule synthesize_beat applies; demodulate used to mix and
+    # filter such a beat without complaint.
+    env = _constant_env(512)
+    trace = synthesize_beat(env)
+    with pytest.raises(AliasingError, match="f_beat"):
         demodulate(trace, f_beat, design_lowpass(4, 20e6, FS), env.grid)
 
 

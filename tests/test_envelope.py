@@ -112,17 +112,6 @@ def test_gate_standin_flat_top_and_phase_jump():
                ) <= 2
 
 
-def test_custom_table_round_trip_and_validation():
-    grid = TimeGrid(0.0, 1e-9, 8)
-    table = tuple(np.arange(8) * (0.1 + 0.05j))
-    env = make_pulse(PulseSpec(kind="custom-table", duration=7e-9,
-                               table=table), grid)
-    np.testing.assert_array_equal(env.samples, np.asarray(table))
-    with pytest.raises(InvalidSpecError):
-        make_pulse(PulseSpec(kind="custom-table", duration=7e-9,
-                             table=table[:4]), grid)
-
-
 def test_make_pulse_rejects_invalid_specs():
     grid = TimeGrid(0.0, 1e-9, 101)
     with pytest.raises(InvalidSpecError):
