@@ -489,7 +489,9 @@ def _counting(measure):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"memory": 0}, {"memory": -3}, {"convergence_mase": -1.0}, {"convergence_mase": 0.0},
+    {"memory": 0}, {"memory": -3}, {"method": "open-loop"},
+    {"max_loop_iters": 0}, {"convergence_mase": float("inf")},
+    {"convergence_mase": -1.0}, {"convergence_mase": 0.0},
     {"convergence_mase": float("nan")}])
 def test_bad_loop_settings_fail_before_the_first_shot(kwargs):
     target = _gate(1.8e-7)
