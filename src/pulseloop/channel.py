@@ -353,8 +353,9 @@ def apply_channel(env: ComplexEnvelope,
     d = round(delay/dt) samples after ``env.grid.t0``, so no delay
     truncates the response.
     Repeat calls with the same config are bit-identical; the generator
-    is created per call from ``config.seed`` and draws one value pair
-    per output sample.
+    is created per call from the entropy ``[config.seed, 1]``, a stream
+    apart from the trace noise that ``synthesize_beat`` draws from
+    ``config.seed``, and draws one value pair per output sample.
     """
     g = env.grid
     d = _delay_samples(config, g.dt)
@@ -364,7 +365,7 @@ def apply_channel(env: ComplexEnvelope,
         r = reflectance_trace(out, config.aom, config.mismatch_kappa)
         out = out.with_samples(out.samples * _phase_factor(r))
     if config.noise_sigma > 0:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng([config.seed, 1])
         noise = (rng.standard_normal(env.grid.n)
                  + 1j * rng.standard_normal(env.grid.n))
         out = out.with_samples(out.samples
@@ -400,7 +401,7 @@ class SimulatedChannel:
 
     Shot k draws its trace noise from ``seed + k``, from the window's
     first trace sample on, as ``pulseloop simulate`` does, and its
-    envelope noise (``config.noise_sigma``) from ``config.seed + k``:
+    envelope noise (``config.noise_sigma``) from ``[config.seed + k, 1]``:
     repeated measurements differ shot to shot, but a rebuilt instance
     replays the identical sequence, and shot 0 is the ``simulate`` shot.
     The constructor designs the order-``DEFAULT_ORDER`` demodulation
@@ -418,8 +419,6 @@ class SimulatedChannel:
                  trace_noise_sigma: float = 0.0, seed: int = 0,
                  f_beat: float = _demod.DEFAULT_F_BEAT,
                  fs: float = _demod.DEFAULT_FS):
-        # The beat check runs first: it rejects a rate that is not
-        # finite, and the filter design rejects a cutoff that is not.
         _demod._check_beat(f_beat, fs)
         self.filter = _demod.design_lowpass(_demod.DEFAULT_ORDER, cutoff, fs)
         _demod._check_cutoff(cutoff, f_beat)

@@ -9,7 +9,8 @@ outputs atomically into one directory together with a manifest naming
 all inputs and outputs by content hash.
 
 All numeric flags take plain base SI units (Hz, s, m, rad); exit codes
-are 0 (success), 2 (invalid arguments or inputs), 3 (non-convergence).
+are 0 (success), 2 (invalid arguments or inputs), 3 (non-convergence;
+a loop that fails after its first shot still writes the shots it took).
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ import time
 import numpy as np
 
 from . import __version__, fileio
-from .envelope import (DEFAULT_DT, ComplexEnvelope, GridMismatchError,
-                       InvalidSpecError, PulseSpec, TimeGrid, ZeroSignalError,
+from .envelope import (DEFAULT_DT, InvalidSpecError, PulseSpec, TimeGrid,
                        default_grid, make_pulse)
 from .demod import (DEFAULT_CUTOFF, DEFAULT_F_BEAT, DEFAULT_FS, DEFAULT_ORDER,
-                    AliasingError, _decimation, demodulate, design_lowpass,
-                    suggested_cutoff, synthesize_beat)
+                    _decimation, demodulate, design_lowpass, suggested_cutoff,
+                    synthesize_beat)
 from .sysid import DEFAULT_MEMORY, CVConfig, cross_validate, estimate_kernel
 from .channel import SimulatedChannel, record_response
-from .loop import (LoopConfig, MeasurementError, ReplayChannel,
-                   SingularUpdateError, closed_loop)
+from .loop import (_LOOP_FAILURES, _USAGE_ERRORS, LOOP_METHODS, LoopConfig,
+                   ReplayChannel, closed_loop)
 from .optics import (APERTURE, BRAGG_TOLERANCE, DESIGN_WAVELENGTH, RayState,
                      aperture_check, design_single_lens, design_three_lens,
                      propagate_ray, sensitivity, waist_vs_input_waist)
@@ -43,12 +43,9 @@ EXIT_NOT_CONVERGED = 3
 
 OUTDIR_ENV = "PULSELOOP_OUTDIR"
 
-METHOD_ALIASES = {
-    "transfer-function": "transfer-function",
-    "tf": "transfer-function",
-    "transfer-function-free": "transfer-function-free",
-    "tf-free": "transfer-function-free",
-}
+METHOD_ALIASES = {**{method: method for method in LOOP_METHODS},
+                  "tf": "transfer-function",
+                  "tf-free": "transfer-function-free"}
 
 
 class _Run:
@@ -171,6 +168,19 @@ def _cmd_estimate(args) -> int:
 
 # -------------------------------------------------------------------- loop
 
+def _write_loop(run: _Run, report) -> None:
+    """Write a loop report, its convergence table, every shot's input
+    and output, and the manifest."""
+    fileio.write_report_json(run.out_path("report.json"), report)
+    fileio.write_convergence_csv(run.out_path("convergence.csv"), report)
+    for rec in report.records:
+        fileio.write_envelope_csv(
+            run.out_path(f"iter_{rec.index:03d}_input.csv"), rec.s_pred)
+        fileio.write_envelope_csv(
+            run.out_path(f"iter_{rec.index:03d}_output.csv"), rec.s_out)
+    run.finish()
+
+
 def _cmd_loop(args) -> int:
     run = _Run("loop", args)
     target = fileio.read_envelope(run.in_path(args.target))
@@ -197,15 +207,13 @@ def _cmd_loop(args) -> int:
                              max_loop_iters=args.max_iters,
                              convergence_mase=args.converge_mase,
                              memory=args.memory)
-    report = closed_loop(measure, target, loop_config)
-    fileio.write_report_json(run.out_path("report.json"), report)
-    fileio.write_convergence_csv(run.out_path("convergence.csv"), report)
-    for rec in report.records:
-        fileio.write_envelope_csv(
-            run.out_path(f"iter_{rec.index:03d}_input.csv"), rec.s_pred)
-        fileio.write_envelope_csv(
-            run.out_path(f"iter_{rec.index:03d}_output.csv"), rec.s_out)
-    run.finish()
+    try:
+        report = closed_loop(measure, target, loop_config)
+    except _LOOP_FAILURES as exc:
+        if exc.report is not None:  # keep the shots taken before it
+            _write_loop(run, exc.report)
+        raise
+    _write_loop(run, report)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -386,11 +394,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InvalidSpecError, GridMismatchError, ZeroSignalError,
-            AliasingError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularUpdateError, MeasurementError) as exc:
+    except _LOOP_FAILURES as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

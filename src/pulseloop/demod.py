@@ -165,13 +165,13 @@ def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     cutoff : float
         -3 dB frequency in Hz; must be below fs/2.
     fs : float
-        Sample rate the filter will run at.
+        Sample rate the filter will run at; must be finite.
     """
     if not 1 <= order <= 12:
         raise InvalidSpecError(f"order must be in [1, 12], got {order}")
-    if not 0 < cutoff < fs / 2:
+    if not (np.isfinite(fs) and 0 < cutoff < fs / 2):
         raise InvalidSpecError(
-            f"cutoff {cutoff} must lie in (0, fs/2={fs / 2})")
+            f"cutoff {cutoff} must lie in (0, fs/2={fs / 2}) for a finite fs")
     t = np.tan(np.pi * cutoff / fs)
     sos = []
     if order % 2:

@@ -1,12 +1,11 @@
 """Pre-distortion computation and the closed correction loop.
 
-Two update strategies produce the next input pulse from a measurement:
-the transfer-function method identifies the channel kernel and inverts
-it offline by iterated Tikhonov steps (a fixed damping, one banded
-Cholesky factor of the normal equations), and the
-transfer-function-free method feeds the output error straight back onto
-the input. The loop driver alternates measure / align / update until
-the amplitude error reaches the noise floor.
+The loop driver measures, aligns, scores and records each shot, then
+takes the next input from its method's update: the transfer-function
+update identifies the channel kernel and inverts it offline by iterated
+Tikhonov steps (a fixed damping, one banded Cholesky factor of the
+normal equations); the transfer-function-free update feeds the output
+error straight back onto the input.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
 from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
                     volterra_forward)
 
-LOOP_METHODS = ("transfer-function", "transfer-function-free")
-
-
 # Tikhonov weight added to the diagonal of J^H J in the offline inversion.
 _DAMPING = 1e-3
 
@@ -34,17 +30,22 @@ _DAMPING = 1e-3
 class SingularUpdateError(RuntimeError):
     """Damped normal system could not be Cholesky-factored."""
 
+    report = None  # set by ``closed_loop`` once it has recorded a shot
+
 
 class MeasurementError(RuntimeError):
     """Measurement callback failed inside the closed loop."""
 
+    report = None  # set by ``closed_loop`` once it has recorded a shot
 
-# What a measurement may fail with: the package's own errors and I/O,
-# the set ``cli.main`` reports as exit codes. Anything else (a TypeError
-# from a buggy callback, say) is a bug and keeps its traceback.
-_MEASUREMENT_FAILURES = (OSError, InvalidSpecError, GridMismatchError,
-                         ZeroSignalError, AliasingError, SingularUpdateError,
-                         MeasurementError)
+
+# The package's errors for bad input and I/O (``cli.main`` exit 2) and
+# for a loop that cannot go on (exit 3): what a measurement may fail
+# with. Anything else (a TypeError from a buggy callback) is a bug.
+_USAGE_ERRORS = (OSError, InvalidSpecError, GridMismatchError,
+                 ZeroSignalError, AliasingError)
+_LOOP_FAILURES = (SingularUpdateError, MeasurementError)
+_MEASUREMENT_FAILURES = _USAGE_ERRORS + _LOOP_FAILURES
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,7 @@ class LMConfig:
 class LoopConfig:
     """Closed-loop driver settings.
 
-    ``memory`` sets the kernel length of the transfer-function method,
-    which re-estimates the kernel from every measurement that does not
-    meet ``convergence_mase``. The fit is unregularized (``lambda_reg =
-    0`` in ``estimate_kernel``): the exact minimum-norm least-squares
-    fit, by back-substitution on the fit's triangular factor when a bound
-    proves it full rank, else an SVD with NumPy's ``lstsq``
-    singular-value cutoff.
+    ``memory`` is the kernel length of the transfer-function update.
     """
 
     method: str = "transfer-function"
@@ -102,8 +97,9 @@ class LoopConfig:
 class IterationRecord:
     """State captured at one loop iteration.
 
-    ``model_error`` is the MASE between the identified model's predicted
-    output and the measured one (NaN when no model is in play).
+    ``model_error`` is the MASE between the measured output and the one
+    predicted by the model that designed ``s_pred`` (NaN on the first
+    shot and for the transfer-function-free method, which has no model).
     """
 
     index: int
@@ -256,58 +252,72 @@ def _align_to_target(raw: ComplexEnvelope,
     return ComplexEnvelope(s_target.grid, aligned.samples[:n])
 
 
+def _tf_update(s_in, s_target, s_out, config):
+    """Fit the kernel to this shot by minimum-norm least squares
+    (``lambda_reg`` 0) and invert it offline against the target."""
+    model = estimate_kernel(s_in, s_out, config.memory, 0.0)
+    return offline_iterate(model, s_target).s_pred, model
+
+
+def _tf_free_update(s_in, s_target, s_out, config):
+    """Feed the output error straight back; no model."""
+    return tf_free_step(s_in, s_target, s_out), None
+
+
+# One update rule per method, each returning (next input, model or None);
+# they call the module's bindings, so patching those reaches them.
+_UPDATES = {"transfer-function": _tf_update,
+            "transfer-function-free": _tf_free_update}
+LOOP_METHODS = tuple(_UPDATES)
+
+
 def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                 s_target: ComplexEnvelope,
                 config: LoopConfig = LoopConfig()) -> LoopReport:
     """Run the closed correction loop against a measurement callback.
 
     Each iteration sends the current input through ``measure``, aligns
-    and crops the output onto the target grid, and scores it by MASE.
-    Below ``config.convergence_mase`` the loop stops converged;
-    otherwise the next input comes from the configured method: identify
-    the kernel and invert it offline (transfer-function), or feed the
-    error back directly (transfer-function-free). A kernel memory that
-    does not fit the target is rejected before the first measurement.
-    A measurement failing with one of the package's errors or an
-    ``OSError`` raises ``MeasurementError`` naming the iteration; any
-    other exception propagates unchanged.
+    and crops the output onto the target grid, scores it by MASE and
+    records it; below ``config.convergence_mase`` the loop stops
+    converged, else the method's update gives the next input. A kernel
+    memory that does not fit the target is rejected before the first
+    measurement. A measurement failing with one of the package's errors
+    or an ``OSError`` raises ``MeasurementError`` naming the iteration;
+    any other exception propagates unchanged. A ``MeasurementError`` or
+    ``SingularUpdateError`` carries the unconverged report of the shots
+    recorded before it as ``report`` (None before the first).
     """
     if (config.method == "transfer-function"
             and config.memory + 1 > s_target.grid.n):
         raise InvalidSpecError(
             f"memory {config.memory} needs at least {config.memory + 1} "
             f"target samples, got {s_target.grid.n}")
+    update = _UPDATES[config.method]
     s_in = s_target
     records = []
     model: Optional[VolterraModel] = None
-    converged = False
-    for it in range(1, config.max_loop_iters + 1):
-        try:
-            raw = measure(s_in)
-        except _MEASUREMENT_FAILURES as exc:
-            raise MeasurementError(
-                f"measurement callback failed at iteration {it}: "
-                f"{type(exc).__name__}: {exc}") from exc
-        s_out = _align_to_target(raw, s_target)
-        m = mase(s_out, s_target)
-        c = mse_cost(s_out, s_target)
-        done = m <= config.convergence_mase
-        if not done and config.method == "transfer-function":
-            model = estimate_kernel(s_in, s_out, config.memory, 0.0)
-        merr = float("nan")
-        if model is not None:
-            merr = mase(volterra_forward(model, s_in), s_out)
-        records.append(IterationRecord(index=it, s_pred=s_in, s_out=s_out,
-                                       mase=m, mse=c, model_error=merr))
-        if done:
-            converged = True
-            break
-        if config.method == "transfer-function":
-            s_in = offline_iterate(model, s_target).s_pred
-        else:
-            s_in = tf_free_step(s_in, s_target, s_out)
-    return LoopReport(records=tuple(records), converged=converged,
-                      final_model=model)
+    try:
+        for it in range(1, config.max_loop_iters + 1):
+            try:
+                raw = measure(s_in)
+            except _MEASUREMENT_FAILURES as exc:
+                raise MeasurementError(
+                    f"measurement callback failed at iteration {it}: "
+                    f"{type(exc).__name__}: {exc}") from exc
+            s_out = _align_to_target(raw, s_target)
+            m = mase(s_out, s_target)
+            merr = (float("nan") if model is None
+                    else mase(volterra_forward(model, s_in), s_out))
+            records.append(IterationRecord(
+                index=it, s_pred=s_in, s_out=s_out, mase=m,
+                mse=mse_cost(s_out, s_target), model_error=merr))
+            if m <= config.convergence_mase:
+                return LoopReport(records, True, model)
+            s_in, model = update(s_in, s_target, s_out, config)
+    except _LOOP_FAILURES as exc:
+        exc.report = LoopReport(records, False, model) if records else None
+        raise
+    return LoopReport(records, False, model)
 
 
 class ReplayChannel:

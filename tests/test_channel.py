@@ -347,6 +347,20 @@ def test_channel_noise_is_bit_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def test_envelope_noise_is_not_the_trace_noise_of_the_same_seed():
+    # `pulseloop simulate` seeds the envelope and the trace noise from
+    # one config seed; the two must still be independent draws.
+    env = ComplexEnvelope(TimeGrid(0.0, 1e-9, 200),
+                          np.full(200, 0.5, dtype=complex))
+    config = _identity_config(noise_sigma=0.05, seed=5)
+    clean = apply_channel(env, replace(config, noise_sigma=0.0))
+    envelope = (apply_channel(env, config).samples
+                - clean.samples).real / (0.05 / np.sqrt(2))
+    trace = (synthesize_beat(clean, noise_sigma=0.02, seed=config.seed)
+             .samples - synthesize_beat(clean).samples) / 0.02
+    assert abs(np.corrcoef(envelope, trace[:200])[0, 1]) < 0.3
+
+
 def test_channel_rejects_an_oversized_kernel_but_not_delay():
     grid = TimeGrid(0.0, 1e-9, 64)
     env = ComplexEnvelope(grid, np.ones(64, dtype=complex))

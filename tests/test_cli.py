@@ -555,6 +555,28 @@ def test_loop_non_convergence_exits_3(outdir):
     assert os.path.exists(os.path.join(outdir, "report.json"))
 
 
+def test_loop_failure_exits_3_and_keeps_the_shots_taken(outdir):
+    # At this tight gate the 180 ns transfer-function loop stops with a
+    # singular update after several shots, or runs out of iterations;
+    # either way the report of the shots it took is written.
+    pulse = _make_pulse(outdir, duration="1.8e-7")
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    run = os.path.join(outdir, "run")
+    code = main(["loop", "--target", pulse, "--channel", chan,
+                 "--converge-mase", "7e-4", "--trace-noise-sigma", "0.02",
+                 "--seed", "1", "--outdir", run])
+    assert code == 3
+    with open(os.path.join(run, "report.json")) as fh:
+        report = json.load(fh)
+    assert report["converged"] is False
+    n = len(report["records"])
+    assert n >= 1
+    with open(os.path.join(run, "manifest.json")) as fh:
+        outputs = json.load(fh)["outputs"]
+    assert {"report.json", "convergence.csv", f"iter_{n:03d}_input.csv",
+            f"iter_{n:03d}_output.csv"} <= set(outputs)
+
+
 def test_loop_replay_backend(outdir, tmp_path):
     pulse = _make_pulse(outdir)
     chan = _write_channel(os.path.join(outdir, "chan.json"))

@@ -152,6 +152,10 @@ def test_lowpass_rejects_bad_parameters():
         design_lowpass(4, FS / 2, FS)
     with pytest.raises(InvalidSpecError):
         design_lowpass(4, -1.0, FS)
+    # An infinite rate would prewarp every pole to z = 1, where the
+    # steady-state systems are singular.
+    with pytest.raises(InvalidSpecError, match="finite fs"):
+        design_lowpass(4, 20e6, float("inf"))
 
 
 def test_lowpass_design_is_shared_read_only_and_bad_settings_keep_failing():

@@ -479,6 +479,51 @@ def test_closed_loop_measurement_error_names_the_cause():
         closed_loop(blank, target, LoopConfig(max_loop_iters=3))
 
 
+def test_a_failed_update_keeps_the_shots_taken(monkeypatch):
+    target = _gate(3e-7)
+    model = VolterraModel(h0=0.0, h1=np.array([0.85, 0.1]))
+
+    def singular(model, s_target, config=LMConfig()):
+        raise SingularUpdateError("damped normal matrix is not positive "
+                                  "definite")
+
+    monkeypatch.setattr(loop, "offline_iterate", singular)
+    with pytest.raises(SingularUpdateError) as info:
+        closed_loop(_linear_channel(model), target,
+                    LoopConfig(max_loop_iters=5, memory=4,
+                               convergence_mase=1e-12))
+    report = info.value.report
+    assert not report.converged
+    assert len(report.records) == 1
+    assert report.records[0].s_pred is target
+    assert report.final_model is None  # the failed update's fit is lost
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_a_failed_measurement_keeps_the_shots_before_it(fail_at):
+    target = _gate(3e-7)
+    model = VolterraModel(h0=0.0, h1=np.array([0.85, 0.1]))
+    shots = []
+
+    def flaky(env):
+        shots.append(env)
+        if len(shots) == fail_at:
+            raise OSError("detector offline")
+        return volterra_forward(model, env)
+
+    with pytest.raises(MeasurementError, match=f"iteration {fail_at}") as info:
+        closed_loop(flaky, target, LoopConfig(max_loop_iters=5, memory=4,
+                                              convergence_mase=1e-12))
+    report = info.value.report
+    if fail_at == 1:
+        assert report is None
+        return
+    assert not report.converged
+    assert [r.index for r in report.records] == [1, 2]
+    assert [r.s_pred for r in report.records] == shots[:2]
+    assert report.final_model is not None
+
+
 def _counting(measure):
     calls = []
 
@@ -529,6 +574,42 @@ def test_closed_loop_records_are_complete():
         assert rec.mase >= 0 and rec.mse >= 0
         assert rec.s_pred.grid == target.grid
         assert rec.s_out.grid == target.grid
+
+
+def test_model_error_is_the_prediction_error_of_the_model_in_play(
+        monkeypatch):
+    # Record k scores the model fitted on shot k - 1, the one that
+    # designed shot k's input, against shot k; shot 1 has no model. The
+    # three-tap channel is beyond the two-tap fit, so the loop runs on.
+    target = _gate(3e-7)
+    channel_model = VolterraModel(h0=0.0,
+                                  h1=np.array([0.9, -0.15 + 0.1j, 0.05]))
+    fits = []
+
+    def recording(*args):
+        fits.append(estimate_kernel(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(loop, "estimate_kernel", recording)
+    report = closed_loop(_linear_channel(channel_model), target,
+                         LoopConfig(max_loop_iters=4, memory=2,
+                                    convergence_mase=1e-12))
+    assert not report.converged
+    assert len(report.records) == len(fits) == 4
+    assert np.isnan(report.records[0].model_error)
+    for rec, model in zip(report.records[1:], fits):
+        expected = mase(volterra_forward(model, rec.s_pred), rec.s_out)
+        assert rec.model_error == expected
+        # Not the in-sample residual of the fit made on this shot.
+        assert rec.model_error != mase(
+            volterra_forward(fits[rec.index - 1], rec.s_pred), rec.s_out)
+    assert report.final_model is fits[-1]
+    report = closed_loop(_linear_channel(channel_model), target,
+                         LoopConfig(method="transfer-function-free",
+                                    max_loop_iters=4,
+                                    convergence_mase=1e-12))
+    assert len(report.records) == 4
+    assert all(np.isnan(r.model_error) for r in report.records)
 
 
 # ------------------------------------------------------------- ReplayChannel
