@@ -378,15 +378,21 @@ def record_response(env: ComplexEnvelope, config: ChannelConfig,
     """Channel response to a request on the window it is recorded on.
 
     The window opens ``SimulatedChannel.PAD_PRE`` samples before the
-    delayed response and closes ``post_pad`` samples behind the end of
-    the request, counted on the request's own grid. The request is
-    padded with ``PAD_PRE`` zeros ahead and ``post_pad - d`` behind, and
+    delayed response and closes at least ``post_pad`` samples behind the
+    end of the request, counted on the request's own grid, its tail
+    extended until the window's length is ``scipy.fft.next_fast_len`` of
+    itself: the demodulator's Fourier upsampler then transforms a fast
+    length whatever the delay, kernel, cutoff or pulse. The request is
+    padded with ``PAD_PRE`` zeros ahead and that tail less d behind, and
     ``apply_channel`` then moves the origin by the d delay samples, so
     none of the samples ahead of the response are computed.
     """
     dt = env.grid.dt
+    pre = SimulatedChannel.PAD_PRE
     tail = post_pad(config, dt, cutoff) - _delay_samples(config, dt)
-    return apply_channel(embed(env, SimulatedChannel.PAD_PRE, tail), config)
+    n = pre + env.grid.n + tail
+    return apply_channel(embed(env, pre, tail + sfft.next_fast_len(n) - n),
+                         config)
 
 
 class SimulatedChannel:
@@ -394,10 +400,10 @@ class SimulatedChannel:
 
     ``measure`` records the channel's response to a request on the
     window of ``record_response`` (from just before the delayed response
-    to the end of its ringing and filter settling), renders it as a
-    noisy heterodyne beat trace, and demodulates it back to an envelope
-    on that window. Callers recover the bulk delay with ``align_delay``
-    and crop to their working grid.
+    to the end of its ringing and filter settling, rounded up to a fast
+    transform length), renders it as a noisy heterodyne beat trace, and
+    demodulates it back to an envelope on that window. Callers recover
+    the bulk delay with ``align_delay`` and crop to their working grid.
 
     Shot k draws its trace noise from ``seed + k``, from the window's
     first trace sample on, as ``pulseloop simulate`` does, and its
@@ -447,13 +453,14 @@ class SimulatedChannel:
 
 def post_pad(config: ChannelConfig, dt: float,
              cutoff: float = _demod.DEFAULT_CUTOFF) -> int:
-    """Samples from the end of a request to the end of its window.
+    """Least samples from the end of a request to the end of its window.
 
     Counted on the request's grid: the response outlasts the request by
     the bulk delay, the kernel memory, one acoustic transit (when the
     modulator stage is on) and the settling of a demodulation filter at
     ``cutoff`` (three of its periods, as in ``filtfilt``'s padding);
-    never less than ``SimulatedChannel.PAD_POST``.
+    never less than ``SimulatedChannel.PAD_POST``. ``record_response``
+    extends the window past it to a fast transform length.
     """
     need = (_delay_samples(config, dt) + len(config.volterra.h1)
             + int(np.ceil(3.0 / (cutoff * dt))))

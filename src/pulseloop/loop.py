@@ -279,7 +279,10 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     Each iteration sends the current input through ``measure``, aligns
     and crops the output onto the target grid, scores it by MASE and
     records it; below ``config.convergence_mase`` the loop stops
-    converged, else the method's update gives the next input. A kernel
+    converged, else the method's update gives the next input, except
+    after the last shot, whose update would design an input that is
+    never measured. ``final_model`` is the model that designed the last
+    shot's input (None for the transfer-function-free method). A kernel
     memory that does not fit the target is rejected before the first
     measurement. A measurement failing with one of the package's errors
     or an ``OSError`` raises ``MeasurementError`` naming the iteration;
@@ -313,7 +316,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                 mse=mse_cost(s_out, s_target), model_error=merr))
             if m <= config.convergence_mase:
                 return LoopReport(records, True, model)
-            s_in, model = update(s_in, s_target, s_out, config)
+            if it < config.max_loop_iters:
+                s_in, model = update(s_in, s_target, s_out, config)
     except _LOOP_FAILURES as exc:
         exc.report = LoopReport(records, False, model) if records else None
         raise

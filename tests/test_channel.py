@@ -20,7 +20,7 @@ from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, ZeroSignalError, align_delay,
                                 default_grid, embed, make_pulse,
                                 shift_samples)
-from pulseloop.loop import LoopConfig, closed_loop
+from pulseloop.loop import LoopConfig, _align_to_target, closed_loop
 from pulseloop.sysid import VolterraModel, volterra_forward
 
 PARAMS = AcoustoOpticParams()
@@ -282,13 +282,21 @@ def test_pure_delay_shifts_by_fourteen_hundred_samples():
     assert delay == 0.0
 
 
+def _record_tail(cfg, env, cutoff):
+    # Zeros record_response pads behind a request: post_pad less the
+    # delay samples, extended until PAD_PRE + request + tail is a fast
+    # transform length.
+    dt = env.grid.dt
+    least = (SimulatedChannel.PAD_PRE + env.grid.n + post_pad(cfg, dt, cutoff)
+             - int(round(cfg.delay / dt)))
+    return sfft.next_fast_len(least) - SimulatedChannel.PAD_PRE - env.grid.n
+
+
 def _record_window(duration):
     # A gate-standin request padded to the window measure records it on.
     env = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
                      default_grid(duration))
-    cfg = ChannelConfig()
-    tail = (post_pad(cfg, env.grid.dt, suggested_cutoff(duration))
-            - int(round(cfg.delay / env.grid.dt)))
+    tail = _record_tail(ChannelConfig(), env, suggested_cutoff(duration))
     return embed(env, SimulatedChannel.PAD_PRE, tail)
 
 
@@ -476,10 +484,10 @@ def test_measurement_window_holds_the_delayed_response(delay):
     chan = SimulatedChannel(_identity_config(delay=delay), cutoff=24e6)
     out = chan.measure(target)
     # The window opens 500 samples before the delayed response and ends
-    # post_pad samples behind the request.
+    # at least post_pad samples behind the request, on a fast length.
     d = int(round(delay / 1e-9))
-    tail = post_pad(chan.config, 1e-9, 24e6) - d
-    assert out.grid.n == 500 + grid.n + tail
+    least = 500 + grid.n + post_pad(chan.config, 1e-9, 24e6) - d
+    assert out.grid.n == sfft.next_fast_len(least)
     assert out.grid.t0 == pytest.approx(grid.t0 + (d - 500) * 1e-9,
                                         abs=1e-15)
     assert out.norm() == pytest.approx(target.norm(), rel=1e-3)
@@ -582,14 +590,15 @@ def _uncached_measure(chan, env, shot):
     # SimulatedChannel.measure with every shot-invariant quantity (the
     # reflectance kernel, both carriers, the filter and its operators)
     # recomputed. The window runs from PAD_PRE samples before the delayed
-    # response to post_pad samples behind the request. Returns the shot,
+    # response to at least post_pad samples behind the request, rounded
+    # up to a fast transform length. Returns the shot,
     # the same shot filtered by scipy's Butterworth design and
     # sosfiltfilt instead, and max |z| of the filter input.
     cfg = chan.config
     assert cfg.noise_sigma == 0
     dt = env.grid.dt
     d = int(round(cfg.delay / dt))
-    ext = embed(env, chan.PAD_PRE, post_pad(cfg, dt, chan.cutoff) - d)
+    ext = embed(env, chan.PAD_PRE, _record_tail(cfg, env, chan.cutoff))
     out = volterra_forward(cfg.volterra, ComplexEnvelope(
         TimeGrid(ext.grid.t0 + d * dt, dt, ext.grid.n), ext.samples))
     if cfg.aom_enabled:
@@ -682,9 +691,10 @@ def _gate_window(n):
 
 @pytest.mark.parametrize("kappa", [KAPPA_CALIBRATED, 2000.0])
 @pytest.mark.parametrize("refine", [1, 3])
-@pytest.mark.parametrize("n", [1660, 2300, 5300])
+@pytest.mark.parametrize("n", [1660, 2300, 5300, 1680, 2304, 5324])
 def test_reflectance_equals_the_fftconvolve_composition(n, refine, kappa):
-    # The measurement windows at 180 ns / 500 ns / 2 us; the cached
+    # The measurement windows at 180 ns / 500 ns / 2 us, before and after
+    # they were rounded up to fast transform lengths; the cached
     # kernel spectrum must reproduce fftconvolve's transforms exactly.
     env = _gate_window(n)
     for _ in range(2):
@@ -717,11 +727,12 @@ def test_kernel_spectrum_is_cached_read_only_per_transform_size():
 
 def _request_anchored_measure(chan, env):
     # The measurement as recorded from PAD_PRE samples before the
-    # request: the delay shifts the samples right inside that window.
+    # request: the delay shifts the samples right inside that window,
+    # which ends where measure's does.
     cfg = chan.config
     dt = env.grid.dt
-    ext = embed(env, chan.PAD_PRE, post_pad(cfg, dt, chan.cutoff))
     d = int(round(cfg.delay / dt))
+    ext = embed(env, chan.PAD_PRE, _record_tail(cfg, env, chan.cutoff) + d)
     shifted = ext.with_samples(shift_samples(ext.samples, d))
     out = apply_channel(shifted, replace(cfg, delay=0.0))
     trace = synthesize_beat(out, chan.f_beat, chan.fs)
@@ -749,3 +760,29 @@ def test_measure_matches_the_request_anchored_window(duration, delay):
     assert err <= 1e-7 * peak, err / peak
     if d == 0:
         assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_fast_length_window_keeps_the_old_window_shot(duration):
+    # The reference shot is recorded on a window ending exactly
+    # post_pad - d zeros behind the request. The fast-length window adds
+    # zeros behind the response and trace noise behind that window's
+    # draws, so the aligned, cropped shot moves only by rounding.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=11)
+    raw = chan.measure(target)
+    cfg = chan.config
+    dt = target.grid.dt
+    tail = post_pad(cfg, dt, chan.cutoff) - int(round(cfg.delay / dt))
+    old = apply_channel(embed(target, chan.PAD_PRE, tail), cfg)
+    assert old.grid.n < raw.grid.n
+    trace = synthesize_beat(old, chan.f_beat, chan.fs, noise_sigma=0.02,
+                            seed=11)
+    want = _align_to_target(
+        demodulate(trace, chan.f_beat, chan.filter, old.grid), target)
+    got = _align_to_target(raw, target)
+    peak = np.max(np.abs(want.samples))
+    err = np.max(np.abs(got.samples - want.samples))
+    assert err <= 1e-11 * peak, err / peak

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import pulseloop
 from pulseloop import cli, fileio
-from pulseloop.channel import ChannelConfig
+from pulseloop.channel import (ChannelConfig, SimulatedChannel, post_pad,
+                               record_response)
 from pulseloop.cli import build_parser, main
 from pulseloop.demod import DEFAULT_CUTOFF, suggested_cutoff
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
@@ -154,35 +156,48 @@ def test_simulate_window_starts_just_before_the_delayed_response(outdir):
     inp = fileio.read_envelope_csv(pulse)
     sim = fileio.read_envelope_csv(os.path.join(outdir, "simulated.csv"))
     # 500 samples ahead of the response, which starts 3500 samples after
-    # the request; behind it the kernel memory and filter settling.
-    assert sim.grid.n == 500 + inp.grid.n + 1 + 150
+    # the request; behind it the kernel memory and filter settling, then
+    # zeros up to a fast transform length.
+    assert sim.grid.n == sfft.next_fast_len(500 + inp.grid.n + 1 + 150)
     assert sim.grid.t0 == pytest.approx(inp.grid.t0 + 3000e-9, abs=1e-12)
     assert sim.norm() == pytest.approx(inp.norm(), rel=1e-12)
 
 
-@pytest.mark.parametrize("delay", [0.0, 1.4e-6, 5e-6])
-@pytest.mark.parametrize("duration", ["1.8e-7", "2e-6"])
+@pytest.mark.parametrize("delay", [0.0, 1.4e-6, 1.5e-6, 2e-6, 2.6e-6, 5e-6])
+@pytest.mark.parametrize("duration", ["1.8e-7", "5e-7", "2e-6"])
 def test_simulate_then_demod_is_the_first_simulated_shot(tmp_path, duration,
                                                          delay):
     # One measurement, one noise rule: the trace written by simulate and
     # demodulated at the default settings is shot 0 of a SimulatedChannel
-    # seeded with the channel's seed.
+    # seeded with the channel's seed. Every record window, at the default
+    # cutoff simulate records at and at the pulse's own, is a fast
+    # transform length no shorter than PAD_PRE + request + post_pad - d.
     outdir = str(tmp_path)
     pulse = _make_pulse(outdir, duration=duration)
     chan = _write_channel(str(tmp_path / "chan.json"), delay=delay, seed=5)
+    config = fileio.read_channel_json(chan)
+    env = fileio.read_envelope(pulse)
+    d = round(delay / env.grid.dt)
+    for cutoff in (DEFAULT_CUTOFF, suggested_cutoff(float(duration))):
+        n = record_response(env, config, cutoff).grid.n
+        assert sfft.next_fast_len(n) == n
+        assert n >= (SimulatedChannel.PAD_PRE + env.grid.n
+                     + post_pad(config, env.grid.dt, cutoff) - d)
     assert main(["simulate", "--input", pulse, "--channel", chan,
                  "--trace-out", "trace.csv", "--trace-noise-sigma", "0.02",
                  "--outdir", outdir]) == 0
     assert main(["demod", "--trace", str(tmp_path / "trace.csv"),
                  "--outdir", outdir]) == 0
+    sim = fileio.read_envelope_csv(str(tmp_path / "simulated.csv"))
+    assert np.array_equal(sim.samples, record_response(env, config).samples)
     got = fileio.read_envelope_csv(str(tmp_path / "demodulated.csv"))
-    config = fileio.read_channel_json(chan)
-    shot = pulseloop.SimulatedChannel(config, trace_noise_sigma=0.02,
-                                      seed=config.seed).measure(
-        fileio.read_envelope(pulse))
-    assert got.grid.n == shot.grid.n
+    shot = SimulatedChannel(config, trace_noise_sigma=0.02,
+                            seed=config.seed).measure(env)
+    assert got.grid.n == shot.grid.n == sim.grid.n
     assert got.grid.t0 == shot.grid.t0
     assert abs(got.grid.dt - shot.grid.dt) <= 1e-14 * shot.grid.dt
+    # The trace CSV's period is re-derived from its span, so the carrier
+    # may move by rounding.
     peak = np.max(np.abs(shot.samples))
     err = np.max(np.abs(got.samples - shot.samples))
     assert err <= 1e-11 * peak, err / peak

@@ -595,11 +595,13 @@ def test_model_error_is_the_prediction_error_of_the_model_in_play(
                          LoopConfig(max_loop_iters=4, memory=2,
                                     convergence_mase=1e-12))
     assert not report.converged
-    assert len(report.records) == len(fits) == 4
+    assert len(report.records) == 4
+    assert len(fits) == 3  # none after the last shot
     assert np.isnan(report.records[0].model_error)
     for rec, model in zip(report.records[1:], fits):
         expected = mase(volterra_forward(model, rec.s_pred), rec.s_out)
         assert rec.model_error == expected
+    for rec in report.records[1:-1]:
         # Not the in-sample residual of the fit made on this shot.
         assert rec.model_error != mase(
             volterra_forward(fits[rec.index - 1], rec.s_pred), rec.s_out)
@@ -610,6 +612,80 @@ def test_model_error_is_the_prediction_error_of_the_model_in_play(
                                     convergence_mase=1e-12))
     assert len(report.records) == 4
     assert all(np.isnan(r.model_error) for r in report.records)
+
+
+# A three-tap channel beyond a two-tap fit: the loop never converges.
+_THREE_TAP = VolterraModel(h0=0.0, h1=np.array([0.9, -0.15 + 0.1j, 0.05]))
+_UNCONVERGED = dict(memory=2, convergence_mase=1e-12)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 5])
+def test_an_unconverged_run_updates_between_shots_only(monkeypatch, shots):
+    # The update after the last shot would design an input that is never
+    # measured, so an N-shot run fits and solves N - 1 times, and its
+    # final_model is the fit whose offline solve designed the last shot.
+    target = _gate(3e-7)
+    fits, solves, steps = [], [], []
+
+    def fit(*args):
+        fits.append(estimate_kernel(*args))
+        return fits[-1]
+
+    def solve(*args):
+        solves.append(offline_iterate(*args))
+        return solves[-1]
+
+    def step(*args):
+        steps.append(tf_free_step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(loop, "estimate_kernel", fit)
+    monkeypatch.setattr(loop, "offline_iterate", solve)
+    monkeypatch.setattr(loop, "tf_free_step", step)
+    report = closed_loop(_linear_channel(_THREE_TAP), target,
+                         LoopConfig(max_loop_iters=shots, **_UNCONVERGED))
+    assert not report.converged
+    assert len(report.records) == shots
+    assert len(fits) == len(solves) == shots - 1
+    last = report.records[-1]
+    if shots == 1:
+        assert report.final_model is None
+        assert last.s_pred is target
+    else:
+        assert report.final_model is fits[-1]
+        assert last.s_pred is solves[-1].s_pred
+        assert last.model_error == mase(
+            volterra_forward(report.final_model, last.s_pred), last.s_out)
+    report = closed_loop(_linear_channel(_THREE_TAP), target,
+                         LoopConfig(method="transfer-function-free",
+                                    max_loop_iters=shots, **_UNCONVERGED))
+    assert len(report.records) == shots
+    assert len(steps) == shots - 1
+
+
+@pytest.mark.parametrize("name", ["estimate_kernel", "offline_iterate"])
+def test_an_update_failing_after_the_last_shot_cannot_fail_the_run(
+        monkeypatch, name):
+    # An N-shot run needs N - 1 updates, so an update that raises on its
+    # N-th call cannot turn a finished run into an error.
+    shots = 4
+    target = _gate(3e-7)
+    real = getattr(loop, name)
+    calls = []
+
+    def failing_last(*args):
+        calls.append(args)
+        if len(calls) == shots:
+            raise SingularUpdateError("damped normal matrix is not positive "
+                                      "definite")
+        return real(*args)
+
+    monkeypatch.setattr(loop, name, failing_last)
+    report = closed_loop(_linear_channel(_THREE_TAP), target,
+                         LoopConfig(max_loop_iters=shots, **_UNCONVERGED))
+    assert not report.converged
+    assert len(report.records) == shots
+    assert len(calls) == shots - 1
 
 
 # ------------------------------------------------------------- ReplayChannel
