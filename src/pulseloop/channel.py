@@ -16,23 +16,28 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
-                       ZeroSignalError, embed)
+from .envelope import (DEFAULT_DT, ComplexEnvelope, InvalidSpecError,
+                       TimeGrid, ZeroSignalError, embed)
+from .optics import DESIGN_TARGET_WAIST, DESIGN_WAVELENGTH
 from .sysid import DEFAULT_MEMORY, VolterraModel, volterra_forward
 from . import demod as _demod
 
 DEFAULT_DELAY = 1.4e-6          # acoustic propagation to the beam, s
 DEFAULT_VELOCITY = 650.0        # shear-mode acoustic velocity, m/s
-DEFAULT_F_ACOUSTIC = 100e6      # drive frequency, Hz
-DEFAULT_WAVELENGTH = 405e-9     # optical wavelength, m
-DEFAULT_WAIST = 63e-6           # beam waist at the crystal, m
+# Drive frequency, Hz: the beam passes the modulator twice, so the beat
+# against the unshifted beam sits at twice the drive.
+DEFAULT_F_ACOUSTIC = _demod.DEFAULT_F_BEAT / 2
 DEFAULT_INDEX = 2.26            # refractive index
 DEFAULT_ETA = 1e-5              # index-modulation amplitude
 
-# Chirp coefficient of the phase-mismatch term, rad/m. Starting point is
-# the far-field divergence scale 2*wavelength/(pi*w0^2) = 64.96 rad/m;
-# the shipped value is that scale times 62.43, fixed by calibrate_kappa
-# so a 0.3 us FWHM Gaussian pulse acquires a 0.25 rad peak phase.
+CALIBRATION_PEAK = 0.25         # calibration target: peak phase, rad,
+CALIBRATION_FWHM = 0.3e-6       # of a Gaussian pulse of this FWHM, s
+
+# Chirp coefficient of the phase-mismatch term, rad/m: the far-field
+# divergence scale 2*wavelength/(pi*w0^2) = 64.96 rad/m times 62.43. It
+# gives the calibration pulse a 0.2506 rad peak phase, 0.25 % above
+# calibrate_kappa's 4045.0; the shipped value is kept because every
+# simulated channel depends on it, and a test bounds the drift.
 KAPPA_CALIBRATED = 4055.3
 
 MIN_QUADRATURE_STEPS = 64       # lattice points per acoustic transit
@@ -49,8 +54,8 @@ class AcoustoOpticParams:
 
     v: float = DEFAULT_VELOCITY
     f_acoustic: float = DEFAULT_F_ACOUSTIC
-    wavelength: float = DEFAULT_WAVELENGTH
-    w0: float = DEFAULT_WAIST
+    wavelength: float = DESIGN_WAVELENGTH
+    w0: float = DESIGN_TARGET_WAIST
     n0: float = DEFAULT_INDEX
     eta: float = DEFAULT_ETA
     theta0: float | None = None
@@ -265,16 +270,17 @@ def peak_quadrature_phase(env: ComplexEnvelope, params: AcoustoOpticParams,
     return float(np.max(np.abs(th[sel])))
 
 
-def calibrate_kappa(params: AcoustoOpticParams, target_peak: float = 0.25,
-                    fwhm: float = 0.3e-6, dt: float = 1e-9) -> float:
-    """Chirp coefficient giving a chosen peak phase on a Gaussian pulse.
+def calibrate_kappa(params: AcoustoOpticParams) -> float:
+    """Chirp coefficient giving the calibration pulse its peak phase.
 
     Sweeps kappa along the rising branch of the peak-phase curve and
-    root-finds the value at which a Gaussian pulse of the given FWHM
-    acquires ``target_peak`` radians of quadrature phase (peak measured
-    over the pulse support, see ``peak_quadrature_phase``).
+    root-finds the value at which a Gaussian pulse of FWHM
+    ``CALIBRATION_FWHM``, sampled at ``DEFAULT_DT``, acquires
+    ``CALIBRATION_PEAK`` radians of quadrature phase (peak measured over
+    the pulse support, see ``peak_quadrature_phase``).
     """
     import scipy.optimize as opt  # deferred: no other command needs it
+    fwhm, dt, target_peak = CALIBRATION_FWHM, DEFAULT_DT, CALIBRATION_PEAK
     n = int(round(8 * fwhm / dt))
     t = (np.arange(n) - (n - 1) / 2) * dt
     p = np.exp(-4 * np.log(2) * (t / fwhm) ** 2)
@@ -294,22 +300,21 @@ def calibrate_kappa(params: AcoustoOpticParams, target_peak: float = 0.25,
                             xtol=1e-3))
 
 
-def default_kernel(dt: float = 1e-9,
-                   memory: int = DEFAULT_MEMORY) -> VolterraModel:
+def default_kernel() -> VolterraModel:
     """Distortion kernel of the simulated drive chain.
 
-    A direct-feedthrough tap plus a slow complex one-pole response
-    (time constant 60 ns, launched at 1.5 rad), normalized so the DC
-    response is exactly 0.95 * e^{0.15i}: a few-percent gain droop and a
-    small static phase, with the pole shaping the passband smoothly
-    enough that the channel stays invertible across the measurement
-    band.
+    ``DEFAULT_MEMORY`` taps at ``DEFAULT_DT``: a direct-feedthrough tap
+    plus a slow complex one-pole response (time constant 60 ns, launched
+    at 1.5 rad), normalized so the DC response is exactly
+    0.95 * e^{0.15i}: a few-percent gain droop and a small static phase,
+    with the pole shaping the passband smoothly enough that the channel
+    stays invertible across the measurement band.
     """
     direct, pole_w, psi, tau = 0.45, 0.55, 1.5, 60e-9
     gain, phase0 = 0.95, 0.15
-    j = np.arange(memory)
-    a = np.exp(-dt / tau)
-    h = np.zeros(memory, dtype=complex)
+    j = np.arange(DEFAULT_MEMORY)
+    a = np.exp(-DEFAULT_DT / tau)
+    h = np.zeros(DEFAULT_MEMORY, dtype=complex)
     h[0] += direct
     h += pole_w * np.exp(1j * psi) * (1 - a) * a ** j
     h = h / np.sum(h) * gain * np.exp(1j * phase0)

@@ -94,8 +94,7 @@ def _add_outdir(parser: argparse.ArgumentParser) -> None:
 
 # ------------------------------------------------------------------- pulse
 
-def _cmd_pulse(args) -> int:
-    run = _Run("pulse", args)
+def _cmd_pulse(args, run: _Run) -> int:
     if args.fwhm is None and args.kind in ("truncated-gaussian", "gaussian"):
         args.fwhm = 0.3 * args.duration
     spec = PulseSpec(kind=args.kind, duration=args.duration, fwhm=args.fwhm,
@@ -105,14 +104,12 @@ def _cmd_pulse(args) -> int:
                         margin_frac=args.margin_frac)
     env = make_pulse(spec, grid)
     fileio.write_envelope(run.out_path(args.out), env)
-    run.finish()
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args) -> int:
-    run = _Run("simulate", args)
+def _cmd_simulate(args, run: _Run) -> int:
     env = fileio.read_envelope(run.in_path(args.input))
     config = fileio.read_channel_json(run.in_path(args.channel))
     out = record_response(env, config)
@@ -124,14 +121,12 @@ def _cmd_simulate(args) -> int:
     fileio.write_envelope(run.out_path(args.out), out)
     if trace is not None:
         fileio.write_trace_csv(run.out_path(args.trace_out), trace)
-    run.finish()
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- demod
 
-def _cmd_demod(args) -> int:
-    run = _Run("demod", args)
+def _cmd_demod(args, run: _Run) -> int:
     trace = fileio.read_trace_csv(run.in_path(args.trace))
     filt = design_lowpass(args.order, args.cutoff_hz, 1.0 / trace.grid.dt)
     step = _decimation(args.out_dt, trace.grid.dt)
@@ -139,14 +134,12 @@ def _cmd_demod(args) -> int:
                         n=trace.grid.n // step)
     env = demodulate(trace, args.beat_hz, filt, out_grid)
     fileio.write_envelope(run.out_path(args.out), env)
-    run.finish()
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- estimate
 
-def _cmd_estimate(args) -> int:
-    run = _Run("estimate", args)
+def _cmd_estimate(args, run: _Run) -> int:
     inp = fileio.read_envelope(run.in_path(args.input))
     out = fileio.read_envelope(run.in_path(args.output))
     from .loop import _align_to_target
@@ -162,15 +155,14 @@ def _cmd_estimate(args) -> int:
         _, scores, model = cross_validate(inp, aligned, args.memory, cv)
         fileio.write_scores_csv(run.out_path(args.scores_out), scores)
     fileio.write_model_json(run.out_path(args.model_out), model)
-    run.finish()
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- loop
 
 def _write_loop(run: _Run, report) -> None:
-    """Write a loop report, its convergence table, every shot's input
-    and output, and the manifest."""
+    """Write a loop report, its convergence table and every shot's input
+    and output."""
     fileio.write_report_json(run.out_path("report.json"), report)
     fileio.write_convergence_csv(run.out_path("convergence.csv"), report)
     for rec in report.records:
@@ -178,11 +170,9 @@ def _write_loop(run: _Run, report) -> None:
             run.out_path(f"iter_{rec.index:03d}_input.csv"), rec.s_pred)
         fileio.write_envelope_csv(
             run.out_path(f"iter_{rec.index:03d}_output.csv"), rec.s_out)
-    run.finish()
 
 
-def _cmd_loop(args) -> int:
-    run = _Run("loop", args)
+def _cmd_loop(args, run: _Run) -> int:
     target = fileio.read_envelope(run.in_path(args.target))
     if (args.channel is None) == (args.replay is None):
         raise InvalidSpecError("pass exactly one of --channel / --replay")
@@ -230,8 +220,7 @@ def _load_train(args, run: _Run):
     return designs[args.design]()
 
 
-def _cmd_optics(args) -> int:
-    run = _Run("optics", args)
+def _cmd_optics(args, run: _Run) -> int:
     if args.steps < 1:
         raise InvalidSpecError(f"--steps must be >= 1, got {args.steps}")
     train = _load_train(args, run)
@@ -268,7 +257,6 @@ def _cmd_optics(args) -> int:
             (rows["w_in"], rows["waist"], rows["offset"],
              rows["within_rayleigh"].astype(float)))
         fileio.atomic_write_text(run.out_path("waist_sweep.csv"), text)
-    run.finish()
     return EXIT_OK
 
 
@@ -392,12 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _Run(args.command, args)
     try:
-        return args.func(args)
+        code = args.func(args, run)
+        run.finish()
+        return code
     except _USAGE_ERRORS as exc:
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _LOOP_FAILURES as exc:
+        if run.outputs:  # the partial report of the shots taken
+            run.finish()
         print(f"pulseloop {args.command}: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

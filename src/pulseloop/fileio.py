@@ -238,8 +238,7 @@ def read_channel_json(path: str) -> ChannelConfig:
 def train_to_dict(train: OpticalTrain) -> dict:
     return {"elements": [{"kind": e.kind, "parameter": e.parameter}
                          for e in train.elements],
-            "markers": dict(train.markers),
-            "k": train.k}
+            "markers": dict(train.markers)}
 
 
 def train_from_dict(obj: dict) -> OpticalTrain:
@@ -247,8 +246,7 @@ def train_from_dict(obj: dict) -> OpticalTrain:
                      for e in obj["elements"])
     return OpticalTrain(elements=elements,
                         markers={str(k): int(v)
-                                 for k, v in obj.get("markers", {}).items()},
-                        k=obj.get("k"))
+                                 for k, v in obj.get("markers", {}).items()})
 
 
 def write_train_json(path: str, train: OpticalTrain) -> None:

@@ -82,13 +82,11 @@ class OpticalTrain:
     """Ordered elements with named marker planes.
 
     A marker maps a name to a boundary index: marker ``i`` designates
-    the plane after the first ``i`` elements. ``k`` records the tuned
-    inter-lens spacing when the train came out of a design helper.
+    the plane after the first ``i`` elements.
     """
 
     elements: tuple
     markers: dict = field(default_factory=dict)
-    k: float | None = None
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -363,8 +361,7 @@ def design_three_lens(wavelength: float = DESIGN_WAVELENGTH,
         d4 = WAIST_MATCHED_D4
     else:
         raise InvalidSpecError(f"unknown design mode {mode!r}")
-    return OpticalTrain(elements=_three_lens(k, d3, d4), markers={"aom": 6},
-                        k=float(k))
+    return OpticalTrain(elements=_three_lens(k, d3, d4), markers={"aom": 6})
 
 
 def _waist_matched_spacings(z_in, z_target, w_target):

@@ -7,7 +7,8 @@ import pytest
 import scipy.fft as sfft
 import scipy.signal as sig
 
-from pulseloop.channel import (KAPPA_CALIBRATED, AcoustoOpticParams,
+from pulseloop.channel import (CALIBRATION_FWHM, CALIBRATION_PEAK,
+                               KAPPA_CALIBRATED, AcoustoOpticParams,
                                ChannelConfig, SimulatedChannel, apply_channel,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
@@ -257,9 +258,20 @@ def test_gaussian_peak_phase_near_quarter_radian():
 
 
 def test_calibrate_kappa_reaches_the_target_peak():
-    kappa = calibrate_kappa(PARAMS, target_peak=0.25, fwhm=3e-7)
+    kappa = calibrate_kappa(PARAMS)
     peak = peak_quadrature_phase(_gaussian_p(fwhm=3e-7), PARAMS, kappa)
     assert peak == pytest.approx(0.25, abs=1e-3)
+
+
+def test_shipped_kappa_stays_near_the_calibration_target():
+    # KAPPA_CALIBRATED is not recomputed (every simulated channel depends
+    # on it), so bound its distance from the calibration (0.2506 rad and
+    # 0.25 % at the defaults).
+    peak = peak_quadrature_phase(_gaussian_p(fwhm=CALIBRATION_FWHM), PARAMS,
+                                 KAPPA_CALIBRATED)
+    assert peak == pytest.approx(CALIBRATION_PEAK, abs=1e-3)
+    assert KAPPA_CALIBRATED == pytest.approx(calibrate_kappa(PARAMS),
+                                             rel=5e-3)
 
 
 # ------------------------------------------------------------- apply_channel

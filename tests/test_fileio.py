@@ -147,6 +147,16 @@ def test_channel_json_round_trip(tmp_path):
     assert back.aom.theta0 == config.aom.theta0
 
 
+def test_default_channel_json_is_unchanged(tmp_path):
+    # The module's design point: beam from optics, drive from the beat,
+    # kernel and chirp from channel. Any edit that moves a default
+    # changes this file.
+    path = str(tmp_path / "chan.json")
+    fileio.write_channel_json(path, ChannelConfig())
+    assert fileio.sha256_file(path) == (
+        "ead1d05c908412b6da302273ff6fdc4c1e8d1fa510c148d2632207b77ad8638c")
+
+
 # ------------------------------------------------------------------- trains
 
 def test_train_json_round_trip(tmp_path):
@@ -159,7 +169,18 @@ def test_train_json_round_trip(tmp_path):
         assert a.kind == b.kind
         assert a.parameter == b.parameter
     assert back.markers == train.markers
-    assert back.k == train.k
+
+
+def test_train_json_with_a_legacy_spacing_key_loads(tmp_path):
+    # A train file that still carries the old "k" spacing key loads.
+    train = design_three_lens(mode="compact")
+    obj = fileio.train_to_dict(train)
+    assert "k" not in obj
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps({**obj, "k": train.elements[1].parameter}))
+    back = fileio.read_train_json(str(path))
+    assert back.elements == train.elements
+    assert back.markers == train.markers
 
 
 # ------------------------------------------------------------------ reports

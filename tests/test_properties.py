@@ -195,6 +195,10 @@ def _ridge_oracle(a, y, lam):
 # A square lam = 0 fit with cond(A) = 1.9e13, where the taps land 2.8e-4
 # from the lstsq oracle's.
 @example(seed=1158940167, memory=33, extra=1, lam=0.0)
+# A square lam = 0 fit with s_min / s_max = 1.6e-14, just above
+# estimate_kernel's cutoff eps * max(n, p): an oracle on [a; 0 * I] has
+# twice the rows, so twice the cutoff, and dropped that singular value.
+@example(seed=2345297, memory=63, extra=1, lam=0.0)
 def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
                                                          extra, lam):
     # n runs from memory + 1 (square) to well past several row blocks.
@@ -207,10 +211,12 @@ def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
     model = estimate_kernel(inp, out, memory, lam)
     theta = np.concatenate([[model.h0], model.h1])
     a = build_design_matrix(inp, memory)
-    ref = _ridge_oracle(a, out.samples, lam)
-    tol = 1e-8
-    if lam == 0:
-        tol = max(tol, 100 * np.linalg.cond(a) * np.finfo(float).eps)
+    if lam == 0:  # lstsq on a alone: estimate_kernel's cutoff
+        ref = np.linalg.lstsq(a, out.samples, rcond=None)[0]
+        tol = max(1e-8, 100 * np.linalg.cond(a) * np.finfo(float).eps)
+    else:
+        ref = _ridge_oracle(a, out.samples, lam)
+        tol = 1e-8
     assert np.linalg.norm(theta - ref) <= tol * np.linalg.norm(ref)
 
 
