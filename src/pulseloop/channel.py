@@ -24,11 +24,6 @@ from . import demod as _demod
 
 DEFAULT_DELAY = 1.4e-6          # acoustic propagation to the beam, s
 DEFAULT_VELOCITY = 650.0        # shear-mode acoustic velocity, m/s
-# Drive frequency, Hz: the beam passes the modulator twice, so the beat
-# against the unshifted beam sits at twice the drive.
-DEFAULT_F_ACOUSTIC = _demod.DEFAULT_F_BEAT / 2
-DEFAULT_INDEX = 2.26            # refractive index
-DEFAULT_ETA = 1e-5              # index-modulation amplitude
 
 CALIBRATION_PEAK = 0.25         # calibration target: peak phase, rad,
 CALIBRATION_FWHM = 0.3e-6       # of a Gaussian pulse of this FWHM, s
@@ -46,31 +41,21 @@ DEFAULT_REFINE = 3              # sub-lattice points per envelope sample
 
 @dataclass(frozen=True)
 class AcoustoOpticParams:
-    """Geometry and material constants of the modulator interaction.
+    """Geometry of the modulator interaction.
 
-    ``theta0``, ``L1`` and ``L2`` may be passed as None to request the
-    Bragg-matched angle and a +/- 3 waist interaction window.
+    The acoustic velocity, the beam waist and the bounds of the
+    interaction region; ``L1`` and ``L2`` may be passed as None to
+    request a +/- 3 waist window.
     """
 
     v: float = DEFAULT_VELOCITY
-    f_acoustic: float = DEFAULT_F_ACOUSTIC
-    wavelength: float = DESIGN_WAVELENGTH
     w0: float = DESIGN_TARGET_WAIST
-    n0: float = DEFAULT_INDEX
-    eta: float = DEFAULT_ETA
-    theta0: float | None = None
     L1: float | None = None
     L2: float | None = None
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.v <= 0 or self.w0 <= 0:
             raise InvalidSpecError("v and w0 must be positive")
-        if not 0 < self.eta < self.n0:
-            raise InvalidSpecError("eta must satisfy 0 < eta << n0")
-        if self.theta0 is None:
-            bragg = np.arcsin(self.q * self.wavelength / (4 * np.pi * self.n0))
-            object.__setattr__(self, "theta0", float(bragg))
         if self.L1 is None:
             object.__setattr__(self, "L1", -3.0 * self.w0)
         if self.L2 is None:
@@ -80,41 +65,29 @@ class AcoustoOpticParams:
                 f"degenerate interaction region [{self.L1}, {self.L2}]")
 
     @property
-    def q(self) -> float:
-        """Acoustic wavenumber 2 pi f / v, rad/m."""
-        return 2.0 * np.pi * self.f_acoustic / self.v
-
-    @property
-    def r0(self) -> float:
-        """Incremental reflectance per unit length, 1/m."""
-        return self.q * self.eta / (4.0 * self.n0 * np.sin(self.theta0) ** 2)
-
-    @property
     def transit_time(self) -> float:
         """Acoustic travel time across the interaction region, s."""
         return (self.L2 - self.L1) / self.v
-
-
-def divergence_kappa(params: AcoustoOpticParams) -> float:
-    """Far-field divergence scale 2*wavelength/(pi*w0^2), rad/m."""
-    return 2.0 * params.wavelength / (np.pi * params.w0 ** 2)
 
 
 def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
                       kappa: float, refine: int = DEFAULT_REFINE) -> np.ndarray:
     """Complex reflectance r(t) of the traveling acoustic envelope.
 
-    Evaluates r(t) = -i r0 e^{i phi} Integral_{L1}^{L2} w(z) P(t - z/v)
-    e^{i kappa z^2 / w0} dz with Gaussian weighting w(z) = exp(-z^2/w0^2)
-    by composite trapezoid quadrature. The z lattice is locked to the
-    acoustic retardation: z = m * v * dt / refine, so P(t - z/v) is the
-    envelope's linear interpolant evaluated without phase error. The
-    interpolation is folded into the kernel (a polyphase decomposition),
-    so the convolution runs at the envelope rate rather than on the
-    refined lattice. That kernel depends only on the geometry (v, w0,
-    L1, L2), ``dt``, ``kappa`` and ``refine``, not on the envelope, so
-    it and its spectrum (per transform size) are memoized, and a repeat
-    call transforms only the envelope.
+    Evaluates r(t) = Integral_{L1}^{L2} w(z) P(t - z/v) e^{i kappa z^2 / w0}
+    dz with Gaussian weighting w(z) = exp(-z^2/w0^2) by composite
+    trapezoid quadrature. The physical reflectance's constant complex
+    prefactor is left out: downstream only the phase relative to the
+    peak and |r| relative to its maximum are used, and a constant factor
+    cancels in both. The z lattice is locked to the acoustic
+    retardation: z = m * v * dt / refine, so P(t - z/v) is the envelope's
+    linear interpolant evaluated without phase error. The interpolation
+    is folded into the kernel (a polyphase decomposition), so the
+    convolution runs at the envelope rate rather than on the refined
+    lattice. That kernel depends only on the geometry (v, w0, L1, L2),
+    ``dt``, ``kappa`` and ``refine``, not on the envelope, so it and its
+    spectrum (per transform size) are memoized, and a repeat call
+    transforms only the envelope.
 
     Parameters
     ----------
@@ -154,8 +127,7 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     lo = max(0, k0)
     hi = max(lo, min(n, len(full) + k0))
     r[lo:hi] = full[lo - k0:hi - k0]
-    pref = -1j * params.r0 * np.exp(1j * params.phi)
-    return pref * r
+    return r
 
 
 @lru_cache(maxsize=32)
@@ -210,8 +182,8 @@ def quadrature_phase(r) -> np.ndarray:
     Unwraps arg(r) over the samples where |r| is at least 1e-6 of its
     maximum; below that the phase is held at its nearest valid neighbor
     (the argument of a vanishing complex number carries no information).
-    The static -pi/2 and acoustic-phase offsets are removed by
-    referencing the phase to zero at the envelope maximum.
+    Any constant phase offset is removed by referencing the phase to zero
+    at the envelope maximum.
     """
     r = np.asarray(r, dtype=complex)
     a = np.abs(r)
@@ -289,7 +261,7 @@ def calibrate_kappa(params: AcoustoOpticParams) -> float:
     def peak_phase(kappa):
         return peak_quadrature_phase(env, params, kappa)
 
-    scale = divergence_kappa(params)
+    scale = 2.0 * DESIGN_WAVELENGTH / (np.pi * params.w0 ** 2)
     hi = scale
     while peak_phase(hi) < target_peak:
         hi *= 2.0

@@ -32,7 +32,7 @@ from .demod import (DEFAULT_CUTOFF, DEFAULT_F_BEAT, DEFAULT_FS, DEFAULT_ORDER,
 from .sysid import DEFAULT_MEMORY, CVConfig, cross_validate, estimate_kernel
 from .channel import SimulatedChannel, record_response
 from .loop import (_LOOP_FAILURES, _USAGE_ERRORS, LOOP_METHODS, LoopConfig,
-                   ReplayChannel, closed_loop)
+                   ReplayChannel, _align_to_target, closed_loop)
 from .optics import (APERTURE, BRAGG_TOLERANCE, DESIGN_WAVELENGTH, RayState,
                      aperture_check, design_single_lens, design_three_lens,
                      propagate_ray, sensitivity, waist_vs_input_waist)
@@ -142,7 +142,6 @@ def _cmd_demod(args, run: _Run) -> int:
 def _cmd_estimate(args, run: _Run) -> int:
     inp = fileio.read_envelope(run.in_path(args.input))
     out = fileio.read_envelope(run.in_path(args.output))
-    from .loop import _align_to_target
     aligned = _align_to_target(out, inp)
     if args.lambda_reg is not None:
         model = estimate_kernel(inp, aligned, args.memory, args.lambda_reg)
@@ -334,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", default=None,
                    help="channel config JSON (simulated backend)")
     p.add_argument("--replay", default=None,
-                   help="directory of recorded output_*.csv (replay backend)")
+                   help="directory of recorded shots, read in name order "
+                        "from files named *output.csv or output*.csv, e.g. "
+                        "loop's iter_NNN_output.csv (replay backend)")
     p.add_argument("--method", default="transfer-function",
                    choices=sorted(METHOD_ALIASES))
     p.add_argument("--max-iters", type=int,

@@ -9,6 +9,7 @@ data produces byte-equal files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -199,14 +200,10 @@ def write_scores_csv(path: str, scores: np.ndarray) -> None:
 # ----------------------------------------------------------- channel config
 
 def channel_to_dict(config: ChannelConfig) -> dict:
-    aom = config.aom
     return {
         "delay": config.delay,
         "volterra": model_to_dict(config.volterra),
-        "aom": {"v": aom.v, "f_acoustic": aom.f_acoustic,
-                "wavelength": aom.wavelength, "w0": aom.w0, "n0": aom.n0,
-                "eta": aom.eta, "theta0": aom.theta0,
-                "L1": aom.L1, "L2": aom.L2, "phi": aom.phi},
+        "aom": dataclasses.asdict(config.aom),
         "aom_enabled": config.aom_enabled,
         "mismatch_kappa": config.mismatch_kappa,
         "noise_sigma": config.noise_sigma,
@@ -214,15 +211,20 @@ def channel_to_dict(config: ChannelConfig) -> dict:
     }
 
 
+# Modulator settings that older channel files carry; the reflectance's
+# constant prefactor they set cancels in every use, so they are ignored.
+_LEGACY_AOM_KEYS = ("f_acoustic", "wavelength", "n0", "eta", "theta0", "phi")
+
+
 def channel_from_dict(obj: dict) -> ChannelConfig:
-    aom = AcoustoOpticParams(**obj.get("aom", {}))
+    aom = {**obj.get("aom", {})}
+    for key in _LEGACY_AOM_KEYS:
+        aom.pop(key, None)
     cfg = {k: obj[k] for k in ("delay", "aom_enabled", "mismatch_kappa",
                                "noise_sigma", "seed") if k in obj}
-    volterra = (model_from_dict(obj["volterra"]) if "volterra" in obj
-                else None)
-    if volterra is None:
-        return ChannelConfig(aom=aom, **cfg)
-    return ChannelConfig(volterra=volterra, aom=aom, **cfg)
+    if "volterra" in obj:
+        cfg["volterra"] = model_from_dict(obj["volterra"])
+    return ChannelConfig(aom=AcoustoOpticParams(**aom), **cfg)
 
 
 def write_channel_json(path: str, config: ChannelConfig) -> None:

@@ -13,7 +13,8 @@ from pulseloop.channel import (CALIBRATION_FWHM, CALIBRATION_PEAK,
                                calibrate_kappa, default_kernel, post_pad,
                                peak_quadrature_phase, quadrature_phase,
                                record_response, reflectance_trace,
-                               _kernel_spectrum, _polyphase_kernel)
+                               _kernel_spectrum, _phase_factor,
+                               _polyphase_kernel)
 from pulseloop.demod import (DEFAULT_ORDER, AliasingError, demodulate,
                              design_lowpass, filtfilt, suggested_cutoff,
                              synthesize_beat)
@@ -45,10 +46,6 @@ def _gaussian_p(fwhm=3e-7, duration=None, dt=1e-9):
 
 def test_params_derive_bragg_angle_and_bounds():
     p = PARAMS
-    q = 2 * np.pi * p.f_acoustic / p.v
-    assert p.q == pytest.approx(q)
-    assert p.theta0 == pytest.approx(
-        np.arcsin(q * p.wavelength / (4 * np.pi * p.n0)))
     assert p.L1 == pytest.approx(-3 * p.w0)
     assert p.L2 == pytest.approx(3 * p.w0)
     assert p.transit_time == pytest.approx(6 * p.w0 / p.v)
@@ -57,8 +54,6 @@ def test_params_derive_bragg_angle_and_bounds():
 def test_params_validation():
     with pytest.raises(InvalidSpecError):
         AcoustoOpticParams(w0=-1e-6)
-    with pytest.raises(InvalidSpecError):
-        AcoustoOpticParams(eta=3.0)  # exceeds n0
     with pytest.raises(InvalidSpecError):
         AcoustoOpticParams(L1=1e-4, L2=-1e-4)
 
@@ -87,18 +82,16 @@ def test_reflectance_zero_input_zero_output():
 
 def test_reflectance_matched_constant_has_fixed_phase():
     # kappa = 0 removes the mismatch chirp; a constant drive then gives
-    # constant |r| and phase phi - pi/2 once the transit has filled.
-    phi = 0.8
-    params = AcoustoOpticParams(phi=phi)
+    # constant |r| and phase 0 once the transit has filled.
     grid = TimeGrid(0.0, 1e-9, 2048)
     p = ComplexEnvelope(grid, np.ones(2048, dtype=complex))
-    r = reflectance_trace(p, params, kappa=0.0)
+    r = reflectance_trace(p, PARAMS, kappa=0.0)
     # The transit also rolls off at the end of the grid where the drive
     # runs out, so exclude one transit on both sides.
-    transit = int(np.ceil(params.transit_time / grid.dt))
+    transit = int(np.ceil(PARAMS.transit_time / grid.dt))
     core = r[transit + 8:-(transit + 8)]
     np.testing.assert_allclose(np.abs(core), np.abs(core[0]), rtol=1e-9)
-    np.testing.assert_allclose(np.angle(core), phi - np.pi / 2, atol=1e-9)
+    np.testing.assert_allclose(np.angle(core), 0.0, atol=1e-9)
 
 
 def test_reflectance_rectangular_pulse_refinement_oracle():
@@ -143,7 +136,7 @@ def _fine_rate_reflectance(p_env, params, kappa, refine):
     lo = max(0, m_lo)
     hi = min(len(p_fine), len(full) + m_lo)
     r_fine[lo:hi] = full[lo - m_lo:hi - m_lo]
-    return -1j * params.r0 * np.exp(1j * params.phi) * r_fine[::refine]
+    return r_fine[::refine]
 
 
 def _reflectance_inputs():
@@ -249,6 +242,27 @@ def test_phase_held_at_nearest_valid_sample_across_interior_gaps():
         ph = np.unwrap(np.angle(r[vidx]))[pos]
         expected = ph - ph[int(np.argmax(np.abs(r)))]
         np.testing.assert_array_equal(quadrature_phase(r), expected)
+
+
+def test_phase_ignores_a_constant_factor_of_the_reflectance():
+    # reflectance_trace leaves out the physical reflectance's constant
+    # prefactor; this is why it may: the phasor and the phase depend on r
+    # only relative to its peak. Scaling r by any c != 0 moves them by
+    # rounding only, here under 1e-14 (they are of order 1; the largest
+    # difference seen is 1.6e-15). c spans twelve decades and includes
+    # the old prefactor's magnitude and phase (-i * 5627 at phi = 0).
+    rng = np.random.default_rng(20)
+    cs = [-5627.2j] + list(10 ** rng.uniform(-6, 6, 4)
+                          * np.exp(2j * np.pi * rng.random(4)))
+    for duration in (1.8e-7, 5e-7, 2e-6):
+        r = reflectance_trace(_record_window(duration), PARAMS,
+                              KAPPA_CALIBRATED)
+        for c in cs:
+            np.testing.assert_allclose(_phase_factor(c * r), _phase_factor(r),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(quadrature_phase(c * r),
+                                       quadrature_phase(r), rtol=0,
+                                       atol=1e-14)
 
 
 def test_gaussian_peak_phase_near_quarter_radian():
@@ -595,7 +609,7 @@ def _uncached_reflectance(p_env, params, kappa, refine=3):
     lo = max(0, k0)
     hi = max(lo, min(n, len(full) + k0))
     r[lo:hi] = full[lo - k0:hi - k0]
-    return -1j * params.r0 * np.exp(1j * params.phi) * r
+    return r
 
 
 def _uncached_measure(chan, env, shot):

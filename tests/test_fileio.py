@@ -143,18 +143,56 @@ def test_channel_json_round_trip(tmp_path):
     assert back.aom_enabled == config.aom_enabled
     assert back.mismatch_kappa == config.mismatch_kappa
     np.testing.assert_array_equal(back.volterra.h1, config.volterra.h1)
-    assert back.aom.v == config.aom.v
-    assert back.aom.theta0 == config.aom.theta0
+    assert back.aom == config.aom
 
 
 def test_default_channel_json_is_unchanged(tmp_path):
-    # The module's design point: beam from optics, drive from the beat,
-    # kernel and chirp from channel. Any edit that moves a default
-    # changes this file.
+    # The module's design point: waist from optics, kernel and chirp
+    # from channel. Any edit that moves a default changes this file.
     path = str(tmp_path / "chan.json")
     fileio.write_channel_json(path, ChannelConfig())
     assert fileio.sha256_file(path) == (
+        "1bbe3fb8d72191d9668ca335a146461f0dde801fe265565ae5562d1967bcbb38")
+
+
+# Modulator settings that older channel files carry, at the defaults they
+# were written with; they set only the reflectance's constant prefactor.
+_LEGACY_AOM = {"f_acoustic": 1e8, "wavelength": 4.05e-7, "n0": 2.26,
+               "eta": 1e-5, "theta0": 0.013785324290608908, "phi": 0.0}
+
+
+def _channel_file(path, obj):
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return str(path)
+
+
+def test_channel_json_with_legacy_modulator_keys_loads(tmp_path):
+    obj = fileio.channel_to_dict(ChannelConfig())
+    obj["aom"].update(_LEGACY_AOM)
+    path = _channel_file(tmp_path / "legacy.json", obj)
+    # Byte for byte the default file as written before the keys went.
+    assert fileio.sha256_file(path) == (
         "ead1d05c908412b6da302273ff6fdc4c1e8d1fa510c148d2632207b77ad8638c")
+    back = fileio.read_channel_json(path)
+    assert back.aom == ChannelConfig().aom
+    assert fileio.channel_to_dict(back) == fileio.channel_to_dict(
+        ChannelConfig())
+
+
+def test_channel_json_with_a_misspelt_modulator_key_fails(tmp_path):
+    obj = fileio.channel_to_dict(ChannelConfig())
+    obj["aom"]["w_0"] = obj["aom"].pop("w0")
+    path = _channel_file(tmp_path / "typo.json", obj)
+    with pytest.raises(InvalidSpecError, match="unexpected keyword .*w_0"):
+        fileio.read_channel_json(path)
+
+
+def test_channel_json_with_a_non_object_aom_fails(tmp_path):
+    obj = fileio.channel_to_dict(ChannelConfig())
+    obj["aom"] = [["v", 600.0]]
+    path = _channel_file(tmp_path / "list.json", obj)
+    with pytest.raises(InvalidSpecError, match="mapping"):
+        fileio.read_channel_json(path)
 
 
 # ------------------------------------------------------------------- trains
