@@ -17,9 +17,9 @@ import numpy as np
 import scipy.fft as sfft
 
 from .envelope import (DEFAULT_DT, ComplexEnvelope, InvalidSpecError,
-                       TimeGrid, ZeroSignalError, embed)
+                       TimeGrid, ZeroSignalError, _support, embed)
 from .optics import DESIGN_TARGET_WAIST, DESIGN_WAVELENGTH
-from .sysid import DEFAULT_MEMORY, VolterraModel, volterra_forward
+from .sysid import DEFAULT_MEMORY, VolterraModel, _forward_samples
 from . import demod as _demod
 
 DEFAULT_DELAY = 1.4e-6          # acoustic propagation to the beam, s
@@ -87,7 +87,12 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     lattice. That kernel depends only on the geometry (v, w0, L1, L2),
     ``dt``, ``kappa`` and ``refine``, not on the envelope, so it and its
     spectrum (per transform size) are memoized, and a repeat call
-    transforms only the envelope.
+    transforms only the envelope. Only the span from the first to the
+    last nonzero amplitude sample is transformed: r is exactly zero
+    beyond the kernel's reach of that span (the whole-window transform
+    left FFT residue of about 1e-17 there, far below the 1e-6 validity
+    floor of ``quadrature_phase``, so the valid samples are the same), and
+    equal to the whole-window transform to rounding elsewhere.
 
     Parameters
     ----------
@@ -113,20 +118,28 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     key = (params.v, params.w0, params.L1, params.L2, p_env.grid.dt, kappa,
            refine)
     kern, c1, d_lo = _polyphase_kernel(*key)
-    # The transforms scipy.signal.fftconvolve runs, with the kernel's
-    # spectrum taken from the cache instead of recomputed.
-    length = n + len(kern) - 1
-    size = sfft.next_fast_len(length, False)
-    full = sfft.ifft(sfft.fft(p, size) * _kernel_spectrum(*key, size))[:length]
-    # The moved c1 reads p[0] one step before the refined signal starts,
-    # and misses np.interp's end clamp (p[-1] held one step past the end).
-    full[:len(c1)] -= p[0] * c1
-    full[n:] += p[-1] * c1
-    k0 = d_lo - 1  # output sample of full[0]
     r = np.zeros(n, dtype=complex)
-    lo = max(0, k0)
-    hi = max(lo, min(n, len(full) + k0))
-    r[lo:hi] = full[lo - k0:hi - k0]
+    lo, hi = _support(p)
+    if hi == lo:
+        return r
+    # The transforms scipy.signal.fftconvolve runs on the nonzero span of
+    # p, with the kernel's spectrum taken from the cache instead of
+    # recomputed.
+    length = hi - lo + len(kern) - 1
+    size = sfft.next_fast_len(length, False)
+    full = sfft.ifft(sfft.fft(p[lo:hi], size)
+                     * _kernel_spectrum(*key, size))[:length]
+    # The moved c1 reads p[0] one step before the refined signal starts,
+    # and misses np.interp's end clamp (p[-1] held one step past the end);
+    # both are zero unless the span reaches that end of the envelope.
+    if lo == 0:
+        full[:len(c1)] -= p[0] * c1
+    if hi == n:
+        full[n - lo:] += p[-1] * c1
+    k0 = lo + d_lo - 1  # output sample of full[0]
+    a = max(0, k0)
+    b = max(a, min(n, length + k0))
+    r[a:b] = full[a - k0:b - k0]
     return r
 
 
@@ -333,21 +346,34 @@ def apply_channel(env: ComplexEnvelope,
     is created per call from the entropy ``[config.seed, 1]``, a stream
     apart from the trace noise that ``synthesize_beat`` draws from
     ``config.seed``, and draws one value pair per output sample.
+    Each stage runs only where its input is nonzero: the kernel convolves
+    the request's nonzero span (outside it the output is exactly ``h0``),
+    the reflectance transforms the nonzero span of the kernel's output,
+    and the phase factor is taken over r's nonzero span, held at its end
+    values outside it. Zero padding therefore costs nothing, stays exact
+    zeros when ``h0`` is zero, and the shot equals the whole-window
+    composition to rounding; a kernel with ``h0`` != 0 or a request with
+    no zero padding makes the span the whole window.
     """
     g = env.grid
     d = _delay_samples(config, g.dt)
-    out = ComplexEnvelope(TimeGrid(g.t0 + d * g.dt, g.dt, g.n), env.samples)
-    out = volterra_forward(config.volterra, out)
+    grid = TimeGrid(g.t0 + d * g.dt, g.dt, g.n)
+    y = _forward_samples(config.volterra, env.samples)
     if config.aom_enabled:
-        r = reflectance_trace(out, config.aom, config.mismatch_kappa)
-        out = out.with_samples(out.samples * _phase_factor(r))
+        r = reflectance_trace(ComplexEnvelope(grid, y), config.aom,
+                              config.mismatch_kappa)
+        # Outside r's nonzero span every sample holds the phasor of the
+        # span's first or last valid sample.
+        lo, hi = _support(r)
+        u = _phase_factor(r[lo:hi])
+        y[:lo] *= u[0]
+        y[lo:hi] *= u
+        y[hi:] *= u[-1]
     if config.noise_sigma > 0:
         rng = np.random.default_rng([config.seed, 1])
-        noise = (rng.standard_normal(env.grid.n)
-                 + 1j * rng.standard_normal(env.grid.n))
-        out = out.with_samples(out.samples
-                               + config.noise_sigma / np.sqrt(2) * noise)
-    return out
+        noise = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        y += config.noise_sigma / np.sqrt(2) * noise
+    return ComplexEnvelope(grid, y)
 
 
 def record_response(env: ComplexEnvelope, config: ChannelConfig,
@@ -362,7 +388,8 @@ def record_response(env: ComplexEnvelope, config: ChannelConfig,
     length whatever the delay, kernel, cutoff or pulse. The request is
     padded with ``PAD_PRE`` zeros ahead and that tail less d behind, and
     ``apply_channel`` then moves the origin by the d delay samples, so
-    none of the samples ahead of the response are computed.
+    none of the samples ahead of the response are computed, and its
+    stages skip the padding's zeros.
     """
     dt = env.grid.dt
     pre = SimulatedChannel.PAD_PRE

@@ -56,7 +56,7 @@ class BeatTrace:
         object.__setattr__(self, "samples", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterSpec:
     """Low-pass filter as a stable cascade of second-order sections.
 
@@ -66,7 +66,8 @@ class FilterSpec:
     steady-state response of each section to a unit step (the state
     ``scipy.signal.sosfilt_zi`` returns), which ``filtfilt`` scales by
     the edge value of each pass, and the block operators ``filtfilt``
-    runs the cascade with.
+    runs the cascade with. Compared and hashed by identity, so a filter
+    can key a cache; ``design_lowpass`` shares one per setting.
     """
 
     order: int
@@ -249,11 +250,23 @@ def _block_pass(filt: FilterSpec, buf: np.ndarray,
     rhs = np.empty((rows, k, n_state))
     rhs[:, 0] = z0
     np.matmul(xb[:, :-1], g_op, out=rhs[:, 1:])
-    z, _ = lapack.dtbtrs(np.tile(band, k),
+    z, _ = lapack.dtbtrs(_chain_band(filt, k),
                          rhs.reshape(rows, k * n_state).T, uplo="L")
     y = xb @ t_op
     y += z.T.reshape(rows, k, n_state) @ o_op
     return y.reshape(rows, -1)
+
+
+# The chain of k blocks depends only on the filter and k, which stay fixed
+# over the shots of a loop, so it is built once and shared read-only by
+# both passes of every shot.
+@lru_cache(maxsize=16)
+def _chain_band(filt: FilterSpec, k: int) -> np.ndarray:
+    """Band of the system chaining the states of ``k`` blocks, in LAPACK's
+    column-major layout."""
+    out = np.asfortranarray(np.tile(filt._blocks[3], k))
+    out.setflags(write=False)
+    return out
 
 
 def suggested_cutoff(duration: float) -> float:

@@ -302,6 +302,15 @@ def crop(env: ComplexEnvelope, grid: TimeGrid) -> ComplexEnvelope:
     return ComplexEnvelope(grid, env.samples[k:k + grid.n])
 
 
+def _support(x: np.ndarray) -> tuple[int, int]:
+    """First and one past the last index of x's nonzero samples.
+
+    ``(0, 0)`` when every sample is zero, so ``x[lo:hi]`` is then empty.
+    """
+    nz = np.flatnonzero(x)
+    return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+
+
 def embed(env: ComplexEnvelope, pad_before: int,
           pad_after: int) -> ComplexEnvelope:
     """Zero-pad an envelope on both sides, extending its grid."""

@@ -195,7 +195,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     kept. Stops when the cost falls below ``config.cost_tol`` or after
     ``config.max_iters`` steps, with ``converged`` flagging which case
     occurred. Raises ``SingularUpdateError`` when the damped normal
-    matrix cannot be factored.
+    matrix cannot be factored, naming max |h1| of ``model``.
     """
     if model.memory > s_target.grid.n:
         raise InvalidSpecError("model memory exceeds the target length")
@@ -205,7 +205,8 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
         factor = (cholesky_banded(ab, lower=True), True)
     except np.linalg.LinAlgError as exc:
         raise SingularUpdateError(
-            "damped normal matrix is not positive definite") from exc
+            "damped normal matrix is not positive definite for a model "
+            f"with max |h1| = {np.max(np.abs(model.h1)):.3g}") from exc
     s = s_target.samples.copy()
     target = s_target.samples
 

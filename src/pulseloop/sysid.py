@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError)
+from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
+                       _support)
 
 DEFAULT_MEMORY = 64  # taps at 1 ns spacing; covers post-delay ringing
 
@@ -56,12 +57,25 @@ def volterra_forward(model: VolterraModel,
 
     Causal convolution with zero initial conditions; the output lives on
     the input grid. The memory length may not exceed the signal length.
+    The convolution runs from the input's first to its last nonzero
+    sample: every other output sample is exactly ``h0``, and the rest
+    equal the whole-window convolution to rounding.
     """
-    if model.memory > env.grid.n:
+    return ComplexEnvelope(env.grid, _forward_samples(model, env.samples))
+
+
+def _forward_samples(model: VolterraModel, x: np.ndarray) -> np.ndarray:
+    """``volterra_forward``'s output samples, as a new writable array."""
+    n = len(x)
+    if model.memory > n:
         raise InvalidSpecError(
-            f"memory {model.memory} exceeds signal length {env.grid.n}")
-    y = np.convolve(env.samples, model.h1)[:env.grid.n] + model.h0
-    return ComplexEnvelope(env.grid, y)
+            f"memory {model.memory} exceeds signal length {n}")
+    lo, hi = _support(x)
+    y = np.full(n, model.h0, dtype=complex)
+    if hi > lo:
+        seg = np.convolve(x[lo:hi], model.h1)[:n - lo]
+        y[lo:lo + len(seg)] += seg
+    return y
 
 
 def _regression_rows(env: ComplexEnvelope, memory: int,

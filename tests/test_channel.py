@@ -44,7 +44,7 @@ def _gaussian_p(fwhm=3e-7, duration=None, dt=1e-9):
 
 # -------------------------------------------------------- AcoustoOpticParams
 
-def test_params_derive_bragg_angle_and_bounds():
+def test_params_default_bounds_and_transit_time():
     p = PARAMS
     assert p.L1 == pytest.approx(-3 * p.w0)
     assert p.L2 == pytest.approx(3 * p.w0)
@@ -580,11 +580,9 @@ def test_simulated_channel_rejects_a_non_finite_beat_rate_or_cutoff(kwargs):
 
 # ------------------------------------------- memoized shot-invariant work
 
-def _uncached_reflectance(p_env, params, kappa, refine=3):
-    # reflectance_trace with its polyphase kernel rebuilt on every call.
-    p = p_env.amplitude
-    n = len(p)
-    dz = params.v * p_env.grid.dt / refine
+def _uncached_kernel(params, dt, kappa, refine):
+    # _polyphase_kernel rebuilt on every call: (kernel, c1, d_lo).
+    dz = params.v * dt / refine
     m = np.arange(int(np.ceil(params.L1 / dz)),
                   int(np.floor(params.L2 / dz)) + 1)
     z = m * dz
@@ -601,15 +599,41 @@ def _uncached_reflectance(p_env, params, kappa, refine=3):
     c1 = np.zeros_like(c0)
     np.add.at(c0, d - d_lo, ker * (1.0 - frac))
     np.add.at(c1, d - d_lo, ker * frac)
-    full = sig.fftconvolve(p, np.append(0.0, c0) + np.append(c1, 0.0))
-    full[:len(c1)] -= p[0] * c1
-    full[n:] += p[-1] * c1
-    k0 = d_lo - 1
+    return np.append(0.0, c0) + np.append(c1, 0.0), c1, d_lo
+
+
+def _composed_reflectance(p_env, params, kappa, refine, lo, hi):
+    # fftconvolve of |p|[lo:hi] with the uncached kernel, the c1 end
+    # corrections of the envelope's first and last samples, placed on the
+    # envelope's samples.
+    p = p_env.amplitude
+    n = len(p)
+    kern, c1, d_lo = _uncached_kernel(params, p_env.grid.dt, kappa, refine)
+    full = sig.fftconvolve(p[lo:hi], kern)
+    if lo == 0:
+        full[:len(c1)] -= p[0] * c1
+    if hi == n:
+        full[n - lo:] += p[-1] * c1
+    k0 = lo + d_lo - 1
     r = np.zeros(n, dtype=complex)
-    lo = max(0, k0)
-    hi = max(lo, min(n, len(full) + k0))
-    r[lo:hi] = full[lo - k0:hi - k0]
+    a = max(0, k0)
+    b = max(a, min(n, len(full) + k0))
+    r[a:b] = full[a - k0:b - k0]
     return r
+
+
+def _uncached_reflectance(p_env, params, kappa, refine=3):
+    # reflectance_trace with its polyphase kernel rebuilt on every call:
+    # the transform runs from the first to the last nonzero |p| sample.
+    nz = np.flatnonzero(p_env.amplitude)
+    return _composed_reflectance(p_env, params, kappa, refine, nz[0],
+                                 nz[-1] + 1)
+
+
+def _whole_window_reflectance(p_env, params, kappa, refine=3):
+    # The composition over every sample of the envelope, zeros included.
+    return _composed_reflectance(p_env, params, kappa, refine, 0,
+                                 p_env.grid.n)
 
 
 def _uncached_measure(chan, env, shot):
@@ -617,7 +641,8 @@ def _uncached_measure(chan, env, shot):
     # reflectance kernel, both carriers, the filter and its operators)
     # recomputed. The window runs from PAD_PRE samples before the delayed
     # response to at least post_pad samples behind the request, rounded
-    # up to a fast transform length. Returns the shot,
+    # up to a fast transform length; the kernel and the reflectance
+    # transform the nonzero span of their inputs. Returns the shot,
     # the same shot filtered by scipy's Butterworth design and
     # sosfiltfilt instead, and max |z| of the filter input.
     cfg = chan.config
@@ -625,8 +650,13 @@ def _uncached_measure(chan, env, shot):
     dt = env.grid.dt
     d = int(round(cfg.delay / dt))
     ext = embed(env, chan.PAD_PRE, _record_tail(cfg, env, chan.cutoff))
-    out = volterra_forward(cfg.volterra, ComplexEnvelope(
-        TimeGrid(ext.grid.t0 + d * dt, dt, ext.grid.n), ext.samples))
+    # The kernel's convolution over the request's nonzero span.
+    x = ext.samples
+    nz = np.flatnonzero(x)
+    y = np.full(len(x), cfg.volterra.h0)
+    seg = np.convolve(x[nz[0]:nz[-1] + 1], cfg.volterra.h1)[:len(x) - nz[0]]
+    y[nz[0]:nz[0] + len(seg)] += seg
+    out = ComplexEnvelope(TimeGrid(ext.grid.t0 + d * dt, dt, ext.grid.n), y)
     if cfg.aom_enabled:
         # The unit phasor r/|r| at each sample's nearest valid sample,
         # referenced to the amplitude peak.
@@ -721,7 +751,8 @@ def _gate_window(n):
 def test_reflectance_equals_the_fftconvolve_composition(n, refine, kappa):
     # The measurement windows at 180 ns / 500 ns / 2 us, before and after
     # they were rounded up to fast transform lengths; the cached
-    # kernel spectrum must reproduce fftconvolve's transforms exactly.
+    # kernel spectrum must reproduce fftconvolve's transforms of the
+    # nonzero span exactly.
     env = _gate_window(n)
     for _ in range(2):
         assert np.array_equal(
@@ -729,16 +760,61 @@ def test_reflectance_equals_the_fftconvolve_composition(n, refine, kappa):
             _uncached_reflectance(env, PARAMS, kappa, refine))
 
 
+def _two_pulses():
+    # Two 180 ns gates 1,000 zeros apart, farther than the reflectance
+    # kernel (583 taps) reaches.
+    gate = make_pulse(PulseSpec(kind="gate-standin", duration=1.8e-7),
+                      default_grid(1.8e-7))
+    x = np.concatenate([np.zeros(300), gate.samples, np.zeros(1000),
+                        gate.samples, np.zeros(300)])
+    return ComplexEnvelope(TimeGrid(0.0, 1e-9, len(x)), x)
+
+
+def _constant(n):
+    # A request with no zero padding: every sample is nonzero.
+    return ComplexEnvelope(TimeGrid(0.0, 1e-9, n),
+                           np.full(n, 0.7 + 0.2j, dtype=complex))
+
+
+@pytest.mark.parametrize("refine", [1, 3])
+def test_reflectance_matches_the_whole_window_composition(refine):
+    # Transforming the nonzero span instead of the whole window moves r by
+    # rounding only (bound: 1e-13 of max |r|), keeps the valid set
+    # (|r| >= 1e-6 max |r|), and leaves exact zeros beyond the kernel's
+    # reach, where the whole-window transform leaves FFT residue.
+    reach = len(_polyphase_kernel(PARAMS.v, PARAMS.w0, PARAMS.L1, PARAMS.L2,
+                                  1e-9, KAPPA_CALIBRATED, refine)[0])
+    envs = [_gate_window(n) for n in (1680, 2304, 5324)]
+    envs += [_two_pulses(), _constant(1200), _gaussian_p()]
+    for env in envs:
+        got = reflectance_trace(env, PARAMS, KAPPA_CALIBRATED, refine=refine)
+        want = _whole_window_reflectance(env, PARAMS, KAPPA_CALIBRATED,
+                                         refine)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * peak
+        assert np.array_equal(np.abs(got) >= 1e-6 * np.max(np.abs(got)),
+                              np.abs(want) >= 1e-6 * peak)
+        nz = np.flatnonzero(env.samples)
+        outside = np.ones(env.grid.n, dtype=bool)
+        outside[max(0, nz[0] - reach):nz[-1] + 1 + reach] = False
+        assert not np.any(got[outside])
+
+
+def _span_window(n):
+    # n nonzero samples with zeros on both sides.
+    return embed(_constant(n), 400, 700)
+
+
 def test_kernel_spectrum_is_cached_read_only_per_transform_size():
     kappa = 1234.5  # a setting no other test caches
     key = (PARAMS.v, PARAMS.w0, PARAMS.L1, PARAMS.L2, 1e-9, kappa, 3)
     span = len(_polyphase_kernel(*key)[0]) - 1
     size = sfft.next_fast_len(1660 + span, False)
-    longest = size - span  # the longest window on the same transform
+    longest = size - span  # the longest nonzero span on the same transform
     assert longest > 1660
     before = _kernel_spectrum.cache_info()
     for n in (1660, 1660, longest, 5300):
-        reflectance_trace(_gate_window(n), PARAMS, kappa)
+        reflectance_trace(_span_window(n), PARAMS, kappa)
     after = _kernel_spectrum.cache_info()
     assert after.misses - before.misses == 2
     assert after.hits - before.hits == 2
@@ -747,6 +823,74 @@ def test_kernel_spectrum_is_cached_read_only_per_transform_size():
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
         spec[0] = 0.0
+
+
+def _whole_window_channel(env, config):
+    # apply_channel as composed over the whole window: the full
+    # convolution, the whole-window reflectance and its phase factor.
+    d = int(round(config.delay / env.grid.dt))
+    g = env.grid
+    y = np.convolve(env.samples, config.volterra.h1)[:g.n] + config.volterra.h0
+    grid = TimeGrid(g.t0 + d * g.dt, g.dt, g.n)
+    if config.aom_enabled:
+        r = _whole_window_reflectance(ComplexEnvelope(grid, y), config.aom,
+                                      config.mismatch_kappa)
+        y = y * _phase_factor(r)
+    if config.noise_sigma > 0:
+        rng = np.random.default_rng([config.seed, 1])
+        y = y + config.noise_sigma / np.sqrt(2) * (
+            rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+    return ComplexEnvelope(grid, y)
+
+
+_SPAN_CONFIGS = {
+    "h0": ChannelConfig(volterra=VolterraModel(h0=0.02 - 0.01j,
+                                               h1=default_kernel().h1)),
+    "noise": ChannelConfig(noise_sigma=0.05, seed=4),
+    "aom-off": ChannelConfig(aom_enabled=False),
+    "delay-0": ChannelConfig(delay=0.0),
+    "delay-1.4us": ChannelConfig(delay=1.4e-6),
+    "delay-5us": ChannelConfig(delay=5e-6),
+}
+_SPAN_REQUESTS = {
+    "gate": lambda: make_pulse(PulseSpec(kind="gate-standin",
+                                         duration=5e-7), default_grid(5e-7)),
+    "no-padding": lambda: _constant(400),
+    "two-pulses": _two_pulses,
+    "zeros": lambda: ComplexEnvelope(TimeGrid(0.0, 1e-9, 500),
+                                     np.zeros(500, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(_SPAN_REQUESTS))
+@pytest.mark.parametrize("config_name", sorted(_SPAN_CONFIGS))
+def test_channel_stages_match_the_whole_window_composition(config_name,
+                                                           request_name):
+    # apply_channel and record_response run each stage on its input's
+    # nonzero span; the shot equals the whole-window composition to
+    # 1e-13 of its peak, on the same grid, and an all-zero request
+    # through the modulator stage still raises.
+    config = _SPAN_CONFIGS[config_name]
+    env = _SPAN_REQUESTS[request_name]()
+    cutoff = suggested_cutoff(5e-7)
+    padded = embed(env, SimulatedChannel.PAD_PRE,
+                   _record_tail(config, env, cutoff))
+    raises = (request_name == "zeros" and config.aom_enabled
+              and config.volterra.h0 == 0)
+    for shot, oracle in [
+            (lambda: apply_channel(env, config),
+             lambda: _whole_window_channel(env, config)),
+            (lambda: record_response(env, config, cutoff),
+             lambda: _whole_window_channel(padded, config))]:
+        if raises:
+            for call in (shot, oracle):
+                with pytest.raises(ZeroSignalError):
+                    call()
+            continue
+        got, want = shot(), oracle()
+        assert got.grid == want.grid
+        peak = np.max(np.abs(want.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-13 * peak
 
 
 # ----------------------------------------- window opened by the response

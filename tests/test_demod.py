@@ -5,8 +5,8 @@ import pytest
 import scipy.signal as sig
 
 from pulseloop.demod import (AliasingError, BeatTrace, FilterSpec,
-                             demodulate, design_lowpass, filtfilt,
-                             suggested_cutoff, synthesize_beat)
+                             _chain_band, demodulate, design_lowpass,
+                             filtfilt, suggested_cutoff, synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, default_grid, make_pulse, mase)
 
@@ -268,6 +268,24 @@ def test_filter_initial_state_is_stored_read_only():
     assert not filt.zi.flags.writeable
     with pytest.raises(ValueError):
         filt.zi[0, 0] = 1.0
+
+
+def test_block_chain_is_built_once_per_filter_and_block_count():
+    # Both passes of a filtfilt, and a repeat call on as many blocks, share
+    # one read-only band; a filter built apart from it keeps its own.
+    filt = design_lowpass(4, 21e6, FS)  # a setting no other test uses
+    x = np.random.default_rng(3).standard_normal(3000)
+    k = -(-(3000 + 2 * round(3 * FS / 21e6)) // 64)  # padded, in blocks
+    before = _chain_band.cache_info()
+    first = filtfilt(filt, x)
+    assert np.array_equal(filtfilt(filt, x), first)
+    after = _chain_band.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+    band = _chain_band(filt, k)
+    assert np.array_equal(band, np.tile(filt._blocks[3], k))
+    assert band.flags.f_contiguous and not band.flags.writeable
+    apart = FilterSpec(order=4, cutoff=21e6, fs=FS, sos=filt.sos)
+    assert apart != filt and _chain_band(apart, k) is not band
 
 
 def test_filtfilt_rejects_short_sequences():

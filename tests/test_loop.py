@@ -207,8 +207,8 @@ def test_offline_unfactorable_normal_matrix_raises(monkeypatch):
 
     monkeypatch.setattr(loop, "cholesky_banded", not_positive_definite)
     target = _env(np.ones(8))
-    with pytest.raises(SingularUpdateError):
-        offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, 0.1])),
+    with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 0\.5\b"):
+        offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, -0.1j])),
                         target)
 
 
@@ -497,6 +497,35 @@ def test_a_failed_update_keeps_the_shots_taken(monkeypatch):
     assert len(report.records) == 1
     assert report.records[0].s_pred is target
     assert report.final_model is None  # the failed update's fit is lost
+
+
+def test_a_singular_update_names_the_failing_fit(monkeypatch):
+    # The partial report keeps the model in play, not the fit whose
+    # normal matrix failed; the error message names that fit's size.
+    target = _gate(3e-7)
+    fits = []
+    real_fit, real_factor = loop.estimate_kernel, loop.cholesky_banded
+
+    def fit(*args):
+        fits.append(real_fit(*args))
+        return fits[-1]
+
+    def factor(ab, lower):
+        if len(fits) == 2:
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        return real_factor(ab, lower=lower)
+
+    monkeypatch.setattr(loop, "estimate_kernel", fit)
+    monkeypatch.setattr(loop, "cholesky_banded", factor)
+    with pytest.raises(SingularUpdateError) as info:
+        closed_loop(_linear_channel(_THREE_TAP), target,
+                    LoopConfig(max_loop_iters=5, memory=4,
+                               convergence_mase=1e-12))
+    failing = np.max(np.abs(fits[1].h1))
+    assert f"max |h1| = {failing:.3g}" in str(info.value)
+    report = info.value.report
+    assert len(report.records) == 2
+    assert report.final_model is fits[0]
 
 
 @pytest.mark.parametrize("fail_at", [1, 3])

@@ -182,11 +182,22 @@ def test_filter_matches_scipy_butterworth_and_sosfiltfilt(data, seed, order,
 # ----------------------------------------------------- estimate_kernel
 
 def _ridge_oracle(a, y, lam):
-    """Ridge solution as least squares on the augmented [a; sqrt(lam) I]."""
+    """Reference coefficients and the relative error bound they allow.
+
+    At lam = 0, NumPy's ``lstsq`` on ``a`` itself, with estimate_kernel's
+    singular-value cutoff. Unregularized taps are fixed only to about
+    cond(A) x eps, and square fits reach cond(A) = 3e13. Two stable
+    solvers differ by a small multiple of cond(A) x eps there (20 at worst
+    over 1,500 random fits), so the bound is 100 of it, never below 1e-8.
+    Otherwise least squares on the augmented [a; sqrt(lam) I], to 1e-8.
+    """
+    if lam == 0:
+        return (np.linalg.lstsq(a, y, rcond=None)[0],
+                max(1e-8, 100 * np.linalg.cond(a) * np.finfo(float).eps))
     ncoef = a.shape[1]
     aug = np.vstack([a, np.sqrt(lam) * np.eye(ncoef)])
     return np.linalg.lstsq(aug, np.concatenate([y, np.zeros(ncoef)]),
-                           rcond=None)[0]
+                           rcond=None)[0], 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,21 +213,12 @@ def _ridge_oracle(a, y, lam):
 def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
                                                          extra, lam):
     # n runs from memory + 1 (square) to well past several row blocks.
-    # Unregularized taps are fixed only to about cond(A) x eps, and square
-    # fits reach cond(A) = 3e13. Two stable solvers differ by a small
-    # multiple of cond(A) x eps there (20 at worst over 1,500 random
-    # fits), so lam = 0 is bounded by 100 of it, never below 1e-8.
     n = memory + extra
     inp, out = _env(_noise(seed, n)), _env(_noise(seed + 1, n))
     model = estimate_kernel(inp, out, memory, lam)
     theta = np.concatenate([[model.h0], model.h1])
-    a = build_design_matrix(inp, memory)
-    if lam == 0:  # lstsq on a alone: estimate_kernel's cutoff
-        ref = np.linalg.lstsq(a, out.samples, rcond=None)[0]
-        tol = max(1e-8, 100 * np.linalg.cond(a) * np.finfo(float).eps)
-    else:
-        ref = _ridge_oracle(a, out.samples, lam)
-        tol = 1e-8
+    ref, tol = _ridge_oracle(build_design_matrix(inp, memory), out.samples,
+                             lam)
     assert np.linalg.norm(theta - ref) <= tol * np.linalg.norm(ref)
 
 
@@ -226,7 +228,8 @@ def test_estimate_kernel_matches_augmented_least_squares(seed, memory,
        grid=st.lists(st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), min_size=1,
                      max_size=4, unique=True))
 # A near-square lam = 0 fit (cond(A) ~ 1e10) where reducing the fold
-# factors used to round 7e-8 away from a direct factor of the record.
+# factors used to round 7e-8 away from a direct factor of the record; it
+# lies 1.6e-7 from the plain lstsq taps, inside the cond(A) bound.
 @example(seed=229, memory=48, extra=2, folds=2, grid=[0.0])
 def test_cv_model_matches_augmented_least_squares_at_lambda_star(
         seed, memory, extra, folds, grid):
@@ -237,8 +240,9 @@ def test_cv_model_matches_augmented_least_squares_at_lambda_star(
     lam, _, model = cross_validate(inp, out, memory,
                                    CVConfig(min(folds, n), tuple(grid)))
     theta = np.concatenate([[model.h0], model.h1])
-    ref = _ridge_oracle(build_design_matrix(inp, memory), out.samples, lam)
-    assert np.linalg.norm(theta - ref) <= 1e-8 * np.linalg.norm(ref)
+    ref, tol = _ridge_oracle(build_design_matrix(inp, memory), out.samples,
+                             lam)
+    assert np.linalg.norm(theta - ref) <= tol * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------- three-lens designs

@@ -130,6 +130,25 @@ def test_forward_rejects_long_memory():
         volterra_forward(model, env)
 
 
+@pytest.mark.parametrize("h0", [0.0, 0.3 - 0.2j])
+def test_forward_convolves_only_the_nonzero_span(h0):
+    # Two bursts inside zeros: the output is exactly h0 before the first
+    # nonzero input and past the kernel's reach behind the last, and equal
+    # to the whole-window convolution to 1e-13 of its peak.
+    rng = np.random.default_rng(8)
+    x = np.zeros(900, dtype=complex)
+    x[200:450] = rng.standard_normal(250) + 1j * rng.standard_normal(250)
+    x[600:610] = 1.0 - 0.5j
+    model = VolterraModel(h0=h0, h1=rng.standard_normal(64)
+                          + 1j * rng.standard_normal(64))
+    y = volterra_forward(model, _env(x)).samples
+    want = np.convolve(x, model.h1)[:900] + h0
+    assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(y[:200] == h0) and np.all(y[610 + 63:] == h0)
+    zero = volterra_forward(model, _env(np.zeros(900))).samples
+    assert np.all(zero == h0)
+
+
 # ---------------------------------------------------------- estimate_kernel
 
 def test_estimate_recovers_known_four_tap_kernel():
