@@ -9,9 +9,9 @@ beam-delivery analysis.
 """
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       MetricReport, PulseSpec, TimeGrid, ZeroSignalError,
-                       align_delay, crop, default_grid, embed, make_pulse,
-                       mase, metric_report, mse_cost, shift_samples)
+                       PulseSpec, TimeGrid, ZeroSignalError, align_delay,
+                       default_grid, embed, make_pulse, mase, mse_cost,
+                       shift_samples)
 from .demod import (AliasingError, BeatTrace, FilterSpec, demodulate,
                     design_lowpass, filtfilt, suggested_cutoff,
                     synthesize_beat)

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .envelope import (DEFAULT_DT, ComplexEnvelope, InvalidSpecError,
-                       TimeGrid, ZeroSignalError, _support, embed)
+                       TimeGrid, ZeroSignalError, _check_integer, _support,
+                       embed)
 from .optics import DESIGN_TARGET_WAIST, DESIGN_WAVELENGTH
 from .sysid import DEFAULT_MEMORY, VolterraModel, _forward_samples
 from . import demod as _demod
@@ -326,8 +327,7 @@ class ChannelConfig:
         if not np.isfinite(self.mismatch_kappa):
             raise InvalidSpecError(
                 f"mismatch_kappa must be finite, got {self.mismatch_kappa}")
-        if self.seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
 
 
 def apply_channel(env: ComplexEnvelope,
@@ -414,11 +414,12 @@ class SimulatedChannel:
     envelope noise (``config.noise_sigma``) from ``[config.seed + k, 1]``:
     repeated measurements differ shot to shot, but a rebuilt instance
     replays the identical sequence, and shot 0 is the ``simulate`` shot.
-    The constructor designs the order-``DEFAULT_ORDER`` demodulation
-    filter and runs ``demod``'s own checks, so a beat, rate or cutoff
-    that is not finite, a cutoff at or above the beat, an undersampled
-    beat, a trace noise sigma that is negative or not finite and a
-    negative seed fail before the first shot.
+    The trace runs at ``demod.DEFAULT_FS`` with its beat at
+    ``demod.DEFAULT_F_BEAT``. The constructor designs the
+    order-``DEFAULT_ORDER`` demodulation filter and runs ``demod``'s own
+    checks, so a cutoff that is not finite or lies at or above the beat,
+    a trace noise sigma that is negative or not finite and a seed that is
+    not an integer >= 0 fail before the first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -426,21 +427,16 @@ class SimulatedChannel:
 
     def __init__(self, config: ChannelConfig | None = None,
                  cutoff: float = _demod.DEFAULT_CUTOFF,
-                 trace_noise_sigma: float = 0.0, seed: int = 0,
-                 f_beat: float = _demod.DEFAULT_F_BEAT,
-                 fs: float = _demod.DEFAULT_FS):
-        _demod._check_beat(f_beat, fs)
-        self.filter = _demod.design_lowpass(_demod.DEFAULT_ORDER, cutoff, fs)
-        _demod._check_cutoff(cutoff, f_beat)
+                 trace_noise_sigma: float = 0.0, seed: int = 0):
+        self.filter = _demod.design_lowpass(_demod.DEFAULT_ORDER, cutoff,
+                                            _demod.DEFAULT_FS)
+        _demod._check_cutoff(cutoff, _demod.DEFAULT_F_BEAT)
         _demod._check_noise("trace_noise_sigma", trace_noise_sigma)
-        if seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {seed}")
+        _check_integer("seed", seed, 0)
         self.config = config if config is not None else ChannelConfig()
         self.cutoff = cutoff
         self.trace_noise_sigma = trace_noise_sigma
         self.seed = seed
-        self.f_beat = f_beat
-        self.fs = fs
         self.calls = 0
 
     def measure(self, env: ComplexEnvelope) -> ComplexEnvelope:
@@ -448,11 +444,13 @@ class SimulatedChannel:
         if config.noise_sigma > 0:
             config = replace(config, seed=config.seed + self.calls)
         out = record_response(env, config, self.cutoff)
-        trace = _demod.synthesize_beat(out, self.f_beat, self.fs,
+        trace = _demod.synthesize_beat(out, _demod.DEFAULT_F_BEAT,
+                                       _demod.DEFAULT_FS,
                                        noise_sigma=self.trace_noise_sigma,
                                        seed=self.seed + self.calls)
         self.calls += 1
-        return _demod.demodulate(trace, self.f_beat, self.filter, out.grid)
+        return _demod.demodulate(trace, _demod.DEFAULT_F_BEAT, self.filter,
+                                 out.grid)
 
 
 def post_pad(config: ChannelConfig, dt: float,

@@ -33,7 +33,7 @@ DEFAULT_CUTOFF = 20e6
 _BLOCK = 64
 
 
-class AliasingError(ValueError):
+class AliasingError(InvalidSpecError):
     """Sample rate too low to resolve the beat note."""
 
 

@@ -9,6 +9,7 @@ used as targets, and the two error metrics the loop optimizes against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +18,27 @@ import scipy.fft as sfft
 DEFAULT_DT = 1e-9  # 1 ns working sample period for envelopes
 
 
-class GridMismatchError(ValueError):
+class InvalidSpecError(ValueError):
+    """Bad input: a setting, file or signal the package cannot use.
+
+    Every error the package raises for bad input derives from it.
+    """
+
+
+class GridMismatchError(InvalidSpecError):
     """Two envelopes were combined but their time grids differ."""
 
 
-class ZeroSignalError(ValueError):
+class ZeroSignalError(InvalidSpecError):
     """An operation that needs a nonzero signal received all zeros."""
 
 
-class InvalidSpecError(ValueError):
-    """A pulse specification is inconsistent with its grid or itself."""
+def _check_integer(name: str, value, least: int) -> None:
+    """``value`` is an integer (not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise InvalidSpecError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,13 +128,26 @@ class PulseSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidSpecError(f"unknown pulse kind {self.kind!r}")
-        if self.duration <= 0:
-            raise InvalidSpecError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise InvalidSpecError(
+                f"duration must be finite and positive, got {self.duration}")
         if not 0 < self.peak <= 1:
             raise InvalidSpecError("peak must lie in (0, 1]")
+        if self.fwhm is not None and not math.isfinite(self.fwhm):
+            raise InvalidSpecError(f"fwhm must be finite, got {self.fwhm}")
         if self.kind in ("truncated-gaussian", "gaussian"):
             if self.fwhm is None or self.fwhm <= 0:
                 raise InvalidSpecError(f"{self.kind} requires positive fwhm")
+        # The sign of the phase step is phase_jump_rad's; a width of zero
+        # or below would divide by zero or reverse the step.
+        if not math.isfinite(self.phase_jump_rad):
+            raise InvalidSpecError(
+                f"phase_jump_rad must be finite, got {self.phase_jump_rad}")
+        if not (math.isfinite(self.phase_width_frac)
+                and self.phase_width_frac > 0):
+            raise InvalidSpecError(
+                "phase_width_frac must be finite and positive, got "
+                f"{self.phase_width_frac}")
 
 
 def default_grid(duration: float, dt: float = DEFAULT_DT,
@@ -215,30 +240,6 @@ def mse_cost(a: ComplexEnvelope, b: ComplexEnvelope) -> float:
     return float(np.mean(np.abs(a.samples - b.samples) ** 2))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of comparison metrics between a measured and target envelope."""
-
-    mase: float
-    mse: float
-    peak_amplitude_error: float
-    peak_phase_error: float
-
-
-def metric_report(measured: ComplexEnvelope,
-                  target: ComplexEnvelope) -> MetricReport:
-    """MASE/MSE plus amplitude and phase errors at the target's peak sample."""
-    _check_grids(measured, target)
-    k = int(np.argmax(target.amplitude))
-    peak_t = target.amplitude[k]
-    amp_err = abs(measured.amplitude[k] - peak_t) / peak_t if peak_t else 0.0
-    ph_err = abs(np.angle(measured.samples[k] * np.conj(target.samples[k])))
-    return MetricReport(mase=mase(measured, target),
-                        mse=mse_cost(measured, target),
-                        peak_amplitude_error=float(amp_err),
-                        peak_phase_error=float(ph_err))
-
-
 def align_delay(measured: ComplexEnvelope,
                 reference: ComplexEnvelope) -> tuple[ComplexEnvelope, float]:
     """Remove the bulk delay between a measured envelope and a reference.
@@ -283,23 +284,6 @@ def shift_samples(samples: np.ndarray, k: int) -> np.ndarray:
         if -k < len(samples):
             out[:k] = samples[-k:]
     return out
-
-
-def crop(env: ComplexEnvelope, grid: TimeGrid) -> ComplexEnvelope:
-    """Extract the samples of ``env`` that fall on ``grid``.
-
-    The target grid must share the sample period and start an integer
-    number of samples after the envelope's origin.
-    """
-    if not math.isclose(env.grid.dt, grid.dt, rel_tol=1e-9):
-        raise GridMismatchError("sample periods differ")
-    offs = (grid.t0 - env.grid.t0) / env.grid.dt
-    k = int(round(offs))
-    if abs(offs - k) > 1e-6:
-        raise GridMismatchError("grid origins are not sample-aligned")
-    if k < 0 or k + grid.n > env.grid.n:
-        raise GridMismatchError("crop window extends beyond the envelope")
-    return ComplexEnvelope(grid, env.samples[k:k + grid.n])
 
 
 def _support(x: np.ndarray) -> tuple[int, int]:

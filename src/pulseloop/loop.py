@@ -17,9 +17,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .demod import AliasingError
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       ZeroSignalError, align_delay, mase, mse_cost)
+                       _check_integer, align_delay, mase, mse_cost)
 from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
                     volterra_forward)
 
@@ -39,11 +38,11 @@ class MeasurementError(RuntimeError):
     report = None  # set by ``closed_loop`` once it has recorded a shot
 
 
-# The package's errors for bad input and I/O (``cli.main`` exit 2) and
-# for a loop that cannot go on (exit 3): what a measurement may fail
-# with. Anything else (a TypeError from a buggy callback) is a bug.
-_USAGE_ERRORS = (OSError, InvalidSpecError, GridMismatchError,
-                 ZeroSignalError, AliasingError)
+# Bad input and I/O (``cli.main`` exit 2; every bad-input error of the
+# package is an ``InvalidSpecError``) and a loop that cannot go on
+# (exit 3): what a measurement may fail with. Anything else (a TypeError
+# from a buggy callback) is a bug.
+_USAGE_ERRORS = (OSError, InvalidSpecError)
 _LOOP_FAILURES = (SingularUpdateError, MeasurementError)
 _MEASUREMENT_FAILURES = _USAGE_ERRORS + _LOOP_FAILURES
 
@@ -60,8 +59,7 @@ class LMConfig:
     cost_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise InvalidSpecError("max_iters must be >= 0")
+        _check_integer("max_iters", self.max_iters, 0)
         if not (math.isfinite(self.cost_tol) and self.cost_tol > 0):
             raise InvalidSpecError("cost_tol must be finite and positive")
 
@@ -82,10 +80,8 @@ class LoopConfig:
         if self.method not in LOOP_METHODS:
             raise InvalidSpecError(
                 f"method must be one of {LOOP_METHODS}, got {self.method!r}")
-        if self.max_loop_iters < 1:
-            raise InvalidSpecError("max_loop_iters must be >= 1")
-        if self.memory < 1:
-            raise InvalidSpecError(f"memory must be >= 1, got {self.memory}")
+        _check_integer("max_loop_iters", self.max_loop_iters, 1)
+        _check_integer("memory", self.memory, 1)
         if not (math.isfinite(self.convergence_mase)
                 and self.convergence_mase > 0):
             raise InvalidSpecError(

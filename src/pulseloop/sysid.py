@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       _support)
+                       _check_integer, _support)
 
 DEFAULT_MEMORY = 64  # taps at 1 ns spacing; covers post-delay ringing
 
@@ -236,8 +236,7 @@ class CVConfig:
         default_factory=lambda: tuple(np.logspace(-6.0, 0.0, 7)))
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidSpecError(f"folds must be >= 2, got {self.folds}")
+        _check_integer("folds", self.folds, 2)
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise InvalidSpecError("lambda_grid must be nonempty")

@@ -532,6 +532,37 @@ def test_loop_negative_seed_exits_2_naming_it(outdir, capsys):
     assert not os.path.exists(os.path.join(outdir, "report.json"))
 
 
+def test_a_fractional_channel_seed_exits_2_naming_it(outdir, capsys):
+    # Both used to exit 1 with NumPy's "TypeError: seed must be integer",
+    # at the first noisy draw.
+    pulse = _make_pulse(outdir)
+    chan = os.path.join(outdir, "chan.json")
+    obj = fileio.channel_to_dict(ChannelConfig())
+    obj.update(seed=1.5, noise_sigma=0.01)
+    Path(chan).write_text(json.dumps(obj))
+    for argv in (["loop", "--target", pulse, "--channel", chan],
+                 ["simulate", "--input", pulse, "--channel", chan,
+                  "--trace-out", "trace.csv", "--trace-noise-sigma", "0.02"]):
+        out = os.path.join(outdir, argv[0])
+        assert main(argv + ["--outdir", out]) == 2, argv[0]
+        assert "seed" in capsys.readouterr().err
+        assert not os.path.exists(out) or not os.listdir(out)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--phase-width-frac", "-0.05"), ("--phase-width-frac", "0"),
+    ("--phase-jump-rad", "nan"), ("--duration", "inf")])
+def test_pulse_bad_shape_setting_exits_2_naming_it(outdir, capsys, flag,
+                                                   value):
+    # A negative width used to exit 0 with the phase step reversed, a
+    # zero width divided by zero, and a NaN jump named no setting.
+    argv = ["pulse", "--kind", "gate-standin", "--duration", "5e-7",
+            flag, value, "--outdir", outdir]
+    assert main(argv) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "pulse.csv"))
+
+
 def test_loop_zero_cutoff_exits_2_naming_it(outdir, capsys):
     pulse = _make_pulse(outdir)
     chan = _write_channel(os.path.join(outdir, "chan.json"))

@@ -6,9 +6,8 @@ import scipy.signal as sig
 
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
-                                ZeroSignalError, align_delay, crop,
-                                default_grid, embed, make_pulse, mase,
-                                metric_report, mse_cost, shift_samples)
+                                ZeroSignalError, align_delay, default_grid,
+                                make_pulse, mase, mse_cost, shift_samples)
 
 
 def _env(grid, samples):
@@ -123,6 +122,29 @@ def test_make_pulse_rejects_invalid_specs():
         PulseSpec(kind="gaussian", duration=1e-7, fwhm=1e-8, peak=1.5)
     with pytest.raises(InvalidSpecError):
         PulseSpec(kind="not-a-kind", duration=1e-7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration", np.nan), ("duration", np.inf),
+    ("fwhm", np.nan), ("fwhm", np.inf),
+    ("phase_jump_rad", np.nan), ("phase_jump_rad", -np.inf),
+    ("phase_width_frac", -0.05), ("phase_width_frac", 0.0),
+    ("phase_width_frac", np.nan), ("phase_width_frac", np.inf)])
+def test_pulse_spec_names_a_bad_shape_setting(field, value):
+    # A negative width used to reverse the phase step, a zero width
+    # divided by zero, and a NaN phase jump failed only as "samples must
+    # be finite"; a NaN or infinite duration passed the positivity check.
+    with pytest.raises(InvalidSpecError, match=field):
+        PulseSpec(**{"kind": "gate-standin", "duration": 5e-7, field: value})
+
+
+def test_pulse_spec_takes_a_negative_phase_jump():
+    # The step's sign is the jump's: a negative jump mirrors the phase.
+    grid = default_grid(5e-7)
+    up, down = (make_pulse(PulseSpec(kind="gate-standin", duration=5e-7,
+                                     phase_jump_rad=jump), grid)
+                for jump in (np.pi / 2, -np.pi / 2))
+    np.testing.assert_allclose(down.samples, np.conj(up.samples), atol=1e-15)
 
 
 # -------------------------------------------------------------------- mase
@@ -313,7 +335,7 @@ def test_align_delay_rejects_a_different_sample_period():
         align_delay(fine, coarse)
 
 
-# ------------------------------------------------------ phase views and crop
+# ------------------------------------------------------------- phase views
 
 def test_unit_amplitude_quarter_phase_is_i():
     grid = TimeGrid(0.0, 1e-9, 4)
@@ -322,28 +344,3 @@ def test_unit_amplitude_quarter_phase_is_i():
     np.testing.assert_allclose(env.amplitude, 1.0)
     np.testing.assert_allclose(env.phase, np.pi / 2)
 
-
-def test_embed_then_crop_round_trip():
-    grid = TimeGrid(0.0, 1e-9, 128)
-    env = _gaussian_env(grid, fwhm=2e-8)
-    padded = embed(env, 50, 70)
-    assert padded.grid.n == 248
-    assert padded.grid.t0 == pytest.approx(-50e-9)
-    back = crop(padded, grid)
-    np.testing.assert_allclose(back.samples, env.samples, atol=1e-15)
-
-
-def test_crop_rejects_a_different_sample_period():
-    env = _gaussian_env(TimeGrid(0.0, 2e-9, 128), fwhm=1e-7)
-    with pytest.raises(GridMismatchError):
-        crop(env, TimeGrid(0.0, 1e-9, 64))
-
-
-def test_metric_report_fields():
-    grid = TimeGrid(0.0, 1e-9, 256)
-    env = _gaussian_env(grid)
-    report = metric_report(env, env)
-    assert report.mase == 0.0
-    assert report.mse == 0.0
-    assert report.peak_amplitude_error == 0.0
-    assert report.peak_phase_error == 0.0

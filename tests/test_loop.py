@@ -8,10 +8,11 @@ from pulseloop import channel, loop, sysid
 
 from pulseloop.channel import (ChannelConfig, SimulatedChannel,
                                quadrature_phase)
-from pulseloop.demod import suggested_cutoff
-from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError,
-                                PulseSpec, TimeGrid, ZeroSignalError,
-                                default_grid, make_pulse, mase, mse_cost)
+from pulseloop.demod import AliasingError, suggested_cutoff
+from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
+                                InvalidSpecError, PulseSpec, TimeGrid,
+                                ZeroSignalError, default_grid, make_pulse,
+                                mase, mse_cost)
 from pulseloop.loop import (LMConfig, LoopConfig, MeasurementError,
                             ReplayChannel, SingularUpdateError, _adjoint,
                             _align_to_target, _normal_banded, closed_loop,
@@ -219,6 +220,18 @@ def test_lm_config_validation():
                    {"cost_tol": float("inf")}):
         with pytest.raises(InvalidSpecError):
             LMConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+@pytest.mark.parametrize("config, field", [
+    (LoopConfig, "max_loop_iters"), (LoopConfig, "memory"),
+    (LMConfig, "max_iters")])
+def test_loop_configs_reject_a_count_that_is_not_an_integer(config, field,
+                                                            value):
+    # A fractional count used to pass and fail only in use, with a
+    # TypeError from range or NumPy; a bool passed as 1 or 0.
+    with pytest.raises(InvalidSpecError, match=field):
+        config(**{field: value})
 
 
 def test_offline_four_tap_cost_below_1e6():
@@ -468,14 +481,19 @@ def test_closed_loop_lets_callback_bugs_through(bug):
     assert info.traceback[-1].name == "buggy"
 
 
-def test_closed_loop_measurement_error_names_the_cause():
+@pytest.mark.parametrize("error", [GridMismatchError, ZeroSignalError,
+                                   AliasingError, InvalidSpecError])
+def test_closed_loop_measurement_error_names_the_cause(error):
+    # Every bad-input error of the package is an InvalidSpecError, so
+    # the loop reports each one as a measurement failure.
+    assert issubclass(error, InvalidSpecError)
     target = _gate(3e-7)
 
     def blank(env):
-        raise ZeroSignalError("reflectance trace is identically zero")
+        raise error("reflectance trace is identically zero")
 
     with pytest.raises(MeasurementError,
-                       match="iteration 1: ZeroSignalError: reflectance"):
+                       match=f"iteration 1: {error.__name__}: reflectance"):
         closed_loop(blank, target, LoopConfig(max_loop_iters=3))
 
 

