@@ -21,7 +21,8 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.linalg import lapack, toeplitz
 
-from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid)
+from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
+                       _check_integer)
 
 DEFAULT_FS = 2e9        # trace sample rate, 2 GS/s
 DEFAULT_F_BEAT = 200e6  # beat at twice the 100 MHz modulator drive
@@ -299,7 +300,8 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         sample, in the same normalized units as the envelope; finite and
         >= 0.
     seed : int
-        Noise generator seed; identical seeds give identical traces.
+        Noise generator seed, an integer >= 0; identical seeds give
+        identical traces.
 
     Returns
     -------
@@ -308,6 +310,7 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
     """
     _check_beat(f_beat, fs)
     _check_noise("noise_sigma", noise_sigma)
+    _check_integer("seed", seed, 0)
     up = fs * env.grid.dt
     up_int = int(round(up))
     if abs(up - up_int) > 1e-9 or up_int < 1:

@@ -55,8 +55,7 @@ class TimeGrid:
                 f"dt must be finite and positive, got {self.dt}")
         if not math.isfinite(self.t0):
             raise InvalidSpecError(f"t0 must be finite, got {self.t0}")
-        if self.n < 2:
-            raise InvalidSpecError(f"need at least 2 samples, got {self.n}")
+        _check_integer("n", self.n, 2)
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
@@ -111,8 +110,9 @@ class ComplexEnvelope:
 class PulseSpec:
     """Parametric description of a library pulse.
 
-    ``kind`` selects the shape; ``fwhm`` applies to the gaussian kinds
-    and ``phase_jump_rad``/``phase_width_frac`` to the gate-standin.
+    ``kind`` selects the shape; ``fwhm`` applies to the gaussian kinds,
+    which require it, and must be None for the others;
+    ``phase_jump_rad``/``phase_width_frac`` apply to the gate-standin.
     Explicit samples need no spec: ``ComplexEnvelope(grid, samples)``.
     """
 
@@ -133,11 +133,15 @@ class PulseSpec:
                 f"duration must be finite and positive, got {self.duration}")
         if not 0 < self.peak <= 1:
             raise InvalidSpecError("peak must lie in (0, 1]")
-        if self.fwhm is not None and not math.isfinite(self.fwhm):
-            raise InvalidSpecError(f"fwhm must be finite, got {self.fwhm}")
         if self.kind in ("truncated-gaussian", "gaussian"):
-            if self.fwhm is None or self.fwhm <= 0:
-                raise InvalidSpecError(f"{self.kind} requires positive fwhm")
+            if (self.fwhm is None or not math.isfinite(self.fwhm)
+                    or self.fwhm <= 0):
+                raise InvalidSpecError(
+                    f"{self.kind} requires a finite, positive fwhm, got "
+                    f"{self.fwhm}")
+        elif self.fwhm is not None:
+            raise InvalidSpecError(
+                f"fwhm does not apply to a {self.kind} pulse, got {self.fwhm}")
         # The sign of the phase step is phase_jump_rad's; a width of zero
         # or below would divide by zero or reverse the step.
         if not math.isfinite(self.phase_jump_rad):

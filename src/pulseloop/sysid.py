@@ -9,6 +9,8 @@ cross-validation on held-out samples.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +186,7 @@ def _solve(rz: np.ndarray, n: int, lam: float) -> np.ndarray:
 def _check_pair(inp: ComplexEnvelope, out: ComplexEnvelope,
                 memory: int) -> None:
     """Reject a pair that cannot determine ``memory`` taps and an offset."""
+    _check_integer("memory", memory, 1)
     if inp.grid != out.grid:
         raise GridMismatchError("input and output grids differ")
     if inp.grid.n < memory + 1:
@@ -246,6 +249,44 @@ class CVConfig:
         object.__setattr__(self, "lambda_grid", grid)
 
 
+_POOL_LOCK = threading.Lock()
+_pool_state = None  # (pid, executor) of the process that made the pool
+if hasattr(os, "register_at_fork"):
+    # A child forked while another thread held the lock would never see it
+    # released; holding it across the fork leaves it free on both sides.
+    os.register_at_fork(before=_POOL_LOCK.acquire,
+                        after_in_parent=_POOL_LOCK.release,
+                        after_in_child=_POOL_LOCK.release)
+
+
+def _pool():
+    """The process's thread pool, one worker per CPU it may use.
+
+    Made on first use and again in a forked child, whose copy of the
+    parent's pool has no threads and would never run a task.
+    """
+    global _pool_state
+    with _POOL_LOCK:
+        pid = os.getpid()
+        if _pool_state is None or _pool_state[0] != pid:
+            from concurrent.futures.thread import ThreadPoolExecutor
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _pool_state = (pid, ThreadPoolExecutor(max_workers=workers))
+        return _pool_state[1]
+
+
+def _fold_mse(factors: list, k: int, val: np.ndarray, n: int,
+              lams) -> np.ndarray:
+    """Validation MSE per ``lams`` entry of the fit without block ``k``."""
+    rz = _triangular(np.vstack(factors[:k] + factors[k + 1:]))
+    thetas = _ridge_path(rz, n - len(val), lams)
+    r = thetas @ val[:, :-1].T - val[:, -1]
+    return np.mean(np.abs(r) ** 2, axis=1)
+
+
 def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
                    cv: CVConfig):
     """Pick the ridge weight with the lowest held-out error and fit with it.
@@ -261,6 +302,14 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     ``estimate_kernel`` does: that QR has no more rows than the stacked
     fold factors, and a short, near-square fit is ill-conditioned, so the
     two reductions' rounding would differ by up to cond(A) * eps.
+
+    The block factors, then the fold fits and the final factor, run
+    concurrently on a process-wide thread pool with one worker per CPU
+    the process may use (LAPACK and the SVD release the interpreter
+    lock). Each runs the same arithmetic as a serial loop and the fold
+    errors are summed in fold order, so the result is bit-identical to
+    the serial fits whatever the worker count.
+
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
     the table minimum (first entry on ties), and ``model`` is the fit to
@@ -275,16 +324,18 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
             f"cannot split {n} samples into {cv.folds} folds")
     rows = _regression_rows(inp, memory, out.samples)
     parts = np.array_split(rows, cv.folds)
-    factors = [_triangular(part) for part in parts]
-    mse_sum = np.zeros(len(cv.lambda_grid))
-    for k, val in enumerate(parts):
-        rz = _triangular(np.vstack(factors[:k] + factors[k + 1:]))
-        thetas = _ridge_path(rz, n - len(val), cv.lambda_grid)
-        r = thetas @ val[:, :-1].T - val[:, -1]
-        mse_sum += np.mean(np.abs(r) ** 2, axis=1)
-    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
-    lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
+    pool = _pool()
+    jobs = [pool.submit(_triangular, part) for part in parts]
+    factors = [job.result() for job in jobs]
     if n > _TSQR_BLOCK * rows.shape[1]:
         rows = np.vstack(factors)
-    theta = _solve(_triangular(rows), n, lambda_star)
+    whole = pool.submit(_triangular, rows)
+    folds = [pool.submit(_fold_mse, factors, k, val, n, cv.lambda_grid)
+             for k, val in enumerate(parts)]
+    mse_sum = np.zeros(len(cv.lambda_grid))
+    for job in folds:
+        mse_sum += job.result()
+    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
+    lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
+    theta = _solve(whole.result(), n, lambda_star)
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

@@ -551,11 +551,12 @@ def test_a_fractional_channel_seed_exits_2_naming_it(outdir, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--phase-width-frac", "-0.05"), ("--phase-width-frac", "0"),
-    ("--phase-jump-rad", "nan"), ("--duration", "inf")])
+    ("--phase-jump-rad", "nan"), ("--duration", "inf"), ("--fwhm", "-1")])
 def test_pulse_bad_shape_setting_exits_2_naming_it(outdir, capsys, flag,
                                                    value):
     # A negative width used to exit 0 with the phase step reversed, a
-    # zero width divided by zero, and a NaN jump named no setting.
+    # zero width divided by zero, a NaN jump named no setting, and a
+    # width, which a gate-standin does not have, was dropped.
     argv = ["pulse", "--kind", "gate-standin", "--duration", "5e-7",
             flag, value, "--outdir", outdir]
     assert main(argv) == 2

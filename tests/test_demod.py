@@ -90,6 +90,14 @@ def test_synthesize_rejects_negative_or_non_finite_noise(sigma):
         synthesize_beat(_constant_env(128), noise_sigma=sigma)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, -1])
+def test_synthesize_rejects_a_seed_that_is_not_a_natural_number(seed):
+    # 1.5 used to fail in NumPy's SeedSequence, -1 with a bare ValueError.
+    with pytest.raises(InvalidSpecError, match="seed"):
+        synthesize_beat(_constant_env(128), F_BEAT, FS, noise_sigma=0.02,
+                        seed=seed)
+
+
 def test_trace_noise_is_seed_deterministic():
     env = _constant_env(256)
     a = synthesize_beat(env, noise_sigma=0.05, seed=9)

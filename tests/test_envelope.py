@@ -34,6 +34,13 @@ def test_grid_rejects_bad_parameters():
             TimeGrid(t0=t0, dt=dt, n=10)
 
 
+@pytest.mark.parametrize("n", [2.5, 10.0, True])
+def test_grid_rejects_a_length_that_is_not_an_integer(n):
+    # 2.5 used to be accepted, and its times() held 3 samples.
+    with pytest.raises(InvalidSpecError, match="n must be an integer"):
+        TimeGrid(t0=0.0, dt=1e-9, n=n)
+
+
 def test_default_grid_doubles_the_duration():
     grid = default_grid(5e-7)
     assert grid.t0 == 0.0
@@ -87,8 +94,9 @@ def test_gaussian_energy_matches_closed_form():
 
 def test_pure_amplitude_kinds_have_zero_phase():
     grid = TimeGrid(0.0, 1e-9, 1001)
-    for kind in ("constant", "gaussian", "truncated-gaussian"):
-        env = make_pulse(PulseSpec(kind=kind, duration=5e-7, fwhm=2e-7), grid)
+    for kind, fwhm in (("constant", None), ("gaussian", 2e-7),
+                       ("truncated-gaussian", 2e-7)):
+        env = make_pulse(PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm), grid)
         on = env.amplitude > 0
         assert np.max(np.abs(env.phase[on])) == 0.0
 
@@ -136,6 +144,14 @@ def test_pulse_spec_names_a_bad_shape_setting(field, value):
     # be finite"; a NaN or infinite duration passed the positivity check.
     with pytest.raises(InvalidSpecError, match=field):
         PulseSpec(**{"kind": "gate-standin", "duration": 5e-7, field: value})
+
+
+@pytest.mark.parametrize("kind", ["gate-standin", "constant"])
+@pytest.mark.parametrize("fwhm", [-1.0, 2e-7])
+def test_pulse_spec_rejects_a_width_for_a_kind_without_one(kind, fwhm):
+    # The width used to be dropped without a word.
+    with pytest.raises(InvalidSpecError, match="fwhm"):
+        PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm)
 
 
 def test_pulse_spec_takes_a_negative_phase_jump():

@@ -1,5 +1,11 @@
 """Design matrix, ridge kernel estimation, and cross-validation."""
 
+import itertools
+import multiprocessing
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,6 +230,21 @@ def test_estimate_rejects_bad_inputs():
         estimate_kernel(short, short, 4, 0.0)
     with pytest.raises(InvalidSpecError):
         estimate_kernel(inp, inp, 4, -1.0)
+
+
+@pytest.mark.parametrize("memory", [2.5, 4.0, True])
+def test_fits_reject_a_memory_that_is_not_an_integer(memory, monkeypatch):
+    # 2.5 used to fail as a bare TypeError from range(), and True fitted
+    # one tap. The check runs before cross_validate submits any task.
+    def no_pool():
+        raise AssertionError("a task started before memory was checked")
+
+    monkeypatch.setattr(sysid, "_pool", no_pool)
+    inp = _random_env(np.random.default_rng(9), 32)
+    with pytest.raises(InvalidSpecError, match="memory"):
+        estimate_kernel(inp, inp, memory, 0.0)
+    with pytest.raises(InvalidSpecError, match="memory"):
+        cross_validate(inp, inp, memory, CVConfig())
 
 
 # ------------------------------- numerics against dense least-squares oracles
@@ -505,6 +526,132 @@ def test_cv_rejects_too_few_samples_for_the_final_fit():
     inp = _random_env(rng, 8)
     with pytest.raises(InvalidSpecError, match="at least 9 samples"):
         cross_validate(inp, inp, 8, CVConfig(2, (1e-3,)))
+
+
+# ------------------------------------------ concurrent cross-validation
+
+
+def _serial_cross_validate(inp, out, memory, cv):
+    """``cross_validate`` as one thread runs it: every factor in turn."""
+    n = inp.grid.n
+    rows = sysid._regression_rows(inp, memory, out.samples)
+    parts = np.array_split(rows, cv.folds)
+    factors = [sysid._triangular(part) for part in parts]
+    mse_sum = np.zeros(len(cv.lambda_grid))
+    for k, val in enumerate(parts):
+        rz = sysid._triangular(np.vstack(factors[:k] + factors[k + 1:]))
+        thetas = sysid._ridge_path(rz, n - len(val), cv.lambda_grid)
+        r = thetas @ val[:, :-1].T - val[:, -1]
+        mse_sum += np.mean(np.abs(r) ** 2, axis=1)
+    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
+    lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
+    if n > sysid._TSQR_BLOCK * rows.shape[1]:
+        rows = np.vstack(factors)
+    theta = sysid._solve(sysid._triangular(rows), n, lambda_star)
+    return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])
+
+
+def _assert_same_fit(got, ref):
+    assert got[0] == ref[0]
+    assert np.array_equal(got[1], ref[1])
+    assert got[2].h0 == ref[2].h0
+    assert np.array_equal(got[2].h1, ref[2].h1)
+
+
+@pytest.mark.parametrize("duration, folds", [
+    (1.8e-7, 5), (5e-7, 5), (2e-6, 5), (5e-7, 2), (5e-7, 7), (1.8e-7, 7)])
+def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds):
+    # 360 samples fit one TSQR block; 1,000 and 4,000 take the stacked
+    # block factors for the final fit.
+    inp, out = _gate_pair(duration, seed=1)
+    cv = CVConfig(folds=folds)
+    _assert_same_fit(cross_validate(inp, out, 64, cv),
+                     _serial_cross_validate(inp, out, 64, cv))
+
+
+def test_cv_from_four_threads_at_once_equals_each_solo_fit():
+    pairs = [_gate_pair(d, seed=s) for d, s in
+             ((1.8e-7, 1), (5e-7, 2), (1.8e-7, 3), (2e-6, 4))]
+    cv = CVConfig()
+    solo = [cross_validate(inp, out, 64, cv) for inp, out in pairs]
+    start = threading.Barrier(len(pairs))
+    got = [[] for _ in pairs]
+
+    def fit(i):
+        start.wait(timeout=30)
+        for _ in range(3):
+            got[i].append(cross_validate(*pairs[i], 64, cv))
+
+    threads = [threading.Thread(target=fit, args=(i,))
+               for i in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for ref, results in zip(solo, got):
+        assert len(results) == 3
+        for result in results:
+            _assert_same_fit(result, ref)
+
+
+def _fit_in_child(conn, inp, out):
+    lam, scores, model = cross_validate(inp, out, 64, CVConfig())
+    conn.send((lam, scores, model.h0, model.h1))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_cv_in_a_forked_child_after_the_parent_used_the_pool():
+    # The child inherits the parent's pool without its threads; a task
+    # submitted to that copy would never run.
+    inp, out = _gate_pair(5e-7, seed=1)
+    ref = cross_validate(inp, out, 64, CVConfig())
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_fit_in_child, args=(send, inp, out))
+    with warnings.catch_warnings():
+        # Python 3.12 warns on forking a process that runs threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's fit did not finish"
+        lam, scores, h0, h1 = recv.recv()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+        recv.close()
+    _assert_same_fit((lam, scores, VolterraModel(h0, h1)), ref)
+
+
+def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
+    inp, out = _gate_pair(5e-7, seed=1)
+    ref = cross_validate(inp, out, 64, CVConfig())
+    error = RuntimeError("fold fit failed")
+    calls = itertools.count()
+    ridge_path = sysid._ridge_path
+
+    def failing_ridge_path(*args):
+        if next(calls) == 2:
+            raise error
+        return ridge_path(*args)
+
+    monkeypatch.setattr(sysid, "_ridge_path", failing_ridge_path)
+    with pytest.raises(RuntimeError) as raised:
+        cross_validate(inp, out, 64, CVConfig())
+    assert raised.value is error
+    monkeypatch.undo()
+    _assert_same_fit(cross_validate(inp, out, 64, CVConfig()), ref)
 
 
 # ------------------------------------------------------- fitted-output error
