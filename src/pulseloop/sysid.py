@@ -259,8 +259,59 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_POOL_LOCK.release)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _workers() -> int:
+    """Pool size: the CPUs this process may use over BLAS's threads per call.
+
+    OpenBLAS runs each call on the first positive count among
+    ``_BLAS_THREAD_VARS`` and on every usable CPU when none is set. Pool
+    workers beyond cpus // threads would only contend with those threads,
+    so that many workers run, at least one: an unpinned BLAS gets one.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = cpus
+    for name in _BLAS_THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            threads = int(value)
+            break
+    return max(1, cpus // threads)
+
+
+class _Done:
+    """A task run to completion on the thread that submitted it."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+class _CallingThread:
+    """An executor whose one worker is the thread that submits each task.
+
+    With multithreaded OpenBLAS, a fit run on a pool thread took about
+    twice as long in the median as on the thread that called it. A task
+    that raises raises from ``submit``. Its result needs no future: a
+    future's lock and condition made the garbage collector run more often.
+    """
+
+    @staticmethod
+    def submit(fn, *args):
+        return _Done(fn(*args))
+
+
 def _pool():
-    """The process's thread pool, one worker per CPU it may use.
+    """The process's executor: ``_workers()`` threads, or the caller's own.
 
     Made on first use and again in a forked child, whose copy of the
     parent's pool has no threads and would never run a task.
@@ -269,12 +320,13 @@ def _pool():
     with _POOL_LOCK:
         pid = os.getpid()
         if _pool_state is None or _pool_state[0] != pid:
-            from concurrent.futures.thread import ThreadPoolExecutor
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
+            workers = _workers()
+            if workers == 1:
+                executor = _CallingThread()
             else:
-                workers = os.cpu_count() or 1
-            _pool_state = (pid, ThreadPoolExecutor(max_workers=workers))
+                from concurrent.futures.thread import ThreadPoolExecutor
+                executor = ThreadPoolExecutor(max_workers=workers)
+            _pool_state = (pid, executor)
         return _pool_state[1]
 
 
@@ -304,11 +356,14 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     two reductions' rounding would differ by up to cond(A) * eps.
 
     The block factors, then the fold fits and the final factor, run
-    concurrently on a process-wide thread pool with one worker per CPU
-    the process may use (LAPACK and the SVD release the interpreter
-    lock). Each runs the same arithmetic as a serial loop and the fold
-    errors are summed in fold order, so the result is bit-identical to
-    the serial fits whatever the worker count.
+    concurrently on a process-wide thread pool (LAPACK and the SVD
+    release the interpreter lock) with one worker per CPU the process may
+    use over OpenBLAS's threads per call (see ``_workers``): with
+    ``OPENBLAS_NUM_THREADS=1``, one per CPU; with OpenBLAS's default of a
+    thread per CPU, one, and then the calling thread runs the tasks in
+    the order of a serial loop. Each task runs the same arithmetic as
+    that loop and the fold errors are summed in fold order, so the result
+    is bit-identical to the serial fits whatever the worker count.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
@@ -329,9 +384,9 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     factors = [job.result() for job in jobs]
     if n > _TSQR_BLOCK * rows.shape[1]:
         rows = np.vstack(factors)
-    whole = pool.submit(_triangular, rows)
     folds = [pool.submit(_fold_mse, factors, k, val, n, cv.lambda_grid)
              for k, val in enumerate(parts)]
+    whole = pool.submit(_triangular, rows)
     mse_sum = np.zeros(len(cv.lambda_grid))
     for job in folds:
         mse_sum += job.result()

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import os
 import sys
 import threading
 import warnings
@@ -531,6 +532,57 @@ def test_cv_rejects_too_few_samples_for_the_final_fit():
 # ------------------------------------------ concurrent cross-validation
 
 
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+])
+def test_pool_leaves_the_cpus_to_the_blas_threads(env, workers, monkeypatch):
+    # OpenBLAS left at its default runs a thread per usable CPU, and pool
+    # workers beside it made cross_validate slower, not faster.
+    for name in sysid._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert sysid._workers() == workers
+
+
+@pytest.fixture(params=[1, 4], ids=["1-worker", "4-workers"])
+def workers(request, monkeypatch):
+    """A fresh pool of ``request.param`` workers, whatever the BLAS threads."""
+    monkeypatch.setattr(sysid, "_workers", lambda: request.param)
+    monkeypatch.setattr(sysid, "_pool_state", None)
+    pool = sysid._pool()
+    yield request.param
+    if hasattr(pool, "shutdown"):
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("workers", [1], indirect=True)
+def test_one_worker_fits_on_the_calling_thread(workers, monkeypatch):
+    # With multithreaded OpenBLAS a fit on a pool thread ran about twice
+    # as long in the median as on the calling thread.
+    threads = set()
+    triangular = sysid._triangular
+
+    def spy(rows):
+        threads.add(threading.get_ident())
+        return triangular(rows)
+
+    monkeypatch.setattr(sysid, "_triangular", spy)
+    inp, out = _gate_pair(5e-7, seed=1)
+    cross_validate(inp, out, 64, CVConfig())
+    assert threads == {threading.get_ident()}
+
+
 def _serial_cross_validate(inp, out, memory, cv):
     """``cross_validate`` as one thread runs it: every factor in turn."""
     n = inp.grid.n
@@ -560,7 +612,7 @@ def _assert_same_fit(got, ref):
 
 @pytest.mark.parametrize("duration, folds", [
     (1.8e-7, 5), (5e-7, 5), (2e-6, 5), (5e-7, 2), (5e-7, 7), (1.8e-7, 7)])
-def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds):
+def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds, workers):
     # 360 samples fit one TSQR block; 1,000 and 4,000 take the stacked
     # block factors for the final fit.
     inp, out = _gate_pair(duration, seed=1)
@@ -569,7 +621,8 @@ def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds):
                      _serial_cross_validate(inp, out, 64, cv))
 
 
-def test_cv_from_four_threads_at_once_equals_each_solo_fit():
+@pytest.mark.parametrize("workers", [4], indirect=True)
+def test_cv_from_four_threads_at_once_equals_each_solo_fit(workers):
     pairs = [_gate_pair(d, seed=s) for d, s in
              ((1.8e-7, 1), (5e-7, 2), (1.8e-7, 3), (2e-6, 4))]
     cv = CVConfig()
@@ -579,7 +632,7 @@ def test_cv_from_four_threads_at_once_equals_each_solo_fit():
 
     def fit(i):
         start.wait(timeout=30)
-        for _ in range(3):
+        for _ in range(2):
             got[i].append(cross_validate(*pairs[i], 64, cv))
 
     threads = [threading.Thread(target=fit, args=(i,))
@@ -595,7 +648,7 @@ def test_cv_from_four_threads_at_once_equals_each_solo_fit():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for ref, results in zip(solo, got):
-        assert len(results) == 3
+        assert len(results) == 2
         for result in results:
             _assert_same_fit(result, ref)
 
@@ -608,7 +661,8 @@ def _fit_in_child(conn, inp, out):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
-def test_cv_in_a_forked_child_after_the_parent_used_the_pool():
+@pytest.mark.parametrize("workers", [4], indirect=True)
+def test_cv_in_a_forked_child_after_the_parent_used_the_pool(workers):
     # The child inherits the parent's pool without its threads; a task
     # submitted to that copy would never run.
     inp, out = _gate_pair(5e-7, seed=1)
@@ -634,7 +688,8 @@ def test_cv_in_a_forked_child_after_the_parent_used_the_pool():
     _assert_same_fit((lam, scores, VolterraModel(h0, h1)), ref)
 
 
-def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
+def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch,
+                                                        workers):
     inp, out = _gate_pair(5e-7, seed=1)
     ref = cross_validate(inp, out, 64, CVConfig())
     error = RuntimeError("fold fit failed")
@@ -650,7 +705,7 @@ def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
     with pytest.raises(RuntimeError) as raised:
         cross_validate(inp, out, 64, CVConfig())
     assert raised.value is error
-    monkeypatch.undo()
+    monkeypatch.setattr(sysid, "_ridge_path", ridge_path)
     _assert_same_fit(cross_validate(inp, out, 64, CVConfig()), ref)
 
 
