@@ -201,28 +201,31 @@ def quadrature_phase(r) -> np.ndarray:
     """
     r = np.asarray(r, dtype=complex)
     a = np.abs(r)
-    vidx, runs = _nearest_valid(a)
-    ph = np.repeat(np.unwrap(np.angle(r[vidx])), runs)
+    vidx = _valid_samples(a)
+    ph = np.repeat(np.unwrap(np.angle(r[vidx])), _hold_runs(vidx, len(a)))
     return ph - ph[int(np.argmax(a))]
 
 
-def _nearest_valid(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Valid samples of an amplitude trace and the runs they are held over.
-
-    A sample is valid where ``a`` is at least 1e-6 of its maximum.
-    Returns the valid sample indices and, for each, the number of
-    consecutive samples whose nearest valid sample it is (a tie goes to
-    the earlier one), so ``np.repeat(x[vidx], runs)`` holds ``x`` at
-    every sample's nearest valid sample.
-    """
+def _valid_samples(a: np.ndarray) -> np.ndarray:
+    """Indices where an amplitude trace is at least 1e-6 of its maximum."""
     amax = float(a.max(initial=0.0))
     if amax == 0.0:
         raise ZeroSignalError("reflectance trace is identically zero")
-    vidx = np.flatnonzero(a >= 1e-6 * amax)
+    return np.flatnonzero(a >= 1e-6 * amax)
+
+
+def _hold_runs(vidx: np.ndarray, n: int) -> np.ndarray:
+    """Samples of an n-sample trace each valid sample is held over.
+
+    For each valid index, the number of consecutive samples whose
+    nearest valid sample it is (a tie goes to the earlier one), so
+    ``np.repeat(x[vidx], runs)`` holds ``x`` at every sample's nearest
+    valid sample.
+    """
     # A valid sample holds through the midpoint to the next valid one, so
     # a sample midway between two goes to the earlier.
     ends = (vidx[:-1] + vidx[1:]) // 2
-    return vidx, np.diff(ends, prepend=-1, append=len(a) - 1)
+    return np.diff(ends, prepend=-1, append=n - 1)
 
 
 def _phase_factor(r: np.ndarray) -> np.ndarray:
@@ -231,14 +234,26 @@ def _phase_factor(r: np.ndarray) -> np.ndarray:
     The unit phasor r/|r| held at each sample's nearest valid sample,
     times the conjugate of its value at the amplitude peak: the same
     factor in exact arithmetic, with no unwrap and no complex exp
-    (within 1e-15 on the gate-standin record windows).
+    (within 1e-15 on the gate-standin record windows). When the valid
+    samples form one run, as on the record window of a single pulse,
+    the phasor is taken on that run in place and its end values are
+    held outside it with two slice fills; several runs are gathered and
+    held with ``np.repeat``. Both give the same factor bit for bit.
     """
     a = np.abs(r)
-    vidx, runs = _nearest_valid(a)
+    vidx = _valid_samples(a)
     k = int(np.argmax(a))
+    c = np.conj(r[k]) / a[k]
+    lo, hi = int(vidx[0]), int(vidx[-1]) + 1
+    if hi - lo == len(vidx):
+        u = r.copy()
+        u[lo:hi] *= c / a[lo:hi]
+        u[:lo] = u[lo]
+        u[hi:] = u[hi - 1]
+        return u
     u = r[vidx]
-    u *= np.conj(r[k]) / a[k] / a[vidx]
-    return np.repeat(u, runs)
+    u *= c / a[vidx]
+    return np.repeat(u, _hold_runs(vidx, len(r)))
 
 
 def peak_quadrature_phase(env: ComplexEnvelope, params: AcoustoOpticParams,

@@ -200,11 +200,30 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     ``scipy.signal.sosfiltfilt`` with ``padtype="odd"``, which the
     output matches to rounding (1e-12 of max |x| for cutoffs down to
     fs/100). Complex input is filtered as its real and imaginary parts,
-    with the same operations on each, so the result equals filtering
-    them apart bit for bit.
+    two rows of one pass buffer with the same operations on each, so the
+    result equals filtering them apart bit for bit. ``demodulate`` mixes
+    its trace straight into the rows of the same buffer.
     """
     x = np.ascontiguousarray(x, complex if np.iscomplexobj(x) else float)
-    n = len(x)
+    rows = (x.view(float).reshape(len(x), 2).T if x.dtype == complex
+            else x[None])
+    y = _filtfilt_rows(filt, len(x), len(rows),
+                       lambda dst: np.copyto(dst, rows))
+    if x.dtype != complex:
+        return y[0]
+    out = np.empty(len(x), dtype=complex)
+    out.real, out.imag = y
+    return out
+
+
+def _filtfilt_rows(filt: FilterSpec, n: int, n_rows: int,
+                   fill) -> np.ndarray:
+    """``filtfilt`` of ``n_rows`` real signals of ``n`` samples each.
+
+    ``fill(dst)`` writes the signals into ``dst``, an (n_rows, n) view of
+    the pass buffer, so a caller can compute them in place. Returns an
+    (n_rows, n) view of the second pass's output.
+    """
     min_len = 3 * filt.order
     if n <= min_len:
         raise InvalidSpecError(
@@ -213,24 +232,19 @@ def filtfilt(filt: FilterSpec, x) -> np.ndarray:
     # generously so edge effects stay out of the record interior. Rounded,
     # so a rate read back from a file 1 ulp low pads the same.
     padlen = min(n - 1, max(min_len, round(3 * filt.fs / filt.cutoff)))
-    rows = x.view(float).reshape(n, 2).T if x.dtype == complex else x[None]
     # Both passes run in one zero-filled buffer of whole blocks, so a call
     # allocates few large arrays: each costs fresh, page-faulted memory.
     n_ext = n + 2 * padlen
-    buf = np.zeros((len(rows), -(-n_ext // _BLOCK) * _BLOCK))
+    buf = np.zeros((n_rows, -(-n_ext // _BLOCK) * _BLOCK))
+    rows = buf[:, padlen:padlen + n]
+    fill(rows)
     buf[:, :padlen] = 2 * rows[:, :1] - rows[:, padlen:0:-1]
-    buf[:, padlen:padlen + n] = rows
     buf[:, padlen + n:n_ext] = 2 * rows[:, -1:] - rows[:, -2:-(padlen + 2):-1]
     zi = filt.zi.ravel()
     y = _block_pass(filt, buf, buf[:, :1] * zi)
     buf[:, :n_ext] = y[:, n_ext - 1::-1]
     y = _block_pass(filt, buf, buf[:, :1] * zi)
-    y = y[:, n_ext - 1 - padlen:padlen - 1:-1]
-    if x.dtype != complex:
-        return y[0]
-    out = np.empty(n, dtype=complex)
-    out.real, out.imag = y
-    return out
+    return y[:, n_ext - 1 - padlen:padlen - 1:-1]
 
 
 def _block_pass(filt: FilterSpec, buf: np.ndarray,
@@ -335,7 +349,11 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
     ``synthesize_beat`` uses on the same grid, scales by 2 to undo the
     half lost to the negative-frequency image, filters the complex
     baseband with one zero-phase ``filtfilt``, and decimates onto
-    ``out_grid``.
+    ``out_grid``. The mix is written as its two real rows, 2v cos and
+    -2v sin, straight into the filter's pass buffer, and the decimation
+    is a strided slice of the filtered rows: no full-length complex
+    array is made, and the result equals
+    ``filtfilt(filt, conj(2 v carrier))`` decimated, bit for bit.
 
     The trace rate must exceed 2*f_beat (``AliasingError``), the filter
     cutoff must stay below f_beat so the image at 2*f_beat is rejected,
@@ -350,16 +368,25 @@ def demodulate(trace: BeatTrace, f_beat: float, filt: FilterSpec,
             f"filter designed at fs {filt.fs} but the trace is sampled at "
             f"{1.0 / trace.grid.dt}")
     step = _decimation(out_grid.dt, trace.grid.dt)
-    z = 2.0 * trace.samples * _carrier(trace.grid, f_beat)
-    z = filtfilt(filt, np.conjugate(z, out=z))
     offs = (out_grid.t0 - trace.grid.t0) / trace.grid.dt
     k0 = int(round(offs))
     if abs(offs - k0) > 1e-6:
         raise InvalidSpecError("out_grid is not sample-aligned with trace")
-    idx = k0 + step * np.arange(out_grid.n)
-    if idx[0] < 0 or idx[-1] >= trace.grid.n:
+    stop = k0 + step * (out_grid.n - 1) + 1
+    if k0 < 0 or stop > trace.grid.n:
         raise InvalidSpecError("out_grid extends beyond the trace")
-    return ComplexEnvelope(out_grid, z[idx])
+    v2 = 2.0 * trace.samples
+    carrier = _carrier(trace.grid, f_beat)
+
+    def mix(rows):
+        np.multiply(v2, carrier.real, out=rows[0])
+        np.negative(v2, out=v2)
+        np.multiply(v2, carrier.imag, out=rows[1])
+
+    y = _filtfilt_rows(filt, trace.grid.n, 2, mix)[:, k0:stop:step]
+    z = np.empty(out_grid.n, dtype=complex)
+    z.real, z.imag = y
+    return ComplexEnvelope(out_grid, z)
 
 
 def _decimation(out_dt: float, trace_dt: float) -> int:
@@ -394,7 +421,8 @@ def _upsample(x: np.ndarray, num: int) -> np.ndarray:
     if n % 2 == 0 and num > n:
         out[n // 2] /= 2
         out[num - n // 2] = out[n // 2]
-    return sfft.ifft(out / (n / num), overwrite_x=True)
+    out /= n / num
+    return sfft.ifft(out, overwrite_x=True)
 
 
 # The carrier depends only on the trace grid and f_beat, which stay fixed

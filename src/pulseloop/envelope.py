@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
@@ -74,11 +74,15 @@ class ComplexEnvelope:
     """A complex baseband signal together with its grid.
 
     Samples are held as an immutable complex array; ``amplitude`` and
-    ``phase`` views correspond to A_k = |s_k| and P_k = arg(s_k).
+    ``phase`` views correspond to A_k = |s_k| and P_k = arg(s_k). As the
+    samples cannot change, the transform ``align_delay`` takes of a
+    reference is kept per transform size, out of comparison and repr.
     """
 
     grid: TimeGrid
     samples: np.ndarray
+    _spectra: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
@@ -104,6 +108,15 @@ class ComplexEnvelope:
 
     def with_samples(self, samples) -> "ComplexEnvelope":
         return ComplexEnvelope(self.grid, samples)
+
+    def _reversed_amplitude_spectrum(self, size: int) -> np.ndarray:
+        """Read-only length-``size`` ``rfft`` of the reversed amplitude."""
+        spec = self._spectra.get(size)
+        if spec is None:
+            spec = sfft.rfft(self.amplitude[::-1], size)
+            spec.setflags(write=False)
+            self._spectra[size] = spec
+        return spec
 
 
 @dataclass(frozen=True)
@@ -252,7 +265,9 @@ def align_delay(measured: ComplexEnvelope,
     (computed by FFT) is found and the measured envelope is shifted back
     by that lag (zeros fill the vacated samples). Grids may differ in
     length but must share the sample period. Applying the function to
-    its own output returns a zero delay.
+    its own output returns a zero delay. The reference's transform is
+    kept on the reference, per transform size, so aligning each shot of
+    a loop to one target transforms only the measurement.
 
     Returns
     -------
@@ -269,7 +284,7 @@ def align_delay(measured: ComplexEnvelope,
     full = measured.grid.n + reference.grid.n - 1
     size = sfft.next_fast_len(full, True)
     corr = sfft.irfft(sfft.rfft(measured.amplitude, size)
-                      * sfft.rfft(reference.amplitude[::-1], size),
+                      * reference._reversed_amplitude_spectrum(size),
                       size)[:full]
     lag = int(np.argmax(corr)) - (reference.grid.n - 1)
     shifted = shift_samples(measured.samples, -lag)

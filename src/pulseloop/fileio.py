@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -69,12 +70,19 @@ def _read_csv(path: str, expected_header: str) -> np.ndarray:
             raise InvalidSpecError(
                 f"{path}: expected header {expected_header!r}, "
                 f"got {header!r}")
+        # NumPy only warns on a file without rows, naming the file object.
+        start = fh.tell()
+        if not any(line.partition("#")[0].strip() for line in fh):
+            raise InvalidSpecError(f"{path}: no data rows")
+        fh.seek(start)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidSpecError(f"{path}: {exc}") from exc
     if data.shape[1] != len(expected_header.split(",")):
         raise InvalidSpecError(f"{path}: wrong column count")
+    if not np.all(np.isfinite(data)):
+        raise InvalidSpecError(f"{path}: values must be finite")
     return data
 
 
@@ -99,14 +107,44 @@ def _read_json(path: str, from_dict):
         raise InvalidSpecError(f"{path}: bad value: {exc}") from exc
 
 
+# How many doubles on each side of the span's estimate of a CSV's period
+# are tried for the one its times were written from.
+_PERIOD_ULPS = 64
+
+
 def _grid_from_times(t: np.ndarray, path: str) -> TimeGrid:
+    """The grid of a CSV's time column.
+
+    Every time in a written CSV is ``TimeGrid.times()`` to the last bit,
+    so the period read back is the double nearest the span's estimate
+    whose grid gives every time exactly, searched up to ``_PERIOD_ULPS``
+    steps to each side; a column no such double fits keeps the estimate.
+    """
     if len(t) < 2:
         raise InvalidSpecError(f"{path}: need at least two samples")
     # From the whole span: t[1] - t[0] loses digits when t0 is far from 0.
     dt = float(t[-1] - t[0]) / (len(t) - 1)
     if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=dt * 1e-6):
         raise InvalidSpecError(f"{path}: time column is not uniform")
-    return TimeGrid(t0=float(t[0]), dt=dt, n=len(t))
+    t0, last = float(t[0]), float(t[-1])
+    for cand in _outward(dt, _PERIOD_ULPS):
+        # The last time first, a scalar test, then the whole column.
+        if t0 + cand * (len(t) - 1) != last:
+            continue
+        grid = TimeGrid(t0=t0, dt=cand, n=len(t))
+        if np.array_equal(grid.times(), t):
+            return grid
+    return TimeGrid(t0=t0, dt=dt, n=len(t))
+
+
+def _outward(x: float, steps: int):
+    """x, then the doubles 1, 2, ... ``steps`` steps above and below it."""
+    yield x
+    up = down = x
+    for _ in range(steps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+        yield up
+        yield down
 
 
 # ---------------------------------------------------------------- envelopes

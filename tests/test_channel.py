@@ -266,6 +266,48 @@ def test_phase_ignores_a_constant_factor_of_the_reflectance():
                                        atol=1e-14)
 
 
+def _gathered_phase_factor(r):
+    # The phasor at the valid samples, gathered, then held with np.repeat
+    # over the run of samples nearest each.
+    a = np.abs(r)
+    vidx = np.flatnonzero(a >= 1e-6 * a.max())
+    ends = (vidx[:-1] + vidx[1:]) // 2
+    runs = np.diff(ends, prepend=-1, append=len(a) - 1)
+    k = int(np.argmax(a))
+    u = r[vidx]
+    u *= np.conj(r[k]) / a[k] / a[vidx]
+    return np.repeat(u, runs)
+
+
+def test_phase_factor_paths_equal_the_gathered_hold_bit_for_bit():
+    # One run of valid samples takes the slice path, several take the
+    # gather; both must give the gathered formula exactly. The record
+    # windows' spans (as apply_channel passes them) have invalid samples
+    # at both edges; the two pulses leave a gap of invalid samples.
+    rng = np.random.default_rng(8)
+    spans = []
+    for duration in (1.8e-7, 5e-7, 2e-6):
+        r = reflectance_trace(_record_window(duration), PARAMS,
+                              KAPPA_CALIBRATED)
+        nz = np.flatnonzero(r)
+        spans.append(r[nz[0]:nz[-1] + 1])
+    spans.append(reflectance_trace(_two_pulses(), PARAMS, KAPPA_CALIBRATED))
+    for n in (1, 2, 7, 333):
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spans.append(r)
+        for lo, hi in ((1, n), (0, n - 1), (n // 3, n - n // 4)):
+            edged = r.copy()
+            edged[:lo] *= 1e-9
+            edged[hi:] *= 1e-9
+            spans.append(edged)
+    one_run = 0
+    for r in spans:
+        vidx = np.flatnonzero(np.abs(r) >= 1e-6 * np.abs(r).max())
+        one_run += vidx[-1] - vidx[0] + 1 == len(vidx)
+        assert np.array_equal(_phase_factor(r), _gathered_phase_factor(r))
+    assert 0 < one_run < len(spans)
+
+
 def test_gaussian_peak_phase_near_quarter_radian():
     env = _gaussian_p(fwhm=3e-7)
     peak = peak_quadrature_phase(env, PARAMS, KAPPA_CALIBRATED)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,14 +194,10 @@ def test_simulate_then_demod_is_the_first_simulated_shot(tmp_path, duration,
     got = fileio.read_envelope_csv(str(tmp_path / "demodulated.csv"))
     shot = SimulatedChannel(config, trace_noise_sigma=0.02,
                             seed=config.seed).measure(env)
-    assert got.grid.n == shot.grid.n == sim.grid.n
-    assert got.grid.t0 == shot.grid.t0
-    assert abs(got.grid.dt - shot.grid.dt) <= 1e-14 * shot.grid.dt
-    # The trace CSV's period is re-derived from its span, so the carrier
-    # may move by rounding.
-    peak = np.max(np.abs(shot.samples))
-    err = np.max(np.abs(got.samples - shot.samples))
-    assert err <= 1e-11 * peak, err / peak
+    # The trace CSV reads back the period it was written with, so the
+    # round trip is the shot bit for bit.
+    assert got.grid == shot.grid == sim.grid
+    assert np.array_equal(got.samples, shot.samples)
 
 
 def test_missing_input_exits_2(outdir, capsys):
@@ -281,6 +278,44 @@ def test_envelope_json_non_finite_grid_exits_2(tmp_path, capsys, key, value,
         assert main(argv[command] + ["--outdir", str(out)]) == 2, command
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_header_only_envelope_csv_exits_2_naming_it(tmp_path, capsys):
+    # NumPy warned about its file object here, and the run then failed on
+    # the column count.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("t_s,i,q\n")
+    pulse = _make_pulse(str(tmp_path))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--input", pulse, "--output", str(empty),
+                     "--outdir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no data rows" in err and str(empty) in err
+    assert "TextIOWrapper" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["envelope", "trace"])
+def test_non_finite_csv_sample_exits_2_naming_the_file(tmp_path, capsys,
+                                                       kind):
+    path = tmp_path / "bad.csv"
+    if kind == "envelope":
+        path.write_text("t_s,i,q\n0,1,0\n1e-09,nan,0\n2e-09,1,0\n")
+        argv = ["estimate", "--input", _make_pulse(str(tmp_path)),
+                "--output", str(path)]
+    else:
+        rows = "".join(f"{k * 5e-10!r},{'nan' if k == 7 else 0.5}\n"
+                       for k in range(64))
+        path.write_text("t_s,v\n" + rows)
+        argv = ["demod", "--trace", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and str(path) in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf"])

@@ -5,8 +5,9 @@ import pytest
 import scipy.signal as sig
 
 from pulseloop.demod import (AliasingError, BeatTrace, FilterSpec,
-                             _chain_band, demodulate, design_lowpass,
-                             filtfilt, suggested_cutoff, synthesize_beat)
+                             _carrier, _chain_band, demodulate,
+                             design_lowpass, filtfilt, suggested_cutoff,
+                             synthesize_beat)
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, PulseSpec,
                                 TimeGrid, default_grid, make_pulse, mase)
 
@@ -372,6 +373,31 @@ def test_demodulate_equals_separate_i_and_q_filtering(duration):
     z = 2.0 * trace.samples * np.exp(-2j * np.pi * F_BEAT * t)
     ref = filtfilt(filt, z.real) + 1j * filtfilt(filt, z.imag)
     assert np.array_equal(out.samples, ref[::2])
+
+
+@pytest.mark.parametrize("step", [1, 2, 4])
+def test_demodulate_equals_filtfilt_of_the_mix_decimated(step):
+    # The mix written straight into the filter's rows and the strided
+    # decimation give filtfilt(filt, conj(2 v c)) sampled at k0, k0 + step,
+    # ..., bit for bit: the path of ``pulseloop demod --out-dt``.
+    env = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7),
+                     default_grid(5e-7, dt=5e-10))
+    trace = synthesize_beat(env, F_BEAT, FS, noise_sigma=0.02, seed=4)
+    filt = design_lowpass(4, 40e6, FS)
+    carrier = _carrier(trace.grid, F_BEAT)
+    z = filtfilt(filt, np.conjugate(2.0 * trace.samples * carrier))
+    for k0 in (0, 3, 11):
+        # The most output samples that fit: the last on or before the
+        # trace's last sample.
+        n_out = (trace.grid.n - 1 - k0) // step + 1
+        out_grid = TimeGrid(trace.grid.t0 + k0 * trace.grid.dt,
+                            step * trace.grid.dt, n_out)
+        got = demodulate(trace, F_BEAT, filt, out_grid)
+        assert got.grid == out_grid
+        assert np.array_equal(got.samples, z[k0::step]), k0
+        with pytest.raises(InvalidSpecError, match="beyond"):
+            demodulate(trace, F_BEAT, filt,
+                       TimeGrid(out_grid.t0, out_grid.dt, n_out + 1))
 
 
 def test_demodulate_rejects_high_cutoff():

@@ -1,7 +1,10 @@
 """Grids, library pulses, metrics, and alignment."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.signal as sig
 
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
@@ -276,6 +279,52 @@ def test_align_delay_is_idempotent():
     aligned, _ = align_delay(delayed, ref)
     _, second = align_delay(aligned, ref)
     assert second == 0.0
+
+
+def _uncached_align(measured, ref):
+    # align_delay with the reference transformed afresh on every call.
+    full = measured.grid.n + ref.grid.n - 1
+    size = sfft.next_fast_len(full, True)
+    corr = sfft.irfft(sfft.rfft(measured.amplitude, size)
+                      * sfft.rfft(ref.amplitude[::-1], size), size)[:full]
+    lag = int(np.argmax(corr)) - (ref.grid.n - 1)
+    return shift_samples(measured.samples, -lag), lag * measured.grid.dt
+
+
+def test_align_delay_keeps_the_reference_transform_invisibly():
+    # Two references on one grid with different samples, each aligned
+    # against measurements of two lengths (two transform sizes), in turn:
+    # every call equals the uncached correlation bit for bit, and each
+    # reference keeps its own spectrum, read-only, per size.
+    grid = default_grid(5e-7)
+    gate = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7), grid)
+    gauss = _gaussian_env(grid, fwhm=1e-7)
+    rng = np.random.default_rng(25)
+    shots = []
+    for n in (grid.n + 300, 3 * grid.n):
+        x = np.zeros(n, dtype=complex)
+        x[40:40 + grid.n] = gate.samples
+        x += 0.02 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        shots.append(_env(TimeGrid(-4e-8, grid.dt, n), x))
+    before = repr(gate)
+    for _ in range(2):
+        for ref in (gate, gauss):
+            for shot in shots:
+                got, delay = align_delay(shot, ref)
+                want, want_delay = _uncached_align(shot, ref)
+                assert np.array_equal(got.samples, want)
+                assert delay == want_delay
+    for ref in (gate, gauss):
+        for shot in shots:
+            size = sfft.next_fast_len(shot.grid.n + grid.n - 1, True)
+            spec = ref._reversed_amplitude_spectrum(size)
+            assert not spec.flags.writeable
+            assert np.array_equal(spec, sfft.rfft(ref.amplitude[::-1], size))
+    # The memo is no part of the value: equality compares the grid and
+    # the samples only, as before, and repr does not show it.
+    assert repr(gate) == before
+    assert [f.name for f in fields(ComplexEnvelope) if f.compare] == [
+        "grid", "samples"]
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])

@@ -105,6 +105,54 @@ def test_trace_csv_period_comes_from_the_whole_span(tmp_path, n):
     assert abs(back.grid.dt - 5e-10) <= 4e-15 * 5e-10, back.grid.dt
 
 
+@pytest.mark.parametrize("n", [100, 3700, 7400])
+@pytest.mark.parametrize("dt", [1e-9, 5e-10, 3.3e-9])
+@pytest.mark.parametrize("t0", [0.0, -5e-7, 1.4e-6, 3.7e-6])
+def test_csv_period_reproduces_every_written_time(tmp_path, t0, dt, n):
+    # The period read back gives the written times to the last bit; the
+    # span alone is off by rounding whenever t0 is not 0.
+    trace = BeatTrace(TimeGrid(t0, dt, n), np.zeros(n))
+    path = str(tmp_path / "trace.csv")
+    fileio.write_trace_csv(path, trace)
+    back = fileio.read_trace_csv(path)
+    assert back.grid.t0 == t0 and back.grid.n == n
+    assert np.array_equal(back.grid.times(), trace.grid.times())
+    assert abs(back.grid.dt - dt) <= 1e-14 * dt
+
+
+def test_csv_period_without_an_exact_fit_is_the_span_estimate(tmp_path):
+    # Times no single period reproduces (rounded to 12 digits) keep the
+    # period the span gives.
+    t = np.array([float(f"{v:.12g}")
+                  for v in TimeGrid(1.4e-6, 1e-9 / 3, 300).times()])
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,v\n" + "".join(f"{v!r},0\n" for v in t.tolist()))
+    back = fileio.read_trace_csv(str(path))
+    assert back.grid.dt == float(t[-1] - t[0]) / (len(t) - 1)
+    assert not np.array_equal(back.grid.times(), t)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "# no rows\n"])
+def test_csv_without_data_rows_names_the_file(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("t_s,i,q\n" + body)
+    with pytest.raises(InvalidSpecError, match="no data rows") as info:
+        fileio.read_envelope_csv(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_csv_with_a_nan_sample_names_the_file(tmp_path):
+    env_path = tmp_path / "env.csv"
+    env_path.write_text("t_s,i,q\n0,1,0\n1e-09,1,nan\n")
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("t_s,v\n0,1\n5e-10,nan\n")
+    for path, read in ((env_path, fileio.read_envelope_csv),
+                       (trace_path, fileio.read_trace_csv)):
+        with pytest.raises(InvalidSpecError, match="must be finite") as info:
+            read(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
+
 # ------------------------------------------------------------------- models
 
 def test_model_json_round_trip(tmp_path):
