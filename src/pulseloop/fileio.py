@@ -72,7 +72,10 @@ def _read_csv(path: str, expected_header: str) -> np.ndarray:
                 f"got {header!r}")
         # NumPy only warns on a file without rows, naming the file object.
         start = fh.tell()
-        if not any(line.partition("#")[0].strip() for line in fh):
+        line = fh.readline()
+        while line and not line.partition("#")[0].strip():
+            line = fh.readline()
+        if not line:
             raise InvalidSpecError(f"{path}: no data rows")
         fh.seek(start)
         try:
@@ -118,13 +121,14 @@ def _grid_from_times(t: np.ndarray, path: str) -> TimeGrid:
     Every time in a written CSV is ``TimeGrid.times()`` to the last bit,
     so the period read back is the double nearest the span's estimate
     whose grid gives every time exactly, searched up to ``_PERIOD_ULPS``
-    steps to each side; a column no such double fits keeps the estimate.
+    steps to each side. A column no such double fits keeps the estimate
+    if its steps agree with it to 1e-6.
     """
     if len(t) < 2:
         raise InvalidSpecError(f"{path}: need at least two samples")
     # From the whole span: t[1] - t[0] loses digits when t0 is far from 0.
     dt = float(t[-1] - t[0]) / (len(t) - 1)
-    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-6, atol=dt * 1e-6):
+    if dt <= 0:
         raise InvalidSpecError(f"{path}: time column is not uniform")
     t0, last = float(t[0]), float(t[-1])
     for cand in _outward(dt, _PERIOD_ULPS):
@@ -134,6 +138,8 @@ def _grid_from_times(t: np.ndarray, path: str) -> TimeGrid:
         grid = TimeGrid(t0=t0, dt=cand, n=len(t))
         if np.array_equal(grid.times(), t):
             return grid
+    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=dt * 1e-6):
+        raise InvalidSpecError(f"{path}: time column is not uniform")
     return TimeGrid(t0=t0, dt=dt, n=len(t))
 
 
