@@ -220,7 +220,7 @@ def _load_train(args, run: _Run):
 
 
 def _cmd_optics(args, run: _Run) -> int:
-    if args.steps < 1:
+    if args.analysis != "sensitivity" and args.steps < 1:
         raise InvalidSpecError(f"--steps must be >= 1, got {args.steps}")
     train = _load_train(args, run)
     marker = args.marker
@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-min", type=float, default=300e-6)
     p.add_argument("--w-max", type=float, default=1200e-6)
     p.add_argument("--wavelength", type=float, default=DESIGN_WAVELENGTH)
-    p.add_argument("--steps", type=int, default=41)
+    p.add_argument("--steps", type=int, default=41,
+                   help="table rows for aperture and waist-sweep")
     _add_outdir(p)
     p.set_defaults(func=_cmd_optics)
 

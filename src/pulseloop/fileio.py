@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -30,10 +29,16 @@ FLOAT_FMT = "%.17g"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to ``path`` via a same-directory temp file and rename."""
+    """Write text to ``path`` via a same-directory temp file and rename.
+
+    The temp file is created with mode 0o666, so the file gets the mode
+    the process umask leaves, as a plain ``open`` would give it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

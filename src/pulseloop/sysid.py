@@ -284,50 +284,38 @@ def _workers() -> int:
     return max(1, cpus // threads)
 
 
-class _Done:
-    """A task run to completion on the thread that submitted it."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value):
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
-class _CallingThread:
-    """An executor whose one worker is the thread that submits each task.
-
-    With multithreaded OpenBLAS, a fit run on a pool thread took about
-    twice as long in the median as on the thread that called it. A task
-    that raises raises from ``submit``. Its result needs no future: a
-    future's lock and condition made the garbage collector run more often.
-    """
-
-    @staticmethod
-    def submit(fn, *args):
-        return _Done(fn(*args))
-
-
 def _pool():
-    """The process's executor: ``_workers()`` threads, or the caller's own.
+    """The process's ``ThreadPoolExecutor`` of ``_workers()`` threads.
 
-    Made on first use and again in a forked child, whose copy of the
-    parent's pool has no threads and would never run a task.
+    ``None`` when ``_workers()`` is 1: then ``_run`` runs the tasks in
+    order through the builtin ``map`` on the calling thread, because with
+    multithreaded OpenBLAS a fit on a pool thread took about twice as long
+    in the median as on the thread that called it. Made on first use and
+    again in a forked child, whose copy of the parent's pool has no
+    threads and would never run a task.
     """
     global _pool_state
     with _POOL_LOCK:
         pid = os.getpid()
         if _pool_state is None or _pool_state[0] != pid:
+            executor = None
             workers = _workers()
-            if workers == 1:
-                executor = _CallingThread()
-            else:
+            if workers > 1:
                 from concurrent.futures.thread import ThreadPoolExecutor
                 executor = ThreadPoolExecutor(max_workers=workers)
             _pool_state = (pid, executor)
         return _pool_state[1]
+
+
+def _run(tasks: list) -> list:
+    """Results of the ``(fn, *args)`` tasks, in order.
+
+    The tasks run on ``_pool()``'s threads, or, with no pool, one after
+    another through the builtin ``map`` on the calling thread.
+    """
+    pool = _pool()
+    return list((map if pool is None else pool.map)(
+        lambda task: task[0](*task[1:]), tasks))
 
 
 def _fold_mse(factors: list, k: int, val: np.ndarray, n: int,
@@ -360,10 +348,11 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     release the interpreter lock) with one worker per CPU the process may
     use over OpenBLAS's threads per call (see ``_workers``): with
     ``OPENBLAS_NUM_THREADS=1``, one per CPU; with OpenBLAS's default of a
-    thread per CPU, one, and then the calling thread runs the tasks in
-    the order of a serial loop. Each task runs the same arithmetic as
-    that loop and the fold errors are summed in fold order, so the result
-    is bit-identical to the serial fits whatever the worker count.
+    thread per CPU, one, and then the tasks run in order through the
+    builtin ``map`` on the calling thread. Each task runs the same
+    arithmetic as a serial loop and the fold errors are summed in fold
+    order, so the result is bit-identical to the serial fits whatever the
+    worker count.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
@@ -379,18 +368,13 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
             f"cannot split {n} samples into {cv.folds} folds")
     rows = _regression_rows(inp, memory, out.samples)
     parts = np.array_split(rows, cv.folds)
-    pool = _pool()
-    jobs = [pool.submit(_triangular, part) for part in parts]
-    factors = [job.result() for job in jobs]
+    factors = _run([(_triangular, part) for part in parts])
     if n > _TSQR_BLOCK * rows.shape[1]:
         rows = np.vstack(factors)
-    folds = [pool.submit(_fold_mse, factors, k, val, n, cv.lambda_grid)
-             for k, val in enumerate(parts)]
-    whole = pool.submit(_triangular, rows)
-    mse_sum = np.zeros(len(cv.lambda_grid))
-    for job in folds:
-        mse_sum += job.result()
-    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
+    *fold_mse, whole = _run(
+        [(_fold_mse, factors, k, val, n, cv.lambda_grid)
+         for k, val in enumerate(parts)] + [(_triangular, rows)])
+    scores = np.column_stack([cv.lambda_grid, sum(fold_mse) / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = _solve(whole.result(), n, lambda_star)
+    theta = _solve(whole, n, lambda_star)
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

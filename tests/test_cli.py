@@ -117,12 +117,20 @@ def test_invalid_pulse_parameters_exit_2(outdir, capsys):
     ["estimate", "--input", "{pulse}", "--output", "{pulse}",
      "--lambda-grid", "1e-3,abc"],
     ["optics", "aperture", "--steps", "-1"],
+    ["optics", "waist-sweep", "--steps", "0"],
 ])
 def test_bad_numeric_flags_exit_2(outdir, capsys, argv):
     pulse = _make_pulse(outdir)
     argv = [a.format(pulse=pulse) for a in argv]
     assert main(argv + ["--outdir", outdir]) == 2
     assert f"pulseloop {argv[0]}" in capsys.readouterr().err
+
+
+def test_sensitivity_ignores_steps(outdir):
+    # sensitivity makes no table of steps; it used to reject --steps 0.
+    assert main(["optics", "sensitivity", "--steps", "0",
+                 "--outdir", outdir]) == 0
+    assert os.path.exists(os.path.join(outdir, "sensitivity.csv"))
 
 
 # ---------------------------------------------------------------- simulate

@@ -314,6 +314,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+def test_atomic_write_leaves_the_mode_to_the_umask(tmp_path):
+    # The temp file used to be made by mkstemp, so every output was 0600.
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            path = tmp_path / f"out{umask:o}.txt"
+            fileio.atomic_write_text(str(path), "hello\n")
+            assert path.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+
+
 def test_write_is_byte_deterministic(tmp_path):
     env = _env(seed=6)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -562,7 +562,7 @@ def workers(request, monkeypatch):
     monkeypatch.setattr(sysid, "_pool_state", None)
     pool = sysid._pool()
     yield request.param
-    if hasattr(pool, "shutdown"):
+    if pool is not None:
         pool.shutdown()
 
 
@@ -581,6 +581,7 @@ def test_one_worker_fits_on_the_calling_thread(workers, monkeypatch):
     inp, out = _gate_pair(5e-7, seed=1)
     cross_validate(inp, out, 64, CVConfig())
     assert threads == {threading.get_ident()}
+    assert sysid._pool() is None
 
 
 def _serial_cross_validate(inp, out, memory, cv):
