@@ -17,8 +17,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .envelope import (DEFAULT_DT, ComplexEnvelope, InvalidSpecError,
-                       TimeGrid, ZeroSignalError, _check_integer, _support,
-                       embed)
+                       TimeGrid, ZeroSignalError, _check_integer, _check_real,
+                       _support, embed)
 from .optics import DESIGN_TARGET_WAIST, DESIGN_WAVELENGTH
 from .sysid import DEFAULT_MEMORY, VolterraModel, _forward_samples
 from . import demod as _demod
@@ -55,12 +55,14 @@ class AcoustoOpticParams:
     L2: float | None = None
 
     def __post_init__(self):
-        if self.v <= 0 or self.w0 <= 0:
-            raise InvalidSpecError("v and w0 must be positive")
+        _check_real("v", self.v, 0, strict=True)
+        _check_real("w0", self.w0, 0, strict=True)
         if self.L1 is None:
             object.__setattr__(self, "L1", -3.0 * self.w0)
         if self.L2 is None:
             object.__setattr__(self, "L2", 3.0 * self.w0)
+        _check_real("L1", self.L1)
+        _check_real("L2", self.L2)
         if self.L1 >= self.L2:
             raise InvalidSpecError(
                 f"degenerate interaction region [{self.L1}, {self.L2}]")
@@ -335,13 +337,9 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delay) and self.delay >= 0):
-            raise InvalidSpecError(
-                f"delay must be finite and >= 0, got {self.delay}")
-        _demod._check_noise("noise_sigma", self.noise_sigma)
-        if not np.isfinite(self.mismatch_kappa):
-            raise InvalidSpecError(
-                f"mismatch_kappa must be finite, got {self.mismatch_kappa}")
+        _check_real("delay", self.delay, 0)
+        _check_real("noise_sigma", self.noise_sigma, 0)
+        _check_real("mismatch_kappa", self.mismatch_kappa)
         _check_integer("seed", self.seed, 0)
 
 
@@ -431,10 +429,10 @@ class SimulatedChannel:
     replays the identical sequence, and shot 0 is the ``simulate`` shot.
     The trace runs at ``demod.DEFAULT_FS`` with its beat at
     ``demod.DEFAULT_F_BEAT``. The constructor designs the
-    order-``DEFAULT_ORDER`` demodulation filter and runs ``demod``'s own
-    checks, so a cutoff that is not finite or lies at or above the beat,
-    a trace noise sigma that is negative or not finite and a seed that is
-    not an integer >= 0 fail before the first shot.
+    order-``DEFAULT_ORDER`` demodulation filter and runs ``demod``'s
+    cutoff check, so a cutoff that is not finite or lies at or above the
+    beat, a trace noise sigma that is not a finite real >= 0 and a seed
+    that is not an integer >= 0 fail before the first shot.
     """
 
     PAD_PRE = 500      # samples ahead of the delayed response
@@ -446,7 +444,7 @@ class SimulatedChannel:
         self.filter = _demod.design_lowpass(_demod.DEFAULT_ORDER, cutoff,
                                             _demod.DEFAULT_FS)
         _demod._check_cutoff(cutoff, _demod.DEFAULT_F_BEAT)
-        _demod._check_noise("trace_noise_sigma", trace_noise_sigma)
+        _check_real("trace_noise_sigma", trace_noise_sigma, 0)
         _check_integer("seed", seed, 0)
         self.config = config if config is not None else ChannelConfig()
         self.cutoff = cutoff

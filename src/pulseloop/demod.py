@@ -22,7 +22,7 @@ import scipy.fft as sfft
 from scipy.linalg import lapack, toeplitz
 
 from .envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
-                       _check_integer)
+                       _check_integer, _check_real, _frozen_samples)
 
 DEFAULT_FS = 2e9        # trace sample rate, 2 GS/s
 DEFAULT_F_BEAT = 200e6  # beat at twice the 100 MHz modulator drive
@@ -46,15 +46,8 @@ class BeatTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 1 or len(arr) != self.grid.n:
-            raise InvalidSpecError(
-                f"expected {self.grid.n} samples, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSpecError("trace samples must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen_samples(
+            self.samples, float, self.grid.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +139,7 @@ def _block_operators(sos: np.ndarray) -> tuple:
     return np.triu(toeplitz(out[:, -1])), out[:, :-1].T.copy(), g, band
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     """Design a Butterworth low-pass as second-order sections.
 
@@ -157,19 +150,22 @@ def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     for the real pole. Sections run from the pole farthest from the unit
     circle to the nearest, as ``scipy.signal.butter`` orders them.
 
-    Memoized on the arguments: a ``FilterSpec`` is frozen with read-only
-    arrays, so every caller with the same settings shares one.
+    Memoized on the arguments and their types, so ``4.0`` or ``True``
+    never finds the filter of order ``4`` or ``1``: a ``FilterSpec`` is
+    frozen with read-only arrays, so every caller with the same settings
+    shares one.
 
     Parameters
     ----------
     order : int
-        Filter order, 1 through 12.
+        Filter order, an integer (not a bool) 1 through 12.
     cutoff : float
         -3 dB frequency in Hz; must be below fs/2.
     fs : float
         Sample rate the filter will run at; must be finite.
     """
-    if not 1 <= order <= 12:
+    _check_integer("order", order, 1)
+    if order > 12:
         raise InvalidSpecError(f"order must be in [1, 12], got {order}")
     if not (np.isfinite(fs) and 0 < cutoff < fs / 2):
         raise InvalidSpecError(
@@ -323,7 +319,7 @@ def synthesize_beat(env: ComplexEnvelope, f_beat: float = DEFAULT_F_BEAT,
         v(t) = Re[s(t) e^{i 2 pi f_beat t}] + n(t) starting at env.grid.t0.
     """
     _check_beat(f_beat, fs)
-    _check_noise("noise_sigma", noise_sigma)
+    _check_real("noise_sigma", noise_sigma, 0)
     _check_integer("seed", seed, 0)
     up = fs * env.grid.dt
     up_int = int(round(up))
@@ -451,10 +447,3 @@ def _check_cutoff(cutoff: float, f_beat: float) -> None:
     if not cutoff < f_beat:
         raise InvalidSpecError(
             f"cutoff {cutoff} must be below f_beat {f_beat}")
-
-
-def _check_noise(name: str, sigma: float) -> None:
-    """A noise standard deviation is finite and >= 0."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise InvalidSpecError(
-            f"{name} must be finite and >= 0, got {sigma}")

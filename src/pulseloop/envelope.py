@@ -41,6 +41,36 @@ def _check_integer(name: str, value, least: int) -> None:
             f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_real(name: str, value, least: float | None = None,
+                strict: bool = False) -> None:
+    """``value`` is a finite real number (not a bool) of at least
+    ``least``, or above it when ``strict``; no bound when ``least`` is
+    None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpecError(f"{name} must be a real number, got {value!r}")
+    try:
+        bad = not math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        bad = True
+    if least is not None and not bad:
+        bad = value <= least if strict else value < least
+    if bad:
+        bound = ("" if least is None
+                 else f" and {'>' if strict else '>='} {least}")
+        raise InvalidSpecError(f"{name} must be finite{bound}, got {value}")
+
+
+def _frozen_samples(samples, dtype, n: int) -> np.ndarray:
+    """A read-only copy of ``samples`` as ``n`` finite ``dtype`` values."""
+    arr = np.array(samples, dtype=dtype)
+    if arr.ndim != 1 or len(arr) != n:
+        raise InvalidSpecError(f"expected {n} samples, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidSpecError("samples must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid t_k = t0 + k*dt for k = 0..n-1."""
@@ -50,11 +80,8 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidSpecError(
-                f"dt must be finite and positive, got {self.dt}")
-        if not math.isfinite(self.t0):
-            raise InvalidSpecError(f"t0 must be finite, got {self.t0}")
+        _check_real("t0", self.t0)
+        _check_real("dt", self.dt, 0, strict=True)
         _check_integer("n", self.n, 2)
 
     def times(self) -> np.ndarray:
@@ -85,15 +112,8 @@ class ComplexEnvelope:
                            default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim != 1 or len(arr) != self.grid.n:
-            raise InvalidSpecError(
-                f"expected {self.grid.n} samples, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSpecError("samples must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen_samples(
+            self.samples, complex, self.grid.n))
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -141,38 +161,30 @@ class PulseSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidSpecError(f"unknown pulse kind {self.kind!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise InvalidSpecError(
-                f"duration must be finite and positive, got {self.duration}")
-        if not 0 < self.peak <= 1:
-            raise InvalidSpecError("peak must lie in (0, 1]")
+        _check_real("duration", self.duration, 0, strict=True)
+        _check_real("peak", self.peak, 0, strict=True)
+        if self.peak > 1:
+            raise InvalidSpecError(f"peak must lie in (0, 1], got {self.peak}")
         if self.kind in ("truncated-gaussian", "gaussian"):
-            if (self.fwhm is None or not math.isfinite(self.fwhm)
-                    or self.fwhm <= 0):
-                raise InvalidSpecError(
-                    f"{self.kind} requires a finite, positive fwhm, got "
-                    f"{self.fwhm}")
+            if self.fwhm is None:
+                raise InvalidSpecError(f"{self.kind} requires a fwhm")
+            _check_real("fwhm", self.fwhm, 0, strict=True)
         elif self.fwhm is not None:
             raise InvalidSpecError(
                 f"fwhm does not apply to a {self.kind} pulse, got {self.fwhm}")
         # The sign of the phase step is phase_jump_rad's; a width of zero
         # or below would divide by zero or reverse the step.
-        if not math.isfinite(self.phase_jump_rad):
-            raise InvalidSpecError(
-                f"phase_jump_rad must be finite, got {self.phase_jump_rad}")
-        if not (math.isfinite(self.phase_width_frac)
-                and self.phase_width_frac > 0):
-            raise InvalidSpecError(
-                "phase_width_frac must be finite and positive, got "
-                f"{self.phase_width_frac}")
+        _check_real("phase_jump_rad", self.phase_jump_rad)
+        _check_real("phase_width_frac", self.phase_width_frac, 0, strict=True)
 
 
 def default_grid(duration: float, dt: float = DEFAULT_DT,
                  margin_frac: float = 0.5) -> TimeGrid:
     """Grid sized to hold a pulse of the given duration, centered, with
     near-zero margin of ``margin_frac * duration`` on each side."""
-    if not dt > 0:
-        raise InvalidSpecError(f"dt must be positive, got {dt}")
+    _check_real("duration", duration, 0, strict=True)
+    _check_real("dt", dt, 0, strict=True)
+    _check_real("margin_frac", margin_frac)
     n = duration * (1 + 2 * margin_frac) / dt
     if not np.isfinite(n):
         raise InvalidSpecError(f"grid length {n} is not finite")

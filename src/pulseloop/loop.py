@@ -10,7 +10,6 @@ error straight back onto the input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -18,7 +17,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       _check_integer, align_delay, mase, mse_cost)
+                       _check_integer, _check_real, align_delay, mase,
+                       mse_cost)
 from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
                     volterra_forward)
 
@@ -60,8 +60,7 @@ class LMConfig:
 
     def __post_init__(self):
         _check_integer("max_iters", self.max_iters, 0)
-        if not (math.isfinite(self.cost_tol) and self.cost_tol > 0):
-            raise InvalidSpecError("cost_tol must be finite and positive")
+        _check_real("cost_tol", self.cost_tol, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,8 @@ class LoopConfig:
                 f"method must be one of {LOOP_METHODS}, got {self.method!r}")
         _check_integer("max_loop_iters", self.max_loop_iters, 1)
         _check_integer("memory", self.memory, 1)
-        if not (math.isfinite(self.convergence_mase)
-                and self.convergence_mase > 0):
-            raise InvalidSpecError(
-                "convergence_mase must be finite and positive, got "
-                f"{self.convergence_mase}")
+        _check_real("convergence_mase", self.convergence_mase, 0,
+                    strict=True)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import InvalidSpecError
+from .envelope import InvalidSpecError, _check_real
 
 DESIGN_WAVELENGTH = 405e-9
 DESIGN_INPUT_WAIST = 1200e-6
@@ -37,8 +37,8 @@ class RayState:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and np.isfinite(self.theta)):
-            raise InvalidSpecError("ray coordinates must be finite")
+        _check_real("L", self.L)
+        _check_real("theta", self.theta)
         if abs(self.theta) > PARAXIAL_LIMIT:
             warnings.warn(
                 f"|theta| = {abs(self.theta):.3g} rad exceeds the paraxial "
@@ -57,8 +57,8 @@ class ABCDElement:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidSpecError(f"unknown element kind {self.kind!r}")
-        if self.kind == "free-space" and self.parameter < 0:
-            raise InvalidSpecError("free-space distance must be >= 0")
+        _check_real(f"{self.kind} parameter", self.parameter,
+                    0 if self.kind == "free-space" else None)
         if self.kind == "thin-lens" and self.parameter == 0:
             raise InvalidSpecError("lens focal length must be nonzero")
 
@@ -131,8 +131,9 @@ class GaussianBeam:
     waist_position: float = 0.0
 
     def __post_init__(self):
-        if self.wavelength <= 0 or self.w <= 0:
-            raise InvalidSpecError("wavelength and waist must be positive")
+        _check_real("wavelength", self.wavelength, 0, strict=True)
+        _check_real("w", self.w, 0, strict=True)
+        _check_real("waist_position", self.waist_position)
 
     @property
     def rayleigh(self) -> float:
@@ -222,8 +223,8 @@ def aperture_check(train: OpticalTrain, perturbation: RayState,
     |L| <= aperture/2 and |theta| <= bragg_tolerance; the margins report
     the remaining headroom, negative when exceeded.
     """
-    if aperture <= 0 or bragg_tolerance <= 0:
-        raise InvalidSpecError("aperture and tolerance must be positive")
+    _check_real("aperture", aperture, 0, strict=True)
+    _check_real("bragg_tolerance", bragg_tolerance, 0, strict=True)
     out = propagate_ray(train, perturbation, marker)
     pos_margin = aperture / 2 - abs(out.L)
     ang_margin = bragg_tolerance - abs(out.theta)
@@ -260,11 +261,12 @@ def waist_vs_input_waist(train: OpticalTrain, wavelength: float,
     Returns a structured array with fields ``w_in``, ``waist``,
     ``offset`` (waist position relative to the marker, positive
     downstream) and ``within_rayleigh`` (true where the waist sits
-    closer to the marker than one Rayleigh length).
+    closer to the marker than one Rayleigh length). The wavelength and
+    every input waist must be finite and positive (``GaussianBeam``).
     """
     w_in_values = np.atleast_1d(np.asarray(w_in_values, dtype=float))
-    if len(w_in_values) == 0 or np.any(w_in_values <= 0):
-        raise InvalidSpecError("sweep values must be positive and nonempty")
+    if len(w_in_values) == 0:
+        raise InvalidSpecError("w_in_values must be nonempty")
     rows = np.zeros(len(w_in_values),
                     dtype=[("w_in", float), ("waist", float),
                            ("offset", float), ("within_rayleigh", bool)])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       _check_integer, _support)
+                       _check_integer, _check_real, _support)
 
 DEFAULT_MEMORY = 64  # taps at 1 ns spacing; covers post-delay ringing
 
@@ -217,9 +217,7 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
     the SVD of R with that cutoff.
     """
     _check_pair(inp, out, memory)
-    if not (np.isfinite(lambda_reg) and lambda_reg >= 0):
-        raise InvalidSpecError(
-            f"lambda_reg must be finite and >= 0, got {lambda_reg}")
+    _check_real("lambda_reg", lambda_reg, 0)
     rz = _triangular(_regression_rows(inp, memory, out.samples))
     theta = _solve(rz, inp.grid.n, lambda_reg)
     return VolterraModel(h0=theta[0], h1=theta[1:])
@@ -240,13 +238,12 @@ class CVConfig:
 
     def __post_init__(self):
         _check_integer("folds", self.folds, 2)
-        grid = tuple(float(v) for v in self.lambda_grid)
+        grid = tuple(self.lambda_grid)
         if not grid:
             raise InvalidSpecError("lambda_grid must be nonempty")
-        if not all(np.isfinite(v) and v >= 0 for v in grid):
-            raise InvalidSpecError(
-                f"lambda_grid values must be finite and >= 0, got {grid}")
-        object.__setattr__(self, "lambda_grid", grid)
+        for v in grid:
+            _check_real("lambda_grid value", v, 0)
+        object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
 
 
 _POOL_LOCK = threading.Lock()

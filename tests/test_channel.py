@@ -58,6 +58,15 @@ def test_params_validation():
         AcoustoOpticParams(L1=1e-4, L2=-1e-4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "650", True])
+@pytest.mark.parametrize("field", ["v", "w0", "L1", "L2"])
+def test_params_name_a_geometry_that_is_not_a_finite_real(field, value):
+    # A NaN used to surface in the first shot as a ValueError or an
+    # IndexError, an infinite L2 as an OverflowError; an infinite w0 ran.
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        AcoustoOpticParams(**{field: value})
+
+
 # -------------------------------------------------------------- ChannelConfig
 
 @pytest.mark.parametrize("field, value", [
@@ -66,6 +75,9 @@ def test_params_validation():
     ("mismatch_kappa", np.nan), ("mismatch_kappa", np.inf),
     ("mismatch_kappa", -np.inf), ("seed", -1), ("seed", 1.5),
     ("seed", 2.0), ("seed", True),
+    ("delay", "1e-6"), ("delay", True), ("noise_sigma", "0.1"),
+    ("noise_sigma", True), ("mismatch_kappa", "4e3"),
+    ("mismatch_kappa", True),
 ])
 def test_channel_config_rejects_non_finite_values(field, value):
     with pytest.raises(InvalidSpecError, match=field):
@@ -588,7 +600,7 @@ def test_simulated_channel_rejects_cutoff_at_or_above_the_beat():
     SimulatedChannel(cutoff=120e6)
 
 
-@pytest.mark.parametrize("value", [-0.02, np.nan, np.inf])
+@pytest.mark.parametrize("value", [-0.02, np.nan, np.inf, "0.02", True])
 def test_simulated_channel_rejects_bad_trace_noise(value):
     # These used to give the noiseless measurement, bit for bit.
     with pytest.raises(InvalidSpecError, match="trace_noise_sigma"):

@@ -19,6 +19,7 @@ from pulseloop.cli import build_parser, main
 from pulseloop.demod import DEFAULT_CUTOFF, suggested_cutoff
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
 from pulseloop.loop import _align_to_target
+from pulseloop.optics import design_three_lens
 from pulseloop.sysid import VolterraModel, estimate_kernel
 
 
@@ -243,6 +244,25 @@ def test_channel_json_nan_delay_exits_2_writing_nothing(tmp_path, capsys,
             else ["loop", "--target", pulse])
     assert main(argv + ["--channel", chan, "--outdir", str(out)]) == 2
     assert "delay" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["v", "w0", "L1", "L2"])
+def test_channel_json_non_finite_geometry_exits_2_naming_it(tmp_path, capsys,
+                                                            key, value):
+    # A NaN v, w0 or L1 used to end in a traceback (exit 1), an infinite
+    # L2 in an OverflowError, and an infinite w0 ran on (exit 0).
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    obj = json.loads(Path(chan).read_text())
+    obj["aom"][key] = float(value)
+    Path(chan).write_text(json.dumps(obj))
+    assert value in Path(chan).read_text()
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--outdir", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -764,6 +784,41 @@ def test_optics_unknown_marker_exits_2_naming_it(tmp_path, capsys, analysis):
     assert main(["optics", analysis, "--marker", "nope",
                  "--outdir", str(out)]) == 2
     assert "nope" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["aperture", "--aperture", "nan"], "aperture must be finite"),
+    (["aperture", "--bragg-tol", "nan"], "bragg_tolerance must be finite"),
+    (["waist-sweep", "--w-min", "nan"], "w must be finite"),
+    (["waist-sweep", "--wavelength", "nan"], "wavelength must be finite"),
+    (["waist-sweep", "--wavelength", "inf"], "wavelength must be finite"),
+])
+def test_optics_non_finite_flag_exits_2_naming_it(tmp_path, capsys, argv,
+                                                  message):
+    # These used to exit 0, writing all-fail rows or, with a
+    # RuntimeWarning, NaN rows.
+    out = tmp_path / "out"
+    assert main(["optics", *argv, "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("analysis", ["sensitivity", "aperture",
+                                      "waist-sweep"])
+def test_optics_train_nan_parameter_exits_2_naming_it(tmp_path, capsys,
+                                                      analysis):
+    # It used to exit 0, writing NaN sensitivities.
+    train = tmp_path / "train.json"
+    fileio.write_train_json(str(train), design_three_lens())
+    obj = json.loads(train.read_text())
+    obj["elements"][1]["parameter"] = float("nan")
+    train.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["optics", analysis, "--train", str(train),
+                 "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "parameter must be finite" in err and str(train) in err
     assert not out.exists() or not any(out.iterdir())
 
 

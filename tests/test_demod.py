@@ -85,7 +85,7 @@ def test_synthesize_rejects_non_finite_rates(fs, f_beat):
         synthesize_beat(_constant_env(128), f_beat=f_beat, fs=fs)
 
 
-@pytest.mark.parametrize("sigma", [-0.02, np.nan, np.inf])
+@pytest.mark.parametrize("sigma", [-0.02, np.nan, np.inf, "0.02", True])
 def test_synthesize_rejects_negative_or_non_finite_noise(sigma):
     with pytest.raises(InvalidSpecError, match="noise_sigma"):
         synthesize_beat(_constant_env(128), noise_sigma=sigma)
@@ -269,6 +269,35 @@ def test_filter_spec_runs_any_valid_sections():
     bad[1, 3] = 2.0
     with pytest.raises(InvalidSpecError, match="ones"):
         FilterSpec(order=4, cutoff=30e6, fs=FS, sos=bad)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("order", [4.0, True, 0, np.int64(0)])
+def test_lowpass_order_must_be_an_integer_cold_or_cached(order, warm):
+    # 4.0 used to raise a bare TypeError on a cold cache, and to return
+    # the order-4 filter once design_lowpass(4, ...) had run; True built
+    # a first-order filter.
+    design_lowpass.cache_clear()
+    if warm:
+        design_lowpass(4, 20e6, FS)
+        design_lowpass(1, 20e6, FS)
+    with pytest.raises(InvalidSpecError, match="order must be an integer"):
+        design_lowpass(order, 20e6, FS)
+
+
+@pytest.mark.parametrize("container, dtype", [(ComplexEnvelope, complex),
+                                              (BeatTrace, float)])
+def test_samples_are_a_read_only_copy_and_finite(container, dtype):
+    grid = TimeGrid(0.0, 1e-9, 4)
+    source = np.arange(4, dtype=dtype)
+    held = container(grid, source).samples
+    source[0] = 7
+    assert held.dtype == dtype and held[0] == 0
+    assert not held.flags.writeable
+    with pytest.raises(InvalidSpecError, match="finite"):
+        container(grid, [0.0, np.nan, 1.0, 2.0])
+    with pytest.raises(InvalidSpecError, match="expected 4 samples"):
+        container(grid, np.zeros((2, 2)))
 
 
 def test_filter_initial_state_is_stored_read_only():

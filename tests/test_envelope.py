@@ -9,8 +9,9 @@ import scipy.signal as sig
 
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
-                                ZeroSignalError, align_delay, default_grid,
-                                make_pulse, mase, mse_cost, shift_samples)
+                                ZeroSignalError, _check_real, align_delay,
+                                default_grid, make_pulse, mase, mse_cost,
+                                shift_samples)
 
 
 def _env(grid, samples):
@@ -35,6 +36,32 @@ def test_grid_rejects_bad_parameters():
                    (0.0, np.inf)):
         with pytest.raises(InvalidSpecError, match="finite"):
             TimeGrid(t0=t0, dt=dt, n=10)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, "1e-9", True])
+@pytest.mark.parametrize("field", ["t0", "dt"])
+def test_grid_names_a_time_that_is_not_a_finite_real(field, value):
+    # A str used to escape as a TypeError, and True passed as 1.
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        TimeGrid(**{"t0": 0.0, "dt": 1e-9, "n": 5, field: value})
+
+
+@pytest.mark.parametrize("value, least, strict", [
+    (np.nan, None, False), (-np.inf, None, False), (10**400, None, False),
+    (True, None, False), (np.bool_(True), None, False), ("1", None, False),
+    (None, None, False), (1j, None, False), (-1e-300, 0, False),
+    (0.0, 0, True), (0, 0, True), (np.float32(-1), -1, True)])
+def test_check_real_rejects_by_name(value, least, strict):
+    with pytest.raises(InvalidSpecError, match="^x must be"):
+        _check_real("x", value, least, strict)
+
+
+@pytest.mark.parametrize("value, least, strict", [
+    (0.0, None, False), (-1e300, None, False), (10**300, None, False),
+    (np.int64(3), 3, False), (np.float32(0.5), 0, True), (0.0, 0, False)])
+def test_check_real_accepts_a_finite_real_within_its_bound(value, least,
+                                                           strict):
+    _check_real("x", value, least, strict)
 
 
 @pytest.mark.parametrize("n", [2.5, 10.0, True])
@@ -140,11 +167,16 @@ def test_make_pulse_rejects_invalid_specs():
     ("fwhm", np.nan), ("fwhm", np.inf),
     ("phase_jump_rad", np.nan), ("phase_jump_rad", -np.inf),
     ("phase_width_frac", -0.05), ("phase_width_frac", 0.0),
-    ("phase_width_frac", np.nan), ("phase_width_frac", np.inf)])
+    ("phase_width_frac", np.nan), ("phase_width_frac", np.inf),
+    ("duration", "5e-7"), ("duration", True), ("peak", np.nan),
+    ("peak", np.inf), ("peak", "1"), ("peak", True), ("peak", 0.0),
+    ("phase_jump_rad", "3.14"), ("phase_jump_rad", True),
+    ("phase_width_frac", "0.05"), ("phase_width_frac", True)])
 def test_pulse_spec_names_a_bad_shape_setting(field, value):
     # A negative width used to reverse the phase step, a zero width
     # divided by zero, and a NaN phase jump failed only as "samples must
     # be finite"; a NaN or infinite duration passed the positivity check.
+    # A str escaped as a TypeError, and a bool passed as 1 or 0.
     with pytest.raises(InvalidSpecError, match=field):
         PulseSpec(**{"kind": "gate-standin", "duration": 5e-7, field: value})
 
@@ -155,6 +187,23 @@ def test_pulse_spec_rejects_a_width_for_a_kind_without_one(kind, fwhm):
     # The width used to be dropped without a word.
     with pytest.raises(InvalidSpecError, match="fwhm"):
         PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "truncated-gaussian"])
+@pytest.mark.parametrize("fwhm", [np.nan, np.inf, "1e-7", True, None])
+def test_gaussian_pulse_names_a_bad_fwhm(kind, fwhm):
+    with pytest.raises(InvalidSpecError, match="fwhm"):
+        PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True])
+@pytest.mark.parametrize("field", ["duration", "dt", "margin_frac"])
+def test_default_grid_names_a_setting_that_is_not_a_finite_real(field,
+                                                                value):
+    # A str used to escape as a TypeError; a NaN margin named only the
+    # derived grid length.
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        default_grid(**{"duration": 5e-7, field: value})
 
 
 def test_pulse_spec_takes_a_negative_phase_jump():

@@ -222,6 +222,16 @@ def test_lm_config_validation():
             LMConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, "1e-3", True])
+@pytest.mark.parametrize("config, field", [
+    (LoopConfig, "convergence_mase"), (LMConfig, "cost_tol")])
+def test_loop_configs_name_a_tolerance_that_is_not_a_finite_real(
+        config, field, value):
+    # A str used to escape as a TypeError, and True passed as 1.
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        config(**{field: value})
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, True])
 @pytest.mark.parametrize("config, field", [
     (LoopConfig, "max_loop_iters"), (LoopConfig, "memory"),

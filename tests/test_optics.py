@@ -242,6 +242,51 @@ def test_overlap_flag_has_a_threshold():
     assert int(np.sum(np.diff(flags.astype(int)) != 0)) == 1
 
 
+_NOT_FINITE_REALS = [np.nan, np.inf, -np.inf, "1e-4", True]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["L", "theta"])
+def test_ray_names_a_coordinate_that_is_not_a_finite_real(field, value):
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        RayState(**{"L": 0.0, "theta": 0.0, field: value})
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("kind", ABCDElement.KINDS)
+def test_element_names_a_parameter_that_is_not_a_finite_real(kind, value):
+    # A NaN used to give NaN matrices, sensitivities and margins.
+    with pytest.raises(InvalidSpecError, match=f"^{kind} parameter must be"):
+        ABCDElement(kind, value)
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["wavelength", "w", "waist_position"])
+def test_beam_names_a_setting_that_is_not_a_finite_real(field, value):
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        GaussianBeam(**{"wavelength": DESIGN_WAVELENGTH, "w": 1e-4,
+                        field: value})
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE_REALS + [0.0])
+@pytest.mark.parametrize("field", ["aperture", "bragg_tolerance"])
+def test_aperture_check_names_a_limit_that_is_not_a_finite_real(field, value):
+    # A NaN limit used to fail every ray without a word.
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+        aperture_check(design_three_lens(), RayState(0.0, 0.0),
+                       **{field: value})
+
+
+@pytest.mark.parametrize("wavelength, w_in, name", [
+    (np.nan, 1e-4, "wavelength"), (np.inf, 1e-4, "wavelength"),
+    (DESIGN_WAVELENGTH, np.nan, "w"), (DESIGN_WAVELENGTH, 0.0, "w")])
+def test_sweep_names_a_setting_that_is_not_a_finite_positive_real(
+        wavelength, w_in, name):
+    # A NaN or infinite value used to give NaN rows and a RuntimeWarning.
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be"):
+        waist_vs_input_waist(design_three_lens(), wavelength, [w_in])
+
+
 def test_sweep_rejects_bad_values():
     train = design_three_lens(mode="waist-matched")
     with pytest.raises(InvalidSpecError):

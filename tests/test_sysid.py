@@ -508,7 +508,8 @@ def test_cv_config_rejects_folds_that_are_not_an_integer(folds):
 
 
 @pytest.mark.parametrize("grid", [(np.nan, 1e-3), (1e-3, np.nan), (np.inf,),
-                                  (1e-3, -np.inf), (-1e-3,)])
+                                  (1e-3, -np.inf), (-1e-3,), ("1e-3",),
+                                  (1e-3, True)])
 def test_cv_config_rejects_non_finite_or_negative_lambda(grid):
     with pytest.raises(InvalidSpecError, match="lambda_grid"):
         CVConfig(5, grid)
@@ -519,6 +520,14 @@ def test_estimate_rejects_non_finite_lambda(lam):
     rng = np.random.default_rng(20)
     inp, out = _noisy_channel_pair(rng)
     with pytest.raises(InvalidSpecError, match=f"lambda_reg.*got {lam}"):
+        estimate_kernel(inp, out, 4, lam)
+
+
+@pytest.mark.parametrize("lam", ["1e-3", True])
+def test_estimate_rejects_a_lambda_that_is_not_a_real(lam):
+    rng = np.random.default_rng(20)
+    inp, out = _noisy_channel_pair(rng)
+    with pytest.raises(InvalidSpecError, match="^lambda_reg must be"):
         estimate_kernel(inp, out, 4, lam)
 
 
