@@ -114,8 +114,7 @@ def reflectance_trace(p_env: ComplexEnvelope, params: AcoustoOpticParams,
     numpy.ndarray
         Complex r(t) with one entry per envelope sample.
     """
-    if refine < 1:
-        raise InvalidSpecError(f"refine must be >= 1, got {refine}")
+    _check_integer("refine", refine, 1)
     p = p_env.amplitude
     n = len(p)
     key = (params.v, params.w0, params.L1, params.L2, p_env.grid.dt, kappa,

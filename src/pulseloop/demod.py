@@ -167,9 +167,11 @@ def design_lowpass(order: int, cutoff: float, fs: float) -> FilterSpec:
     _check_integer("order", order, 1)
     if order > 12:
         raise InvalidSpecError(f"order must be in [1, 12], got {order}")
-    if not (np.isfinite(fs) and 0 < cutoff < fs / 2):
+    _check_real("cutoff", cutoff, 0, strict=True)
+    _check_real("fs", fs, 0, strict=True)
+    if not cutoff < fs / 2:
         raise InvalidSpecError(
-            f"cutoff {cutoff} must lie in (0, fs/2={fs / 2}) for a finite fs")
+            f"cutoff {cutoff} must lie in (0, fs/2={fs / 2})")
     t = np.tan(np.pi * cutoff / fs)
     sos = []
     if order % 2:

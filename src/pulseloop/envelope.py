@@ -102,14 +102,17 @@ class ComplexEnvelope:
 
     Samples are held as an immutable complex array; ``amplitude`` and
     ``phase`` views correspond to A_k = |s_k| and P_k = arg(s_k). As the
-    samples cannot change, the transform ``align_delay`` takes of a
-    reference is kept per transform size, out of comparison and repr.
+    samples cannot change, work derived from them alone is kept in a
+    memo, out of comparison and repr: the transform ``align_delay`` takes
+    of a reference, per transform size, and the design-matrix factor a
+    loop's kernel fits take of their target, per memory (see
+    ``sysid._keep_design_factor``).
     """
 
     grid: TimeGrid
     samples: np.ndarray
-    _spectra: dict = field(init=False, repr=False, compare=False,
-                           default_factory=dict)
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_samples(
@@ -131,11 +134,12 @@ class ComplexEnvelope:
 
     def _reversed_amplitude_spectrum(self, size: int) -> np.ndarray:
         """Read-only length-``size`` ``rfft`` of the reversed amplitude."""
-        spec = self._spectra.get(size)
+        key = ("reversed_amplitude_spectrum", size)
+        spec = self._memo.get(key)
         if spec is None:
             spec = sfft.rfft(self.amplitude[::-1], size)
             spec.setflags(write=False)
-            self._spectra[size] = spec
+            self._memo[key] = spec
         return spec
 
 

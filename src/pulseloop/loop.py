@@ -19,8 +19,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, align_delay, mase,
                        mse_cost)
-from .sysid import (DEFAULT_MEMORY, VolterraModel, estimate_kernel,
-                    volterra_forward)
+from .sysid import (DEFAULT_MEMORY, VolterraModel, _keep_design_factor,
+                    estimate_kernel, volterra_forward)
 
 # Tikhonov weight added to the diagonal of J^H J in the offline inversion.
 _DAMPING = 1e-3
@@ -247,7 +247,13 @@ def _align_to_target(raw: ComplexEnvelope,
 
 def _tf_update(s_in, s_target, s_out, config):
     """Fit the kernel to this shot by minimum-norm least squares
-    (``lambda_reg`` 0) and invert it offline against the target."""
+    (``lambda_reg`` 0) and invert it offline against the target.
+
+    The first shot's input is the target, so the target keeps its
+    design-matrix factor, like its alignment transform: a later loop on
+    it fits its first shot without a QR, to the same bits.
+    """
+    _keep_design_factor(s_target, config.memory)
     model = estimate_kernel(s_in, s_out, config.memory, 0.0)
     return offline_iterate(model, s_target).s_pred, model
 

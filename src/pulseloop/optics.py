@@ -243,6 +243,10 @@ def max_temperature_drift(train: OpticalTrain, dL_dT: float, dtheta_dT: float,
     (m/K and rad/K); the result is the ΔT at which the marker-plane ray
     first touches the aperture or Bragg limit.
     """
+    _check_real("dL_dT", dL_dT)
+    _check_real("dtheta_dT", dtheta_dT)
+    _check_real("aperture", aperture, 0, strict=True)
+    _check_real("bragg_tolerance", bragg_tolerance, 0, strict=True)
     s = sensitivity(train, marker)
     d_pos = abs(s.dL_dL_in * dL_dT + s.dL_dtheta_in * dtheta_dT)
     d_ang = abs(s.dtheta_dL_in * dL_dT + s.dtheta_dtheta_in * dtheta_dT)

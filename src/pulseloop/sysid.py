@@ -123,6 +123,24 @@ def _qr_r(block: np.ndarray) -> np.ndarray:
     return np.triu(qr[:min(qr.shape)])
 
 
+def _qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR of one block: ``(reflectors, tau, r)``.
+
+    The reduction of ``_qr_r``, with r trapezoidal when the block has
+    fewer rows than columns. Q = H_1 ... H_k is left as ``zgeqrf``
+    leaves it, unit lower trapezoidal reflectors and their scalars, for
+    ``zunmqr`` to apply.
+    """
+    qr, tau = lapack.zgeqrf(block)[:2]
+    k = min(qr.shape)
+    r = np.triu(qr[:k])
+    # zunmqr writes each reflector's unit head into the array while it
+    # applies it, then restores the old entry; with the 1 stored there,
+    # threads that share one kept factor never read another value.
+    np.fill_diagonal(qr, 1.0)
+    return qr[:, :k], tau, r
+
+
 def _triangular(rows: np.ndarray) -> np.ndarray:
     """R factor of a tall matrix, reduced in row blocks (TSQR).
 
@@ -139,13 +157,83 @@ def _triangular(rows: np.ndarray) -> np.ndarray:
                                   for i in range(0, len(rows), step)]))
 
 
+def _factor(a: np.ndarray) -> tuple[list, np.ndarray]:
+    """TSQR of a tall matrix, keeping Q: ``(levels, r)`` with a = Q r.
+
+    The rows are reduced in the blocks ``_triangular`` takes of [A | y]
+    (``_TSQR_BLOCK`` x (columns + 1) rows), then the stacked block
+    factors the same way, until one block is left, whose R is ``r``.
+    ``levels`` holds each level's blocks' ``(reflectors, tau)`` in row
+    order: Q is the product of the levels' block-diagonal Qs, applied by
+    ``_apply_qh`` and never formed, since forming it (``zungqr``) costs
+    about another QR. The first level's reflectors hold as many values
+    as a.
+    """
+    step = _TSQR_BLOCK * (a.shape[1] + 1)
+    levels = []
+    while True:
+        blocks = [_qr(a[i:i + step]) for i in range(0, len(a), step)]
+        levels.append([(h, tau) for h, tau, _ in blocks])
+        if len(blocks) == 1:
+            return levels, blocks[0][2]
+        a = np.vstack([r for _, _, r in blocks])
+
+
+def _apply_qh(levels: list, c: np.ndarray) -> np.ndarray:
+    """The leading rows of Q^H c for ``_factor``'s Q, one per column of r.
+
+    Each block's reflectors are applied by ``zunmqr`` to its rows of c,
+    level by level; a block passes on as many rows as its R has. With
+    ``lwork`` at its minimum ``zunmqr`` takes the unblocked reflector
+    loop, two vector operations per reflector.
+    """
+    for blocks in levels:
+        parts, lo = [], 0
+        for h, tau in blocks:
+            rows = c[lo:lo + len(h)]
+            lo += len(h)
+            parts.append(lapack.zunmqr("L", "C", h, tau, rows,
+                                       c.shape[1])[0][:len(tau)])
+        c = np.vstack(parts)
+    return c
+
+
+_DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
+
+
+def _keep_design_factor(env: ComplexEnvelope, memory: int) -> None:
+    """Have ``estimate_kernel`` keep its factor of ``env``'s design matrix
+    at ``memory`` on ``env``, so a later fit to ``env`` forms no QR.
+
+    A kept factor holds n (memory + 1) complex values, so only an input
+    fitted again and again, such as a loop's target, should keep one.
+    """
+    env._memo.setdefault((_DESIGN_KEY, memory), None)
+
+
+def _design_factor(env: ComplexEnvelope, memory: int) -> tuple:
+    """``_factor`` of ``env``'s design matrix, kept on ``env`` if asked.
+
+    A kept factor is the one a fresh call computes, so a fit's bits do
+    not depend on whether it was kept.
+    """
+    key = (_DESIGN_KEY, memory)
+    factor = env._memo.get(key)
+    if factor is None:
+        factor = _factor(build_design_matrix(env, memory))
+        if key in env._memo:
+            env._memo[key] = factor
+    return factor
+
+
 def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
 
-    ``rz`` is a factor of the n-row matrix [A | y] (as from
-    ``_triangular``): with r = rz[:, :-1] and z = rz[:, -1], A^H A = r^H r
-    and A^H y = r^H z. One thin complex SVD r = U diag(s) V^H then gives
-    the whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z.
+    ``rz`` is a factor of the n-row matrix [A | y], as from
+    ``_triangular``, or [R | Q^H y] for A = Q R: with r = rz[:, :-1] and
+    z = rz[:, -1], A^H A = r^H r and A^H y = r^H z. One thin complex SVD
+    r = U diag(s) V^H then gives the whole ridge path,
+    th(lam) = V diag(s / (s^2 + lam)) U^H z.
     Singular values at or below the cutoff eps * max(n, columns) * s_max
     (NumPy's ``lstsq`` default for A itself, not for the smaller factor)
     are dropped, so lam = 0 yields the minimum-norm least-squares
@@ -210,16 +298,21 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
 
-    The design rows are reduced to a triangular factor R. At
-    ``lambda_reg = 0`` the fit back-substitutes on R when a bound on
-    ||R^-1|| proves that no singular value reaches the cutoff above (see
-    ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
-    the SVD of R with that cutoff.
+    The design matrix A is factored as A = Q R by a TSQR that keeps Q
+    as Householder reflectors (see ``_factor``), and the fit solves
+    R th = z with z = Q^H y. At ``lambda_reg = 0`` it back-substitutes
+    on R when a bound on ||R^-1|| proves that no singular value reaches
+    the cutoff above (see ``_solve``); otherwise, and for every
+    ``lambda_reg > 0``, it takes the SVD of R with that cutoff. The factor depends on the
+    input alone, so an input that keeps it (a loop's target, see
+    ``_keep_design_factor``) is fitted again with one Q^H y and no QR,
+    to the same bits.
     """
     _check_pair(inp, out, memory)
     _check_real("lambda_reg", lambda_reg, 0)
-    rz = _triangular(_regression_rows(inp, memory, out.samples))
-    theta = _solve(rz, inp.grid.n, lambda_reg)
+    levels, r = _design_factor(inp, memory)
+    z = _apply_qh(levels, out.samples[:, None])
+    theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg)
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
 
@@ -355,8 +448,7 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
     the table minimum (first entry on ties), and ``model`` is the fit to
     all samples at lambda_star, as ``estimate_kernel`` would return it
-    (bit for bit when the record fits one block, up to rounding
-    otherwise).
+    (to rounding: its factor is of [A | y], ``estimate_kernel``'s of A).
     """
     _check_pair(inp, out, memory)
     n = inp.grid.n

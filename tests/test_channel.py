@@ -192,6 +192,14 @@ def test_reflectance_rejects_degenerate_region_and_coarse_grid():
         reflectance_trace(coarse, PARAMS, kappa=0.0, refine=1)
 
 
+@pytest.mark.parametrize("refine", [1.5, 0, True])
+def test_reflectance_rejects_a_refine_that_is_not_a_positive_integer(refine):
+    # 1.5 used to fail inside NumPy with a bare TypeError.
+    with pytest.raises(InvalidSpecError, match="refine"):
+        reflectance_trace(_gaussian_p(), PARAMS, KAPPA_CALIBRATED,
+                          refine=refine)
+
+
 # ---------------------------------------------------------- quadrature_phase
 
 def test_phase_of_minus_i_constant_is_zero():
@@ -629,6 +637,13 @@ def test_simulated_channel_rejects_a_non_finite_cutoff():
     # check compares it.
     with pytest.raises(InvalidSpecError, match="cutoff"):
         SimulatedChannel(cutoff=float("nan"))
+
+
+def test_simulated_channel_rejects_a_cutoff_that_is_not_a_number():
+    # A string cutoff used to fail with a bare TypeError in the filter
+    # design's window test.
+    with pytest.raises(InvalidSpecError, match="cutoff"):
+        SimulatedChannel(cutoff="2e7")
 
 
 # ------------------------------------------- memoized shot-invariant work

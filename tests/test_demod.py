@@ -163,7 +163,7 @@ def test_lowpass_rejects_bad_parameters():
         design_lowpass(4, -1.0, FS)
     # An infinite rate would prewarp every pole to z = 1, where the
     # steady-state systems are singular.
-    with pytest.raises(InvalidSpecError, match="finite fs"):
+    with pytest.raises(InvalidSpecError, match="fs must be finite"):
         design_lowpass(4, 20e6, float("inf"))
 
 

@@ -393,6 +393,52 @@ def test_closed_loop_simulated_tf_180ns():
     assert report.mase_trace[-1] <= 1e-3
 
 
+def _tf_loop(target, duration, seed):
+    chan = SimulatedChannel(ChannelConfig(),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=seed)
+    return closed_loop(chan.measure, target)
+
+
+def test_a_repeat_loop_fits_its_target_without_factoring_it(monkeypatch):
+    # The first loop keeps the target's design factor; the second fits
+    # its first shot from it and gives the same shots bit for bit.
+    target = _gate(1.8e-7)
+    first = _tf_loop(target, 1.8e-7, seed=0)
+    assert len(first.records) == 3
+    factored = []
+    factor = sysid._factor
+
+    def spy(a):
+        factored.append(a)
+        return factor(a)
+    monkeypatch.setattr(sysid, "_factor", spy)
+    second = _tf_loop(target, 1.8e-7, seed=0)
+    design = sysid.build_design_matrix(target, LoopConfig().memory)
+    # Only the second shot's fit factors a design matrix, not the target's.
+    assert len(factored) == 1
+    assert not np.array_equal(factored[0], design)
+    np.testing.assert_array_equal(second.mase_trace, first.mase_trace)
+    for a, b in zip(first.records, second.records):
+        np.testing.assert_array_equal(a.s_out.samples, b.s_out.samples)
+
+
+def test_only_the_loop_target_keeps_a_design_factor():
+    # A kept factor holds n (memory + 1) complex values; a record's
+    # input other than the target keeps none.
+    target = _gate(1.8e-7)
+    report = _tf_loop(target, 1.8e-7, seed=0)
+    assert len(report.records) == 3
+    key = (sysid._DESIGN_KEY, LoopConfig().memory)
+    assert report.records[0].s_pred is target
+    assert target._memo[key] is not None
+    for record in report.records[1:]:
+        assert record.s_pred is not target
+        assert not any(k[0] == sysid._DESIGN_KEY
+                       for k in record.s_pred._memo)
+        assert record.s_out._memo == {}
+
+
 def test_closed_loop_tf_2us_converges_with_exact_least_squares_kernel():
     # At 2 us the loop fits 4000 samples with lambda_reg = 0, an
     # ill-posed problem whose minimum-norm taps reach 2e2-3e2; the

@@ -193,6 +193,18 @@ def test_boundary_is_inclusive():
     assert not beyond.ok
 
 
+@pytest.mark.parametrize("name, value", [
+    ("dL_dT", np.nan), ("dL_dT", "2e-6"), ("dtheta_dT", np.inf),
+    ("aperture", np.nan), ("aperture", 0.0), ("bragg_tolerance", -1e-3)])
+def test_temperature_drift_rejects_bad_settings(name, value):
+    # A NaN dL_dT used to return inf, a NaN aperture nan and a zero
+    # aperture 0.0.
+    kwargs = dict(dL_dT=2e-6, dtheta_dT=10e-6, marker="aom")
+    kwargs[name] = value
+    with pytest.raises(InvalidSpecError, match=name):
+        max_temperature_drift(design_three_lens(), **kwargs)
+
+
 def test_compact_train_tolerates_more_drift_than_reference():
     # Thermal drift coefficients: compact 2 um/K and 10 urad/K at the
     # input; reference single lens 11 um/K and 23 urad/K.

@@ -370,14 +370,90 @@ def test_minimum_norm_cutoff_counts_the_design_rows(monkeypatch):
 def test_back_substitution_matches_the_svd_on_gate(duration, monkeypatch):
     # The loop's lambda = 0 fits (condition number 1.7e5-4.7e7) pass the
     # full-rank bound, so no SVD runs, and the back-substituted taps
-    # agree with the SVD solution of the same factor.
+    # agree with the SVD solution of the same factor [R | Q^H y].
     inp, out = _gate_pair(duration)
     calls = _spy_ridge_path(monkeypatch)
     model = estimate_kernel(inp, out, 64, 0.0)
     assert calls == []
-    rz = sysid._triangular(sysid._regression_rows(inp, 64, out.samples))
+    levels, r = sysid._factor(build_design_matrix(inp, 64))
+    rz = np.hstack((r, sysid._apply_qh(levels, out.samples[:, None])))
     ref = sysid._ridge_path(rz, inp.grid.n, [0.0])[0]
     assert _rel_err(_theta(model), ref) < 1e-9
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_q_factor_fit_matches_the_augmented_factor_on_gate(duration):
+    # The fit solves R th = Q^H y for A = Q R; the reference
+    # back-substitutes on the TSQR factor of [A | y]. The two differ by
+    # rounding amplified by cond(A): at most 2.4 cond(A) eps in these 12
+    # fits (2.5e-8 relative at 2 us), and 0 at 180 ns, one block.
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        inp, out = _gate_pair(duration, seed)
+        a = build_design_matrix(inp, 64)
+        rz = sysid._triangular(sysid._regression_rows(inp, 64, out.samples))
+        ref = sysid._solve(rz, inp.grid.n, 0.0)
+        got = _theta(estimate_kernel(inp, out, 64, 0.0))
+        assert _rel_err(got, ref) < 16 * np.linalg.cond(a) * eps
+
+
+@pytest.mark.parametrize("n", [66, 529, 1000, 4300])
+def test_design_factor_reproduces_the_design_matrix(n):
+    # One block, a one-row last block, two blocks, and at 4300 rows nine
+    # blocks whose stacked factors (585 rows) take a third level.
+    rng = np.random.default_rng(n)
+    a = build_design_matrix(_random_env(rng, n), 64)
+    levels, r = sysid._factor(a)
+    assert len(levels) == (3 if n == 4300 else 1 + (n > 528))
+    np.testing.assert_array_equal(r, np.triu(r))
+    y = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    rz = sysid._apply_qh(levels, np.hstack((a, y)))
+    # Q^H a = r, and [r | Q^H y] is the leading rows of an R factor of
+    # [a | y], which is unique up to the sign of each row.
+    scale = np.linalg.norm(a)
+    assert np.linalg.norm(rz[:, :-1] - r) < 1e-13 * scale
+    ref = sysid._triangular(np.hstack((a, y)))[:-1]
+    np.testing.assert_allclose(np.abs(rz), np.abs(ref), rtol=0,
+                               atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_a_kept_design_factor_gives_the_fresh_fit_bit_for_bit(duration):
+    target, out = _gate_pair(duration)
+    sysid._keep_design_factor(target, 64)
+    first = estimate_kernel(target, out, 64, 0.0)
+    kept = target._memo[(sysid._DESIGN_KEY, 64)]
+    assert kept is not None
+    again = estimate_kernel(target, out, 64, 0.0)
+    assert target._memo[(sysid._DESIGN_KEY, 64)] is kept
+    fresh_target = ComplexEnvelope(target.grid, target.samples)
+    fresh = estimate_kernel(fresh_target, out, 64, 0.0)
+    assert fresh_target._memo == {}
+    for model in (first, again):
+        assert model.h0 == fresh.h0
+        assert np.array_equal(model.h1, fresh.h1)
+
+
+def test_threads_sharing_a_kept_design_factor_fit_the_same_bits():
+    # zunmqr writes each reflector's unit head into the kept array while
+    # it applies it; without the 1 stored there, a thread restoring the
+    # old entry hands another a wrong reflector (6 of 600 fits at 2 us).
+    target, out = _gate_pair(2e-6)
+    sysid._keep_design_factor(target, 64)
+    ref = estimate_kernel(target, out, 64, 0.0)
+    wrong = []
+
+    def fit():
+        for _ in range(150):
+            if not np.array_equal(estimate_kernel(target, out, 64, 0.0).h1,
+                                  ref.h1):
+                wrong.append(1)
+    threads = [threading.Thread(target=fit) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
