@@ -249,11 +249,13 @@ def _tf_update(s_in, s_target, s_out, config):
     """Fit the kernel to this shot by minimum-norm least squares
     (``lambda_reg`` 0) and invert it offline against the target.
 
-    The first shot's input is the target, so the target keeps its
+    The first shot's input is the target, which then keeps its
     design-matrix factor, like its alignment transform: a later loop on
-    it fits its first shot without a QR, to the same bits.
+    it fits its first shot without a QR, to the same bits. No other
+    input keeps one.
     """
-    _keep_design_factor(s_target, config.memory)
+    if s_in is s_target:
+        _keep_design_factor(s_target, config.memory)
     model = estimate_kernel(s_in, s_out, config.memory, 0.0)
     return offline_iterate(model, s_target).s_pred, model
 

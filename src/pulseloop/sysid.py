@@ -80,6 +80,15 @@ def _forward_samples(model: VolterraModel, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _lagged(x: np.ndarray, memory: int) -> np.ndarray:
+    """Read-only view whose row n is [x_n, x_{n-1}, ..., x_{n-M+1}].
+
+    Entries with negative signal index are zero (causal padding).
+    """
+    padded = np.concatenate((np.zeros(memory - 1, dtype=complex), x))
+    return np.lib.stride_tricks.sliding_window_view(padded, memory)[:, ::-1]
+
+
 def _regression_rows(env: ComplexEnvelope, memory: int,
                      y=0.0) -> np.ndarray:
     """Rows [1, x_n, ..., x_{n-M+1}, y_n] in one Fortran-ordered array.
@@ -92,11 +101,9 @@ def _regression_rows(env: ComplexEnvelope, memory: int,
     n = env.grid.n
     if not 1 <= memory <= n:
         raise InvalidSpecError(f"memory {memory} out of range [1, {n}]")
-    x = env.samples
-    rows = np.zeros((n, memory + 2), dtype=complex, order="F")
+    rows = np.empty((n, memory + 2), dtype=complex, order="F")
     rows[:, 0] = 1.0
-    for j in range(memory):
-        rows[j:, j + 1] = x[:n - j]
+    rows[:, 1:-1] = _lagged(env.samples, memory)
     rows[:, -1] = y
     return rows
 
@@ -110,127 +117,115 @@ def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     return _regression_rows(env, memory)[:, :-1]
 
 
-_TSQR_BLOCK = 8  # rows per column in one block of ``_triangular``
+_TSQR_BLOCK = 8  # rows per column of [A | y] in one TSQR block
 
 
-def _qr_r(block: np.ndarray) -> np.ndarray:
-    """R factor of one block, as ``np.linalg.qr(block, mode="r")``.
+def _tsqr(blocks, step: int, c=None, levels=None) -> tuple:
+    """R factor of the rows stacked from ``blocks``, by TSQR: ``(r, z)``.
 
-    LAPACK's ``zgeqrf`` called directly: the same Householder reduction
-    bit for bit, without NumPy's generic-wrapper overhead.
+    Each block is reduced by Householder QR (``zgeqrf``) in place, so
+    the blocks must be arrays the caller gives up; the stacked factors
+    are cut into blocks of ``step`` rows and reduced again the same way
+    until one block is left, so every QR runs on a cache-sized block. A
+    block with fewer rows than columns gives a trapezoidal factor, which
+    stacks the same way. Q is never formed. With rows ``c``, z is the
+    leading rows of Q^H c, one per row of r: each block's reflectors are
+    applied to its rows of c as the block is reduced, then dropped (z is
+    None without ``c``). A list ``levels`` instead gets each level's
+    blocks' ``(reflectors, tau)`` in row order, for ``_apply_qh`` to
+    apply to any c by the same calls, so to the same bits.
     """
-    qr = lapack.zgeqrf(block)[0]
-    return np.triu(qr[:min(qr.shape)])
-
-
-def _qr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR of one block: ``(reflectors, tau, r)``.
-
-    The reduction of ``_qr_r``, with r trapezoidal when the block has
-    fewer rows than columns. Q = H_1 ... H_k is left as ``zgeqrf``
-    leaves it, unit lower trapezoidal reflectors and their scalars, for
-    ``zunmqr`` to apply.
-    """
-    qr, tau = lapack.zgeqrf(block)[:2]
-    k = min(qr.shape)
-    r = np.triu(qr[:k])
-    # zunmqr writes each reflector's unit head into the array while it
-    # applies it, then restores the old entry; with the 1 stored there,
-    # threads that share one kept factor never read another value.
-    np.fill_diagonal(qr, 1.0)
-    return qr[:, :k], tau, r
-
-
-def _triangular(rows: np.ndarray) -> np.ndarray:
-    """R factor of a tall matrix, reduced in row blocks (TSQR).
-
-    Blocks of ``_TSQR_BLOCK`` x columns rows are each reduced by QR and
-    their stacked factors are reduced again the same way, so every QR runs
-    on a cache-sized block; Q is never formed. The result has
-    rows^H rows = R^H R. A block with fewer rows than columns gives a
-    trapezoidal factor, which stacks the same way.
-    """
-    step = _TSQR_BLOCK * rows.shape[1]
-    if len(rows) <= step:
-        return _qr_r(rows)
-    return _triangular(np.vstack([_qr_r(rows[i:i + step])
-                                  for i in range(0, len(rows), step)]))
-
-
-def _factor(a: np.ndarray) -> tuple[list, np.ndarray]:
-    """TSQR of a tall matrix, keeping Q: ``(levels, r)`` with a = Q r.
-
-    The rows are reduced in the blocks ``_triangular`` takes of [A | y]
-    (``_TSQR_BLOCK`` x (columns + 1) rows), then the stacked block
-    factors the same way, until one block is left, whose R is ``r``.
-    ``levels`` holds each level's blocks' ``(reflectors, tau)`` in row
-    order: Q is the product of the levels' block-diagonal Qs, applied by
-    ``_apply_qh`` and never formed, since forming it (``zungqr``) costs
-    about another QR. The first level's reflectors hold as many values
-    as a.
-    """
-    step = _TSQR_BLOCK * (a.shape[1] + 1)
-    levels = []
     while True:
-        blocks = [_qr(a[i:i + step]) for i in range(0, len(a), step)]
-        levels.append([(h, tau) for h, tau, _ in blocks])
-        if len(blocks) == 1:
-            return levels, blocks[0][2]
-        a = np.vstack([r for _, _, r in blocks])
+        rs, zs, kept, lo = [], [], [], 0
+        for block in blocks:
+            qr, tau = lapack.zgeqrf(block, overwrite_a=True)[:2]
+            rs.append(np.triu(qr[:len(tau)]))
+            # zunmqr writes each reflector's unit head into the array
+            # while it applies it, then restores the old entry; with the 1
+            # stored there, threads that share kept reflectors never read
+            # another value.
+            np.fill_diagonal(qr, 1.0)
+            h = qr[:, :len(tau)]
+            if c is not None:
+                zs.append(_reflect(h, tau, c[lo:lo + len(h)]))
+                lo += len(h)
+            if levels is not None:
+                kept.append((h, tau))
+        if levels is not None:
+            levels.append(kept)
+        if len(rs) == 1:
+            return rs[0], (zs[0] if zs else None)
+        a = np.vstack(rs)
+        c = np.vstack(zs) if zs else None
+        blocks = [a[i:i + step] for i in range(0, len(a), step)]
+
+
+def _reflect(h: np.ndarray, tau: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The leading ``len(tau)`` rows of H^H rows for one block's Q = H.
+
+    ``zunmqr`` at its minimum ``lwork`` takes the unblocked reflector
+    loop, two vector operations per reflector.
+    """
+    return lapack.zunmqr("L", "C", h, tau, rows, rows.shape[1])[0][:len(tau)]
 
 
 def _apply_qh(levels: list, c: np.ndarray) -> np.ndarray:
-    """The leading rows of Q^H c for ``_factor``'s Q, one per column of r.
-
-    Each block's reflectors are applied by ``zunmqr`` to its rows of c,
-    level by level; a block passes on as many rows as its R has. With
-    ``lwork`` at its minimum ``zunmqr`` takes the unblocked reflector
-    loop, two vector operations per reflector.
-    """
-    for blocks in levels:
+    """``_tsqr``'s z for the factor whose reflectors are ``levels``."""
+    for level in levels:
         parts, lo = [], 0
-        for h, tau in blocks:
-            rows = c[lo:lo + len(h)]
+        for h, tau in level:
+            parts.append(_reflect(h, tau, c[lo:lo + len(h)]))
             lo += len(h)
-            parts.append(lapack.zunmqr("L", "C", h, tau, rows,
-                                       c.shape[1])[0][:len(tau)])
         c = np.vstack(parts)
     return c
+
+
+def _triangular(rows: np.ndarray) -> np.ndarray:
+    """R factor of a tall matrix, by ``_tsqr`` in blocks of
+    ``_TSQR_BLOCK`` x columns rows; rows^H rows = R^H R. ``rows`` is
+    left as it was."""
+    step = _TSQR_BLOCK * rows.shape[1]
+    return _tsqr([np.array(rows[i:i + step], order="F")
+                  for i in range(0, len(rows), step)], step)[0]
+
+
+def _design_blocks(env: ComplexEnvelope, memory: int):
+    """``build_design_matrix``'s rows in the row blocks ``_triangular``
+    takes of [A | y], each a new Fortran-ordered array for ``_tsqr``."""
+    lagged = _lagged(env.samples, memory)
+    for lo in range(0, env.grid.n, _TSQR_BLOCK * (memory + 2)):
+        rows = lagged[lo:lo + _TSQR_BLOCK * (memory + 2)]
+        block = np.empty((len(rows), memory + 1), dtype=complex, order="F")
+        block[:, 0] = 1.0
+        block[:, 1:] = rows
+        yield block
 
 
 _DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
 
 
 def _keep_design_factor(env: ComplexEnvelope, memory: int) -> None:
-    """Have ``estimate_kernel`` keep its factor of ``env``'s design matrix
-    at ``memory`` on ``env``, so a later fit to ``env`` forms no QR.
+    """Factor ``env``'s design matrix at ``memory`` and keep the factor
+    on ``env``, so ``estimate_kernel`` fits ``env`` with one Q^H y and no
+    QR, to the bits of a fit that factors it.
 
-    A kept factor holds n (memory + 1) complex values, so only an input
-    fitted again and again, such as a loop's target, should keep one.
+    A kept factor holds about n (memory + 1) complex values, so only an
+    input fitted again and again, a loop's target, should keep one.
     """
-    env._memo.setdefault((_DESIGN_KEY, memory), None)
-
-
-def _design_factor(env: ComplexEnvelope, memory: int) -> tuple:
-    """``_factor`` of ``env``'s design matrix, kept on ``env`` if asked.
-
-    A kept factor is the one a fresh call computes, so a fit's bits do
-    not depend on whether it was kept.
-    """
+    _check_pair(env, env, memory)
     key = (_DESIGN_KEY, memory)
-    factor = env._memo.get(key)
-    if factor is None:
-        factor = _factor(build_design_matrix(env, memory))
-        if key in env._memo:
-            env._memo[key] = factor
-    return factor
+    if key not in env._memo:
+        levels = []
+        r = _tsqr(_design_blocks(env, memory), _TSQR_BLOCK * (memory + 2),
+                  levels=levels)[0]
+        env._memo[key] = (levels, r)
 
 
 def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
 
     ``rz`` is a factor of the n-row matrix [A | y], as from
-    ``_triangular``, or [R | Q^H y] for A = Q R: with r = rz[:, :-1] and
+    ``_triangular``, or [R | Q^H y] for A = Q R, as from ``_tsqr``: with r = rz[:, :-1] and
     z = rz[:, -1], A^H A = r^H r and A^H y = r^H z. One thin complex SVD
     r = U diag(s) V^H then gives the whole ridge path,
     th(lam) = V diag(s / (s^2 + lam)) U^H z.
@@ -298,20 +293,27 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
 
-    The design matrix A is factored as A = Q R by a TSQR that keeps Q
-    as Householder reflectors (see ``_factor``), and the fit solves
-    R th = z with z = Q^H y. At ``lambda_reg = 0`` it back-substitutes
-    on R when a bound on ||R^-1|| proves that no singular value reaches
-    the cutoff above (see ``_solve``); otherwise, and for every
-    ``lambda_reg > 0``, it takes the SVD of R with that cutoff. The factor depends on the
-    input alone, so an input that keeps it (a loop's target, see
-    ``_keep_design_factor``) is fitted again with one Q^H y and no QR,
-    to the same bits.
+    The design matrix A is factored as A = Q R by TSQR (see ``_tsqr``),
+    each block's Householder reflectors applied to its rows of y as it
+    is reduced, and the fit solves R th = z with z = Q^H y. At
+    ``lambda_reg = 0`` it back-substitutes on R when a bound on
+    ||R^-1|| proves that no singular value reaches the cutoff above (see
+    ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
+    the SVD of R with that cutoff. The factor depends on the input
+    alone, so an input that keeps it (a loop's target, see
+    ``_keep_design_factor``) is fitted with one Q^H y and no QR, to the
+    same bits.
     """
     _check_pair(inp, out, memory)
     _check_real("lambda_reg", lambda_reg, 0)
-    levels, r = _design_factor(inp, memory)
-    z = _apply_qh(levels, out.samples[:, None])
+    c = out.samples[:, None]
+    kept = inp._memo.get((_DESIGN_KEY, memory))
+    if kept is None:
+        r, z = _tsqr(_design_blocks(inp, memory), _TSQR_BLOCK * (memory + 2),
+                     c)
+    else:
+        levels, r = kept
+        z = _apply_qh(levels, c)
     theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg)
     return VolterraModel(h0=theta[0], h1=theta[1:])
 

@@ -407,17 +407,17 @@ def test_a_repeat_loop_fits_its_target_without_factoring_it(monkeypatch):
     first = _tf_loop(target, 1.8e-7, seed=0)
     assert len(first.records) == 3
     factored = []
-    factor = sysid._factor
+    blocks = sysid._design_blocks
 
-    def spy(a):
-        factored.append(a)
-        return factor(a)
-    monkeypatch.setattr(sysid, "_factor", spy)
+    def spy(env, memory):
+        factored.append(env)
+        return blocks(env, memory)
+    monkeypatch.setattr(sysid, "_design_blocks", spy)
     second = _tf_loop(target, 1.8e-7, seed=0)
-    design = sysid.build_design_matrix(target, LoopConfig().memory)
     # Only the second shot's fit factors a design matrix, not the target's.
     assert len(factored) == 1
-    assert not np.array_equal(factored[0], design)
+    assert factored[0] is second.records[1].s_pred
+    assert factored[0] is not target
     np.testing.assert_array_equal(second.mase_trace, first.mase_trace)
     for a, b in zip(first.records, second.records):
         np.testing.assert_array_equal(a.s_out.samples, b.s_out.samples)

@@ -375,9 +375,9 @@ def test_back_substitution_matches_the_svd_on_gate(duration, monkeypatch):
     calls = _spy_ridge_path(monkeypatch)
     model = estimate_kernel(inp, out, 64, 0.0)
     assert calls == []
-    levels, r = sysid._factor(build_design_matrix(inp, 64))
-    rz = np.hstack((r, sysid._apply_qh(levels, out.samples[:, None])))
-    ref = sysid._ridge_path(rz, inp.grid.n, [0.0])[0]
+    r, z = sysid._tsqr(sysid._design_blocks(inp, 64), 8 * 66,
+                       out.samples[:, None])
+    ref = sysid._ridge_path(np.hstack((r, z)), inp.grid.n, [0.0])[0]
     assert _rel_err(_theta(model), ref) < 1e-9
 
 
@@ -402,8 +402,12 @@ def test_design_factor_reproduces_the_design_matrix(n):
     # One block, a one-row last block, two blocks, and at 4300 rows nine
     # blocks whose stacked factors (585 rows) take a third level.
     rng = np.random.default_rng(n)
-    a = build_design_matrix(_random_env(rng, n), 64)
-    levels, r = sysid._factor(a)
+    env = _random_env(rng, n)
+    a = build_design_matrix(env, 64)
+    np.testing.assert_array_equal(
+        np.vstack(list(sysid._design_blocks(env, 64))), a)
+    sysid._keep_design_factor(env, 64)
+    levels, r = env._memo[(sysid._DESIGN_KEY, 64)]
     assert len(levels) == (3 if n == 4300 else 1 + (n > 528))
     np.testing.assert_array_equal(r, np.triu(r))
     y = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
@@ -415,20 +419,39 @@ def test_design_factor_reproduces_the_design_matrix(n):
     ref = sysid._triangular(np.hstack((a, y)))[:-1]
     np.testing.assert_allclose(np.abs(rz), np.abs(ref), rtol=0,
                                atol=1e-12 * scale)
+    # Reducing y block by block as the factor is formed gives the same
+    # bits as applying the kept reflectors afterwards.
+    fresh_r, z = sysid._tsqr(sysid._design_blocks(env, 64), 8 * 66, y)
+    np.testing.assert_array_equal(fresh_r, r)
+    np.testing.assert_array_equal(z, sysid._apply_qh(levels, y))
+
+
+@pytest.mark.parametrize("n", [90, 528, 1100])
+def test_triangular_leaves_its_rows_as_they_were(n):
+    # _tsqr reduces blocks in place; cross_validate's folds are views of
+    # the rows it also validates on, so _triangular must reduce copies.
+    rng = np.random.default_rng(n)
+    rows = sysid._regression_rows(_random_env(rng, n), 64,
+                                  rng.standard_normal(n))
+    before = rows.copy()
+    r = sysid._triangular(rows)
+    np.testing.assert_array_equal(rows, before)
+    np.testing.assert_allclose(r.conj().T @ r, rows.conj().T @ rows,
+                               atol=1e-10 * np.linalg.norm(rows) ** 2)
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_a_kept_design_factor_gives_the_fresh_fit_bit_for_bit(duration):
     target, out = _gate_pair(duration)
-    sysid._keep_design_factor(target, 64)
-    first = estimate_kernel(target, out, 64, 0.0)
-    kept = target._memo[(sysid._DESIGN_KEY, 64)]
-    assert kept is not None
-    again = estimate_kernel(target, out, 64, 0.0)
-    assert target._memo[(sysid._DESIGN_KEY, 64)] is kept
     fresh_target = ComplexEnvelope(target.grid, target.samples)
     fresh = estimate_kernel(fresh_target, out, 64, 0.0)
     assert fresh_target._memo == {}
+    sysid._keep_design_factor(target, 64)
+    kept = target._memo[(sysid._DESIGN_KEY, 64)]
+    first = estimate_kernel(target, out, 64, 0.0)
+    sysid._keep_design_factor(target, 64)
+    again = estimate_kernel(target, out, 64, 0.0)
+    assert target._memo[(sysid._DESIGN_KEY, 64)] is kept
     for model in (first, again):
         assert model.h0 == fresh.h0
         assert np.array_equal(model.h1, fresh.h1)
