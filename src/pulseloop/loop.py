@@ -249,10 +249,10 @@ def _tf_update(s_in, s_target, s_out, config):
     """Fit the kernel to this shot by minimum-norm least squares
     (``lambda_reg`` 0) and invert it offline against the target.
 
-    The first shot's input is the target, which then keeps its
-    design-matrix factor, like its alignment transform: a later loop on
-    it fits its first shot without a QR, to the same bits. No other
-    input keeps one.
+    The first shot's input is the target. From its second loop on, the
+    target keeps its design-matrix factor, like its alignment transform,
+    so each later loop on it fits its first shot without a QR, to the
+    same bits. No other input keeps one.
     """
     if s_in is s_target:
         _keep_design_factor(s_target, config.memory)

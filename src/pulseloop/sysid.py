@@ -189,35 +189,48 @@ def _triangular(rows: np.ndarray) -> np.ndarray:
                   for i in range(0, len(rows), step)], step)[0]
 
 
-def _design_blocks(env: ComplexEnvelope, memory: int):
-    """``build_design_matrix``'s rows in the row blocks ``_triangular``
-    takes of [A | y], each a new Fortran-ordered array for ``_tsqr``."""
+def _design_tsqr(env: ComplexEnvelope, memory: int, c=None,
+                 levels=None) -> tuple:
+    """``_tsqr`` of ``env``'s design matrix A at ``memory``.
+
+    A is built straight into the row blocks ``_triangular`` takes of
+    [A | y] (``_TSQR_BLOCK`` x (memory + 2) rows), each a new
+    Fortran-ordered array, so no whole copy of A is made.
+    """
+    step = _TSQR_BLOCK * (memory + 2)
     lagged = _lagged(env.samples, memory)
-    for lo in range(0, env.grid.n, _TSQR_BLOCK * (memory + 2)):
-        rows = lagged[lo:lo + _TSQR_BLOCK * (memory + 2)]
-        block = np.empty((len(rows), memory + 1), dtype=complex, order="F")
-        block[:, 0] = 1.0
-        block[:, 1:] = rows
-        yield block
+
+    def block(rows):
+        a = np.empty((len(rows), memory + 1), dtype=complex, order="F")
+        a[:, 0] = 1.0
+        a[:, 1:] = rows
+        return a
+    return _tsqr((block(lagged[i:i + step])
+                  for i in range(0, env.grid.n, step)), step, c, levels)
 
 
 _DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
 
 
 def _keep_design_factor(env: ComplexEnvelope, memory: int) -> None:
-    """Factor ``env``'s design matrix at ``memory`` and keep the factor
-    on ``env``, so ``estimate_kernel`` fits ``env`` with one Q^H y and no
-    QR, to the bits of a fit that factors it.
+    """Have ``env`` keep its design-matrix factor at ``memory`` from the
+    second call on, so ``estimate_kernel`` then fits ``env`` with one
+    Q^H y and no QR, to the bits of a fit that factors it.
 
-    A kept factor holds about n (memory + 1) complex values, so only an
-    input fitted again and again, a loop's target, should keep one.
+    A loop's target calls this before each loop's first fit. Only a
+    repeat loop gains from a kept factor, and keeping one costs a loop
+    more than the factor saves it: the factor, about n (memory + 1)
+    complex values, stays in memory while the rest of the loop works in
+    colder memory. So the first call only marks ``env`` as fitted once;
+    the second factors and keeps.
     """
     _check_pair(env, env, memory)
     key = (_DESIGN_KEY, memory)
     if key not in env._memo:
+        env._memo[key] = None
+    elif env._memo[key] is None:
         levels = []
-        r = _tsqr(_design_blocks(env, memory), _TSQR_BLOCK * (memory + 2),
-                  levels=levels)[0]
+        r = _design_tsqr(env, memory, levels=levels)[0]
         env._memo[key] = (levels, r)
 
 
@@ -225,10 +238,10 @@ def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
 
     ``rz`` is a factor of the n-row matrix [A | y], as from
-    ``_triangular``, or [R | Q^H y] for A = Q R, as from ``_tsqr``: with r = rz[:, :-1] and
-    z = rz[:, -1], A^H A = r^H r and A^H y = r^H z. One thin complex SVD
-    r = U diag(s) V^H then gives the whole ridge path,
-    th(lam) = V diag(s / (s^2 + lam)) U^H z.
+    ``_triangular``, or [R | Q^H y] for A = Q R, as from ``_tsqr``:
+    with r = rz[:, :-1] and z = rz[:, -1], A^H A = r^H r and
+    A^H y = r^H z. One thin complex SVD r = U diag(s) V^H then gives the
+    whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z.
     Singular values at or below the cutoff eps * max(n, columns) * s_max
     (NumPy's ``lstsq`` default for A itself, not for the smaller factor)
     are dropped, so lam = 0 yields the minimum-norm least-squares
@@ -293,7 +306,8 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
 
-    The design matrix A is factored as A = Q R by TSQR (see ``_tsqr``),
+    The design matrix A is factored as A = Q R by TSQR (see
+    ``_design_tsqr``),
     each block's Householder reflectors applied to its rows of y as it
     is reduced, and the fit solves R th = z with z = Q^H y. At
     ``lambda_reg = 0`` it back-substitutes on R when a bound on
@@ -309,8 +323,7 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
     c = out.samples[:, None]
     kept = inp._memo.get((_DESIGN_KEY, memory))
     if kept is None:
-        r, z = _tsqr(_design_blocks(inp, memory), _TSQR_BLOCK * (memory + 2),
-                     c)
+        r, z = _design_tsqr(inp, memory, c)
     else:
         levels, r = kept
         z = _apply_qh(levels, c)

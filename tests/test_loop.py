@@ -400,33 +400,60 @@ def _tf_loop(target, duration, seed):
     return closed_loop(chan.measure, target)
 
 
-def test_a_repeat_loop_fits_its_target_without_factoring_it(monkeypatch):
-    # The first loop keeps the target's design factor; the second fits
-    # its first shot from it and gives the same shots bit for bit.
-    target = _gate(1.8e-7)
-    first = _tf_loop(target, 1.8e-7, seed=0)
-    assert len(first.records) == 3
+def _spy_design_factoring(monkeypatch):
+    """The inputs whose design matrix ``sysid`` factors, in call order."""
     factored = []
-    blocks = sysid._design_blocks
+    factor = sysid._design_tsqr
 
-    def spy(env, memory):
+    def spy(env, memory, *args, **kwargs):
         factored.append(env)
-        return blocks(env, memory)
-    monkeypatch.setattr(sysid, "_design_blocks", spy)
-    second = _tf_loop(target, 1.8e-7, seed=0)
-    # Only the second shot's fit factors a design matrix, not the target's.
+        return factor(env, memory, *args, **kwargs)
+    monkeypatch.setattr(sysid, "_design_tsqr", spy)
+    return factored
+
+
+def test_a_repeat_loop_fits_its_target_without_factoring_it(monkeypatch):
+    # The first loop only marks the target, the second factors it once
+    # and keeps the factor, and the third fits its first shot from the
+    # kept factor; all three give the same shots bit for bit.
+    target = _gate(1.8e-7)
+    factored = _spy_design_factoring(monkeypatch)
+    reports = []
+    for _ in range(3):
+        factored.clear()
+        reports.append(_tf_loop(target, 1.8e-7, seed=0))
+        assert len(reports[-1].records) == 3
+        # The second shot's fit factors its own input.
+        assert factored[-1] is reports[-1].records[1].s_pred
     assert len(factored) == 1
-    assert factored[0] is second.records[1].s_pred
-    assert factored[0] is not target
-    np.testing.assert_array_equal(second.mase_trace, first.mase_trace)
-    for a, b in zip(first.records, second.records):
-        np.testing.assert_array_equal(a.s_out.samples, b.s_out.samples)
+    for report in reports[1:]:
+        np.testing.assert_array_equal(report.mase_trace,
+                                      reports[0].mase_trace)
+        for a, b in zip(reports[0].records, report.records):
+            np.testing.assert_array_equal(a.s_out.samples, b.s_out.samples)
+
+
+def test_the_target_keeps_a_design_factor_from_its_second_loop_on(
+        monkeypatch):
+    # A single loop gains nothing from a kept factor, so it keeps none;
+    # the second loop on the target factors it once, before its fit.
+    target = _gate(1.8e-7)
+    key = (sysid._DESIGN_KEY, LoopConfig().memory)
+    factored = _spy_design_factoring(monkeypatch)
+    _tf_loop(target, 1.8e-7, seed=0)
+    assert target._memo[key] is None
+    assert sum(env is target for env in factored) == 1
+    factored.clear()
+    _tf_loop(target, 1.8e-7, seed=0)
+    assert target._memo[key] is not None
+    assert sum(env is target for env in factored) == 1
 
 
 def test_only_the_loop_target_keeps_a_design_factor():
     # A kept factor holds n (memory + 1) complex values; a record's
     # input other than the target keeps none.
     target = _gate(1.8e-7)
+    _tf_loop(target, 1.8e-7, seed=0)
     report = _tf_loop(target, 1.8e-7, seed=0)
     assert len(report.records) == 3
     key = (sysid._DESIGN_KEY, LoopConfig().memory)
