@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .envelope import (DEFAULT_DT, InvalidSpecError, PulseSpec, TimeGrid,
-                       default_grid, make_pulse)
+                       _check_real, default_grid, make_pulse)
 from .demod import (DEFAULT_CUTOFF, DEFAULT_F_BEAT, DEFAULT_FS, DEFAULT_ORDER,
                     _decimation, demodulate, design_lowpass, suggested_cutoff,
                     synthesize_beat)
@@ -112,7 +112,8 @@ def _cmd_pulse(args, run: _Run) -> int:
 def _cmd_simulate(args, run: _Run) -> int:
     env = fileio.read_envelope(run.in_path(args.input))
     config = fileio.read_channel_json(run.in_path(args.channel))
-    out = record_response(env, config)
+    _check_real("cutoff", args.cutoff_hz, 0, strict=True)
+    out = record_response(env, config, args.cutoff_hz)
     trace = None  # synthesized before any write, so a bad flag writes nothing
     if args.trace_out:
         trace = synthesize_beat(out, f_beat=args.beat_hz, fs=args.fs,
@@ -126,9 +127,22 @@ def _cmd_simulate(args, run: _Run) -> int:
 
 # ------------------------------------------------------------------- demod
 
+def _trace_rate(dt: float) -> float:
+    """The rate a trace of period ``dt`` was synthesized at: the whole
+    number of hertz whose period is ``dt`` when there is one, else 1 / dt.
+
+    1 / 5e-10 rounds to 1999999999.9999998, and a filter designed there
+    differs in its last bits from the one ``SimulatedChannel`` designs at
+    2 GHz for some cutoffs.
+    """
+    fs = float(round(1.0 / dt))
+    return fs if 1.0 / fs == dt else 1.0 / dt
+
+
 def _cmd_demod(args, run: _Run) -> int:
     trace = fileio.read_trace_csv(run.in_path(args.trace))
-    filt = design_lowpass(args.order, args.cutoff_hz, 1.0 / trace.grid.dt)
+    filt = design_lowpass(args.order, args.cutoff_hz,
+                          _trace_rate(trace.grid.dt))
     step = _decimation(args.out_dt, trace.grid.dt)
     out_grid = TimeGrid(t0=trace.grid.t0, dt=step * trace.grid.dt,
                         n=trace.grid.n // step)
@@ -298,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the synthesized beat trace CSV")
     p.add_argument("--beat-hz", type=float, default=DEFAULT_F_BEAT)
     p.add_argument("--fs", type=float, default=DEFAULT_FS)
+    p.add_argument("--cutoff-hz", type=float, default=DEFAULT_CUTOFF,
+                   help="demod cutoff the record window settles for; "
+                        "demod the trace at the same cutoff")
     p.add_argument("--trace-noise-sigma", type=float, default=0.0)
     _add_outdir(p)
     p.set_defaults(func=_cmd_simulate)

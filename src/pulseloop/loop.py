@@ -4,8 +4,10 @@ The loop driver measures, aligns, scores and records each shot, then
 takes the next input from its method's update: the transfer-function
 update identifies the channel kernel and inverts it offline by iterated
 Tikhonov steps (a fixed damping, one banded Cholesky factor of the
-normal equations); the transfer-function-free update feeds the output
-error straight back onto the input.
+normal equations, built in LAPACK's band layout and factored in place
+by ``zpbtrf``, each step solved by ``zpbtrs``); the
+transfer-function-free update feeds the output error straight back onto
+the input.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, align_delay, mase,
@@ -147,20 +149,31 @@ def jacobian(model: VolterraModel, env: ComplexEnvelope) -> np.ndarray:
     return j
 
 
+def _update_error(what: str, h1: np.ndarray) -> SingularUpdateError:
+    return SingularUpdateError(
+        f"{what} for a model with max |h1| = {np.max(np.abs(h1)):.3g}")
+
+
 def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
     """Lower-banded storage of J^H J for the banded Toeplitz Jacobian.
 
     Row d holds G[c + d, c] = sum_k conj(h1[k]) h1[k + d] over the k with
     k + d < M and c + d + k < n: the kernel autocorrelation at lag d,
     truncated where the taps run past the signal end in the last M - 1
-    columns. Entries outside the matrix are zero.
+    columns. Entries outside the matrix are zero. The (M, n) band is
+    Fortran-ordered, LAPACK's own band layout, so ``zpbtrf`` factors it
+    in place. Every entry is one of the M x M partial sums or zero; when
+    a sum overflows, raises ``SingularUpdateError`` naming max |h1|.
     """
     m = len(h1)
     padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
     lag = np.arange(m)[:, None]
-    partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
+    if not np.all(np.isfinite(partial)):
+        raise _update_error("normal matrix overflows", h1)
     start = max(0, n - m)  # columns before it hold the full sums
-    ab = np.empty((m, n), dtype=complex)
+    ab = np.empty((m, n), dtype=complex, order="F")
     ab[:, :start] = partial[:, -1:]
     last = n - 1 - lag - np.arange(start, n)  # largest k inside the signal
     ab[:, start:] = np.take_along_axis(partial, np.clip(last, 0, m - 1),
@@ -182,23 +195,24 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     Starting from the target itself, each iteration adds the step
     (J^H J + lambda I)^{-1} J^H (target - fitted(s)) with a fixed
     lambda = 1e-3, taken from one banded Cholesky factor computed up
-    front. For this linear model the mean squared cost between the
-    fitted output and the target never increases, so every step is
-    kept. Stops when the cost falls below ``config.cost_tol`` or after
-    ``config.max_iters`` steps, with ``converged`` flagging which case
-    occurred. Raises ``SingularUpdateError`` when the damped normal
-    matrix cannot be factored, naming max |h1| of ``model``.
+    front: ``zpbtrf`` factors the band of ``_normal_banded`` in place,
+    with no copy, and ``zpbtrs`` solves each step. For this linear model
+    the mean squared cost between the fitted output and the target never
+    increases, so every step is kept. Stops when the cost falls below
+    ``config.cost_tol`` or after ``config.max_iters`` steps, with
+    ``converged`` flagging which case occurred. Raises
+    ``SingularUpdateError`` naming max |h1| of ``model`` when the damped
+    normal matrix overflows or cannot be factored, or a step is not
+    finite.
     """
     if model.memory > s_target.grid.n:
         raise InvalidSpecError("model memory exceeds the target length")
     ab = _normal_banded(model.h1, s_target.grid.n)
     ab[0] += _DAMPING
-    try:
-        factor = (cholesky_banded(ab, lower=True), True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularUpdateError(
-            "damped normal matrix is not positive definite for a model "
-            f"with max |h1| = {np.max(np.abs(model.h1)):.3g}") from exc
+    factor, info = zpbtrf(ab, lower=1, overwrite_ab=1)  # factor is ab
+    if info:
+        raise _update_error(
+            "damped normal matrix is not positive definite", model.h1)
     s = s_target.samples.copy()
     target = s_target.samples
 
@@ -211,7 +225,10 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     for _ in range(config.max_iters):
         if cost < config.cost_tol:
             break
-        s = s + cho_solve_banded(factor, _adjoint(model.h1, target - out))
+        step, _ = zpbtrs(factor, _adjoint(model.h1, target - out), lower=1)
+        if not np.all(np.isfinite(step)):
+            raise _update_error("offline step overflows", model.h1)
+        s = s + step
         out = fitted(s)
         cost = float(np.mean(np.abs(target - out) ** 2))
         costs.append(cost)

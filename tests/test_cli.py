@@ -178,35 +178,40 @@ def test_simulate_window_starts_just_before_the_delayed_response(outdir):
 def test_simulate_then_demod_is_the_first_simulated_shot(tmp_path, duration,
                                                          delay):
     # One measurement, one noise rule: the trace written by simulate and
-    # demodulated at the default settings is shot 0 of a SimulatedChannel
-    # seeded with the channel's seed. Every record window, at the default
-    # cutoff simulate records at and at the pulse's own, is a fast
+    # demodulated at the cutoff simulate recorded for (the default, then
+    # the pulse's own) is shot 0 of a SimulatedChannel at that cutoff,
+    # seeded with the channel's seed. Every record window is a fast
     # transform length no shorter than PAD_PRE + request + post_pad - d.
-    outdir = str(tmp_path)
-    pulse = _make_pulse(outdir, duration=duration)
+    pulse = _make_pulse(str(tmp_path), duration=duration)
     chan = _write_channel(str(tmp_path / "chan.json"), delay=delay, seed=5)
     config = fileio.read_channel_json(chan)
     env = fileio.read_envelope(pulse)
     d = round(delay / env.grid.dt)
-    for cutoff in (DEFAULT_CUTOFF, suggested_cutoff(float(duration))):
+    for cutoff in dict.fromkeys((DEFAULT_CUTOFF,
+                                 suggested_cutoff(float(duration)))):
         n = record_response(env, config, cutoff).grid.n
         assert sfft.next_fast_len(n) == n
         assert n >= (SimulatedChannel.PAD_PRE + env.grid.n
                      + post_pad(config, env.grid.dt, cutoff) - d)
-    assert main(["simulate", "--input", pulse, "--channel", chan,
-                 "--trace-out", "trace.csv", "--trace-noise-sigma", "0.02",
-                 "--outdir", outdir]) == 0
-    assert main(["demod", "--trace", str(tmp_path / "trace.csv"),
-                 "--outdir", outdir]) == 0
-    sim = fileio.read_envelope_csv(str(tmp_path / "simulated.csv"))
-    assert np.array_equal(sim.samples, record_response(env, config).samples)
-    got = fileio.read_envelope_csv(str(tmp_path / "demodulated.csv"))
-    shot = SimulatedChannel(config, trace_noise_sigma=0.02,
-                            seed=config.seed).measure(env)
-    # The trace CSV reads back the period it was written with, so the
-    # round trip is the shot bit for bit.
-    assert got.grid == shot.grid == sim.grid
-    assert np.array_equal(got.samples, shot.samples)
+        flag = ([] if cutoff == DEFAULT_CUTOFF
+                else ["--cutoff-hz", repr(cutoff)])
+        outdir = str(tmp_path / f"at-{cutoff:g}")
+        assert main(["simulate", "--input", pulse, "--channel", chan,
+                     "--trace-out", "trace.csv", "--trace-noise-sigma",
+                     "0.02", "--outdir", outdir, *flag]) == 0
+        assert main(["demod", "--trace", os.path.join(outdir, "trace.csv"),
+                     "--outdir", outdir, *flag]) == 0
+        sim = fileio.read_envelope_csv(os.path.join(outdir, "simulated.csv"))
+        assert np.array_equal(sim.samples,
+                              record_response(env, config, cutoff).samples)
+        got = fileio.read_envelope_csv(
+            os.path.join(outdir, "demodulated.csv"))
+        shot = SimulatedChannel(config, cutoff=cutoff, trace_noise_sigma=0.02,
+                                seed=config.seed).measure(env)
+        # The trace CSV reads back the period it was written with, so the
+        # round trip is the shot bit for bit.
+        assert got.grid == shot.grid == sim.grid
+        assert np.array_equal(got.samples, shot.samples)
 
 
 def test_missing_input_exits_2(outdir, capsys):
@@ -355,6 +360,17 @@ def test_simulate_non_finite_trace_rate_exits_2(tmp_path, capsys, fs):
                  "--trace-out", "trace.csv", "--fs", fs,
                  "--outdir", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "0", "-2e7"])
+def test_simulate_bad_cutoff_exits_2_naming_it(tmp_path, capsys, cutoff):
+    pulse = _make_pulse(str(tmp_path))
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 f"--cutoff-hz={cutoff}", "--outdir", str(out)]) == 2
+    assert "cutoff must be finite and > 0" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

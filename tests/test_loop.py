@@ -117,8 +117,10 @@ def _normal_banded_gather_all(h1, n):
 def test_normal_band_equals_the_all_column_gather(n, memory):
     rng = np.random.default_rng(7 * n + memory)
     h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
-    assert np.array_equal(_normal_banded(h1, n),
-                          _normal_banded_gather_all(h1, n))
+    band = _normal_banded(h1, n)
+    # LAPACK's column-major band layout, so zpbtrf factors it in place.
+    assert band.flags.f_contiguous
+    assert np.array_equal(band, _normal_banded_gather_all(h1, n))
 
 
 # ----------------------------------------------------------- offline_iterate
@@ -203,14 +205,83 @@ def test_offline_first_step_equals_the_solveh_banded_step(duration):
 
 
 def test_offline_unfactorable_normal_matrix_raises(monkeypatch):
-    def not_positive_definite(ab, lower):
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+    def not_positive_definite(ab, lower, overwrite_ab):
+        return ab, 2  # zpbtrf: the 2nd leading minor is not positive definite
 
-    monkeypatch.setattr(loop, "cholesky_banded", not_positive_definite)
+    monkeypatch.setattr(loop, "zpbtrf", not_positive_definite)
     target = _env(np.ones(8))
     with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 0\.5\b"):
         offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, -0.1j])),
                         target)
+
+
+def _gate_fit(duration):
+    """A gate target and the lambda = 0 kernel fitted to its first shot."""
+    target = _gate(duration)
+    chan = SimulatedChannel(ChannelConfig(),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=2)
+    s_out = _align_to_target(chan.measure(target), target)
+    return target, estimate_kernel(target, s_out, 64, 0.0)
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_offline_three_steps_equal_three_solveh_banded_steps(duration):
+    target, model = _gate_fit(duration)
+    n = target.grid.n
+    ab = _normal_banded(model.h1, n)
+    ab[0] += 1e-3
+    t = target.samples
+    expected = t.copy()
+    for _ in range(3):
+        residual = t - (np.convolve(expected, model.h1)[:n] + model.h0)
+        expected = expected + solveh_banded(ab, _adjoint(model.h1, residual),
+                                            lower=True)
+    result = offline_iterate(model, target,
+                             LMConfig(max_iters=3, cost_tol=1e-30))
+    assert len(result.costs) == 4
+    assert np.array_equal(result.s_pred.samples, expected)
+
+
+def test_offline_factors_the_band_it_built_in_place(monkeypatch):
+    # No copy of J^H J between the band fill and the solves: the factor
+    # every step solves with is the band's own memory.
+    target, model = _gate_fit(5e-7)
+    bands, factors = [], []
+    real_band, real_solve = loop._normal_banded, loop.zpbtrs
+
+    def band(*args):
+        bands.append(real_band(*args))
+        return bands[-1]
+
+    def solve(ab, b, lower):
+        factors.append(ab)
+        return real_solve(ab, b, lower=lower)
+
+    monkeypatch.setattr(loop, "_normal_banded", band)
+    monkeypatch.setattr(loop, "zpbtrs", solve)
+    offline_iterate(model, target, LMConfig(max_iters=3, cost_tol=1e-30))
+    assert len(bands) == 1 and len(factors) == 3
+    assert all(np.shares_memory(f, bands[0]) for f in factors)
+
+
+def test_a_kernel_that_overflows_the_band_fails_by_name():
+    # |h1[0]|^2 overflows: the band's partial sums are checked, so the
+    # error is the loop's own, with no overflow warning on the way.
+    with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 1e\+160"):
+        offline_iterate(VolterraModel(h0=0.0, h1=np.array([1e160, 1.0])),
+                        _env(np.ones(16)))
+
+
+def test_an_offline_step_that_overflows_fails_by_name():
+    # The band is finite and factors, but the cost and J^H r overflow.
+    # With NumPy's overflow warning silenced (a CLI run only prints it)
+    # the step is checked, not passed on as NaN.
+    model = VolterraModel(h0=0.0, h1=np.array([9.4e153, 9.4e153]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(SingularUpdateError,
+                           match=r"step overflows .* max \|h1\| = 9\.4e\+153"):
+            offline_iterate(model, _env(np.ones(2)))
 
 
 def test_lm_config_validation():
@@ -600,24 +671,40 @@ def test_a_failed_update_keeps_the_shots_taken(monkeypatch):
     assert report.final_model is None  # the failed update's fit is lost
 
 
+def test_a_fit_that_overflows_the_band_keeps_the_shots_taken(monkeypatch):
+    target = _gate(3e-7)
+    model = VolterraModel(h0=0.0, h1=np.array([0.85, 0.1]))
+    huge = VolterraModel(h0=0.0, h1=np.array([1e160, 1.0, 0.0, 0.0]))
+    monkeypatch.setattr(loop, "estimate_kernel", lambda *args: huge)
+    with pytest.raises(SingularUpdateError,
+                       match=r"max \|h1\| = 1e\+160") as info:
+        closed_loop(_linear_channel(model), target,
+                    LoopConfig(max_loop_iters=5, memory=4,
+                               convergence_mase=1e-12))
+    report = info.value.report
+    assert not report.converged
+    assert len(report.records) == 1
+    assert report.records[0].s_pred is target
+
+
 def test_a_singular_update_names_the_failing_fit(monkeypatch):
     # The partial report keeps the model in play, not the fit whose
     # normal matrix failed; the error message names that fit's size.
     target = _gate(3e-7)
     fits = []
-    real_fit, real_factor = loop.estimate_kernel, loop.cholesky_banded
+    real_fit, real_factor = loop.estimate_kernel, loop.zpbtrf
 
     def fit(*args):
         fits.append(real_fit(*args))
         return fits[-1]
 
-    def factor(ab, lower):
+    def factor(ab, lower, overwrite_ab):
         if len(fits) == 2:
-            raise np.linalg.LinAlgError("leading minor not positive definite")
-        return real_factor(ab, lower=lower)
+            return ab, 1  # zpbtrf: the leading minor is not positive definite
+        return real_factor(ab, lower=lower, overwrite_ab=overwrite_ab)
 
     monkeypatch.setattr(loop, "estimate_kernel", fit)
-    monkeypatch.setattr(loop, "cholesky_banded", factor)
+    monkeypatch.setattr(loop, "zpbtrf", factor)
     with pytest.raises(SingularUpdateError) as info:
         closed_loop(_linear_channel(_THREE_TAP), target,
                     LoopConfig(max_loop_iters=5, memory=4,
