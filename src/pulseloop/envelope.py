@@ -104,9 +104,8 @@ class ComplexEnvelope:
     ``phase`` views correspond to A_k = |s_k| and P_k = arg(s_k). As the
     samples cannot change, work derived from them alone is kept in a
     memo, out of comparison and repr: the transform ``align_delay`` takes
-    of a reference, per transform size, and the design-matrix factor a
-    loop's kernel fits take of their target, per memory (see
-    ``sysid._keep_design_factor``).
+    of a reference, per transform size, and what the kernel fits of an
+    input keep, per memory (see ``sysid.estimate_kernel``).
     """
 
     grid: TimeGrid

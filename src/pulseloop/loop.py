@@ -21,8 +21,8 @@ from scipy.linalg.lapack import zpbtrf, zpbtrs
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, align_delay, mase,
                        mse_cost)
-from .sysid import (DEFAULT_MEMORY, VolterraModel, _keep_design_factor,
-                    estimate_kernel, volterra_forward)
+from .sysid import (DEFAULT_MEMORY, VolterraModel, _check_memory,
+                    _check_pair, estimate_kernel, volterra_forward)
 
 # Tikhonov weight added to the diagonal of J^H J in the offline inversion.
 _DAMPING = 1e-3
@@ -139,9 +139,7 @@ def jacobian(model: VolterraModel, env: ComplexEnvelope) -> np.ndarray:
     interface ready for input-dependent models).
     """
     n = env.grid.n
-    if model.memory > n:
-        raise InvalidSpecError(
-            f"memory {model.memory} exceeds signal length {n}")
+    _check_memory(model.memory, n)
     j = np.zeros((n, n), dtype=complex)
     rows = np.arange(n)
     for m, tap in enumerate(model.h1):
@@ -202,11 +200,10 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     ``config.cost_tol`` or after ``config.max_iters`` steps, with
     ``converged`` flagging which case occurred. Raises
     ``SingularUpdateError`` naming max |h1| of ``model`` when the damped
-    normal matrix overflows or cannot be factored, or a step is not
-    finite.
+    normal matrix overflows or cannot be factored, or a step or cost is
+    not finite.
     """
-    if model.memory > s_target.grid.n:
-        raise InvalidSpecError("model memory exceeds the target length")
+    _check_memory(model.memory, s_target.grid.n)
     ab = _normal_banded(model.h1, s_target.grid.n)
     ab[0] += _DAMPING
     factor, info = zpbtrf(ab, lower=1, overwrite_ab=1)  # factor is ab
@@ -217,10 +214,15 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     target = s_target.samples
 
     def fitted(x):
-        return np.convolve(x, model.h1)[:len(x)] + model.h0
+        """The model's output for ``x`` and its cost against the target."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.convolve(x, model.h1)[:len(x)] + model.h0
+            cost = float(np.mean(np.abs(target - out) ** 2))
+        if not np.isfinite(cost):
+            raise _update_error("offline cost overflows", model.h1)
+        return out, cost
 
-    out = fitted(s)
-    cost = float(np.mean(np.abs(target - out) ** 2))
+    out, cost = fitted(s)
     costs = [cost]
     for _ in range(config.max_iters):
         if cost < config.cost_tol:
@@ -229,8 +231,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
         if not np.all(np.isfinite(step)):
             raise _update_error("offline step overflows", model.h1)
         s = s + step
-        out = fitted(s)
-        cost = float(np.mean(np.abs(target - out) ** 2))
+        out, cost = fitted(s)
         costs.append(cost)
     return OfflineResult(s_pred=s_target.with_samples(s),
                          costs=np.array(costs),
@@ -264,15 +265,7 @@ def _align_to_target(raw: ComplexEnvelope,
 
 def _tf_update(s_in, s_target, s_out, config):
     """Fit the kernel to this shot by minimum-norm least squares
-    (``lambda_reg`` 0) and invert it offline against the target.
-
-    The first shot's input is the target. From its second loop on, the
-    target keeps its design-matrix factor, like its alignment transform,
-    so each later loop on it fits its first shot without a QR, to the
-    same bits. No other input keeps one.
-    """
-    if s_in is s_target:
-        _keep_design_factor(s_target, config.memory)
+    (``lambda_reg`` 0) and invert it offline against the target."""
     model = estimate_kernel(s_in, s_out, config.memory, 0.0)
     return offline_iterate(model, s_target).s_pred, model
 
@@ -308,11 +301,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     ``SingularUpdateError`` carries the unconverged report of the shots
     recorded before it as ``report`` (None before the first).
     """
-    if (config.method == "transfer-function"
-            and config.memory + 1 > s_target.grid.n):
-        raise InvalidSpecError(
-            f"memory {config.memory} needs at least {config.memory + 1} "
-            f"target samples, got {s_target.grid.n}")
+    if config.method == "transfer-function":
+        _check_pair(s_target, s_target, config.memory)
     update = _UPDATES[config.method]
     s_in = s_target
     records = []

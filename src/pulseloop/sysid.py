@@ -66,12 +66,17 @@ def volterra_forward(model: VolterraModel,
     return ComplexEnvelope(env.grid, _forward_samples(model, env.samples))
 
 
+def _check_memory(memory, n: int) -> None:
+    """``memory`` is an integer number of taps in [1, n], for n samples."""
+    _check_integer("memory", memory, 1)
+    if memory > n:
+        raise InvalidSpecError(f"memory {memory} exceeds signal length {n}")
+
+
 def _forward_samples(model: VolterraModel, x: np.ndarray) -> np.ndarray:
     """``volterra_forward``'s output samples, as a new writable array."""
     n = len(x)
-    if model.memory > n:
-        raise InvalidSpecError(
-            f"memory {model.memory} exceeds signal length {n}")
+    _check_memory(model.memory, n)
     lo, hi = _support(x)
     y = np.full(n, model.h0, dtype=complex)
     if hi > lo:
@@ -99,8 +104,7 @@ def _regression_rows(env: ComplexEnvelope, memory: int,
     column-major layout.
     """
     n = env.grid.n
-    if not 1 <= memory <= n:
-        raise InvalidSpecError(f"memory {memory} out of range [1, {n}]")
+    _check_memory(memory, n)
     rows = np.empty((n, memory + 2), dtype=complex, order="F")
     rows[:, 0] = 1.0
     rows[:, 1:-1] = _lagged(env.samples, memory)
@@ -211,27 +215,13 @@ def _design_tsqr(env: ComplexEnvelope, memory: int, c=None,
 
 _DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
 
-
-def _keep_design_factor(env: ComplexEnvelope, memory: int) -> None:
-    """Have ``env`` keep its design-matrix factor at ``memory`` from the
-    second call on, so ``estimate_kernel`` then fits ``env`` with one
-    Q^H y and no QR, to the bits of a fit that factors it.
-
-    A loop's target calls this before each loop's first fit. Only a
-    repeat loop gains from a kept factor, and keeping one costs a loop
-    more than the factor saves it: the factor, about n (memory + 1)
-    complex values, stays in memory while the rest of the loop works in
-    colder memory. So the first call only marks ``env`` as fitted once;
-    the second factors and keeps.
-    """
-    _check_pair(env, env, memory)
-    key = (_DESIGN_KEY, memory)
-    if key not in env._memo:
-        env._memo[key] = None
-    elif env._memo[key] is None:
-        levels = []
-        r = _design_tsqr(env, memory, levels=levels)[0]
-        env._memo[key] = (levels, r)
+_LOCK = threading.Lock()  # guards the kept design factors and the pool
+if hasattr(os, "register_at_fork"):
+    # A child forked while another thread held the lock would never see it
+    # released; holding it across the fork leaves it free on both sides.
+    os.register_at_fork(before=_LOCK.acquire,
+                        after_in_parent=_LOCK.release,
+                        after_in_child=_LOCK.release)
 
 
 def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
@@ -287,7 +277,8 @@ def _check_pair(inp: ComplexEnvelope, out: ComplexEnvelope,
         raise GridMismatchError("input and output grids differ")
     if inp.grid.n < memory + 1:
         raise InvalidSpecError(
-            f"need at least {memory + 1} samples, got {inp.grid.n}")
+            f"memory {memory} needs at least {memory + 1} samples, "
+            f"got {inp.grid.n}")
 
 
 def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
@@ -313,20 +304,34 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
     ``lambda_reg = 0`` it back-substitutes on R when a bound on
     ||R^-1|| proves that no singular value reaches the cutoff above (see
     ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
-    the SVD of R with that cutoff. The factor depends on the input
-    alone, so an input that keeps it (a loop's target, see
-    ``_keep_design_factor``) is fitted with one Q^H y and no QR, to the
-    same bits.
+    the SVD of R with that cutoff.
+
+    The factor depends on the input alone, so an input fitted a second
+    time at ``memory`` keeps it (a loop's target, from its second loop
+    on): the first fit only marks the input, the second keeps the
+    reflectors of the pass that reduces y once the factor is complete,
+    and every later fit takes one Q^H y and no QR, to the same bits. The
+    first fit keeps none, because a kept factor, about n (memory + 1)
+    complex values, costs an input fitted once more than it saves: the
+    rest of its work runs in colder memory.
     """
     _check_pair(inp, out, memory)
     _check_real("lambda_reg", lambda_reg, 0)
     c = out.samples[:, None]
-    kept = inp._memo.get((_DESIGN_KEY, memory))
-    if kept is None:
-        r, z = _design_tsqr(inp, memory, c)
-    else:
+    key = (_DESIGN_KEY, memory)
+    with _LOCK:
+        marked = key in inp._memo
+        kept = inp._memo.setdefault(key, None)
+    if kept is not None:
         levels, r = kept
         z = _apply_qh(levels, c)
+    else:
+        levels = [] if marked else None
+        r, z = _design_tsqr(inp, memory, c, levels)
+        if marked:
+            with _LOCK:
+                if inp._memo[key] is None:
+                    inp._memo[key] = (levels, r)
     theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg)
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
@@ -354,14 +359,7 @@ class CVConfig:
         object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
 
 
-_POOL_LOCK = threading.Lock()
 _pool_state = None  # (pid, executor) of the process that made the pool
-if hasattr(os, "register_at_fork"):
-    # A child forked while another thread held the lock would never see it
-    # released; holding it across the fork leaves it free on both sides.
-    os.register_at_fork(before=_POOL_LOCK.acquire,
-                        after_in_parent=_POOL_LOCK.release,
-                        after_in_child=_POOL_LOCK.release)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
@@ -400,7 +398,7 @@ def _pool():
     threads and would never run a task.
     """
     global _pool_state
-    with _POOL_LOCK:
+    with _LOCK:
         pid = os.getpid()
         if _pool_state is None or _pool_state[0] != pid:
             executor = None

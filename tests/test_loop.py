@@ -273,15 +273,25 @@ def test_a_kernel_that_overflows_the_band_fails_by_name():
                         _env(np.ones(16)))
 
 
-def test_an_offline_step_that_overflows_fails_by_name():
-    # The band is finite and factors, but the cost and J^H r overflow.
-    # With NumPy's overflow warning silenced (a CLI run only prints it)
-    # the step is checked, not passed on as NaN.
-    model = VolterraModel(h0=0.0, h1=np.array([9.4e153, 9.4e153]))
-    with np.errstate(over="ignore"):
-        with pytest.raises(SingularUpdateError,
-                           match=r"step overflows .* max \|h1\| = 9\.4e\+153"):
-            offline_iterate(model, _env(np.ones(2)))
+def test_an_offline_cost_that_overflows_fails_by_name():
+    # The band is finite and factors, but the first cost overflows: it
+    # is checked like the band, with no overflow warning on the way.
+    with pytest.raises(SingularUpdateError,
+                       match=r"cost overflows .* max \|h1\| = 1e\+154"):
+        offline_iterate(VolterraModel(h0=0.0, h1=np.array([1e154, 1.0])),
+                        _env(np.ones(16)))
+
+
+def test_an_offline_step_that_overflows_fails_by_name(monkeypatch):
+    # A finite cost bounds the exact step, but a solve rounded against an
+    # ill-conditioned factor need not be; the step is checked, not passed
+    # on as NaN.
+    monkeypatch.setattr(loop, "zpbtrs",
+                        lambda c, b, lower: (np.full(len(b), np.inf), 0))
+    model = VolterraModel(h0=0.0, h1=np.array([9.4e3, 9.4e3]))
+    with pytest.raises(SingularUpdateError,
+                       match=r"step overflows .* max \|h1\| = 9\.4e\+03"):
+        offline_iterate(model, _env(np.ones(2)))
 
 
 def test_lm_config_validation():
@@ -532,8 +542,8 @@ def test_only_the_loop_target_keeps_a_design_factor():
     assert target._memo[key] is not None
     for record in report.records[1:]:
         assert record.s_pred is not target
-        assert not any(k[0] == sysid._DESIGN_KEY
-                       for k in record.s_pred._memo)
+        assert all(v is None for k, v in record.s_pred._memo.items()
+                   if k[0] == sysid._DESIGN_KEY)
         assert record.s_out._memo == {}
 
 

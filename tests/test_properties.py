@@ -1,7 +1,10 @@
 """Property tests: invariants of the sample algebra, the forward model,
 delay alignment, envelope files, the demodulation filter, kernel
 estimation, the cross-validated fit and the three-lens designs over
-random inputs."""
+random inputs, and the ways a closed loop may end over a family of
+channels."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +15,16 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pulseloop import fileio  # noqa: E402
-from pulseloop.demod import design_lowpass, filtfilt  # noqa: E402
+from pulseloop.channel import ChannelConfig, SimulatedChannel  # noqa: E402
+from pulseloop.demod import (design_lowpass, filtfilt,  # noqa: E402
+                             suggested_cutoff)
 from pulseloop.envelope import (ComplexEnvelope,  # noqa: E402
-                                InvalidSpecError, TimeGrid, align_delay,
-                                embed, shift_samples)
+                                InvalidSpecError, PulseSpec, TimeGrid,
+                                align_delay, default_grid, embed, make_pulse,
+                                shift_samples)
+from pulseloop.loop import (LOOP_METHODS, LoopConfig,  # noqa: E402
+                            MeasurementError, SingularUpdateError,
+                            closed_loop)
 from pulseloop.optics import (GaussianBeam, design_three_lens,  # noqa: E402
                               propagate_beam, sensitivity)
 from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
@@ -245,6 +254,48 @@ def test_cv_model_matches_augmented_least_squares_at_lambda_star(
     ref, tol = _ridge_oracle(build_design_matrix(inp, memory), out.samples,
                              lam)
     assert np.linalg.norm(theta - ref) <= tol * np.linalg.norm(ref)
+
+
+# ------------------------------------------------------ the closed loop
+
+def _family_kernel(seed):
+    """Kernel ``seed`` of a family of channels: a direct tap drawn from
+    U(0, 2) plus 3 to 63 exponentially decaying complex Gaussian taps,
+    the whole scaled to |DC gain| 1."""
+    rng = np.random.default_rng(seed)
+    taps = int(rng.integers(4, 65))
+    decay = np.exp(-np.arange(taps) / rng.uniform(1.0, taps / 2))
+    h1 = decay * (rng.standard_normal(taps) + 1j * rng.standard_normal(taps))
+    h1[0] = rng.uniform(0.0, 2.0)
+    return VolterraModel(h0=0.0, h1=h1 / abs(h1.sum()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, method=st.sampled_from(LOOP_METHODS),
+       memory=st.sampled_from([8, 32, 64]),
+       duration=st.sampled_from([1.8e-7, 5e-7, 1e-6]),
+       gate=st.sampled_from([1e-6, 1e-4, 5e-4, 1e-3, 1e-2]))
+def test_a_closed_loop_converges_stalls_or_fails_by_name(seed, method,
+                                                         memory, duration,
+                                                         gate):
+    # On any channel of the family, with the AOM on, a loop ends
+    # converged, ends at max_loop_iters, or raises one of the package's
+    # loop or input errors; it emits no warning on the way.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(volterra=_family_kernel(seed)),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=seed)
+    config = LoopConfig(method=method, convergence_mase=gate, memory=memory)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = closed_loop(chan.measure, target, config)
+        except (SingularUpdateError, MeasurementError, InvalidSpecError):
+            return
+    assert report.converged == (report.mase_trace[-1] <= gate)
+    assert (report.converged
+            or len(report.records) == config.max_loop_iters)
 
 
 # ---------------------------------------------------- three-lens designs

@@ -66,11 +66,11 @@ def test_design_matrix_consistent_with_forward_model():
 
 
 def test_design_matrix_rejects_bad_memory():
+    # 2.5 and True used to fail as a bare TypeError.
     env = _env(np.ones(4))
-    with pytest.raises(InvalidSpecError):
-        build_design_matrix(env, 0)
-    with pytest.raises(InvalidSpecError):
-        build_design_matrix(env, 5)
+    for memory in (0, 5, 2.5, True):
+        with pytest.raises(InvalidSpecError, match="memory"):
+            build_design_matrix(env, memory)
 
 
 # --------------------------------------------------------- volterra_forward
@@ -439,20 +439,21 @@ def test_triangular_leaves_its_rows_as_they_were(n):
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_a_kept_design_factor_gives_the_fresh_fit_bit_for_bit(duration):
+    # The first fit marks the input, the second keeps its factor, and
+    # every later fit applies the kept one.
     target, out = _gate_pair(duration)
     fresh_target = ComplexEnvelope(target.grid, target.samples)
     fresh = estimate_kernel(fresh_target, out, 64, 0.0)
-    assert fresh_target._memo == {}
     key = (sysid._DESIGN_KEY, 64)
-    sysid._keep_design_factor(target, 64)
+    assert fresh_target._memo == {key: None}
+    fits = [estimate_kernel(target, out, 64, 0.0)]
     assert target._memo[key] is None
-    sysid._keep_design_factor(target, 64)
+    fits.append(estimate_kernel(target, out, 64, 0.0))
     kept = target._memo[key]
-    first = estimate_kernel(target, out, 64, 0.0)
-    sysid._keep_design_factor(target, 64)
-    again = estimate_kernel(target, out, 64, 0.0)
+    assert kept is not None
+    fits.append(estimate_kernel(target, out, 64, 0.0))
     assert target._memo[key] is kept
-    for model in (first, again):
+    for model in fits:
         assert model.h0 == fresh.h0
         assert np.array_equal(model.h1, fresh.h1)
 
@@ -463,8 +464,7 @@ def test_threads_sharing_a_kept_design_factor_fit_the_same_bits():
     # old entry hands another a wrong reflector (6 of 600 fits at 2 us).
     target, out = _gate_pair(2e-6)
     ref = estimate_kernel(target, out, 64, 0.0)
-    for _ in range(2):
-        sysid._keep_design_factor(target, 64)
+    estimate_kernel(target, out, 64, 0.0)
     assert target._memo[(sysid._DESIGN_KEY, 64)] is not None
     wrong = []
 
@@ -480,6 +480,61 @@ def test_threads_sharing_a_kept_design_factor_fit_the_same_bits():
         t.join(timeout=120)
         assert not t.is_alive()
     assert wrong == []
+
+
+class _StoreCounter(dict):
+    """A memo that counts the design factors stored in it."""
+
+    factors = 0
+
+    def __setitem__(self, key, value):
+        if value is not None:
+            self.factors += 1
+        super().__setitem__(key, value)
+
+
+def test_threads_making_an_inputs_first_fits_keep_one_factor():
+    # Two threads race through the first, second and third fits of one
+    # fresh input: whichever fit comes second factors and keeps, no fit
+    # sees a factor before it is complete, and the kept factor is stored
+    # once even when both threads reach it together.
+    target, out = _gate_pair(5e-7)
+    ref = estimate_kernel(target, out, 64, 0.0)
+    key = (sysid._DESIGN_KEY, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds = []
+        for _ in range(10):
+            inp = ComplexEnvelope(target.grid, target.samples)
+            object.__setattr__(inp, "_memo", _StoreCounter())
+            start = threading.Barrier(2, timeout=120)
+            fits = []
+
+            def fit():
+                start.wait()
+                for _ in range(3):
+                    fits.append(estimate_kernel(inp, out, 64, 0.0))
+            threads = [threading.Thread(target=fit) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            rounds.append((inp, fits))
+    finally:
+        sys.setswitchinterval(interval)
+    fresh_levels = []
+    fresh_r = sysid._design_tsqr(target, 64, levels=fresh_levels)[0]
+    for inp, fits in rounds:
+        assert len(fits) == 6
+        for model in fits:
+            assert model.h0 == ref.h0
+            assert np.array_equal(model.h1, ref.h1)
+        assert inp._memo.factors == 1
+        levels, r = inp._memo[key]
+        np.testing.assert_array_equal(r, fresh_r)
+        assert len(levels) == len(fresh_levels)
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
