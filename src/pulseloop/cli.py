@@ -156,7 +156,7 @@ def _cmd_demod(args, run: _Run) -> int:
 def _cmd_estimate(args, run: _Run) -> int:
     inp = fileio.read_envelope(run.in_path(args.input))
     out = fileio.read_envelope(run.in_path(args.output))
-    aligned = _align_to_target(out, inp)
+    aligned, _ = _align_to_target(out, inp)
     if args.lambda_reg is not None:
         model = estimate_kernel(inp, aligned, args.memory, args.lambda_reg)
     else:

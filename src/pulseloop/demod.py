@@ -289,6 +289,7 @@ def suggested_cutoff(duration: float) -> float:
     phase-jump bandwidth, clipped to [20 MHz, 120 MHz]; the upper clip
     keeps the 2x beat image rejected after forward-backward filtering.
     """
+    _check_real("duration", duration, 0, strict=True)
     return float(np.clip(12.0 / duration, DEFAULT_CUTOFF, 120e6))
 
 
@@ -435,10 +436,9 @@ def _carrier(grid: TimeGrid, f_beat: float) -> np.ndarray:
 
 
 def _check_beat(f_beat: float, fs: float) -> None:
-    """The beat and the rate are finite, and the rate resolves the beat."""
-    if not (np.isfinite(fs) and np.isfinite(f_beat)):
-        raise InvalidSpecError(
-            f"fs {fs} and f_beat {f_beat} must be finite")
+    """Beat and rate are finite and > 0, and the rate resolves the beat."""
+    _check_real("f_beat", f_beat, 0, strict=True)
+    _check_real("fs", fs, 0, strict=True)
     if fs <= 2 * f_beat:
         raise AliasingError(f"fs {fs} must exceed twice f_beat {f_beat}")
 

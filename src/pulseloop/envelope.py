@@ -33,12 +33,13 @@ class ZeroSignalError(InvalidSpecError):
     """An operation that needs a nonzero signal received all zeros."""
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    """``value`` is an integer (not a bool) of at least ``least``."""
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """``value`` is an integer (not a bool) of at least ``least``, if set."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
         raise InvalidSpecError(
-            f"{name} must be an integer >= {least}, got {value!r}")
+            f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _check_real(name: str, value, least: float | None = None,
@@ -172,6 +173,10 @@ class PulseSpec:
             if self.fwhm is None:
                 raise InvalidSpecError(f"{self.kind} requires a fwhm")
             _check_real("fwhm", self.fwhm, 0, strict=True)
+            # make_pulse divides by fwhm**2: it must not over- or underflow.
+            if not 0 < float(self.fwhm) * float(self.fwhm) < math.inf:
+                raise InvalidSpecError(
+                    f"fwhm must have a finite square > 0, got {self.fwhm}")
         elif self.fwhm is not None:
             raise InvalidSpecError(
                 f"fwhm does not apply to a {self.kind} pulse, got {self.fwhm}")
@@ -308,6 +313,7 @@ def align_delay(measured: ComplexEnvelope,
 
 def shift_samples(samples: np.ndarray, k: int) -> np.ndarray:
     """Shift right by k samples (left for negative k), zero-filling."""
+    _check_integer("k", k)
     out = np.zeros_like(samples)
     if k == 0:
         out[:] = samples
@@ -332,6 +338,8 @@ def _support(x: np.ndarray) -> tuple[int, int]:
 def embed(env: ComplexEnvelope, pad_before: int,
           pad_after: int) -> ComplexEnvelope:
     """Zero-pad an envelope on both sides, extending its grid."""
+    _check_integer("pad_before", pad_before, 0)
+    _check_integer("pad_after", pad_after, 0)
     g = env.grid
     grid = TimeGrid(t0=g.t0 - pad_before * g.dt, dt=g.dt,
                     n=g.n + pad_before + pad_after)

@@ -91,9 +91,12 @@ class LoopConfig:
 class IterationRecord:
     """State captured at one loop iteration.
 
-    ``model_error`` is the MASE between the measured output and the one
-    predicted by the model that designed ``s_pred`` (NaN on the first
-    shot and for the transfer-function-free method, which has no model).
+    ``model`` and ``offline`` are the kernel and the offline solve that
+    designed ``s_pred`` (None on the first shot and for the
+    transfer-function-free method, which has no model); ``model_error``
+    is the MASE between the measured output and the one ``model``
+    predicts (NaN where ``model`` is None). ``delay`` is the delay in
+    seconds ``align_delay`` removed from this shot.
     """
 
     index: int
@@ -102,6 +105,9 @@ class IterationRecord:
     mase: float
     mse: float
     model_error: float
+    model: Optional[VolterraModel]
+    offline: Optional[OfflineResult]
+    delay: float
 
 
 @dataclass(frozen=True)
@@ -251,32 +257,35 @@ def tf_free_step(s_in: ComplexEnvelope, s_target: ComplexEnvelope,
                              + (s_target.samples - s_out.samples))
 
 
-def _align_to_target(raw: ComplexEnvelope,
-                     s_target: ComplexEnvelope) -> ComplexEnvelope:
-    """Delay-align a measurement and crop it onto the target grid."""
-    aligned, _ = align_delay(raw, s_target)
+def _align_to_target(raw: ComplexEnvelope, s_target: ComplexEnvelope
+                     ) -> tuple[ComplexEnvelope, float]:
+    """Delay-align a measurement and crop it onto the target grid; also
+    returns the delay in seconds ``align_delay`` removed."""
+    aligned, delay = align_delay(raw, s_target)
     n = s_target.grid.n
     if aligned.grid.n < n:
         raise GridMismatchError(
             f"measurement ({aligned.grid.n} samples) shorter than the "
             f"target ({n})")
-    return ComplexEnvelope(s_target.grid, aligned.samples[:n])
+    return ComplexEnvelope(s_target.grid, aligned.samples[:n]), delay
 
 
 def _tf_update(s_in, s_target, s_out, config):
     """Fit the kernel to this shot by minimum-norm least squares
     (``lambda_reg`` 0) and invert it offline against the target."""
     model = estimate_kernel(s_in, s_out, config.memory, 0.0)
-    return offline_iterate(model, s_target).s_pred, model
+    offline = offline_iterate(model, s_target)
+    return offline.s_pred, model, offline
 
 
 def _tf_free_update(s_in, s_target, s_out, config):
     """Feed the output error straight back; no model."""
-    return tf_free_step(s_in, s_target, s_out), None
+    return tf_free_step(s_in, s_target, s_out), None, None
 
 
-# One update rule per method, each returning (next input, model or None);
-# they call the module's bindings, so patching those reaches them.
+# One update rule per method, each returning (next input, model, offline
+# solve), None where absent; they call the module's bindings, so patching
+# those reaches them.
 _UPDATES = {"transfer-function": _tf_update,
             "transfer-function-free": _tf_free_update}
 LOOP_METHODS = tuple(_UPDATES)
@@ -306,7 +315,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     update = _UPDATES[config.method]
     s_in = s_target
     records = []
-    model: Optional[VolterraModel] = None
+    model = offline = None  # what designed s_in
     try:
         for it in range(1, config.max_loop_iters + 1):
             try:
@@ -315,17 +324,18 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                 raise MeasurementError(
                     f"measurement callback failed at iteration {it}: "
                     f"{type(exc).__name__}: {exc}") from exc
-            s_out = _align_to_target(raw, s_target)
+            s_out, delay = _align_to_target(raw, s_target)
             m = mase(s_out, s_target)
             merr = (float("nan") if model is None
                     else mase(volterra_forward(model, s_in), s_out))
             records.append(IterationRecord(
                 index=it, s_pred=s_in, s_out=s_out, mase=m,
-                mse=mse_cost(s_out, s_target), model_error=merr))
+                mse=mse_cost(s_out, s_target), model_error=merr,
+                model=model, offline=offline, delay=delay))
             if m <= config.convergence_mase:
                 return LoopReport(records, True, model)
             if it < config.max_loop_iters:
-                s_in, model = update(s_in, s_target, s_out, config)
+                s_in, model, offline = update(s_in, s_target, s_out, config)
     except _LOOP_FAILURES as exc:
         exc.report = LoopReport(records, False, model) if records else None
         raise

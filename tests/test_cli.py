@@ -496,7 +496,7 @@ def test_estimate_cv_model_equals_a_fit_at_the_scores_minimum(outdir):
         outdir, "scores.csv").read_text().splitlines()[1:]], dtype=float)
     lam = scores[np.argmin(scores[:, 1]), 0]
     inp = fileio.read_envelope(pulse)
-    out = _align_to_target(fileio.read_envelope(simulated), inp)
+    out, _ = _align_to_target(fileio.read_envelope(simulated), inp)
     ref = estimate_kernel(inp, out, 64, lam)
     model = fileio.read_model_json(os.path.join(outdir, "model.json"))
     got = np.concatenate([[model.h0], model.h1])

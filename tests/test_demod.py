@@ -81,8 +81,28 @@ def test_synthesize_rejects_aliasing():
 def test_synthesize_rejects_non_finite_rates(fs, f_beat):
     # A NaN or infinite fs used to end in a bare ValueError or an
     # OverflowError; a NaN beat passed the aliasing check.
-    with pytest.raises(InvalidSpecError, match="f_beat .* must be finite"):
+    name = "fs" if np.isfinite(f_beat) else "f_beat"
+    with pytest.raises(InvalidSpecError, match=f"^{name} must be finite"):
         synthesize_beat(_constant_env(128), f_beat=f_beat, fs=fs)
+
+
+@pytest.mark.parametrize("f_beat", [True, -1.0, 0.0, "2e8"])
+def test_synthesize_and_demodulate_reject_a_beat_that_is_not_positive(
+        f_beat):
+    # Each used to return a trace, or to raise a bare TypeError from
+    # np.isfinite.
+    env = _constant_env(128)
+    with pytest.raises(InvalidSpecError, match="^f_beat must be"):
+        synthesize_beat(env, f_beat=f_beat)
+    with pytest.raises(InvalidSpecError, match="^f_beat must be"):
+        demodulate(synthesize_beat(env), f_beat,
+                   design_lowpass(4, 20e6, FS), env.grid)
+
+
+def test_synthesize_rejects_a_rate_off_the_envelope_rate_multiples():
+    # The envelope runs at 1 GS/s; 2.5 GS/s is no whole multiple of it.
+    with pytest.raises(InvalidSpecError, match="integer multiple"):
+        synthesize_beat(_constant_env(128), fs=2.5e9)
 
 
 @pytest.mark.parametrize("sigma", [-0.02, np.nan, np.inf, "0.02", True])

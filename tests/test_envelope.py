@@ -7,11 +7,12 @@ import pytest
 import scipy.fft as sfft
 import scipy.signal as sig
 
+from pulseloop.demod import suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
                                 ZeroSignalError, _check_real, align_delay,
-                                default_grid, make_pulse, mase, mse_cost,
-                                shift_samples)
+                                default_grid, embed, make_pulse, mase,
+                                mse_cost, shift_samples)
 
 
 def _env(grid, samples):
@@ -190,8 +191,11 @@ def test_pulse_spec_rejects_a_width_for_a_kind_without_one(kind, fwhm):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "truncated-gaussian"])
-@pytest.mark.parametrize("fwhm", [np.nan, np.inf, "1e-7", True, None])
+@pytest.mark.parametrize("fwhm", [np.nan, np.inf, "1e-7", True, None,
+                                  1e300, 1e-200])
 def test_gaussian_pulse_names_a_bad_fwhm(kind, fwhm):
+    # A width whose square overflows used to end in an OverflowError from
+    # make_pulse, and one whose square underflows in a division by zero.
     with pytest.raises(InvalidSpecError, match="fwhm"):
         PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm)
 
@@ -204,6 +208,25 @@ def test_default_grid_names_a_setting_that_is_not_a_finite_real(field,
     # derived grid length.
     with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
         default_grid(**{"duration": 5e-7, field: value})
+
+
+_ENV = ComplexEnvelope(TimeGrid(0.0, 1e-9, 4), np.ones(4))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: suggested_cutoff(0.0), "^duration must be"),
+    (lambda: suggested_cutoff(np.nan), "^duration must be"),
+    (lambda: suggested_cutoff(-1.0), "^duration must be"),
+    (lambda: embed(_ENV, -3, 0), "^pad_before must be"),
+    (lambda: embed(_ENV, 1.5, 0), "^pad_before must be"),
+    (lambda: embed(_ENV, 0, -1), "^pad_after must be"),
+    (lambda: shift_samples(_ENV.samples, 1.5), "^k must be an integer")])
+def test_library_entry_points_name_a_bad_argument(call, match):
+    # suggested_cutoff(0.0) divided by zero, a NaN gave NaN and -1.0 gave
+    # 20 MHz; a negative pad failed in a NumPy broadcast and a fractional
+    # one blamed the grid's n; a fractional shift was a bare TypeError.
+    with pytest.raises(InvalidSpecError, match=match):
+        call()
 
 
 def test_pulse_spec_takes_a_negative_phase_jump():

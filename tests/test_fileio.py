@@ -12,7 +12,7 @@ from pulseloop.channel import ChannelConfig
 from pulseloop.envelope import (ComplexEnvelope, InvalidSpecError, TimeGrid,
                                 default_grid)
 from pulseloop.demod import BeatTrace
-from pulseloop.loop import IterationRecord, LoopReport
+from pulseloop.loop import IterationRecord, LoopReport, offline_iterate
 from pulseloop.optics import design_three_lens, free_space, thin_lens
 from pulseloop.sysid import VolterraModel
 
@@ -153,6 +153,29 @@ def test_csv_with_a_nan_sample_names_the_file(tmp_path):
         assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("body, match", [
+    ("0,1,0\n1e-09,1,x\n", "could not convert"),
+    ("0,1\n1e-09,1\n", "wrong column count"),
+    ("0,1,0\n", "need at least two samples")])
+def test_a_malformed_csv_names_the_file(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_s,i,q\n" + body)
+    with pytest.raises(InvalidSpecError, match=match) as info:
+        fileio.read_envelope_csv(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("text, match", [("{\"h0_re\": ", "invalid JSON"),
+                                         ("[1, 2]", "expected a JSON object")])
+def test_a_json_file_that_is_not_an_object_names_the_file(tmp_path, text,
+                                                          match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InvalidSpecError, match=match) as info:
+        fileio.read_model_json(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 # ------------------------------------------------------------------- models
 
 def test_model_json_round_trip(tmp_path):
@@ -273,12 +296,15 @@ def test_train_json_with_a_legacy_spacing_key_loads(tmp_path):
 
 def _tiny_report():
     env = _env(8, seed=5)
+    model = VolterraModel.identity()
     rec1 = IterationRecord(index=1, s_pred=env, s_out=env, mase=0.1,
-                           mse=0.01, model_error=float("nan"))
+                           mse=0.01, model_error=float("nan"), model=None,
+                           offline=None, delay=0.0)
     rec2 = IterationRecord(index=2, s_pred=env, s_out=env, mase=0.01,
-                           mse=0.001, model_error=0.005)
+                           mse=0.001, model_error=0.005, model=model,
+                           offline=offline_iterate(model, env), delay=2e-9)
     return LoopReport(records=(rec1, rec2), converged=True,
-                      final_model=VolterraModel.identity())
+                      final_model=model)
 
 
 def test_report_json_shape(tmp_path):
@@ -290,6 +316,9 @@ def test_report_json_shape(tmp_path):
     assert data["records"][0]["model_error"] is None  # NaN becomes null
     assert data["records"][1]["model_error"] == 0.005
     assert data["final_model"]["h1_re"] == [1.0]
+    # The model, offline solve and delay of each record stay out of it.
+    assert all(set(r) == {"index", "mase", "mse", "model_error"}
+               for r in data["records"])
 
 
 def test_convergence_csv(tmp_path):
@@ -312,6 +341,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     fileio.atomic_write_text(path, "world\n")
     assert Path(path).read_text() == "world\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_a_failed_atomic_write_removes_its_temp_file(tmp_path):
+    # A directory in the way fails the rename after the temp file is
+    # written; the temp file goes and the error propagates.
+    (tmp_path / "out").mkdir()
+    with pytest.raises(OSError):
+        fileio.atomic_write_text(str(tmp_path / "out"), "hello\n")
+    assert os.listdir(tmp_path) == ["out"]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")

@@ -11,12 +11,13 @@ from pulseloop.channel import (ChannelConfig, SimulatedChannel,
 from pulseloop.demod import AliasingError, suggested_cutoff
 from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
                                 InvalidSpecError, PulseSpec, TimeGrid,
-                                ZeroSignalError, default_grid, make_pulse,
-                                mase, mse_cost)
-from pulseloop.loop import (LMConfig, LoopConfig, MeasurementError,
-                            ReplayChannel, SingularUpdateError, _adjoint,
-                            _align_to_target, _normal_banded, closed_loop,
-                            jacobian, offline_iterate, tf_free_step)
+                                ZeroSignalError, align_delay, default_grid,
+                                make_pulse, mase, mse_cost)
+from pulseloop.loop import (LMConfig, LoopConfig, LoopReport,
+                            MeasurementError, ReplayChannel,
+                            SingularUpdateError, _adjoint, _align_to_target,
+                            _normal_banded, closed_loop, jacobian,
+                            offline_iterate, tf_free_step)
 from pulseloop.sysid import VolterraModel, estimate_kernel, volterra_forward
 
 
@@ -187,7 +188,7 @@ def test_offline_first_step_equals_the_solveh_banded_step(duration):
     chan = SimulatedChannel(ChannelConfig(),
                             cutoff=suggested_cutoff(duration),
                             trace_noise_sigma=0.02, seed=2)
-    s_out = _align_to_target(chan.measure(target), target)
+    s_out, _ = _align_to_target(chan.measure(target), target)
     model = estimate_kernel(target, s_out, 64, 0.0)
     n = target.grid.n
     assert n == round(2 * duration / 1e-9)
@@ -221,7 +222,7 @@ def _gate_fit(duration):
     chan = SimulatedChannel(ChannelConfig(),
                             cutoff=suggested_cutoff(duration),
                             trace_noise_sigma=0.02, seed=2)
-    s_out = _align_to_target(chan.measure(target), target)
+    s_out, _ = _align_to_target(chan.measure(target), target)
     return target, estimate_kernel(target, s_out, 64, 0.0)
 
 
@@ -414,6 +415,13 @@ def test_tf_free_diverges_outside_the_contraction_band():
     ratios = np.array(errors[1:]) / np.array(errors[:-1])
     np.testing.assert_allclose(ratios, abs(1 - gain), rtol=1e-9)
     assert errors[-1] > errors[0]
+
+
+def test_tf_free_step_rejects_envelopes_on_different_grids():
+    rng = np.random.default_rng(53)
+    a, b = _random_env(rng, 16), _random_env(rng, 17)
+    with pytest.raises(GridMismatchError, match="one common grid"):
+        tf_free_step(a, a, b)
 
 
 # --------------------------------------------------------------- closed_loop
@@ -789,6 +797,18 @@ def test_kernel_memory_longer_than_target_fails_before_the_first_shot():
     assert len(calls) == len(report.records) == 1
 
 
+def test_align_to_target_rejects_a_measurement_shorter_than_the_target():
+    rng = np.random.default_rng(55)
+    target = _random_env(rng, 16)
+    with pytest.raises(GridMismatchError, match=r"\(8 samples\) shorter"):
+        _align_to_target(_random_env(rng, 8), target)
+
+
+def test_a_report_needs_a_record():
+    with pytest.raises(InvalidSpecError, match="at least one record"):
+        LoopReport(records=(), converged=False, final_model=None)
+
+
 def test_closed_loop_records_are_complete():
     target = _gate(3e-7)
     model = VolterraModel(h0=0.0, h1=np.array([0.85, 0.1]))
@@ -803,36 +823,27 @@ def test_closed_loop_records_are_complete():
         assert rec.s_out.grid == target.grid
 
 
-def test_model_error_is_the_prediction_error_of_the_model_in_play(
-        monkeypatch):
+def test_model_error_is_the_prediction_error_of_the_model_in_play():
     # Record k scores the model fitted on shot k - 1, the one that
     # designed shot k's input, against shot k; shot 1 has no model. The
     # three-tap channel is beyond the two-tap fit, so the loop runs on.
     target = _gate(3e-7)
     channel_model = VolterraModel(h0=0.0,
                                   h1=np.array([0.9, -0.15 + 0.1j, 0.05]))
-    fits = []
-
-    def recording(*args):
-        fits.append(estimate_kernel(*args))
-        return fits[-1]
-
-    monkeypatch.setattr(loop, "estimate_kernel", recording)
     report = closed_loop(_linear_channel(channel_model), target,
                          LoopConfig(max_loop_iters=4, memory=2,
                                     convergence_mase=1e-12))
     assert not report.converged
     assert len(report.records) == 4
-    assert len(fits) == 3  # none after the last shot
     assert np.isnan(report.records[0].model_error)
-    for rec, model in zip(report.records[1:], fits):
-        expected = mase(volterra_forward(model, rec.s_pred), rec.s_out)
+    for rec in report.records[1:]:
+        expected = mase(volterra_forward(rec.model, rec.s_pred), rec.s_out)
         assert rec.model_error == expected
-    for rec in report.records[1:-1]:
+    for rec, later in zip(report.records[1:-1], report.records[2:]):
         # Not the in-sample residual of the fit made on this shot.
         assert rec.model_error != mase(
-            volterra_forward(fits[rec.index - 1], rec.s_pred), rec.s_out)
-    assert report.final_model is fits[-1]
+            volterra_forward(later.model, rec.s_pred), rec.s_out)
+    assert report.final_model is report.records[-1].model
     report = closed_loop(_linear_channel(channel_model), target,
                          LoopConfig(method="transfer-function-free",
                                     max_loop_iters=4,
@@ -847,55 +858,74 @@ _UNCONVERGED = dict(memory=2, convergence_mase=1e-12)
 
 
 @pytest.mark.parametrize("shots", [1, 2, 5])
-def test_an_unconverged_run_updates_between_shots_only(monkeypatch, shots):
+def test_an_unconverged_run_updates_between_shots_only(shots):
     # The update after the last shot would design an input that is never
-    # measured, so an N-shot run fits and solves N - 1 times, and its
+    # measured, so an N-shot run records N - 1 updates, and its
     # final_model is the fit whose offline solve designed the last shot.
     target = _gate(3e-7)
-    fits, solves, steps = [], [], []
-
-    def fit(*args):
-        fits.append(estimate_kernel(*args))
-        return fits[-1]
-
-    def solve(*args):
-        solves.append(offline_iterate(*args))
-        return solves[-1]
-
-    def step(*args):
-        steps.append(tf_free_step(*args))
-        return steps[-1]
-
-    monkeypatch.setattr(loop, "estimate_kernel", fit)
-    monkeypatch.setattr(loop, "offline_iterate", solve)
-    monkeypatch.setattr(loop, "tf_free_step", step)
     report = closed_loop(_linear_channel(_THREE_TAP), target,
                          LoopConfig(max_loop_iters=shots, **_UNCONVERGED))
     assert not report.converged
     assert len(report.records) == shots
-    assert len(fits) == len(solves) == shots - 1
     last = report.records[-1]
     if shots == 1:
         assert report.final_model is None
         assert last.s_pred is target
     else:
-        assert report.final_model is fits[-1]
-        assert last.s_pred is solves[-1].s_pred
+        assert report.final_model is last.model
+        assert last.s_pred is last.offline.s_pred
         assert last.model_error == mase(
             volterra_forward(report.final_model, last.s_pred), last.s_out)
+    assert len({id(r.model) for r in report.records[1:]}) == shots - 1
     report = closed_loop(_linear_channel(_THREE_TAP), target,
                          LoopConfig(method="transfer-function-free",
                                     max_loop_iters=shots, **_UNCONVERGED))
     assert len(report.records) == shots
-    assert len(steps) == shots - 1
 
 
-@pytest.mark.parametrize("name", ["estimate_kernel", "offline_iterate"])
+@pytest.mark.parametrize("method", ["transfer-function",
+                                    "transfer-function-free"])
+def test_each_record_keeps_its_model_offline_solve_and_delay(method):
+    # A record keeps what designed its input, the fit and offline solve
+    # of the shot before it, and the delay align_delay took off its own
+    # measurement; the tf-free update has no model and no offline solve.
+    target = _gate(1.8e-7)
+    chan = SimulatedChannel(ChannelConfig(),
+                            cutoff=suggested_cutoff(1.8e-7),
+                            trace_noise_sigma=0.02, seed=1)
+    raws = []
+
+    def measure(env):
+        raws.append(chan.measure(env))
+        return raws[-1]
+
+    report = closed_loop(measure, target,
+                         LoopConfig(method=method, max_loop_iters=3,
+                                    convergence_mase=1e-9))
+    assert len(report.records) == len(raws) == 3
+    first = report.records[0]
+    assert first.model is None and first.offline is None
+    for rec, raw in zip(report.records, raws):
+        assert rec.delay == align_delay(raw, target)[1]
+        assert rec.delay > 0
+    for rec in report.records[1:]:
+        if method == "transfer-function-free":
+            assert rec.model is None and rec.offline is None
+            continue
+        assert rec.offline.s_pred is rec.s_pred
+        assert rec.model_error == mase(
+            volterra_forward(rec.model, rec.s_pred), rec.s_out)
+
+
+@pytest.mark.parametrize("name", ["estimate_kernel", "offline_iterate",
+                                  "tf_free_step"])
 def test_an_update_failing_after_the_last_shot_cannot_fail_the_run(
         monkeypatch, name):
     # An N-shot run needs N - 1 updates, so an update that raises on its
     # N-th call cannot turn a finished run into an error.
     shots = 4
+    method = ("transfer-function-free" if name == "tf_free_step"
+              else "transfer-function")
     target = _gate(3e-7)
     real = getattr(loop, name)
     calls = []
@@ -909,7 +939,8 @@ def test_an_update_failing_after_the_last_shot_cannot_fail_the_run(
 
     monkeypatch.setattr(loop, name, failing_last)
     report = closed_loop(_linear_channel(_THREE_TAP), target,
-                         LoopConfig(max_loop_iters=shots, **_UNCONVERGED))
+                         LoopConfig(method=method, max_loop_iters=shots,
+                                    **_UNCONVERGED))
     assert not report.converged
     assert len(report.records) == shots
     assert len(calls) == shots - 1

@@ -83,6 +83,14 @@ def test_forward_identity_kernel():
                                   env.samples)
 
 
+@pytest.mark.parametrize("h0, h1, match", [
+    (0.0, [], "at least one tap"), (0.0, np.ones((2, 2)), "at least one tap"),
+    (0.0, [1.0, np.nan], "finite"), (np.inf, [1.0], "finite")])
+def test_model_rejects_empty_or_non_finite_taps(h0, h1, match):
+    with pytest.raises(InvalidSpecError, match=match):
+        VolterraModel(h0=h0, h1=h1)
+
+
 def test_forward_identity_model():
     rng = np.random.default_rng(14)
     env = _random_env(rng, 20)
@@ -256,7 +264,7 @@ def _gate_pair(duration, seed=0):
                      default_grid(duration))
     chan = SimulatedChannel(ChannelConfig(), cutoff=suggested_cutoff(duration),
                             trace_noise_sigma=0.02, seed=seed)
-    return inp, _align_to_target(chan.measure(inp), inp)
+    return inp, _align_to_target(chan.measure(inp), inp)[0]
 
 
 def _ridge_oracle(a, y, lam):
@@ -638,6 +646,13 @@ def test_cv_single_lambda_grid():
     lam, scores, _ = cross_validate(inp, out, 4, CVConfig(3, (0.5,)))
     assert lam == 0.5
     assert scores.shape == (1, 2)
+
+
+def test_cv_rejects_more_folds_than_samples():
+    rng = np.random.default_rng(15)
+    inp, out = _random_env(rng, 4), _random_env(rng, 4)
+    with pytest.raises(InvalidSpecError, match="4 samples into 5 folds"):
+        cross_validate(inp, out, 1, CVConfig(5, (0.5,)))
 
 
 def test_cv_never_selects_above_table_minimum():
