@@ -337,7 +337,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
             if it < config.max_loop_iters:
                 s_in, model, offline = update(s_in, s_target, s_out, config)
     except _LOOP_FAILURES as exc:
-        exc.report = LoopReport(records, False, model) if records else None
+        exc.report = (LoopReport(records, False, records[-1].model)
+                      if records else None)
         raise
     return LoopReport(records, False, model)
 

@@ -144,6 +144,8 @@ def _tsqr(blocks, step: int, c=None, levels=None) -> tuple:
         for block in blocks:
             qr, tau = lapack.zgeqrf(block, overwrite_a=True)[:2]
             rs.append(np.triu(qr[:len(tau)]))
+            if c is None and levels is None:
+                continue
             # zunmqr writes each reflector's unit head into the array
             # while it applies it, then restores the old entry; with the 1
             # stored there, threads that share kept reflectors never read
@@ -224,25 +226,34 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_LOCK.release)
 
 
+def _ridge_svd(rz: np.ndarray, n: int) -> tuple:
+    """Thin SVD of r with ``_ridge_path``'s cutoff: ``(U^H z, s, V^T)``."""
+    r, z = rz[:, :-1], rz[:, -1]
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(n, r.shape[1]) * s[0]
+    return u[:, keep].conj().T @ z, s[keep], vh[keep].conj()
+
+
+def _ridge_gain(uz, s, v_t, lams) -> np.ndarray:
+    """``_ridge_path``'s rows, from ``_ridge_svd``'s output."""
+    gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
+    return (gain * uz) @ v_t
+
+
 def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
 
     ``rz`` is a factor of the n-row matrix [A | y], as from
     ``_triangular``, or [R | Q^H y] for A = Q R, as from ``_tsqr``:
     with r = rz[:, :-1] and z = rz[:, -1], A^H A = r^H r and
-    A^H y = r^H z. One thin complex SVD r = U diag(s) V^H then gives the
-    whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z.
-    Singular values at or below the cutoff eps * max(n, columns) * s_max
-    (NumPy's ``lstsq`` default for A itself, not for the smaller factor)
-    are dropped, so lam = 0 yields the minimum-norm least-squares
+    A^H y = r^H z. One thin complex SVD r = U diag(s) V^H (``_ridge_svd``)
+    then gives the whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z
+    (``_ridge_gain``). Singular values at or below s_max * eps *
+    max(n, columns) (NumPy's ``lstsq`` cutoff for A, not the smaller
+    factor) are dropped, so lam = 0 yields the minimum-norm least-squares
     solution with directions the data cannot resolve set to zero.
     """
-    r, z = rz[:, :-1], rz[:, -1]
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(n, r.shape[1]) * s[0]
-    u, s, vh = u[:, keep], s[keep], vh[keep]
-    gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
-    return (gain * (u.conj().T @ z)) @ vh.conj()
+    return _ridge_gain(*_ridge_svd(rz, n), lams)
 
 
 def _solve(rz: np.ndarray, n: int, lam: float) -> np.ndarray:
@@ -430,32 +441,34 @@ def _fold_mse(factors: list, k: int, val: np.ndarray, n: int,
     return np.mean(np.abs(r) ** 2, axis=1)
 
 
+def _whole_fit(rows: np.ndarray, n: int) -> tuple:
+    """The factor of all n rows of [A | y] and its ``_ridge_svd``."""
+    whole = _triangular(rows)
+    return whole, _ridge_svd(whole, n)
+
+
 def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
                    cv: CVConfig):
     """Pick the ridge weight with the lowest held-out error and fit with it.
 
-    Splits the samples into ``cv.folds`` contiguous blocks; each block
-    serves once as the validation set while the model is fitted on the
-    remaining rows. Each block's rows of [A | y] are reduced to an R
-    factor once; a fold's fit reduces the other blocks' stacked factors
-    and takes one small SVD for the whole lambda grid. The final fit
-    reduces all the blocks' factors, which gives a factor of the whole
-    [A | y] (TSQR), so a long design matrix is never factored again. A
-    record that fits one TSQR block is factored directly instead, as
-    ``estimate_kernel`` does: that QR has no more rows than the stacked
-    fold factors, and a short, near-square fit is ill-conditioned, so the
-    two reductions' rounding would differ by up to cond(A) * eps.
+    Splits the samples into ``cv.folds`` contiguous blocks; each serves
+    once as the validation set while the model is fitted on the rest.
+    Each block's rows of [A | y] are reduced to an R factor once; a
+    fold's fit reduces the other blocks' stacked factors and takes one
+    small SVD for the whole lambda grid, and the final fit reduces all
+    of them (TSQR), so a long design matrix is never factored again. A
+    record that fits one TSQR block is factored directly, as
+    ``estimate_kernel`` does: a short, near-square fit is ill-conditioned,
+    so the two reductions' rounding would differ by up to cond(A) * eps.
 
-    The block factors, then the fold fits and the final factor, run
-    concurrently on a process-wide thread pool (LAPACK and the SVD
-    release the interpreter lock) with one worker per CPU the process may
-    use over OpenBLAS's threads per call (see ``_workers``): with
-    ``OPENBLAS_NUM_THREADS=1``, one per CPU; with OpenBLAS's default of a
-    thread per CPU, one, and then the tasks run in order through the
-    builtin ``map`` on the calling thread. Each task runs the same
-    arithmetic as a serial loop and the fold errors are summed in fold
-    order, so the result is bit-identical to the serial fits whatever the
-    worker count.
+    The block factors, then the final factor and its SVD (first, as the
+    longest task) beside the fold fits, run on a pool of ``_workers()``
+    threads (LAPACK and the SVD release the interpreter lock), or in
+    order on the calling thread for one worker. At lambda_star > 0 the
+    model is one gain step on the pooled SVD, so the calling thread
+    takes no QR or SVD; at 0 it goes through ``_solve``. Each task runs a
+    serial loop's arithmetic and the fold errors are summed in fold
+    order, so the result is bit-identical whatever the worker count.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
@@ -473,10 +486,11 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     factors = _run([(_triangular, part) for part in parts])
     if n > _TSQR_BLOCK * rows.shape[1]:
         rows = np.vstack(factors)
-    *fold_mse, whole = _run(
-        [(_fold_mse, factors, k, val, n, cv.lambda_grid)
-         for k, val in enumerate(parts)] + [(_triangular, rows)])
+    (whole, svd), *fold_mse = _run([(_whole_fit, rows, n)] + [
+        (_fold_mse, factors, k, val, n, cv.lambda_grid)
+        for k, val in enumerate(parts)])
     scores = np.column_stack([cv.lambda_grid, sum(fold_mse) / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = _solve(whole, n, lambda_star)
+    theta = (_ridge_gain(*svd, [lambda_star])[0] if lambda_star > 0
+             else _solve(whole, n, lambda_star))
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

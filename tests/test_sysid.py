@@ -366,6 +366,8 @@ def test_minimum_norm_cutoff_counts_the_design_rows(monkeypatch):
     assert _rel_err(_theta(model), ref) < 1e-9
     cv = CVConfig(5, (0.0,))
     _, scores, cv_model = cross_validate(inp, out, 4, cv)
+    # One path per fold, and the final fit's fallback at lambda_star = 0
+    # (the whole factor's pooled SVD goes unused there).
     assert len(calls) == 1 + cv.folds + 1
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
                                rtol=1e-6)
@@ -801,6 +803,40 @@ def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds, workers):
     cv = CVConfig(folds=folds)
     _assert_same_fit(cross_validate(inp, out, 64, cv),
                      _serial_cross_validate(inp, out, 64, cv))
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+@pytest.mark.parametrize("workers", [4], indirect=True)
+def test_cv_takes_every_svd_on_the_pool(duration, workers, monkeypatch):
+    # The final factor's SVD runs beside the fold fits, so at
+    # lambda_star > 0 the model is one gain step on the calling thread.
+    threads = []
+    ridge_svd = sysid._ridge_svd
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return ridge_svd(*args)
+
+    monkeypatch.setattr(sysid, "_ridge_svd", spy)
+    inp, out = _gate_pair(duration, seed=1)
+    cv = CVConfig()
+    lam = cross_validate(inp, out, 64, cv)[0]
+    assert lam > 0
+    assert len(threads) == cv.folds + 1
+    assert threading.get_ident() not in threads
+
+
+def test_cv_at_lambda_zero_back_substitutes_on_the_whole_factor(
+        workers, monkeypatch):
+    rng = np.random.default_rng(22)
+    inp, out = _noisy_channel_pair(rng)
+    cv = CVConfig(folds=5, lambda_grid=(0.0, 1e-6))
+    calls = _spy_ridge_path(monkeypatch)
+    got = cross_validate(inp, out, 4, cv)
+    assert got[0] == 0.0
+    assert len(calls) == cv.folds
+    # The serial fits' model is _solve(whole, n, 0.0).
+    _assert_same_fit(got, _serial_cross_validate(inp, out, 4, cv))
 
 
 @pytest.mark.parametrize("workers", [4], indirect=True)
