@@ -192,7 +192,7 @@ def default_grid(duration: float, dt: float = DEFAULT_DT,
     near-zero margin of ``margin_frac * duration`` on each side."""
     _check_real("duration", duration, 0, strict=True)
     _check_real("dt", dt, 0, strict=True)
-    _check_real("margin_frac", margin_frac)
+    _check_real("margin_frac", margin_frac, 0)
     n = duration * (1 + 2 * margin_frac) / dt
     if not np.isfinite(n):
         raise InvalidSpecError(f"grid length {n} is not finite")

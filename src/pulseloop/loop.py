@@ -116,7 +116,6 @@ class LoopReport:
 
     records: tuple
     converged: bool
-    final_model: Optional[VolterraModel]
 
     def __post_init__(self):
         if not self.records:
@@ -126,6 +125,11 @@ class LoopReport:
     @property
     def mase_trace(self) -> np.ndarray:
         return np.array([r.mase for r in self.records])
+
+    @property
+    def final_model(self) -> Optional[VolterraModel]:
+        """The last record's ``model``, which designed its input."""
+        return self.records[-1].model
 
 
 class OfflineResult(NamedTuple):
@@ -301,14 +305,13 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     records it; below ``config.convergence_mase`` the loop stops
     converged, else the method's update gives the next input, except
     after the last shot, whose update would design an input that is
-    never measured. ``final_model`` is the model that designed the last
-    shot's input (None for the transfer-function-free method). A kernel
-    memory that does not fit the target is rejected before the first
-    measurement. A measurement failing with one of the package's errors
-    or an ``OSError`` raises ``MeasurementError`` naming the iteration;
-    any other exception propagates unchanged. A ``MeasurementError`` or
-    ``SingularUpdateError`` carries the unconverged report of the shots
-    recorded before it as ``report`` (None before the first).
+    never measured. A kernel memory that does not fit the target is
+    rejected before the first measurement. A measurement failing with
+    one of the package's errors or an ``OSError`` raises
+    ``MeasurementError`` naming the iteration; any other exception
+    propagates unchanged. A ``MeasurementError`` or ``SingularUpdateError``
+    carries the unconverged report of the shots recorded before it as
+    ``report`` (None before the first).
     """
     if config.method == "transfer-function":
         _check_pair(s_target, s_target, config.memory)
@@ -333,14 +336,13 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                 mse=mse_cost(s_out, s_target), model_error=merr,
                 model=model, offline=offline, delay=delay))
             if m <= config.convergence_mase:
-                return LoopReport(records, True, model)
+                return LoopReport(records, True)
             if it < config.max_loop_iters:
                 s_in, model, offline = update(s_in, s_target, s_out, config)
     except _LOOP_FAILURES as exc:
-        exc.report = (LoopReport(records, False, records[-1].model)
-                      if records else None)
+        exc.report = LoopReport(records, False) if records else None
         raise
-    return LoopReport(records, False, model)
+    return LoopReport(records, False)
 
 
 class ReplayChannel:

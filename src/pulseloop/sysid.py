@@ -94,21 +94,18 @@ def _lagged(x: np.ndarray, memory: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, memory)[:, ::-1]
 
 
-def _regression_rows(env: ComplexEnvelope, memory: int,
-                     y=0.0) -> np.ndarray:
-    """Rows [1, x_n, ..., x_{n-M+1}, y_n] in one Fortran-ordered array.
-
-    The leading ``memory + 1`` columns are the design matrix (see
-    ``build_design_matrix``) and the last holds ``y``, so a fit factors
-    [A | y] without copying A into a second array. The order is LAPACK's
-    column-major layout.
-    """
-    n = env.grid.n
-    _check_memory(memory, n)
-    rows = np.empty((n, memory + 2), dtype=complex, order="F")
+def _rows(lagged: np.ndarray, lo: int, hi: int, y=None) -> np.ndarray:
+    """Rows ``lo:hi`` of the design matrix A = [1 | ``lagged``] (rows
+    [1, x_n, ..., x_{n-M+1}] for ``_lagged``'s view), or of [A | y] with
+    ``y``, as a new array in LAPACK's column-major layout, which
+    ``_tsqr`` reduces in place."""
+    cols = lagged.shape[1] + 1
+    rows = np.empty((hi - lo, cols + (y is not None)), dtype=complex,
+                    order="F")
     rows[:, 0] = 1.0
-    rows[:, 1:-1] = _lagged(env.samples, memory)
-    rows[:, -1] = y
+    rows[:, 1:cols] = lagged[lo:hi]
+    if y is not None:
+        rows[:, -1] = y[lo:hi]
     return rows
 
 
@@ -118,7 +115,8 @@ def build_design_matrix(env: ComplexEnvelope, memory: int) -> np.ndarray:
     Entries with negative signal index are zero (causal padding), so the
     matrix-vector product with [h0, h1] reproduces ``volterra_forward``.
     """
-    return _regression_rows(env, memory)[:, :-1]
+    _check_memory(memory, env.grid.n)
+    return _rows(_lagged(env.samples, memory), 0, env.grid.n)
 
 
 _TSQR_BLOCK = 8  # rows per column of [A | y] in one TSQR block
@@ -195,24 +193,20 @@ def _triangular(rows: np.ndarray) -> np.ndarray:
                   for i in range(0, len(rows), step)], step)[0]
 
 
-def _design_tsqr(env: ComplexEnvelope, memory: int, c=None,
-                 levels=None) -> tuple:
-    """``_tsqr`` of ``env``'s design matrix A at ``memory``.
+def _design_tsqr(env: ComplexEnvelope, memory: int, c=None, levels=None,
+                 lo: int = 0, hi=None, y=None) -> tuple:
+    """``_tsqr`` of rows ``lo:hi`` (default all) of ``env``'s design
+    matrix A at ``memory``, or of [A | y] with ``y``.
 
-    A is built straight into the row blocks ``_triangular`` takes of
-    [A | y] (``_TSQR_BLOCK`` x (memory + 2) rows), each a new
-    Fortran-ordered array, so no whole copy of A is made.
+    The rows are built straight into ``_tsqr``'s blocks of
+    ``_TSQR_BLOCK`` x (memory + 2) rows counted from ``lo`` (``_rows``),
+    so no whole copy of A is made.
     """
+    hi = env.grid.n if hi is None else hi
     step = _TSQR_BLOCK * (memory + 2)
     lagged = _lagged(env.samples, memory)
-
-    def block(rows):
-        a = np.empty((len(rows), memory + 1), dtype=complex, order="F")
-        a[:, 0] = 1.0
-        a[:, 1:] = rows
-        return a
-    return _tsqr((block(lagged[i:i + step])
-                  for i in range(0, env.grid.n, step)), step, c, levels)
+    return _tsqr((_rows(lagged, i, min(i + step, hi), y)
+                  for i in range(lo, hi, step)), step, c, levels)
 
 
 _DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
@@ -308,10 +302,10 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
 
-    The design matrix A is factored as A = Q R by TSQR (see
-    ``_design_tsqr``),
-    each block's Householder reflectors applied to its rows of y as it
-    is reduced, and the fit solves R th = z with z = Q^H y. At
+    The design matrix A is built straight into TSQR blocks by the row
+    builder that ``cross_validate`` also uses (``_design_tsqr``) and
+    factored as A = Q R, each block's Householder reflectors applied to
+    its rows of y as it is reduced; the fit solves R th = z, z = Q^H y. At
     ``lambda_reg = 0`` it back-substitutes on R when a bound on
     ||R^-1|| proves that no singular value reaches the cutoff above (see
     ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
@@ -432,19 +426,15 @@ def _run(tasks: list) -> list:
         lambda task: task[0](*task[1:]), tasks))
 
 
-def _fold_mse(factors: list, k: int, val: np.ndarray, n: int,
-              lams) -> np.ndarray:
-    """Validation MSE per ``lams`` entry of the fit without block ``k``."""
+def _fold_mse(factors: list, k: int, lagged: np.ndarray, y: np.ndarray,
+              lo: int, hi: int, lams) -> np.ndarray:
+    """Validation MSE per ``lams`` entry of the fit without fold ``k``,
+    whose rows are ``lo:hi``."""
     rz = _triangular(np.vstack(factors[:k] + factors[k + 1:]))
-    thetas = _ridge_path(rz, n - len(val), lams)
+    thetas = _ridge_path(rz, len(lagged) - (hi - lo), lams)
+    val = _rows(lagged, lo, hi, y)
     r = thetas @ val[:, :-1].T - val[:, -1]
     return np.mean(np.abs(r) ** 2, axis=1)
-
-
-def _whole_fit(rows: np.ndarray, n: int) -> tuple:
-    """The factor of all n rows of [A | y] and its ``_ridge_svd``."""
-    whole = _triangular(rows)
-    return whole, _ridge_svd(whole, n)
 
 
 def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
@@ -453,44 +443,49 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
 
     Splits the samples into ``cv.folds`` contiguous blocks; each serves
     once as the validation set while the model is fitted on the rest.
-    Each block's rows of [A | y] are reduced to an R factor once; a
-    fold's fit reduces the other blocks' stacked factors and takes one
-    small SVD for the whole lambda grid, and the final fit reduces all
-    of them (TSQR), so a long design matrix is never factored again. A
-    record that fits one TSQR block is factored directly, as
-    ``estimate_kernel`` does: a short, near-square fit is ill-conditioned,
-    so the two reductions' rounding would differ by up to cond(A) * eps.
+    Each block's rows of [A | y] are built straight into TSQR blocks and
+    reduced to an R factor once (``_design_tsqr``); a fold's fit reduces
+    the other blocks' stacked factors and takes one small SVD for the
+    whole lambda grid, and the final fit reduces all of them (TSQR), so
+    a long design matrix is never factored again. A record that fits one
+    TSQR block is factored directly, as ``estimate_kernel`` does: a
+    short, near-square fit is ill-conditioned, so the two reductions'
+    rounding would differ by up to cond(A) * eps.
 
     The block factors, then the final factor and its SVD (first, as the
     longest task) beside the fold fits, run on a pool of ``_workers()``
     threads (LAPACK and the SVD release the interpreter lock), or in
-    order on the calling thread for one worker. At lambda_star > 0 the
-    model is one gain step on the pooled SVD, so the calling thread
-    takes no QR or SVD; at 0 it goes through ``_solve``. Each task runs a
-    serial loop's arithmetic and the fold errors are summed in fold
-    order, so the result is bit-identical whatever the worker count.
+    order on the calling thread for one worker. The model is one gain
+    step on the pooled SVD at any lambda_star, so the calling thread
+    takes no QR or SVD. Each task runs a serial loop's arithmetic and the
+    fold errors are summed in fold order, so the result is bit-identical
+    whatever the worker count.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
     the table minimum (first entry on ties), and ``model`` is the fit to
     all samples at lambda_star, as ``estimate_kernel`` would return it
-    (to rounding: its factor is of [A | y], ``estimate_kernel``'s of A).
+    (to rounding: its factor is of [A | y], ``estimate_kernel``'s of A,
+    and at lambda_star = 0 it takes the SVD where ``estimate_kernel``
+    may back-substitute).
     """
     _check_pair(inp, out, memory)
     n = inp.grid.n
     if cv.folds > n:
         raise InvalidSpecError(
             f"cannot split {n} samples into {cv.folds} folds")
-    rows = _regression_rows(inp, memory, out.samples)
-    parts = np.array_split(rows, cv.folds)
-    factors = _run([(_triangular, part) for part in parts])
-    if n > _TSQR_BLOCK * rows.shape[1]:
-        rows = np.vstack(factors)
-    (whole, svd), *fold_mse = _run([(_whole_fit, rows, n)] + [
-        (_fold_mse, factors, k, val, n, cv.lambda_grid)
-        for k, val in enumerate(parts)])
+    y, lagged = out.samples, _lagged(inp.samples, memory)
+    bounds = [(fold[0], fold[-1] + 1)
+              for fold in np.array_split(np.arange(n), cv.folds)]
+    factors = [rz for rz, _ in _run([
+        (_design_tsqr, inp, memory, None, None, lo, hi, y)
+        for lo, hi in bounds])]
+    whole = (np.vstack(factors) if n > _TSQR_BLOCK * (memory + 2)
+             else _rows(lagged, 0, n, y))
+    svd, *fold_mse = _run([(lambda: _ridge_svd(_triangular(whole), n),)] + [
+        (_fold_mse, factors, k, lagged, y, lo, hi, cv.lambda_grid)
+        for k, (lo, hi) in enumerate(bounds)])
     scores = np.column_stack([cv.lambda_grid, sum(fold_mse) / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = (_ridge_gain(*svd, [lambda_star])[0] if lambda_star > 0
-             else _solve(whole, n, lambda_star))
+    theta = _ridge_gain(*svd, [lambda_star])[0]
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])

@@ -112,6 +112,15 @@ def test_invalid_pulse_parameters_exit_2(outdir, capsys):
     assert "pulseloop pulse" in capsys.readouterr().err
 
 
+def test_pulse_negative_margin_exits_2_naming_it(outdir, capsys):
+    # It used to exit 0 with a 40-sample grid, cutting the 100 samples of
+    # the requested duration.
+    assert main(["pulse", "--kind", "constant", "--duration", "1e-7",
+                 "--margin-frac", "-0.3", "--outdir", outdir]) == 2
+    assert "margin_frac" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "pulse.csv"))
+
+
 @pytest.mark.parametrize("argv", [
     ["pulse", "--kind", "constant", "--duration", "1e-7", "--dt", "0"],
     ["pulse", "--kind", "constant", "--duration", "nan"],

@@ -200,12 +200,13 @@ def test_gaussian_pulse_names_a_bad_fwhm(kind, fwhm):
         PulseSpec(kind=kind, duration=5e-7, fwhm=fwhm)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, "1", True, -0.3])
 @pytest.mark.parametrize("field", ["duration", "dt", "margin_frac"])
 def test_default_grid_names_a_setting_that_is_not_a_finite_real(field,
                                                                 value):
     # A str used to escape as a TypeError; a NaN margin named only the
-    # derived grid length.
+    # derived grid length, and a negative one shortened the grid below
+    # the duration.
     with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
         default_grid(**{"duration": 5e-7, field: value})
 

@@ -303,8 +303,7 @@ def _tiny_report():
     rec2 = IterationRecord(index=2, s_pred=env, s_out=env, mase=0.01,
                            mse=0.001, model_error=0.005, model=model,
                            offline=offline_iterate(model, env), delay=2e-9)
-    return LoopReport(records=(rec1, rec2), converged=True,
-                      final_model=model)
+    return LoopReport(records=(rec1, rec2), converged=True)
 
 
 def test_report_json_shape(tmp_path):

@@ -806,7 +806,7 @@ def test_align_to_target_rejects_a_measurement_shorter_than_the_target():
 
 def test_a_report_needs_a_record():
     with pytest.raises(InvalidSpecError, match="at least one record"):
-        LoopReport(records=(), converged=False, final_model=None)
+        LoopReport(records=(), converged=False)
 
 
 def test_closed_loop_records_are_complete():

@@ -366,9 +366,9 @@ def test_minimum_norm_cutoff_counts_the_design_rows(monkeypatch):
     assert _rel_err(_theta(model), ref) < 1e-9
     cv = CVConfig(5, (0.0,))
     _, scores, cv_model = cross_validate(inp, out, 4, cv)
-    # One path per fold, and the final fit's fallback at lambda_star = 0
-    # (the whole factor's pooled SVD goes unused there).
-    assert len(calls) == 1 + cv.folds + 1
+    # One path per fold; the final fit is a gain step on the whole
+    # factor's pooled SVD, which goes through _ridge_svd alone.
+    assert len(calls) == 1 + cv.folds
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
                                rtol=1e-6)
     # The final fit reduces the fold factors but keeps the cutoff of all
@@ -400,7 +400,7 @@ def test_q_factor_fit_matches_the_augmented_factor_on_gate(duration):
     for seed in range(4):
         inp, out = _gate_pair(duration, seed)
         a = build_design_matrix(inp, 64)
-        rz = sysid._triangular(sysid._regression_rows(inp, 64, out.samples))
+        rz = sysid._triangular(np.hstack((a, out.samples[:, None])))
         ref = sysid._solve(rz, inp.grid.n, 0.0)
         got = _theta(estimate_kernel(inp, out, 64, 0.0))
         assert _rel_err(got, ref) < 16 * np.linalg.cond(a) * eps
@@ -435,11 +435,13 @@ def test_design_factor_reproduces_the_design_matrix(n):
 
 @pytest.mark.parametrize("n", [90, 528, 1100])
 def test_triangular_leaves_its_rows_as_they_were(n):
-    # _tsqr reduces blocks in place; cross_validate's folds are views of
-    # the rows it also validates on, so _triangular must reduce copies.
+    # _tsqr reduces blocks in place. cross_validate builds each fold into
+    # blocks of its own, but _triangular takes rows its caller may keep,
+    # such as views of one [A | y] (_reference_factors), so it must
+    # reduce copies.
     rng = np.random.default_rng(n)
-    rows = sysid._regression_rows(_random_env(rng, n), 64,
-                                  rng.standard_normal(n))
+    rows = np.hstack((build_design_matrix(_random_env(rng, n), 64),
+                      rng.standard_normal((n, 1))))
     before = rows.copy()
     r = sysid._triangular(rows)
     np.testing.assert_array_equal(rows, before)
@@ -767,12 +769,24 @@ def test_one_worker_fits_on_the_calling_thread(workers, monkeypatch):
     assert sysid._pool() is None
 
 
+def _reference_factors(inp, out, memory, folds):
+    """The folds of [A | y], their factors and the whole factor, from
+    public pieces: the folds are ``np.array_split`` views of one
+    ``np.hstack`` of the design matrix and y, each reduced by
+    ``_triangular``, and the whole factor reduces the folds' stacked
+    factors, or all rows when they fit one TSQR block."""
+    rows = np.hstack((build_design_matrix(inp, memory), out.samples[:, None]))
+    parts = np.array_split(rows, folds)
+    factors = [sysid._triangular(part) for part in parts]
+    if len(rows) > sysid._TSQR_BLOCK * rows.shape[1]:
+        rows = np.vstack(factors)
+    return parts, factors, sysid._triangular(rows)
+
+
 def _serial_cross_validate(inp, out, memory, cv):
     """``cross_validate`` as one thread runs it: every factor in turn."""
     n = inp.grid.n
-    rows = sysid._regression_rows(inp, memory, out.samples)
-    parts = np.array_split(rows, cv.folds)
-    factors = [sysid._triangular(part) for part in parts]
+    parts, factors, whole = _reference_factors(inp, out, memory, cv.folds)
     mse_sum = np.zeros(len(cv.lambda_grid))
     for k, val in enumerate(parts):
         rz = sysid._triangular(np.vstack(factors[:k] + factors[k + 1:]))
@@ -781,9 +795,7 @@ def _serial_cross_validate(inp, out, memory, cv):
         mse_sum += np.mean(np.abs(r) ** 2, axis=1)
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    if n > sysid._TSQR_BLOCK * rows.shape[1]:
-        rows = np.vstack(factors)
-    theta = sysid._solve(sysid._triangular(rows), n, lambda_star)
+    theta = sysid._ridge_path(whole, n, [lambda_star])[0]
     return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])
 
 
@@ -800,6 +812,37 @@ def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds, workers):
     # 360 samples fit one TSQR block; 1,000 and 4,000 take the stacked
     # block factors for the final fit.
     inp, out = _gate_pair(duration, seed=1)
+    cv = CVConfig(folds=folds)
+    _assert_same_fit(cross_validate(inp, out, 64, cv),
+                     _serial_cross_validate(inp, out, 64, cv))
+
+
+@pytest.mark.parametrize("n", [66, 360, 529, 1000, 4300])
+@pytest.mark.parametrize("folds", [5, 7])
+def test_row_builder_gives_the_split_whole_rows_bit_for_bit(n, folds):
+    # Every regression is built by _rows: the design matrix's TSQR blocks,
+    # each fold's blocks counted from the fold start, and each fold's
+    # validation rows. They are pinned to one [A | y] cut as a whole:
+    # one block at 66 and 360 rows, a one-row last block at 529, and at
+    # 4300 rows folds that each span two blocks.
+    rng = np.random.default_rng(n + folds)
+    inp, out = _random_env(rng, n), _random_env(rng, n)
+    a = build_design_matrix(inp, 64)
+    step = sysid._TSQR_BLOCK * 66
+    ref = sysid._tsqr([np.array(a[i:i + step], order="F")
+                       for i in range(0, n, step)], step)[0]
+    np.testing.assert_array_equal(sysid._design_tsqr(inp, 64)[0], ref)
+    parts, factors, _ = _reference_factors(inp, out, 64, folds)
+    lagged, lo = sysid._lagged(inp.samples, 64), 0
+    for part, factor in zip(parts, factors):
+        hi = lo + len(part)
+        np.testing.assert_array_equal(
+            sysid._rows(lagged, lo, hi, out.samples), part)
+        np.testing.assert_array_equal(sysid._design_tsqr(
+            inp, 64, lo=lo, hi=hi, y=out.samples)[0], factor)
+        lo = hi
+    # The scores take the fold factors and validation rows; the model is
+    # the gain step on the whole factor's SVD.
     cv = CVConfig(folds=folds)
     _assert_same_fit(cross_validate(inp, out, 64, cv),
                      _serial_cross_validate(inp, out, 64, cv))
@@ -826,7 +869,7 @@ def test_cv_takes_every_svd_on_the_pool(duration, workers, monkeypatch):
     assert threading.get_ident() not in threads
 
 
-def test_cv_at_lambda_zero_back_substitutes_on_the_whole_factor(
+def test_cv_at_lambda_zero_takes_the_pooled_svd_of_the_whole_factor(
         workers, monkeypatch):
     rng = np.random.default_rng(22)
     inp, out = _noisy_channel_pair(rng)
@@ -835,7 +878,10 @@ def test_cv_at_lambda_zero_back_substitutes_on_the_whole_factor(
     got = cross_validate(inp, out, 4, cv)
     assert got[0] == 0.0
     assert len(calls) == cv.folds
-    # The serial fits' model is _solve(whole, n, 0.0).
+    whole = _reference_factors(inp, out, 4, cv.folds)[2]
+    theta = sysid._ridge_path(whole, inp.grid.n, [0.0])[0]
+    assert got[2].h0 == theta[0]
+    assert np.array_equal(got[2].h1, theta[1:])
     _assert_same_fit(got, _serial_cross_validate(inp, out, 4, cv))
 
 
