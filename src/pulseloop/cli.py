@@ -248,6 +248,11 @@ def _cmd_optics(args, run: _Run) -> int:
             "dL_dL_in,dL_dtheta_in,dtheta_dL_in,dtheta_dtheta_in", rows)
         fileio.atomic_write_text(run.out_path("sensitivity.csv"), text)
     elif args.analysis == "aperture":
+        # The sweep's largest drifts are the coefficients times t_max.
+        for name in ("dl_per_k", "dtheta_per_k", "t_max"):
+            _check_real(name, getattr(args, name))
+        _check_real("dl_per_k * t_max", args.dl_per_k * args.t_max)
+        _check_real("dtheta_per_k * t_max", args.dtheta_per_k * args.t_max)
         dts = np.linspace(0.0, args.t_max, args.steps)
         l_out = np.zeros_like(dts)
         th_out = np.zeros_like(dts)

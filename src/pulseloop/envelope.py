@@ -264,11 +264,21 @@ def mase(measured: ComplexEnvelope, target: ComplexEnvelope) -> float:
     invariant under positive rescaling of either argument.
     """
     _check_grids(measured, target)
-    nm, nt = measured.norm(), target.norm()
-    if nm == 0 or nt == 0:
+    return _mase_to(measured, _unit_amplitude(target))
+
+
+def _unit_amplitude(env: ComplexEnvelope) -> np.ndarray:
+    """The profile ``mase`` compares: the amplitude over the norm."""
+    norm = env.norm()
+    if norm == 0:
         raise ZeroSignalError("mase undefined for an all-zero envelope")
-    return float(np.mean(np.abs(measured.amplitude / nm
-                                - target.amplitude / nt)))
+    return env.amplitude / norm
+
+
+def _mase_to(measured: ComplexEnvelope, unit_target: np.ndarray) -> float:
+    """``mase`` of ``measured`` against a target's ``_unit_amplitude``, so
+    a loop scoring every shot against one target scales it once."""
+    return float(np.mean(np.abs(_unit_amplitude(measured) - unit_target)))
 
 
 def mse_cost(a: ComplexEnvelope, b: ComplexEnvelope) -> float:

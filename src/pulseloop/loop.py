@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
-                       _check_integer, _check_real, align_delay, mase,
-                       mse_cost)
+                       _check_integer, _check_real, _mase_to,
+                       _unit_amplitude, align_delay, mase, mse_cost)
 from .sysid import (DEFAULT_MEMORY, VolterraModel, _check_memory,
                     _check_pair, estimate_kernel, volterra_forward)
 
@@ -170,8 +170,11 @@ def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
     truncated where the taps run past the signal end in the last M - 1
     columns. Entries outside the matrix are zero. The (M, n) band is
     Fortran-ordered, LAPACK's own band layout, so ``zpbtrf`` factors it
-    in place. Every entry is one of the M x M partial sums or zero; when
-    a sum overflows, raises ``SingularUpdateError`` naming max |h1|.
+    in place. Every entry is one of the M x M partial sums or zero: the
+    columns before the last M copy the full sums, and the last M are read
+    through one skewed strided view of the reversed sums, zero-padded,
+    with no index gather. When a sum overflows, raises
+    ``SingularUpdateError`` naming max |h1|.
     """
     m = len(h1)
     padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
@@ -183,10 +186,15 @@ def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
     start = max(0, n - m)  # columns before it hold the full sums
     ab = np.empty((m, n), dtype=complex, order="F")
     ab[:, :start] = partial[:, -1:]
-    last = n - 1 - lag - np.arange(start, n)  # largest k inside the signal
-    ab[:, start:] = np.take_along_axis(partial, np.clip(last, 0, m - 1),
-                                       axis=1)
-    ab[:, start:][last < 0] = 0
+    # Column n - m + j of row d sums the k <= m - 1 - d - j: entry d + j
+    # of row d of the reversed sums, zero-padded to 2m - 1 columns. Entry
+    # d + 0 of row d lies 2m values past entry d - 1 of row d - 1 in the
+    # flat padded array, so every 2m-th length-m window is one tail row
+    # (a shorter signal, n < m, keeps the last n columns of it).
+    skew = np.zeros((m, 2 * m - 1), dtype=complex)
+    skew[:, :m] = partial[:, ::-1]
+    tail = np.lib.stride_tricks.sliding_window_view(skew.ravel(), m)[::2 * m]
+    ab[:, start:] = tail[:, m - (n - start):]
     return ab
 
 
@@ -220,8 +228,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     if info:
         raise _update_error(
             "damped normal matrix is not positive definite", model.h1)
-    s = s_target.samples.copy()
-    target = s_target.samples
+    s = target = s_target.samples  # read-only; each step makes a new s
 
     def fitted(x):
         """The model's output for ``x`` and its cost against the target."""
@@ -302,12 +309,14 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
 
     Each iteration sends the current input through ``measure``, aligns
     and crops the output onto the target grid, scores it by MASE and
-    records it; below ``config.convergence_mase`` the loop stops
-    converged, else the method's update gives the next input, except
-    after the last shot, whose update would design an input that is
-    never measured. A kernel memory that does not fit the target is
-    rejected before the first measurement. A measurement failing with
-    one of the package's errors or an ``OSError`` raises
+    records it (the target's normalized amplitude is taken once, at the
+    first score, and each shot is scored against it by ``mase``'s own
+    arithmetic, so to the same bits); below ``config.convergence_mase``
+    the loop stops converged, else the method's update gives the next
+    input, except after the last shot, whose update would design an
+    input that is never measured. A kernel memory that does not fit the
+    target is rejected before the first measurement. A measurement
+    failing with one of the package's errors or an ``OSError`` raises
     ``MeasurementError`` naming the iteration; any other exception
     propagates unchanged. A ``MeasurementError`` or ``SingularUpdateError``
     carries the unconverged report of the shots recorded before it as
@@ -319,6 +328,7 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
     s_in = s_target
     records = []
     model = offline = None  # what designed s_in
+    unit_target = None  # the target's _unit_amplitude, from the first MASE
     try:
         for it in range(1, config.max_loop_iters + 1):
             try:
@@ -328,7 +338,9 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
                     f"measurement callback failed at iteration {it}: "
                     f"{type(exc).__name__}: {exc}") from exc
             s_out, delay = _align_to_target(raw, s_target)
-            m = mase(s_out, s_target)
+            if unit_target is None:
+                unit_target = _unit_amplitude(s_target)
+            m = _mase_to(s_out, unit_target)
             merr = (float("nan") if model is None
                     else mase(volterra_forward(model, s_in), s_out))
             records.append(IterationRecord(

@@ -10,6 +10,7 @@ of the single-lens reference and the three-lens trains in closed form.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -134,6 +135,13 @@ class GaussianBeam:
         _check_real("wavelength", self.wavelength, 0, strict=True)
         _check_real("w", self.w, 0, strict=True)
         _check_real("waist_position", self.waist_position)
+        # q and spot divide by the Rayleigh length, so it must be finite
+        # and above 0; these float products over- and underflow silently.
+        w = float(self.w)
+        if not 0 < math.pi * w * w / float(self.wavelength) < math.inf:
+            raise InvalidSpecError(
+                f"w must give a finite Rayleigh length pi w^2 / wavelength"
+                f" > 0, got {self.w}")
 
     @property
     def rayleigh(self) -> float:

@@ -250,27 +250,42 @@ def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     return _ridge_gain(*_ridge_svd(rz, n), lams)
 
 
-def _solve(rz: np.ndarray, n: int, lam: float) -> np.ndarray:
-    """``_ridge_path(rz, n, [lam])[0]``, by back-substitution when it can.
+def _back_substitutes(r: np.ndarray, n: int) -> bool:
+    """``_solve``'s lam = 0 verdict on the square triangular factor ``r``
+    of an n-row design matrix: whether back-substitution on r gives
+    ``_ridge_path``'s minimum-norm solution.
 
-    At lam = 0 the square head r of the factor is triangular. When
-    1 / ||r^-1||_F > p * eps * max(n, p) * ||r||_F for p coefficients,
-    every singular value of r (at least 1 / ||r^-1||_F, while
-    s_max <= ||r||_F) lies above ``_ridge_path``'s cutoff by the factor
-    p, which covers the rounding of the computed inverse and of the
-    SVD's singular values. No direction would be dropped, so the
+    When 1 / ||r^-1||_F > p * eps * max(n, p) * ||r||_F for p
+    coefficients, every singular value of r (at least 1 / ||r^-1||_F,
+    while s_max <= ||r||_F) lies above ``_ridge_path``'s cutoff by the
+    factor p, which covers the rounding of the computed inverse and of
+    the SVD's singular values. No direction would be dropped, so the
     least-squares solution is r^-1 z, found by back-substitution, which
     is as backward stable as the SVD (Golub & Van Loan, *Matrix
-    Computations*, 5.3). Any other fit, including a singular r, takes
-    the SVD path.
+    Computations*, 5.3). A singular r fails.
+    """
+    p = r.shape[1]
+    r_inv, info = lapack.ztrtri(r)
+    bound = p * np.finfo(float).eps * max(n, p) * np.linalg.norm(r)
+    return bool(info == 0 and np.linalg.norm(r_inv) * bound < 1.0)
+
+
+def _solve(rz: np.ndarray, n: int, lam: float, safe=None) -> np.ndarray:
+    """``_ridge_path(rz, n, [lam])[0]``, by back-substitution when it can.
+
+    At lam = 0 the square head r of the factor is triangular, and the
+    fit back-substitutes on it when ``_back_substitutes`` passes r;
+    ``safe`` is that verdict when the caller already holds it (it
+    depends on r alone), and None to take it here. Any other fit,
+    including a singular r, takes the SVD path.
     """
     p = rz.shape[1] - 1
     if lam == 0:
-        r, z = rz[:p, :p], rz[:p, p:]
-        r_inv, info = lapack.ztrtri(r)
-        bound = p * np.finfo(float).eps * max(n, p) * np.linalg.norm(r)
-        if info == 0 and np.linalg.norm(r_inv) * bound < 1.0:
-            return lapack.ztrtrs(r, z)[0][:, 0]
+        r = rz[:p, :p]
+        if safe is None:
+            safe = _back_substitutes(r, n)
+        if safe:
+            return lapack.ztrtrs(r, rz[:p, p:])[0][:, 0]
     return _ridge_path(rz, n, [lam])[0]
 
 
@@ -308,14 +323,16 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
     its rows of y as it is reduced; the fit solves R th = z, z = Q^H y. At
     ``lambda_reg = 0`` it back-substitutes on R when a bound on
     ||R^-1|| proves that no singular value reaches the cutoff above (see
-    ``_solve``); otherwise, and for every ``lambda_reg > 0``, it takes
-    the SVD of R with that cutoff.
+    ``_back_substitutes``); otherwise, and for every ``lambda_reg > 0``,
+    it takes the SVD of R with that cutoff.
 
     The factor depends on the input alone, so an input fitted a second
     time at ``memory`` keeps it (a loop's target, from its second loop
     on): the first fit only marks the input, the second keeps the
     reflectors of the pass that reduces y once the factor is complete,
-    and every later fit takes one Q^H y and no QR, to the same bits. The
+    together with ``_back_substitutes``' verdict on R, and every later
+    fit takes one Q^H y, then one back-substitution (or the SVD, when
+    the verdict was no) and no QR or bound, to the same bits. The
     first fit keeps none, because a kept factor, about n (memory + 1)
     complex values, costs an input fitted once more than it saves: the
     rest of its work runs in colder memory.
@@ -328,16 +345,17 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         marked = key in inp._memo
         kept = inp._memo.setdefault(key, None)
     if kept is not None:
-        levels, r = kept
+        levels, r, safe = kept
         z = _apply_qh(levels, c)
     else:
         levels = [] if marked else None
         r, z = _design_tsqr(inp, memory, c, levels)
+        safe = _back_substitutes(r, inp.grid.n) if marked else None
         if marked:
             with _LOCK:
                 if inp._memo[key] is None:
-                    inp._memo[key] = (levels, r)
-    theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg)
+                    inp._memo[key] = (levels, r, safe)
+    theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg, safe)
     return VolterraModel(h0=theta[0], h1=theta[1:])
 
 

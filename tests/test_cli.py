@@ -818,14 +818,29 @@ def test_optics_unknown_marker_exits_2_naming_it(tmp_path, capsys, analysis):
     (["waist-sweep", "--w-min", "nan"], "w must be finite"),
     (["waist-sweep", "--wavelength", "nan"], "wavelength must be finite"),
     (["waist-sweep", "--wavelength", "inf"], "wavelength must be finite"),
+    (["waist-sweep", "--w-min", "1e-170", "--w-max", "1e-170"],
+     "w must give a finite Rayleigh length"),
+    (["aperture", "--dl-per-k", "inf"], "dl_per_k must be finite"),
+    (["aperture", "--dtheta-per-k", "nan"], "dtheta_per_k must be finite"),
+    (["aperture", "--t-max", "nan"], "t_max must be finite"),
+    (["aperture", "--dtheta-per-k", "1e308", "--t-max", "1e10"],
+     "dtheta_per_k * t_max must be finite"),
+    (["aperture", "--dl-per-k", "1e300", "--t-max", "1e10"],
+     "dl_per_k * t_max must be finite"),
 ])
 def test_optics_non_finite_flag_exits_2_naming_it(tmp_path, capsys, argv,
                                                   message):
     # These used to exit 0, writing all-fail rows or, with a
-    # RuntimeWarning, NaN rows.
+    # RuntimeWarning, NaN rows; a waist whose Rayleigh length underflows
+    # and an aperture drift coefficient or sweep end that is not finite,
+    # or whose end drift overflows, warned and then named the derived
+    # waist or ray field.
     out = tmp_path / "out"
-    assert main(["optics", *argv, "--outdir", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["optics", *argv, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -114,7 +114,8 @@ def _normal_banded_gather_all(h1, n):
 
 
 @pytest.mark.parametrize("n, memory", [(360, 64), (1000, 64), (4000, 64),
-                                       (64, 64), (65, 64), (12, 1)])
+                                       (64, 64), (65, 64), (12, 1), (360, 2),
+                                       (2, 2), (129, 128)])
 def test_normal_band_equals_the_all_column_gather(n, memory):
     rng = np.random.default_rng(7 * n + memory)
     h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
@@ -589,7 +590,8 @@ def test_closed_loop_tf_is_unchanged_by_back_substitution(duration,
         return out
 
     fast = traces()
-    monkeypatch.setattr(sysid, "_solve", lambda rz, n, lam:
+    # Kept-factor fits pass their kept verdict; it is ignored here too.
+    monkeypatch.setattr(sysid, "_solve", lambda rz, n, lam, safe=None:
                         sysid._ridge_path(rz, n, [lam])[0])
     for got, ref in zip(fast, traces()):
         assert len(got) == len(ref)
@@ -908,6 +910,8 @@ def test_each_record_keeps_its_model_offline_solve_and_delay(method):
     for rec, raw in zip(report.records, raws):
         assert rec.delay == align_delay(raw, target)[1]
         assert rec.delay > 0
+        # The loop scales the target once; each score keeps mase's bits.
+        assert rec.mase == mase(rec.s_out, target)
     for rec in report.records[1:]:
         if method == "transfer-function-free":
             assert rec.model is None and rec.offline is None

@@ -1,5 +1,7 @@
 """ABCD ray and Gaussian-beam analysis of the beam-delivery trains."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,19 @@ def test_beam_names_a_setting_that_is_not_a_finite_real(field, value):
     with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
         GaussianBeam(**{"wavelength": DESIGN_WAVELENGTH, "w": 1e-4,
                         field: value})
+
+
+@pytest.mark.parametrize("w", [1e-170, 1e200])
+def test_beam_names_a_waist_whose_rayleigh_length_is_not_finite(w):
+    # pi w^2 / wavelength underflowed to a zero Rayleigh length, which
+    # the sweep then divided by with a RuntimeWarning; an overflowing one
+    # gave NaN rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match="^w must give a finite"):
+            GaussianBeam(DESIGN_WAVELENGTH, w)
+        with pytest.raises(InvalidSpecError, match="^w must give a finite"):
+            waist_vs_input_waist(design_three_lens(), DESIGN_WAVELENGTH, [w])
 
 
 @pytest.mark.parametrize("value", _NOT_FINITE_REALS + [0.0])

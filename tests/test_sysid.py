@@ -470,6 +470,57 @@ def test_a_kept_design_factor_gives_the_fresh_fit_bit_for_bit(duration):
         assert np.array_equal(model.h1, fresh.h1)
 
 
+def _spy_verdicts(monkeypatch):
+    """Count the ``ztrtri`` calls of ``_solve``'s lam = 0 bound."""
+    calls = []
+    ztrtri = sysid.lapack.ztrtri
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return ztrtri(*args, **kwargs)
+    monkeypatch.setattr(sysid.lapack, "ztrtri", spy)
+    return calls
+
+
+def _deficient_pair(n=400, support=10):
+    """An input nonzero only in its last ``support`` samples, so the
+    design matrix's lag columns from ``support`` on are zero."""
+    rng = np.random.default_rng(n)
+    x = np.zeros(n, dtype=complex)
+    x[-support:] = rng.standard_normal(support) + 1j
+    return _env(x), _random_env(rng, n)
+
+
+@pytest.mark.parametrize("case", ["180ns", "500ns", "2us", "deficient"])
+def test_a_kept_factor_checks_its_back_substitution_bound_once(case,
+                                                               monkeypatch):
+    # The lam = 0 bound depends on R alone: the fresh first fit checks
+    # it, the fit that keeps the factor checks it once more and keeps the
+    # verdict, and later fits check nothing. Every fit equals a fresh
+    # _solve fit bit for bit; a factor that fails the bound (a rank-
+    # deficient input) takes the SVD on every fit.
+    if case == "deficient":
+        target, out = _deficient_pair()
+    else:
+        target, out = _gate_pair({"180ns": 1.8e-7, "500ns": 5e-7,
+                                  "2us": 2e-6}[case])
+    n = target.grid.n
+    r, z = sysid._design_tsqr(target, 64, out.samples[:, None])
+    ref = sysid._solve(np.hstack((r, z)), n, 0.0)
+    checks = _spy_verdicts(monkeypatch)
+    svds = _spy_ridge_path(monkeypatch)
+    counts = []
+    for _ in range(4):
+        model = estimate_kernel(target, out, 64, 0.0)
+        counts.append((len(checks), len(svds)))
+        assert model.h0 == ref[0]
+        assert np.array_equal(model.h1, ref[1:])
+    safe = target._memo[(sysid._DESIGN_KEY, 64)][2]
+    assert safe is (case != "deficient")
+    svd_counts = [1, 2, 3, 4] if case == "deficient" else [0] * 4
+    assert counts == list(zip([1, 2, 2, 2], svd_counts))
+
+
 def test_threads_sharing_a_kept_design_factor_fit_the_same_bits():
     # zunmqr writes each reflector's unit head into the kept array while
     # it applies it; without the 1 stored there, a thread restoring the
@@ -544,8 +595,9 @@ def test_threads_making_an_inputs_first_fits_keep_one_factor():
             assert model.h0 == ref.h0
             assert np.array_equal(model.h1, ref.h1)
         assert inp._memo.factors == 1
-        levels, r = inp._memo[key]
+        levels, r, safe = inp._memo[key]
         np.testing.assert_array_equal(r, fresh_r)
+        assert safe == sysid._back_substitutes(fresh_r, target.grid.n)
         assert len(levels) == len(fresh_levels)
 
 
