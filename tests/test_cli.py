@@ -20,7 +20,9 @@ from pulseloop.demod import DEFAULT_CUTOFF, suggested_cutoff
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
 from pulseloop.loop import _align_to_target
 from pulseloop.optics import design_three_lens
-from pulseloop.sysid import VolterraModel, estimate_kernel
+from pulseloop.sysid import CVConfig, VolterraModel, estimate_kernel
+
+from cv_reference import fold_thetas_by_svd, serial_cross_validate
 
 
 @pytest.fixture()
@@ -511,6 +513,36 @@ def test_estimate_cv_model_equals_a_fit_at_the_scores_minimum(outdir):
     got = np.concatenate([[model.h0], model.h1])
     want = np.concatenate([[ref.h0], ref.h1])
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("duration", ["1.8e-7", "5e-7", "2e-6"])
+@pytest.mark.parametrize("grid", ["1e-6,1e-5,1e-4,1e-3,1e-2,1e-1,1",
+                                  "0,1e-6"])
+def test_estimate_writes_the_svd_scorers_model(tmp_path, duration, grid):
+    # The folds' Cholesky scores move scores.csv by rounding only; the
+    # model comes from the whole factor, so model.json keeps the bytes
+    # of the per-fold QR and SVD scorer's fit at the same lambda_star.
+    outdir = str(tmp_path)
+    pulse = _make_pulse(outdir, duration)
+    chan = _write_channel(os.path.join(outdir, "chan.json"))
+    assert main(["simulate", "--input", pulse, "--channel", chan,
+                 "--outdir", outdir]) == 0
+    simulated = os.path.join(outdir, "simulated.csv")
+    est = os.path.join(outdir, "est")
+    assert main(["estimate", "--input", pulse, "--output", simulated,
+                 "--lambda-grid", grid, "--outdir", est]) == 0
+    inp = fileio.read_envelope(pulse)
+    out, _ = _align_to_target(fileio.read_envelope(simulated), inp)
+    cv = CVConfig(lambda_grid=tuple(float(v) for v in grid.split(",")))
+    _, scores, model = serial_cross_validate(inp, out, 64, cv,
+                                             fold_thetas_by_svd)
+    ref = os.path.join(outdir, "ref.json")
+    fileio.write_model_json(ref, model)
+    assert Path(est, "model.json").read_bytes() == Path(ref).read_bytes()
+    got = np.array([line.split(",") for line in Path(
+        est, "scores.csv").read_text().splitlines()[1:]], dtype=float)
+    np.testing.assert_array_equal(got[:, 0], scores[:, 0])
+    np.testing.assert_allclose(got[:, 1], scores[:, 1], rtol=1e-7)
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],

@@ -24,12 +24,14 @@ from pulseloop.envelope import (ComplexEnvelope,  # noqa: E402
                                 shift_samples)
 from pulseloop.loop import (LOOP_METHODS, LoopConfig,  # noqa: E402
                             MeasurementError, SingularUpdateError,
-                            closed_loop)
+                            _align_to_target, closed_loop)
 from pulseloop.optics import (GaussianBeam, design_three_lens,  # noqa: E402
                               propagate_beam, sensitivity)
 from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
                              build_design_matrix, cross_validate,
                              estimate_kernel, volterra_forward)
+
+from cv_reference import assert_matches_the_svd_scorer  # noqa: E402
 
 seeds = st.integers(0, 2 ** 32 - 1)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -296,6 +298,23 @@ def test_a_closed_loop_converges_stalls_or_fails_by_name(seed, method,
     assert report.converged == (report.mase_trace[-1] <= gate)
     assert (report.converged
             or len(report.records) == config.max_loop_iters)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_cv_scores_match_the_svd_scorer_on_the_family(seed, duration):
+    # Cross-validation scores each fold by Cholesky solves on Gram
+    # matrices; on every channel of the family the scores match the
+    # orthogonal-factor scorer's, with the same lambda_star and model.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(volterra=_family_kernel(seed)),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=seed)
+    out, _ = _align_to_target(chan.measure(target), target)
+    cv = CVConfig()
+    assert_matches_the_svd_scorer(cross_validate(target, out, 64, cv),
+                                  target, out, 64, cv)
 
 
 # ---------------------------------------------------- three-lens designs

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
 from pulseloop.demod import suggested_cutoff
@@ -21,6 +22,9 @@ from pulseloop.loop import _align_to_target
 from pulseloop.sysid import (CVConfig, VolterraModel, build_design_matrix,
                              cross_validate, estimate_kernel,
                              volterra_forward)
+
+from cv_reference import (assert_matches_the_svd_scorer, fold_thetas_by_svd,
+                          reference_factors, serial_cross_validate)
 
 
 def _env(samples, dt=1e-9):
@@ -437,7 +441,7 @@ def test_design_factor_reproduces_the_design_matrix(n):
 def test_triangular_leaves_its_rows_as_they_were(n):
     # _tsqr reduces blocks in place. cross_validate builds each fold into
     # blocks of its own, but _triangular takes rows its caller may keep,
-    # such as views of one [A | y] (_reference_factors), so it must
+    # such as views of one [A | y] (``reference_factors``), so it must
     # reduce copies.
     rng = np.random.default_rng(n)
     rows = np.hstack((build_design_matrix(_random_env(rng, n), 64),
@@ -649,6 +653,61 @@ def test_cv_model_equals_estimate_kernel_at_block_edges(n, folds, lam):
         assert _rel_err(a @ _theta(model), a @ _theta(ref)) < 1e-9
 
 
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+@pytest.mark.parametrize("grid", [CVConfig().lambda_grid, (0.0, 1e-6)])
+def test_cv_scores_match_the_svd_scorer_on_gate(duration, grid):
+    # The Gram solves square the condition number (cond(H + 1e-6 I) is
+    # 5.8e9-1e11 on these pulses), which moves the held-out errors by
+    # rounding only; the model is fitted from the whole factor, so it
+    # keeps its bits.
+    inp, out = _gate_pair(duration, seed=1)
+    cv = CVConfig(lambda_grid=grid)
+    assert_matches_the_svd_scorer(cross_validate(inp, out, 64, cv),
+                                  inp, out, 64, cv)
+
+
+@pytest.mark.parametrize("n, folds", [(66, 2), (90, 3), (529, 5)])
+@pytest.mark.parametrize("grid", [CVConfig().lambda_grid,
+                                  (0.0, 1e-6, 1e-3, 1.0)])
+def test_cv_scores_match_the_svd_scorer_at_block_edges(n, folds, grid):
+    # 66 and 90 rows train on fewer rows than coefficients, from
+    # trapezoidal block factors, and 529 leaves a one-row last block.
+    rng = np.random.default_rng(n)
+    inp, out = _random_env(rng, n), _random_env(rng, n)
+    cv = CVConfig(folds, grid)
+    assert_matches_the_svd_scorer(cross_validate(inp, out, 64, cv),
+                                  inp, out, 64, cv)
+
+
+def test_cv_scores_a_shifted_gram_that_does_not_factor_by_the_svd(
+        monkeypatch):
+    # A constant input makes A's offset column and first lag column
+    # equal, so every fold's H = A^H A is singular. At lambda = 1e-15,
+    # below the rounding of H's entries, zpotrf stops at that pivot
+    # (info > 0) and each fold scores lambda by the SVD path, to the
+    # SVD scorer's bits; H + 1e-3 I still factors.
+    n, p = 400, 65
+    inp = _env(np.ones(n))
+    out = _random_env(np.random.default_rng(23), n)
+    _, factors, _ = reference_factors(inp, out, 64, 5)
+    for k in range(5):
+        gram = sum(f.conj().T @ f for j, f in enumerate(factors) if j != k)
+        assert lapack.zpotrf(gram[:p, :p] + 1e-15 * np.eye(p))[1] > 0
+        assert lapack.zpotrf(gram[:p, :p] + 1e-3 * np.eye(p))[1] == 0
+    calls = _spy_ridge_path(monkeypatch)
+    cv = CVConfig(5, (1e-15,))
+    got = cross_validate(inp, out, 64, cv)
+    assert [list(call[2]) for call in calls] == [[1e-15]] * cv.folds
+    ref = serial_cross_validate(inp, out, 64, cv, fold_thetas_by_svd)
+    _assert_same_fit(got, ref)
+    # With lambda = 0 beside it, each fold takes one SVD for both.
+    del calls[:]
+    cv = CVConfig(5, (0.0, 1e-15, 1e-3))
+    got = cross_validate(inp, out, 64, cv)
+    assert [list(call[2]) for call in calls] == [[0.0, 1e-15]] * cv.folds
+    assert_matches_the_svd_scorer(got, inp, out, 64, cv)
+
+
 # ----------------------------------------------------------- cross_validate
 
 def _noisy_channel_pair(rng, n=400, sigma=0.0):
@@ -821,36 +880,6 @@ def test_one_worker_fits_on_the_calling_thread(workers, monkeypatch):
     assert sysid._pool() is None
 
 
-def _reference_factors(inp, out, memory, folds):
-    """The folds of [A | y], their factors and the whole factor, from
-    public pieces: the folds are ``np.array_split`` views of one
-    ``np.hstack`` of the design matrix and y, each reduced by
-    ``_triangular``, and the whole factor reduces the folds' stacked
-    factors, or all rows when they fit one TSQR block."""
-    rows = np.hstack((build_design_matrix(inp, memory), out.samples[:, None]))
-    parts = np.array_split(rows, folds)
-    factors = [sysid._triangular(part) for part in parts]
-    if len(rows) > sysid._TSQR_BLOCK * rows.shape[1]:
-        rows = np.vstack(factors)
-    return parts, factors, sysid._triangular(rows)
-
-
-def _serial_cross_validate(inp, out, memory, cv):
-    """``cross_validate`` as one thread runs it: every factor in turn."""
-    n = inp.grid.n
-    parts, factors, whole = _reference_factors(inp, out, memory, cv.folds)
-    mse_sum = np.zeros(len(cv.lambda_grid))
-    for k, val in enumerate(parts):
-        rz = sysid._triangular(np.vstack(factors[:k] + factors[k + 1:]))
-        thetas = sysid._ridge_path(rz, n - len(val), cv.lambda_grid)
-        r = thetas @ val[:, :-1].T - val[:, -1]
-        mse_sum += np.mean(np.abs(r) ** 2, axis=1)
-    scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
-    lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = sysid._ridge_path(whole, n, [lambda_star])[0]
-    return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])
-
-
 def _assert_same_fit(got, ref):
     assert got[0] == ref[0]
     assert np.array_equal(got[1], ref[1])
@@ -861,12 +890,13 @@ def _assert_same_fit(got, ref):
 @pytest.mark.parametrize("duration, folds", [
     (1.8e-7, 5), (5e-7, 5), (2e-6, 5), (5e-7, 2), (5e-7, 7), (1.8e-7, 7)])
 def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds, workers):
-    # 360 samples fit one TSQR block; 1,000 and 4,000 take the stacked
-    # block factors for the final fit.
+    # Each fold scores every lambda > 0 by a Cholesky solve on the other
+    # folds' summed Gram matrices. 360 samples fit one TSQR block; 1,000
+    # and 4,000 take the stacked block factors for the final fit.
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig(folds=folds)
     _assert_same_fit(cross_validate(inp, out, 64, cv),
-                     _serial_cross_validate(inp, out, 64, cv))
+                     serial_cross_validate(inp, out, 64, cv))
 
 
 @pytest.mark.parametrize("n", [66, 360, 529, 1000, 4300])
@@ -884,41 +914,50 @@ def test_row_builder_gives_the_split_whole_rows_bit_for_bit(n, folds):
     ref = sysid._tsqr([np.array(a[i:i + step], order="F")
                        for i in range(0, n, step)], step)[0]
     np.testing.assert_array_equal(sysid._design_tsqr(inp, 64)[0], ref)
-    parts, factors, _ = _reference_factors(inp, out, 64, folds)
+    parts, factors, _ = reference_factors(inp, out, 64, folds)
     lagged, lo = sysid._lagged(inp.samples, 64), 0
     for part, factor in zip(parts, factors):
         hi = lo + len(part)
         np.testing.assert_array_equal(
             sysid._rows(lagged, lo, hi, out.samples), part)
-        np.testing.assert_array_equal(sysid._design_tsqr(
-            inp, 64, lo=lo, hi=hi, y=out.samples)[0], factor)
+        got, gram = sysid._block_factor(inp, 64, lo, hi, out.samples)
+        np.testing.assert_array_equal(got, factor)
+        np.testing.assert_array_equal(gram, factor.conj().T @ factor)
         lo = hi
-    # The scores take the fold factors and validation rows; the model is
-    # the gain step on the whole factor's SVD.
+    # The scores take the fold factors' Gram matrices and the validation
+    # rows; the model is the gain step on the whole factor's SVD.
     cv = CVConfig(folds=folds)
     _assert_same_fit(cross_validate(inp, out, 64, cv),
-                     _serial_cross_validate(inp, out, 64, cv))
+                     serial_cross_validate(inp, out, 64, cv))
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 @pytest.mark.parametrize("workers", [4], indirect=True)
 def test_cv_takes_every_svd_on_the_pool(duration, workers, monkeypatch):
-    # The final factor's SVD runs beside the fold fits, so at
+    # The folds score the default grid by Cholesky solves alone, and the
+    # final factor's SVD, the only one, runs beside them, so at
     # lambda_star > 0 the model is one gain step on the calling thread.
-    threads = []
-    ridge_svd = sysid._ridge_svd
+    threads = {"svd": [], "cholesky": []}
 
-    def spy(*args):
-        threads.append(threading.get_ident())
-        return ridge_svd(*args)
+    def spy(kind, fn):
+        def call(*args, **kwargs):
+            threads[kind].append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(sysid, "_ridge_svd", spy)
+    monkeypatch.setattr(sysid, "_ridge_svd", spy("svd", sysid._ridge_svd))
+    monkeypatch.setattr(sysid.lapack, "zpotrf",
+                        spy("cholesky", sysid.lapack.zpotrf))
+    paths = _spy_ridge_path(monkeypatch)
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig()
     lam = cross_validate(inp, out, 64, cv)[0]
     assert lam > 0
-    assert len(threads) == cv.folds + 1
-    assert threading.get_ident() not in threads
+    assert paths == []
+    assert len(threads["svd"]) == 1
+    assert len(threads["cholesky"]) == cv.folds * len(cv.lambda_grid)
+    for ids in threads.values():
+        assert threading.get_ident() not in ids
 
 
 def test_cv_at_lambda_zero_takes_the_pooled_svd_of_the_whole_factor(
@@ -929,12 +968,13 @@ def test_cv_at_lambda_zero_takes_the_pooled_svd_of_the_whole_factor(
     calls = _spy_ridge_path(monkeypatch)
     got = cross_validate(inp, out, 4, cv)
     assert got[0] == 0.0
-    assert len(calls) == cv.folds
-    whole = _reference_factors(inp, out, 4, cv.folds)[2]
+    # Each fold scores lambda = 0 alone by the SVD, and 1e-6 by Cholesky.
+    assert [list(call[2]) for call in calls] == [[0.0]] * cv.folds
+    whole = reference_factors(inp, out, 4, cv.folds)[2]
     theta = sysid._ridge_path(whole, inp.grid.n, [0.0])[0]
     assert got[2].h0 == theta[0]
     assert np.array_equal(got[2].h1, theta[1:])
-    _assert_same_fit(got, _serial_cross_validate(inp, out, 4, cv))
+    _assert_same_fit(got, serial_cross_validate(inp, out, 4, cv))
 
 
 @pytest.mark.parametrize("workers", [4], indirect=True)
@@ -1006,22 +1046,24 @@ def test_cv_in_a_forked_child_after_the_parent_used_the_pool(workers):
 
 def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch,
                                                         workers):
+    # A fold's Cholesky solve fails; the error reaches the caller, and
+    # the pool fits the next call as before.
     inp, out = _gate_pair(5e-7, seed=1)
     ref = cross_validate(inp, out, 64, CVConfig())
     error = RuntimeError("fold fit failed")
     calls = itertools.count()
-    ridge_path = sysid._ridge_path
+    zpotrs = sysid.lapack.zpotrs
 
-    def failing_ridge_path(*args):
+    def failing_zpotrs(*args, **kwargs):
         if next(calls) == 2:
             raise error
-        return ridge_path(*args)
+        return zpotrs(*args, **kwargs)
 
-    monkeypatch.setattr(sysid, "_ridge_path", failing_ridge_path)
+    monkeypatch.setattr(sysid.lapack, "zpotrs", failing_zpotrs)
     with pytest.raises(RuntimeError) as raised:
         cross_validate(inp, out, 64, CVConfig())
     assert raised.value is error
-    monkeypatch.setattr(sysid, "_ridge_path", ridge_path)
+    monkeypatch.setattr(sysid.lapack, "zpotrs", zpotrs)
     _assert_same_fit(cross_validate(inp, out, 64, CVConfig()), ref)
 
 
