@@ -16,6 +16,8 @@ a loop that fails after its first shot still writes the shots it took).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import os
 import sys
@@ -46,6 +48,57 @@ OUTDIR_ENV = "PULSELOOP_OUTDIR"
 METHOD_ALIASES = {**{method: method for method in LOOP_METHODS},
                   "tf": "transfer-function",
                   "tf-free": "transfer-function-free"}
+
+
+# (get, set) names of the thread count in each OpenBLAS build's naming.
+_OPENBLAS_THREAD_SYMBOLS = [(f"{prefix}get_num_threads{suffix}",
+                             f"{prefix}set_num_threads{suffix}")
+                            for prefix in ("scipy_openblas_", "openblas_")
+                            for suffix in ("64_", "")]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(get, set)`` of the thread count of each OpenBLAS build loaded in
+    this process (NumPy and SciPy may each load their own), found once:
+    the shared objects named in ``/proc/self/maps``, through ``ctypes``.
+    Empty where there is no such file or no build exports the symbols."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in filter(os.path.isfile, paths):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS build at one thread, then
+    give each its previous count back. A command's LAPACK calls are 66
+    columns wide or banded, too small to gain from threads, and OpenBLAS
+    rounds differently with more than one, so a command writes the same
+    bytes whatever ``OPENBLAS_NUM_THREADS`` says."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
 
 
 class _Run:
@@ -406,7 +459,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = _Run(args.command, args)
     try:
-        code = args.func(args, run)
+        with _one_blas_thread():
+            code = args.func(args, run)
         run.finish()
         return code
     except _USAGE_ERRORS as exc:

@@ -317,7 +317,10 @@ def report_to_dict(report) -> dict:
                         if report.final_model is not None else None),
         "records": [{"index": r.index, "mase": r.mase, "mse": r.mse,
                      "model_error": (None if np.isnan(r.model_error)
-                                     else r.model_error)}
+                                     else r.model_error),
+                     "delay": r.delay,
+                     "max_abs_h1": (None if r.model is None
+                                    else float(np.max(np.abs(r.model.h1))))}
                     for r in report.records],
     }
 

@@ -1,11 +1,14 @@
 """Pre-distortion computation and the closed correction loop.
 
 The loop driver measures, aligns, scores and records each shot, then
-takes the next input from its method's update: the transfer-function
-update identifies the channel kernel and inverts it offline by iterated
+takes the next input from its method's update. The transfer-function
+update identifies the channel kernel from the shot. After the first
+shot it inverts the kernel offline against the target by iterated
 Tikhonov steps (a fixed damping, one banded Cholesky factor of the
 normal equations, built in LAPACK's band layout and factored in place
-by ``zpbtrf``, each step solved by ``zpbtrs``); the
+by ``zpbtrf``, each step solved by ``zpbtrs``); after every later shot
+it takes one norm-optimal learning step on the measured error, the
+kernel's regularized inverse applied in the frequency domain. The
 transfer-function-free update feeds the output error straight back onto
 the input.
 """
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
@@ -24,8 +28,12 @@ from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
 from .sysid import (DEFAULT_MEMORY, VolterraModel, _check_memory,
                     _check_pair, estimate_kernel, volterra_forward)
 
-# Tikhonov weight added to the diagonal of J^H J in the offline inversion.
+# Tikhonov weight added to the diagonal of J^H J in the offline inversion
+# and in each learning step.
 _DAMPING = 1e-3
+# Ridge weight of the fit and gain of each learning step (``_tf_update``).
+_LEARNING_LAMBDA = 1e-3
+_LEARNING_GAIN = 0.5
 
 
 class SingularUpdateError(RuntimeError):
@@ -93,7 +101,8 @@ class IterationRecord:
 
     ``model`` and ``offline`` are the kernel and the offline solve that
     designed ``s_pred`` (None on the first shot and for the
-    transfer-function-free method, which has no model); ``model_error``
+    transfer-function-free method, which has no model; ``offline`` is
+    None too where a learning step designed it); ``model_error``
     is the MASE between the measured output and the one ``model``
     predicts (NaN where ``model`` is None). ``delay`` is the delay in
     seconds ``align_delay`` removed from this shot.
@@ -281,12 +290,47 @@ def _align_to_target(raw: ComplexEnvelope, s_target: ComplexEnvelope
     return ComplexEnvelope(s_target.grid, aligned.samples[:n]), delay
 
 
+def _learning_step(h1: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """``_LEARNING_GAIN`` (J^H J + mu I)^-1 J^H ``error``, mu = ``_DAMPING``,
+    with J the convolution by ``h1`` taken as circulant.
+
+    On ``next_fast_len(n + 2M)`` points the step is one filter, the taps'
+    regularized inverse conj(H) / (|H|^2 + mu) applied to the error's
+    transform (Gray, *Toeplitz and Circulant Matrices: A Review*, 2006);
+    it equals the banded solve away from the window's edges. Its gain is
+    at most 1 / (2 sqrt(mu)) at any frequency, whatever the taps. Raises
+    ``SingularUpdateError`` naming max |h1| when the step is not finite.
+    """
+    n = len(error)
+    size = sfft.next_fast_len(n + 2 * len(h1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = sfft.fft(h1, size)
+        step = sfft.ifft(spec.conj() / (np.abs(spec) ** 2 + _DAMPING)
+                         * sfft.fft(error, size))[:n]
+    if not np.all(np.isfinite(step)):
+        raise _update_error("learning step overflows", h1)
+    return _LEARNING_GAIN * step
+
+
 def _tf_update(s_in, s_target, s_out, config):
-    """Fit the kernel to this shot by minimum-norm least squares
-    (``lambda_reg`` 0) and invert it offline against the target."""
-    model = estimate_kernel(s_in, s_out, config.memory, 0.0)
-    offline = offline_iterate(model, s_target)
-    return offline.s_pred, model, offline
+    """Identify the channel from this shot and design the next input.
+
+    After the first shot (``s_in`` is the target) the kernel is fitted by
+    minimum-norm least squares (``lambda_reg`` 0) and inverted offline
+    against the target. After every later shot it is fitted at
+    ``lambda_reg`` ``_LEARNING_LAMBDA`` and the input takes one
+    norm-optimal learning step on the measured error (Amann, Owens &
+    Rogers, IEE Proc. Control Theory Appl. 143(2), 1996),
+    s + ``_learning_step``(h1, target - measured), with no offline solve:
+    model error then slows convergence instead of setting its floor.
+    """
+    if s_in is s_target:
+        model = estimate_kernel(s_in, s_out, config.memory, 0.0)
+        offline = offline_iterate(model, s_target)
+        return offline.s_pred, model, offline
+    model = estimate_kernel(s_in, s_out, config.memory, _LEARNING_LAMBDA)
+    step = _learning_step(model.h1, s_target.samples - s_out.samples)
+    return s_in.with_samples(s_in.samples + step), model, None
 
 
 def _tf_free_update(s_in, s_target, s_out, config):

@@ -2,11 +2,12 @@
 
 The channel after bulk-delay removal is modeled as a constant offset plus
 a complex FIR kernel (a first-order Volterra series truncated to memory
-M). The kernel is recovered from an input/output envelope pair by ridge
-least squares on a QR factor of the design matrix, with the ridge weight
-chosen by contiguous-block cross-validation on held-out samples; each
-fold's fit at a ridge weight above zero is one Cholesky solve on the
-other folds' Gram matrices.
+M). The kernel is recovered from an input/output envelope pair by least
+squares on a QR factor of the design matrix, or, at a ridge weight above
+zero, by one Cholesky solve on its Gram matrix, built from FFT
+correlations and refined once. Cross-validation on contiguous held-out
+blocks chooses the ridge weight; each fold's fit at a ridge weight above
+zero is one Cholesky solve on the other folds' Gram matrices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.fft as sfft
+from scipy.linalg import lapack, toeplitz
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, _support)
@@ -291,6 +293,68 @@ def _solve(rz: np.ndarray, n: int, lam: float, safe=None) -> np.ndarray:
     return _ridge_path(rz, n, [lam])[0]
 
 
+def _gram(x: np.ndarray, memory: int) -> tuple:
+    """A^H A for the design matrix A = [1 | ``_lagged(x, memory)``], from
+    FFT correlations, with the transform of x that ``_design_adjoint``
+    takes: ``(gram, spectrum)``.
+
+    A's lag columns are the first n rows of the full convolution matrix
+    of x, whose Gram matrix is the Hermitian Toeplitz matrix of x's
+    autocorrelation at lags 0 to ``memory`` - 1, taken by FFT on at
+    least n + memory - 1 points so that no lag wraps. A^H A's lag block
+    is that matrix less the Gram matrix B^H B of the memory - 1 rows the
+    full convolution adds past the record's end, which hold only its
+    last memory - 1 samples (B is zero for a record whose tail is zero).
+    The border is n and the partial sums of x.
+    """
+    n = len(x)
+    spectrum = sfft.fft(x, sfft.next_fast_len(n + memory - 1))
+    lags = sfft.ifft(np.abs(spectrum) ** 2)[:memory].conj()
+    past = np.concatenate((x[n - memory + 1:],
+                           np.zeros(memory, dtype=complex)))
+    b = _lagged(past, memory)[memory - 1:-1]
+    gram = np.empty((memory + 1, memory + 1), dtype=complex)
+    gram[0, 0] = n
+    gram[0, 1:] = np.cumsum(x)[:-memory - 1:-1]
+    gram[1:, 0] = gram[0, 1:].conj()
+    gram[1:, 1:] = toeplitz(lags.conj(), lags) - b.conj().T @ b
+    return gram, spectrum
+
+
+def _design_adjoint(spectrum: np.ndarray, v: np.ndarray,
+                    memory: int) -> np.ndarray:
+    """A^H v for ``_gram``'s design matrix, whose input has the transform
+    ``spectrum``: the sum of v, then the correlation of v with the input
+    at lags 0 to ``memory`` - 1, by FFT."""
+    corr = sfft.ifft(spectrum.conj() * sfft.fft(v, len(spectrum)))
+    return np.concatenate(([v.sum()], corr[:memory]))
+
+
+def _gram_fit(x: np.ndarray, y: np.ndarray, memory: int, lam: float):
+    """Minimizer of ||A th - y||^2 + lam ||th||^2 by one Cholesky factor
+    of ``_gram``'s A^H A + lam I, or None when ``zpotrf`` cannot factor
+    it or the fit is not finite.
+
+    The normal equations square the condition number (Bjorck, *Numerical
+    Methods for Least Squares Problems*, 2.2), so one step of iterative
+    refinement follows, its residual y - A th taken by direct
+    convolution: on the 2 us gate pulse (cond(A) = 4.7e7) at lam = 1e-6
+    it takes the fit from 1.3e-6 to 6.6e-10 relative of the orthogonal
+    factor's.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, spectrum = _gram(x, memory)
+        gram.flat[::memory + 2] += lam
+        c, info = lapack.zpotrf(gram, overwrite_a=True)
+        if info:
+            return None
+        theta = lapack.zpotrs(c, _design_adjoint(spectrum, y, memory))[0]
+        resid = y - theta[0] - np.convolve(x, theta[1:])[:len(x)]
+        theta = theta + lapack.zpotrs(
+            c, _design_adjoint(spectrum, resid, memory) - lam * theta)[0]
+    return theta if np.all(np.isfinite(theta)) else None
+
+
 def _check_pair(inp: ComplexEnvelope, out: ComplexEnvelope,
                 memory: int) -> None:
     """Reject a pair that cannot determine ``memory`` taps and an offset."""
@@ -319,28 +383,40 @@ def estimate_kernel(inp: ComplexEnvelope, out: ComplexEnvelope,
         solution, with design-matrix singular values at or below
         eps * max(n, memory + 1) * s_max dropped.
 
-    The design matrix A is built straight into TSQR blocks by the row
-    builder that ``cross_validate`` also uses (``_design_tsqr``) and
-    factored as A = Q R, each block's Householder reflectors applied to
-    its rows of y as it is reduced; the fit solves R th = z, z = Q^H y. At
-    ``lambda_reg = 0`` it back-substitutes on R when a bound on
-    ||R^-1|| proves that no singular value reaches the cutoff above (see
-    ``_back_substitutes``); otherwise, and for every ``lambda_reg > 0``,
-    it takes the SVD of R with that cutoff.
+    At ``lambda_reg > 0`` the fit is ``_gram_fit``: A^H A and A^H y from
+    FFT correlations, one Cholesky solve and one refinement step, a
+    fourth to a tenth of the cost of a QR of A. When ``zpotrf`` cannot
+    factor A^H A + lambda_reg I, or that fit is not finite, it takes the
+    SVD path below instead. Such a fit neither marks nor keeps a factor.
+
+    Otherwise the design matrix A is built straight into TSQR blocks by
+    the row builder that ``cross_validate`` also uses (``_design_tsqr``)
+    and factored as A = Q R, each block's Householder reflectors applied
+    to its rows of y as it is reduced; the fit solves R th = z,
+    z = Q^H y. At ``lambda_reg = 0`` it back-substitutes on R when a
+    bound on ||R^-1|| proves that no singular value reaches the cutoff
+    above (see ``_back_substitutes``); otherwise it takes the SVD of R
+    with that cutoff.
 
     The factor depends on the input alone, so an input fitted a second
-    time at ``memory`` keeps it (a loop's target, from its second loop
-    on): the first fit only marks the input, the second keeps the
-    reflectors of the pass that reduces y once the factor is complete,
-    together with ``_back_substitutes``' verdict on R, and every later
-    fit takes one Q^H y, then one back-substitution (or the SVD, when
-    the verdict was no) and no QR or bound, to the same bits. The
-    first fit keeps none, because a kept factor, about n (memory + 1)
-    complex values, costs an input fitted once more than it saves: the
-    rest of its work runs in colder memory.
+    time at ``memory`` and ``lambda_reg = 0`` keeps it (a loop's target,
+    from its second loop on): the first fit only marks the input, the
+    second keeps the reflectors of the pass that reduces y once the
+    factor is complete, together with ``_back_substitutes``' verdict on
+    R, and every later fit takes one Q^H y, then one back-substitution
+    (or the SVD, when the verdict was no) and no QR or bound, to the same
+    bits. The first fit keeps none, because a kept factor, about
+    n (memory + 1) complex values, costs an input fitted once more than
+    it saves: the rest of its work runs in colder memory.
     """
     _check_pair(inp, out, memory)
     _check_real("lambda_reg", lambda_reg, 0)
+    if lambda_reg > 0:
+        theta = _gram_fit(inp.samples, out.samples, memory, lambda_reg)
+        if theta is None:
+            r, z = _design_tsqr(inp, memory, out.samples[:, None])
+            theta = _solve(np.hstack((r, z)), inp.grid.n, lambda_reg)
+        return VolterraModel(h0=theta[0], h1=theta[1:])
     c = out.samples[:, None]
     key = (_DESIGN_KEY, memory)
     with _LOCK:

@@ -12,13 +12,13 @@ import pytest
 import scipy.fft as sfft
 
 import pulseloop
-from pulseloop import cli, fileio
+from pulseloop import cli, fileio, loop
 from pulseloop.channel import (ChannelConfig, SimulatedChannel, post_pad,
                                record_response)
 from pulseloop.cli import build_parser, main
 from pulseloop.demod import DEFAULT_CUTOFF, suggested_cutoff
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
-from pulseloop.loop import _align_to_target
+from pulseloop.loop import SingularUpdateError, _align_to_target
 from pulseloop.optics import design_three_lens
 from pulseloop.sysid import CVConfig, VolterraModel, estimate_kernel
 
@@ -44,7 +44,7 @@ def _make_pulse(outdir, duration="5e-7", kind="gate-standin"):
 _SHOT_PATH = """
 import os, sys
 import pulseloop as pl
-from pulseloop import cli, fileio
+from pulseloop import cli, fileio, loop
 from pulseloop.envelope import PulseSpec, default_grid, make_pulse
 from pulseloop.loop import LOOP_METHODS
 target = make_pulse(PulseSpec(kind="gate-standin", duration=5e-7),
@@ -521,7 +521,8 @@ def test_estimate_cv_model_equals_a_fit_at_the_scores_minimum(outdir):
 def test_estimate_writes_the_svd_scorers_model(tmp_path, duration, grid):
     # The folds' Cholesky scores move scores.csv by rounding only; the
     # model comes from the whole factor, so model.json keeps the bytes
-    # of the per-fold QR and SVD scorer's fit at the same lambda_star.
+    # of the per-fold QR and SVD scorer's fit at the same lambda_star,
+    # taken at the one BLAS thread the command runs at.
     outdir = str(tmp_path)
     pulse = _make_pulse(outdir, duration)
     chan = _write_channel(os.path.join(outdir, "chan.json"))
@@ -534,8 +535,9 @@ def test_estimate_writes_the_svd_scorers_model(tmp_path, duration, grid):
     inp = fileio.read_envelope(pulse)
     out, _ = _align_to_target(fileio.read_envelope(simulated), inp)
     cv = CVConfig(lambda_grid=tuple(float(v) for v in grid.split(",")))
-    _, scores, model = serial_cross_validate(inp, out, 64, cv,
-                                             fold_thetas_by_svd)
+    with cli._one_blas_thread():
+        _, scores, model = serial_cross_validate(inp, out, 64, cv,
+                                                 fold_thetas_by_svd)
     ref = os.path.join(outdir, "ref.json")
     fileio.write_model_json(ref, model)
     assert Path(est, "model.json").read_bytes() == Path(ref).read_bytes()
@@ -722,22 +724,29 @@ def test_loop_non_convergence_exits_3(outdir):
     assert os.path.exists(os.path.join(outdir, "report.json"))
 
 
-def test_loop_failure_exits_3_and_keeps_the_shots_taken(outdir):
-    # At this tight gate the 180 ns transfer-function loop stops with a
-    # singular update after several shots, or runs out of iterations;
-    # either way the report of the shots it took is written.
+def test_loop_failure_exits_3_and_keeps_the_shots_taken(outdir,
+                                                        monkeypatch):
+    # At this tight gate the 180 ns transfer-function loop used to stop
+    # with a singular update (exit 3); stepping on the measured error, it
+    # converges. A failure forced at the second update still exits 3 and
+    # writes the report of the two shots taken.
     pulse = _make_pulse(outdir, duration="1.8e-7")
     chan = _write_channel(os.path.join(outdir, "chan.json"))
+    args = ["loop", "--target", pulse, "--channel", chan,
+            "--converge-mase", "7e-4", "--trace-noise-sigma", "0.02",
+            "--seed", "1"]
+    assert main(args + ["--outdir", os.path.join(outdir, "tight")]) == 0
+
+    def failing(h1, error):
+        raise SingularUpdateError("learning step overflows")
+    monkeypatch.setattr(loop, "_learning_step", failing)
     run = os.path.join(outdir, "run")
-    code = main(["loop", "--target", pulse, "--channel", chan,
-                 "--converge-mase", "7e-4", "--trace-noise-sigma", "0.02",
-                 "--seed", "1", "--outdir", run])
-    assert code == 3
+    assert main(args + ["--outdir", run]) == 3
     with open(os.path.join(run, "report.json")) as fh:
         report = json.load(fh)
     assert report["converged"] is False
     n = len(report["records"])
-    assert n >= 1
+    assert n == 2
     with open(os.path.join(run, "manifest.json")) as fh:
         outputs = json.load(fh)["outputs"]
     assert {"report.json", "convergence.csv", f"iter_{n:03d}_input.csv",
@@ -772,6 +781,64 @@ def test_loop_runs_are_byte_identical(tmp_path):
         with open(os.path.join(a, name), "rb") as fa, \
                 open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def _blas_threads():
+    return [get() for get, _ in cli._openblas_thread_controls()]
+
+
+def test_a_command_runs_at_one_blas_thread_and_restores_the_count(
+        outdir, monkeypatch):
+    # Each loaded OpenBLAS build (NumPy and SciPy each bring one) runs the
+    # command at one thread and gets its own count back afterwards.
+    if not cli._openblas_thread_controls():
+        pytest.skip("no OpenBLAS build with thread controls is loaded")
+    seen = []
+    write = fileio.write_envelope
+
+    def spy(path, env):
+        seen.append(_blas_threads())
+        return write(path, env)
+    monkeypatch.setattr(fileio, "write_envelope", spy)
+    before = _blas_threads()
+    assert main(["pulse", "--kind", "gate-standin", "--duration", "1e-7",
+                 "--outdir", outdir]) == 0
+    assert seen == [[1] * len(before)]
+    assert _blas_threads() == before
+
+
+def test_a_process_without_openblas_controls_runs_as_before(outdir,
+                                                            monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
+    assert main(["pulse", "--kind", "gate-standin", "--duration", "1e-7",
+                 "--outdir", outdir]) == 0
+    assert os.path.exists(os.path.join(outdir, "pulse.csv"))
+
+
+def test_loop_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # With OpenBLAS at one thread per CPU the 180 ns tf loop's fits used
+    # to round differently, and report.json changed; each command now
+    # runs at one thread whatever the count it was started with.
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS build with thread controls is loaded")
+    pulse = _make_pulse(str(tmp_path), duration="1.8e-7")
+    chan = _write_channel(str(tmp_path / "chan.json"))
+    before = _blas_threads()
+    reports = []
+    try:
+        for count in (os.cpu_count() or 1, 1):
+            for _, put in controls:
+                put(count)
+            run = str(tmp_path / f"threads-{count}")
+            main(["loop", "--target", pulse, "--channel", chan,
+                  "--method", "tf", "--seed", "1",
+                  "--trace-noise-sigma", "0.02", "--outdir", run])
+            reports.append(Path(run, "report.json").read_bytes())
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+    assert reports[0] == reports[1]
 
 
 # ------------------------------------------------------------------ optics

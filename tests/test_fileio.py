@@ -315,9 +315,13 @@ def test_report_json_shape(tmp_path):
     assert data["records"][0]["model_error"] is None  # NaN becomes null
     assert data["records"][1]["model_error"] == 0.005
     assert data["final_model"]["h1_re"] == [1.0]
-    # The model, offline solve and delay of each record stay out of it.
-    assert all(set(r) == {"index", "mase", "mse", "model_error"}
+    # Each record gives its delay and the max |h1| of its model (null
+    # without one); the model and offline solve themselves stay out.
+    assert all(set(r) == {"index", "mase", "mse", "model_error", "delay",
+                          "max_abs_h1"}
                for r in data["records"])
+    assert [r["delay"] for r in data["records"]] == [0.0, 2e-9]
+    assert [r["max_abs_h1"] for r in data["records"]] == [None, 1.0]
 
 
 def test_convergence_csv(tmp_path):

@@ -339,6 +339,96 @@ def test_estimate_block_edges_match_dense_least_squares(n, lam):
     assert _rel_err(np.concatenate([[model.h0], model.h1]), ref) < 1e-6
 
 
+def _fit_pair(kind):
+    """An input/output pair: a gate pulse (zero tail), random samples, or
+    a gate pulse cut mid-pulse, whose last samples are nonzero."""
+    if kind in ("180ns", "500ns", "2us"):
+        return _gate_pair({"180ns": 1.8e-7, "500ns": 5e-7, "2us": 2e-6}[kind])
+    if kind == "random":
+        rng = np.random.default_rng(61)
+        return _random_env(rng, 300), _random_env(rng, 300)
+    inp, out = _gate_pair(5e-7)
+    cut = int(np.argmax(np.abs(inp.samples))) + 40
+    return _env(inp.samples[:cut]), _env(out.samples[:cut])
+
+
+@pytest.mark.parametrize("memory", [1, 8, 64])
+@pytest.mark.parametrize("kind", ["180ns", "2us", "random", "cut"])
+def test_the_fft_gram_equals_the_explicit_products(kind, memory):
+    # A^H A is the autocorrelation's Toeplitz block less the Gram matrix
+    # of the rows past the record's end, with the border of n and partial
+    # sums; A^H y is the FFT correlation of y with the input. Both agreed
+    # to 6e-16 relative.
+    inp, out = _fit_pair(kind)
+    a = build_design_matrix(inp, memory)
+    gram, spectrum = sysid._gram(inp.samples, memory)
+    assert _rel_err(gram, a.conj().T @ a) < 1e-14
+    ahy = a.conj().T @ out.samples
+    got = sysid._design_adjoint(spectrum, out.samples, memory)
+    assert _rel_err(got, ahy) < 1e-14
+
+
+def _orthogonal_fit(inp, out, memory, lam):
+    """The TSQR + SVD ridge fit every lam > 0 took before the Gram path."""
+    r, z = sysid._design_tsqr(inp, memory, out.samples[:, None])
+    return sysid._solve(np.hstack((r, z)), inp.grid.n, lam)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0])
+@pytest.mark.parametrize("kind", ["180ns", "500ns", "2us", "random", "cut"])
+def test_a_ridge_fit_matches_the_orthogonal_factor(kind, lam):
+    # The Gram path squares the condition number (cond(A) reaches 4.7e7
+    # at 2 us); one refinement step brings it to within 7e-10 relative of
+    # the orthogonal factor's fit, the worst case being 2 us at 1e-6.
+    inp, out = _fit_pair(kind)
+    model = estimate_kernel(inp, out, 64, lam)
+    assert _rel_err(_theta(model), _orthogonal_fit(inp, out, 64, lam)) < 1e-8
+
+
+def test_a_ridge_fit_that_does_not_factor_takes_the_orthogonal_factor(
+        monkeypatch):
+    # A constant input's lag columns differ only in their first rows, so
+    # at lam = 1e-15 the shifted Gram matrix does not factor (zpotrf
+    # reports info 2) and the fit is the orthogonal factor's, bit for bit.
+    x = np.ones(400, dtype=complex)
+    inp, out = _env(x), _random_env(np.random.default_rng(62), 400)
+    infos = []
+    zpotrf = sysid.lapack.zpotrf
+
+    def spy(*args, **kwargs):
+        result = zpotrf(*args, **kwargs)
+        infos.append(result[1])
+        return result
+    monkeypatch.setattr(sysid.lapack, "zpotrf", spy)
+    model = estimate_kernel(inp, out, 64, 1e-15)
+    assert infos == [2]
+    np.testing.assert_array_equal(_theta(model),
+                                  _orthogonal_fit(inp, out, 64, 1e-15))
+
+
+def test_a_ridge_fit_that_is_not_finite_falls_back(monkeypatch):
+    # zpotrf reports info 0 on a Gram matrix that overflowed, so a Gram
+    # fit that is not finite also goes to the TSQR and the SVD.
+    inp, out = _gate_pair(5e-7)
+    monkeypatch.setattr(sysid.lapack, "zpotrs",
+                        lambda c, b: (np.full_like(b, np.nan), 0))
+    model = estimate_kernel(inp, out, 64, 1e-3)
+    np.testing.assert_array_equal(_theta(model),
+                                  _orthogonal_fit(inp, out, 64, 1e-3))
+
+
+def test_a_ridge_fit_neither_marks_nor_keeps_a_design_factor():
+    # Only lam = 0 fits use a kept factor, so a lam > 0 fit leaves the
+    # input's memo alone: the lam = 0 fit after it is still the first.
+    inp, out = _gate_pair(1.8e-7)
+    key = (sysid._DESIGN_KEY, 64)
+    for _ in range(3):
+        estimate_kernel(inp, out, 64, 1e-3)
+    assert key not in inp._memo
+    estimate_kernel(inp, out, 64, 0.0)
+    assert inp._memo[key] is None
+
+
 def _spy_ridge_path(monkeypatch):
     """Record the calls to ``sysid._ridge_path`` made from here on."""
     calls = []
