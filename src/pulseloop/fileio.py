@@ -310,6 +310,17 @@ def read_train_json(path: str) -> OpticalTrain:
 
 # ------------------------------------------------------------- loop reports
 
+def _offline_summary(offline) -> dict:
+    """Steps taken, final cost and convergence of a record's offline
+    solve; each null where the record has none."""
+    if offline is None:
+        return dict.fromkeys(("offline_steps", "offline_cost",
+                              "offline_converged"))
+    return {"offline_steps": len(offline.costs) - 1,
+            "offline_cost": float(offline.costs[-1]),
+            "offline_converged": bool(offline.converged)}
+
+
 def report_to_dict(report) -> dict:
     return {
         "converged": report.converged,
@@ -320,7 +331,8 @@ def report_to_dict(report) -> dict:
                                      else r.model_error),
                      "delay": r.delay,
                      "max_abs_h1": (None if r.model is None
-                                    else float(np.max(np.abs(r.model.h1))))}
+                                    else float(np.max(np.abs(r.model.h1)))),
+                     **_offline_summary(r.offline)}
                     for r in report.records],
     }
 

@@ -4,9 +4,9 @@ The loop driver measures, aligns, scores and records each shot, then
 takes the next input from its method's update. The transfer-function
 update identifies the channel kernel from the shot. After the first
 shot it inverts the kernel offline against the target by iterated
-Tikhonov steps (a fixed damping, one banded Cholesky factor of the
-normal equations, built in LAPACK's band layout and factored in place
-by ``zpbtrf``, each step solved by ``zpbtrs``); after every later shot
+Tikhonov steps (a fixed damping; each step solves the damped normal
+equations exactly by circulant embedding, a few FFTs on one factor of a
+small dense border, ``_normal_solver``); after every later shot
 it takes one norm-optimal learning step on the measured error, the
 kernel's regularized inverse applied in the frequency domain. The
 transfer-function-free update feeds the output error straight back onto
@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg.lapack import zpbtrf, zpbtrs
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf, zpotrs, ztrtrs
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, _mase_to,
@@ -171,40 +172,73 @@ def _update_error(what: str, h1: np.ndarray) -> SingularUpdateError:
         f"{what} for a model with max |h1| = {np.max(np.abs(h1)):.3g}")
 
 
-def _normal_banded(h1: np.ndarray, n: int) -> np.ndarray:
-    """Lower-banded storage of J^H J for the banded Toeplitz Jacobian.
+def _normal_solver(h1: np.ndarray, n: int
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact solve of (J^H J + mu I) x = v, mu = ``_DAMPING``, for the
+    n x n banded Toeplitz Jacobian J of the taps ``h1``, by circulant
+    embedding (Jain, IEEE Trans. ASSP 26(2), 1978).
 
-    Row d holds G[c + d, c] = sum_k conj(h1[k]) h1[k + d] over the k with
-    k + d < M and c + d + k < n: the kernel autocorrelation at lag d,
-    truncated where the taps run past the signal end in the last M - 1
-    columns. Entries outside the matrix are zero. The (M, n) band is
-    Fortran-ordered, LAPACK's own band layout, so ``zpbtrf`` factors it
-    in place. Every entry is one of the M x M partial sums or zero: the
-    columns before the last M copy the full sums, and the last M are read
-    through one skewed strided view of the reversed sums, zero-padded,
-    with no index gather. When a sum overflows, raises
-    ``SingularUpdateError`` naming max |h1|.
+    J is the leading block of the P-point circulant Jc of the taps,
+    P = ``next_fast_len(n + M - 1)``, so J^H J + mu I is the leading block
+    of Jc^H D Jc + mu I, D zeroing Jc's q = P - n trailing rows. With H
+    the taps' transform, d = |H|^2 + mu, A = Circ(1/d) and
+    B = Circ(H / d) = Jc A, x is the first n entries of
+    A [v; sigma] + B^H [0; rho], where the border makes the last q
+    entries zero:
+        A22 sigma + B22^H rho = -(A [v; 0])_2,
+        B22 sigma - mu A22 rho = -(B [v; 0])_2,
+    with A22 and B22 the q x q Toeplitz blocks of the two inverse
+    transforms. Factored here once: A22 = L L^H, W = L^-1 B22^H and
+    S = mu A22 + W^H W, the Schur complement, both Hermitian positive
+    definite. Each solve then takes three transforms of P points forward
+    and three back, plus O(q^2) border work: y = L^-1 (A [v; 0])_2,
+    rho = S^-1 ((B [v; 0])_2 - W^H y), sigma = -L^-H (y + W rho); with
+    q = 0 there is no border. Raises ``SingularUpdateError`` naming
+    max |h1| when |H|^2 overflows or a factor fails.
     """
-    m = len(h1)
-    padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
-    lag = np.arange(m)[:, None]
+    size = sfft.next_fast_len(n + len(h1) - 1)
+    q = size - n
+    spec = sfft.fft(h1, size)
     with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
-    if not np.all(np.isfinite(partial)):
+        power = np.abs(spec) ** 2
+    if not np.all(np.isfinite(power)):
         raise _update_error("normal matrix overflows", h1)
-    start = max(0, n - m)  # columns before it hold the full sums
-    ab = np.empty((m, n), dtype=complex, order="F")
-    ab[:, :start] = partial[:, -1:]
-    # Column n - m + j of row d sums the k <= m - 1 - d - j: entry d + j
-    # of row d of the reversed sums, zero-padded to 2m - 1 columns. Entry
-    # d + 0 of row d lies 2m values past entry d - 1 of row d - 1 in the
-    # flat padded array, so every 2m-th length-m window is one tail row
-    # (a shorter signal, n < m, keeps the last n columns of it).
-    skew = np.zeros((m, 2 * m - 1), dtype=complex)
-    skew[:, :m] = partial[:, ::-1]
-    tail = np.lib.stride_tricks.sliding_window_view(skew.ravel(), m)[::2 * m]
-    ab[:, start:] = tail[:, m - (n - start):]
-    return ab
+    inv = 1 / (power + _DAMPING)
+    columns = sfft.ifft(np.stack([inv, spec * inv]))  # of A and B
+    if q:
+        # Lags -(q - 1) to q - 1 of each column; row i of the reversed
+        # length-q windows is row i of the Toeplitz block.
+        ends = np.concatenate([columns[:, size - q + 1:], columns[:, :q]],
+                              axis=1)
+        a22, b22 = np.lib.stride_tricks.sliding_window_view(
+            ends, q, axis=1)[:, :, ::-1]
+        low, info = zpotrf(a22, lower=1)
+        if not info:
+            w = ztrtrs(low, b22.conj().T, lower=1)[0]
+            schur, info = zpotrf(zherk(1.0, w, beta=_DAMPING, c=a22,
+                                       trans=2, lower=1), lower=1,
+                                 overwrite_a=1)
+        if info:
+            raise _update_error(
+                "damped normal matrix is not positive definite", h1)
+
+    def solve(v):
+        trans = sfft.fft(v, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if q:
+                a2, b2 = sfft.ifft(np.stack([trans, trans * spec])
+                                   * inv)[:, n:]
+                y = ztrtrs(low, a2, lower=1)[0]
+                rho = zpotrs(schur, b2 - w.conj().T @ y, lower=1)[0]
+                border = np.zeros((2, size), dtype=complex)
+                border[0, n:] = -ztrtrs(low, y + w @ rho, lower=1,
+                                        trans=2)[0]
+                border[1, n:] = rho
+                border = sfft.fft(border, overwrite_x=True)
+                trans += border[0] + spec.conj() * border[1]
+            return sfft.ifft(trans * inv)[:n]
+
+    return solve
 
 
 def _adjoint(h1: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -219,9 +253,9 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
 
     Starting from the target itself, each iteration adds the step
     (J^H J + lambda I)^{-1} J^H (target - fitted(s)) with a fixed
-    lambda = 1e-3, taken from one banded Cholesky factor computed up
-    front: ``zpbtrf`` factors the band of ``_normal_banded`` in place,
-    with no copy, and ``zpbtrs`` solves each step. For this linear model
+    lambda = 1e-3, taken from one factor computed up front: the exact
+    circulant-embedding solve of ``_normal_solver``, whose border is
+    factored once, so each step costs a few FFTs. For this linear model
     the mean squared cost between the fitted output and the target never
     increases, so every step is kept. Stops when the cost falls below
     ``config.cost_tol`` or after ``config.max_iters`` steps, with
@@ -231,12 +265,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     not finite.
     """
     _check_memory(model.memory, s_target.grid.n)
-    ab = _normal_banded(model.h1, s_target.grid.n)
-    ab[0] += _DAMPING
-    factor, info = zpbtrf(ab, lower=1, overwrite_ab=1)  # factor is ab
-    if info:
-        raise _update_error(
-            "damped normal matrix is not positive definite", model.h1)
+    solve = _normal_solver(model.h1, s_target.grid.n)
     s = target = s_target.samples  # read-only; each step makes a new s
 
     def fitted(x):
@@ -253,7 +282,7 @@ def offline_iterate(model: VolterraModel, s_target: ComplexEnvelope,
     for _ in range(config.max_iters):
         if cost < config.cost_tol:
             break
-        step, _ = zpbtrs(factor, _adjoint(model.h1, target - out), lower=1)
+        step = solve(_adjoint(model.h1, target - out))
         if not np.all(np.isfinite(step)):
             raise _update_error("offline step overflows", model.h1)
         s = s + step

@@ -315,13 +315,19 @@ def test_report_json_shape(tmp_path):
     assert data["records"][0]["model_error"] is None  # NaN becomes null
     assert data["records"][1]["model_error"] == 0.005
     assert data["final_model"]["h1_re"] == [1.0]
-    # Each record gives its delay and the max |h1| of its model (null
-    # without one); the model and offline solve themselves stay out.
+    # Each record gives its delay, the max |h1| of its model and its
+    # offline solve's steps, final cost and convergence (null without
+    # one); the model and offline solve themselves stay out.
     assert all(set(r) == {"index", "mase", "mse", "model_error", "delay",
-                          "max_abs_h1"}
+                          "max_abs_h1", "offline_steps", "offline_cost",
+                          "offline_converged"}
                for r in data["records"])
     assert [r["delay"] for r in data["records"]] == [0.0, 2e-9]
     assert [r["max_abs_h1"] for r in data["records"]] == [None, 1.0]
+    # The identity model's target already fits: no step, zero cost.
+    assert [r["offline_steps"] for r in data["records"]] == [None, 0]
+    assert [r["offline_cost"] for r in data["records"]] == [None, 0.0]
+    assert [r["offline_converged"] for r in data["records"]] == [None, True]
 
 
 def test_convergence_csv(tmp_path):

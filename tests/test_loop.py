@@ -1,9 +1,9 @@
 """Offline correction by iterated Tikhonov and the closed feedback loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 from pulseloop import channel, loop, sysid
 
@@ -17,9 +17,12 @@ from pulseloop.envelope import (ComplexEnvelope, GridMismatchError,
 from pulseloop.loop import (LMConfig, LoopConfig, LoopReport,
                             MeasurementError, ReplayChannel,
                             SingularUpdateError, _adjoint, _align_to_target,
-                            _normal_banded, closed_loop, jacobian,
-                            offline_iterate, tf_free_step)
+                            closed_loop, jacobian, offline_iterate,
+                            tf_free_step)
 from pulseloop.sysid import VolterraModel, estimate_kernel, volterra_forward
+
+from band_reference import (band_tikhonov_steps, damped_band_solve,
+                            normal_banded)
 
 
 def _env(samples, dt=1e-9):
@@ -81,7 +84,11 @@ def test_jacobian_matches_finite_differences():
                 assert np.max(np.abs(column - j[:, m])) / scale < 1e-6
 
 
-# -------------------------------------------------- banded normal equations
+# ------------------------------------------------------ normal equations
+
+def _dense_jacobian(h1, n):
+    return jacobian(VolterraModel(h0=0.0, h1=h1), _env(np.zeros(n)))
+
 
 @pytest.mark.parametrize("n, memory", [(300, 64), (100, 64), (64, 64),
                                        (12, 1)])
@@ -89,12 +96,12 @@ def test_normal_band_and_adjoint_match_dense_jacobian(n, memory):
     rng = np.random.default_rng(n + memory)
     h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    j = jacobian(VolterraModel(h0=0.0, h1=h1), _env(np.zeros(n)))
+    j = _dense_jacobian(h1, n)
     gram = j.conj().T @ j
     expected = np.zeros((memory, n), dtype=complex)
     for d in range(memory):
         expected[d, :n - d] = np.diagonal(gram, -d)
-    ab = _normal_banded(h1, n)
+    ab = normal_banded(h1, n)
     np.testing.assert_allclose(ab, expected, rtol=0,
                                atol=1e-12 * np.max(np.abs(gram)))
     adjoint = j.conj().T @ r
@@ -102,28 +109,58 @@ def test_normal_band_and_adjoint_match_dense_jacobian(n, memory):
                                atol=1e-12 * np.max(np.abs(adjoint)))
 
 
-def _normal_banded_gather_all(h1, n):
-    """Reference band fill gathering every column from the partial sums."""
-    m = len(h1)
-    padded = np.concatenate([h1, np.zeros(m - 1, dtype=complex)])
-    lag = np.arange(m)[:, None]
-    partial = np.cumsum(h1.conj() * padded[lag + np.arange(m)], axis=1)
-    last = n - 1 - lag - np.arange(n)
-    ab = np.take_along_axis(partial, np.clip(last, 0, m - 1), axis=1)
-    ab[last < 0] = 0
-    return ab
+_EDGE_SHAPES = [(360, 64), (1000, 64), (4000, 64), (64, 64), (65, 64),
+                (12, 1), (360, 2), (2, 2), (129, 128)]
 
 
-@pytest.mark.parametrize("n, memory", [(360, 64), (1000, 64), (4000, 64),
-                                       (64, 64), (65, 64), (12, 1), (360, 2),
-                                       (2, 2), (129, 128)])
+@pytest.mark.parametrize("n, memory", _EDGE_SHAPES)
 def test_normal_band_equals_the_all_column_gather(n, memory):
+    # The reference band gathers each column from the lag partial sums.
+    # It equals J^H J formed from J's own band, jb[k, c] = J[c + k, c],
+    # as G[c + d, c] = sum_k conj(J[c + k, c + d]) J[c + k, c].
     rng = np.random.default_rng(7 * n + memory)
     h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
-    band = _normal_banded(h1, n)
-    # LAPACK's column-major band layout, so zpbtrf factors it in place.
-    assert band.flags.f_contiguous
-    assert np.array_equal(band, _normal_banded_gather_all(h1, n))
+    k = np.arange(memory)[:, None]
+    jb = np.where(np.arange(n) + k < n, h1[:, None], 0)
+    expected = np.zeros((memory, n), dtype=complex)
+    for d in range(min(memory, n)):
+        expected[d, :n - d] = np.sum(jb[:memory - d, d:].conj()
+                                     * jb[d:, :n - d], axis=0)
+    np.testing.assert_allclose(normal_banded(h1, n), expected, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n, memory", _EDGE_SHAPES)
+def test_normal_solver_matches_the_dense_normal_equations(n, memory):
+    # The circulant embedding is exact: its solve satisfies the damped
+    # normal equations of jacobian() (applied by convolution where the
+    # dense matrix would not fit) and matches the banded Cholesky solve.
+    rng = np.random.default_rng(3 * n + memory)
+    h1 = rng.standard_normal(memory) + 1j * rng.standard_normal(memory)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = loop._normal_solver(h1, n)(v)
+    if n <= 1000:
+        j = _dense_jacobian(h1, n)
+        normal = j.conj().T @ (j @ x) + loop._DAMPING * x
+    else:
+        normal = (_adjoint(h1, np.convolve(x, h1)[:n])
+                  + loop._DAMPING * x)
+    assert np.max(np.abs(normal - v)) < 1e-9 * np.max(np.abs(v))
+    reference = damped_band_solve(h1, v)
+    assert np.max(np.abs(x - reference)) < 1e-9 * np.max(np.abs(reference))
+
+
+def test_a_fast_length_one_tap_solve_has_no_border(monkeypatch):
+    # n = 12 is a fast FFT length, so with one tap P = n and q = 0: the
+    # solve is the circulant's alone, with no border to factor or solve.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a border was factored or solved")
+
+    for name in ("zpotrf", "zpotrs", "ztrtrs", "zherk"):
+        monkeypatch.setattr(loop, name, no_lapack)
+    v = np.arange(1, 13) * (1 - 0.5j)
+    x = loop._normal_solver(np.array([0.7 - 0.2j]), 12)(v)
+    np.testing.assert_allclose(x, v / (0.53 + loop._DAMPING), rtol=1e-14)
 
 
 # ----------------------------------------------------------- offline_iterate
@@ -180,44 +217,6 @@ def test_offline_three_steps_match_dense_iterated_tikhonov():
     assert np.max(np.abs(third)) > 1e-6 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
-def test_offline_first_step_equals_the_solveh_banded_step(duration):
-    # The loop fits a lambda = 0 kernel to one gate shot and takes one
-    # offline step from the target. Solving the damped banded normal
-    # equations with solveh_banded is the reference: the step taken
-    # from the Cholesky factor must equal it bit for bit.
-    target = _gate(duration)
-    chan = SimulatedChannel(ChannelConfig(),
-                            cutoff=suggested_cutoff(duration),
-                            trace_noise_sigma=0.02, seed=2)
-    s_out, _ = _align_to_target(chan.measure(target), target)
-    model = estimate_kernel(target, s_out, 64, 0.0)
-    n = target.grid.n
-    assert n == round(2 * duration / 1e-9)
-
-    t = target.samples
-    residual = t - (np.convolve(t, model.h1)[:n] + model.h0)
-    rhs = np.convolve(residual[::-1], model.h1.conj())[:n][::-1]
-    ab = _normal_banded(model.h1, n)
-    ab[0] += 1e-3
-    expected = t + solveh_banded(ab, rhs, lower=True)
-
-    result = offline_iterate(model, target,
-                             LMConfig(max_iters=1, cost_tol=1e-30))
-    assert np.array_equal(result.s_pred.samples, expected)
-
-
-def test_offline_unfactorable_normal_matrix_raises(monkeypatch):
-    def not_positive_definite(ab, lower, overwrite_ab):
-        return ab, 2  # zpbtrf: the 2nd leading minor is not positive definite
-
-    monkeypatch.setattr(loop, "zpbtrf", not_positive_definite)
-    target = _env(np.ones(8))
-    with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 0\.5\b"):
-        offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, -0.1j])),
-                        target)
-
-
 def _gate_fit(duration):
     """A gate target and the lambda = 0 kernel fitted to its first shot."""
     target = _gate(duration)
@@ -229,47 +228,59 @@ def _gate_fit(duration):
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
+def test_offline_first_step_equals_the_solveh_banded_step(duration):
+    # The loop fits a lambda = 0 kernel to one gate shot and takes one
+    # offline step from the target. Solving the damped banded normal
+    # equations with solveh_banded is the reference: the step taken by
+    # circulant embedding must match it to 1e-8 of its largest entry.
+    target, model = _gate_fit(duration)
+    assert target.grid.n == round(2 * duration / 1e-9)
+    expected, = band_tikhonov_steps(model, target, 1)
+    result = offline_iterate(model, target,
+                             LMConfig(max_iters=1, cost_tol=1e-30))
+    step = np.max(np.abs(expected - target.samples))
+    assert np.max(np.abs(result.s_pred.samples - expected)) < 1e-8 * step
+
+
+@pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_offline_three_steps_equal_three_solveh_banded_steps(duration):
     target, model = _gate_fit(duration)
-    n = target.grid.n
-    ab = _normal_banded(model.h1, n)
-    ab[0] += 1e-3
-    t = target.samples
-    expected = t.copy()
-    for _ in range(3):
-        residual = t - (np.convolve(expected, model.h1)[:n] + model.h0)
-        expected = expected + solveh_banded(ab, _adjoint(model.h1, residual),
-                                            lower=True)
+    *_, expected = band_tikhonov_steps(model, target, 3)
     result = offline_iterate(model, target,
                              LMConfig(max_iters=3, cost_tol=1e-30))
     assert len(result.costs) == 4
-    assert np.array_equal(result.s_pred.samples, expected)
+    step = np.max(np.abs(expected - target.samples))
+    assert np.max(np.abs(result.s_pred.samples - expected)) < 1e-8 * step
 
 
-def test_offline_factors_the_band_it_built_in_place(monkeypatch):
-    # No copy of J^H J between the band fill and the solves: the factor
-    # every step solves with is the band's own memory.
-    target, model = _gate_fit(5e-7)
-    bands, factors = [], []
-    real_band, real_solve = loop._normal_banded, loop.zpbtrs
+def test_offline_unfactorable_normal_matrix_raises(monkeypatch):
+    def not_positive_definite(a, lower, overwrite_a=0):
+        return a, 2  # zpotrf: the 2nd leading minor is not positive definite
 
-    def band(*args):
-        bands.append(real_band(*args))
-        return bands[-1]
+    monkeypatch.setattr(loop, "zpotrf", not_positive_definite)
+    target = _env(np.ones(8))
+    with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 0\.5\b"):
+        offline_iterate(VolterraModel(h0=0.0, h1=np.array([0.5, -0.1j])),
+                        target)
 
-    def solve(ab, b, lower):
-        factors.append(ab)
-        return real_solve(ab, b, lower=lower)
 
-    monkeypatch.setattr(loop, "_normal_banded", band)
-    monkeypatch.setattr(loop, "zpbtrs", solve)
-    offline_iterate(model, target, LMConfig(max_iters=3, cost_tol=1e-30))
-    assert len(bands) == 1 and len(factors) == 3
-    assert all(np.shares_memory(f, bands[0]) for f in factors)
+def test_offline_allocates_no_band():
+    # The solve works on transforms of P = next_fast_len(n + M - 1)
+    # points and a q x q border, q = P - n: at 2 us (n = 4,000, M = 64)
+    # three steps peak below half the 4 MB an n x M band would take.
+    target, model = _gate_fit(2e-6)
+    band_bytes = target.grid.n * model.memory * 16
+    tracemalloc.start()
+    try:
+        offline_iterate(model, target, LMConfig(max_iters=3, cost_tol=1e-30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < band_bytes / 2
 
 
 def test_a_kernel_that_overflows_the_band_fails_by_name():
-    # |h1[0]|^2 overflows: the band's partial sums are checked, so the
+    # |h1[0]|^2 overflows: the taps' transform is checked, so the
     # error is the loop's own, with no overflow warning on the way.
     with pytest.raises(SingularUpdateError, match=r"max \|h1\| = 1e\+160"):
         offline_iterate(VolterraModel(h0=0.0, h1=np.array([1e160, 1.0])),
@@ -277,8 +288,8 @@ def test_a_kernel_that_overflows_the_band_fails_by_name():
 
 
 def test_an_offline_cost_that_overflows_fails_by_name():
-    # The band is finite and factors, but the first cost overflows: it
-    # is checked like the band, with no overflow warning on the way.
+    # The normal matrix is finite and factors, but the first cost
+    # overflows: it is checked too, with no overflow warning on the way.
     with pytest.raises(SingularUpdateError,
                        match=r"cost overflows .* max \|h1\| = 1e\+154"):
         offline_iterate(VolterraModel(h0=0.0, h1=np.array([1e154, 1.0])),
@@ -288,8 +299,8 @@ def test_an_offline_cost_that_overflows_fails_by_name():
 def test_an_offline_step_that_overflows_fails_by_name(monkeypatch):
     # A finite cost bounds the exact step, but a solve rounded against an
     # ill-conditioned factor need not be; the step is checked, not passed
-    # on as NaN.
-    monkeypatch.setattr(loop, "zpbtrs",
+    # on as NaN, and its arithmetic warns of nothing on the way.
+    monkeypatch.setattr(loop, "zpotrs",
                         lambda c, b, lower: (np.full(len(b), np.inf), 0))
     model = VolterraModel(h0=0.0, h1=np.array([9.4e3, 9.4e3]))
     with pytest.raises(SingularUpdateError,
@@ -385,14 +396,8 @@ def _measured_gate(duration, seed=0):
 
 
 def _band_step(h1, error):
-    """The learning step by the banded Cholesky solve of J^H J + mu I,
-    as ``offline_iterate`` takes each step."""
-    ab = _normal_banded(h1, len(error))
-    ab[0] += loop._DAMPING
-    factor, info = zpbtrf(ab, lower=1, overwrite_ab=1)
-    assert info == 0
-    step = zpbtrs(factor, _adjoint(h1, error), lower=1)[0]
-    return loop._LEARNING_GAIN * step
+    """The learning step by the banded Cholesky solve of J^H J + mu I."""
+    return loop._LEARNING_GAIN * damped_band_solve(h1, _adjoint(h1, error))
 
 
 @pytest.mark.parametrize("kernel", ["default", "fit"])

@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pulseloop import fileio  # noqa: E402
+from pulseloop import fileio, loop  # noqa: E402
 from pulseloop.channel import ChannelConfig, SimulatedChannel  # noqa: E402
 from pulseloop.demod import (design_lowpass, filtfilt,  # noqa: E402
                              suggested_cutoff)
@@ -23,7 +23,7 @@ from pulseloop.envelope import (ComplexEnvelope,  # noqa: E402
                                 align_delay, default_grid, embed, make_pulse,
                                 shift_samples)
 from pulseloop.loop import (LOOP_METHODS, LoopConfig,  # noqa: E402
-                            MeasurementError, SingularUpdateError,
+                            MeasurementError, SingularUpdateError, _adjoint,
                             _align_to_target, closed_loop)
 from pulseloop.optics import (GaussianBeam, design_three_lens,  # noqa: E402
                               propagate_beam, sensitivity)
@@ -31,6 +31,7 @@ from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
                              build_design_matrix, cross_validate,
                              estimate_kernel, volterra_forward)
 
+from band_reference import damped_band_solve  # noqa: E402
 from cv_reference import assert_matches_the_svd_scorer  # noqa: E402
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -298,6 +299,41 @@ def test_a_closed_loop_converges_stalls_or_fails_by_name(seed, method,
     assert report.converged == (report.mase_trace[-1] <= gate)
     assert (report.converged
             or len(report.records) == config.max_loop_iters)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, duration=st.sampled_from([1.8e-7, 5e-7, 2e-6]))
+def test_the_offline_step_matches_the_band_solve_on_the_family(seed,
+                                                               duration):
+    # On any channel of the family, the first offline step from a
+    # lambda = 0 fit to the first shot, solved by circulant embedding,
+    # meets the damped normal equations as closely as solveh_banded's
+    # step, and the two agree to the rounding that the condition bound
+    # (max |H|^2 + mu) / mu allows (it reaches 5e10 on the family, where
+    # they differ by up to 0.07 cond eps); no warning on the way.
+    target = make_pulse(PulseSpec(kind="gate-standin", duration=duration),
+                        default_grid(duration))
+    chan = SimulatedChannel(ChannelConfig(volterra=_family_kernel(seed)),
+                            cutoff=suggested_cutoff(duration),
+                            trace_noise_sigma=0.02, seed=seed)
+    out, _ = _align_to_target(chan.measure(target), target)
+    model = estimate_kernel(target, out, 64, 0.0)
+    h1, n, mu = model.h1, target.grid.n, loop._DAMPING
+    t = target.samples
+    v = _adjoint(h1, t - (np.convolve(t, h1)[:n] + model.h0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = loop._normal_solver(h1, n)(v)
+    want = damped_band_solve(h1, v)
+
+    def residual(x):
+        normal = _adjoint(h1, np.convolve(x, h1)[:n]) + mu * x
+        return np.max(np.abs(normal - v)) / np.max(np.abs(v))
+
+    assert residual(got) <= max(4 * residual(want), 1e-12)
+    cond = (np.max(np.abs(np.fft.fft(h1, 8 * n))) ** 2 + mu) / mu
+    assert (np.max(np.abs(got - want))
+            <= cond * np.finfo(float).eps * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("seed", range(5))
