@@ -207,17 +207,19 @@ def _cmd_demod(args, run: _Run) -> int:
 # ---------------------------------------------------------------- estimate
 
 def _cmd_estimate(args, run: _Run) -> int:
-    inp = fileio.read_envelope(run.in_path(args.input))
-    out = fileio.read_envelope(run.in_path(args.output))
-    aligned, _ = _align_to_target(out, inp)
-    if args.lambda_reg is not None:
-        model = estimate_kernel(inp, aligned, args.memory, args.lambda_reg)
-    else:
+    cv = None  # checked before any input is read
+    if args.lambda_reg is None:
         try:
             grid = tuple(float(v) for v in args.lambda_grid.split(","))
         except ValueError as exc:
             raise InvalidSpecError(f"--lambda-grid: {exc}") from exc
         cv = CVConfig(folds=args.cv_folds, lambda_grid=grid)
+    inp = fileio.read_envelope(run.in_path(args.input))
+    out = fileio.read_envelope(run.in_path(args.output))
+    aligned, _ = _align_to_target(out, inp)
+    if cv is None:
+        model = estimate_kernel(inp, aligned, args.memory, args.lambda_reg)
+    else:
         _, scores, model = cross_validate(inp, aligned, args.memory, cv)
         fileio.write_scores_csv(run.out_path(args.scores_out), scores)
     fileio.write_model_json(run.out_path(args.model_out), model)

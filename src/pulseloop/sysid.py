@@ -7,7 +7,8 @@ squares on a QR factor of the design matrix, or, at a ridge weight above
 zero, by one Cholesky solve on its Gram matrix, built from FFT
 correlations and refined once. Cross-validation on contiguous held-out
 blocks chooses the ridge weight; each fold's fit at a ridge weight above
-zero is one Cholesky solve on the other folds' Gram matrices.
+zero is one Cholesky solve on the other folds' Gram matrices, built the
+same way, and the model is the fit at the chosen weight.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _design_tsqr(env: ComplexEnvelope, memory: int, c=None, levels=None,
 
 _DESIGN_KEY = "sysid.design_factor"  # ComplexEnvelope._memo key, per memory
 
-_LOCK = threading.Lock()  # guards the kept design factors and the pool
+_LOCK = threading.Lock()  # guards the kept design factors
 if hasattr(os, "register_at_fork"):
     # A child forked while another thread held the lock would never see it
     # released; holding it across the fork leaves it free on both sides.
@@ -224,34 +225,24 @@ if hasattr(os, "register_at_fork"):
                         after_in_child=_LOCK.release)
 
 
-def _ridge_svd(rz: np.ndarray, n: int) -> tuple:
-    """Thin SVD of r with ``_ridge_path``'s cutoff: ``(U^H z, s, V^T)``."""
-    r, z = rz[:, :-1], rz[:, -1]
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(n, r.shape[1]) * s[0]
-    return u[:, keep].conj().T @ z, s[keep], vh[keep].conj()
-
-
-def _ridge_gain(uz, s, v_t, lams) -> np.ndarray:
-    """``_ridge_path``'s rows, from ``_ridge_svd``'s output."""
-    gain = s / (s ** 2 + np.asarray(lams, dtype=float)[:, None])
-    return (gain * uz) @ v_t
-
-
 def _ridge_path(rz: np.ndarray, n: int, lams) -> np.ndarray:
     """Minimizers of ||A th - y||^2 + lam ||th||^2, one row per ``lam``.
 
     ``rz`` is a factor of the n-row matrix [A | y], as from
     ``_triangular``, or [R | Q^H y] for A = Q R, as from ``_tsqr``:
     with r = rz[:, :-1] and z = rz[:, -1], A^H A = r^H r and
-    A^H y = r^H z. One thin complex SVD r = U diag(s) V^H (``_ridge_svd``)
-    then gives the whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z
-    (``_ridge_gain``). Singular values at or below s_max * eps *
-    max(n, columns) (NumPy's ``lstsq`` cutoff for A, not the smaller
-    factor) are dropped, so lam = 0 yields the minimum-norm least-squares
-    solution with directions the data cannot resolve set to zero.
+    A^H y = r^H z. One thin complex SVD r = U diag(s) V^H then gives the
+    whole ridge path, th(lam) = V diag(s / (s^2 + lam)) U^H z. Singular
+    values at or below s_max * eps * max(n, columns) (NumPy's ``lstsq``
+    cutoff for A, not the smaller factor) are dropped, so lam = 0 yields
+    the minimum-norm least-squares solution with directions the data
+    cannot resolve set to zero.
     """
-    return _ridge_gain(*_ridge_svd(rz, n), lams)
+    r, z = rz[:, :-1], rz[:, -1]
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(n, r.shape[1]) * s[0]
+    gain = s[keep] / (s[keep] ** 2 + np.asarray(lams, dtype=float)[:, None])
+    return (gain * (u[:, keep].conj().T @ z)) @ vh[keep].conj()
 
 
 def _back_substitutes(r: np.ndarray, n: int) -> bool:
@@ -293,31 +284,53 @@ def _solve(rz: np.ndarray, n: int, lam: float, safe=None) -> np.ndarray:
     return _ridge_path(rz, n, [lam])[0]
 
 
-def _gram(x: np.ndarray, memory: int) -> tuple:
-    """A^H A for the design matrix A = [1 | ``_lagged(x, memory)``], from
-    FFT correlations, with the transform of x that ``_design_adjoint``
-    takes: ``(gram, spectrum)``.
+def _gram(x: np.ndarray, memory: int, lo: int = 0, hi=None, y=None) -> tuple:
+    """A^H A for rows ``lo:hi`` (default all) of the design matrix
+    A = [1 | ``_lagged(x, memory)``], or [A | y]^H [A | y] with ``y``, from
+    FFT correlations, with the transform of the samples the rows read
+    that ``_design_adjoint`` takes: ``(gram, spectrum)``.
 
-    A's lag columns are the first n rows of the full convolution matrix
-    of x, whose Gram matrix is the Hermitian Toeplitz matrix of x's
-    autocorrelation at lags 0 to ``memory`` - 1, taken by FFT on at
-    least n + memory - 1 points so that no lag wraps. A^H A's lag block
-    is that matrix less the Gram matrix B^H B of the memory - 1 rows the
-    full convolution adds past the record's end, which hold only its
-    last memory - 1 samples (B is zero for a record whose tail is zero).
-    The border is n and the partial sums of x.
+    The rows read x[s:hi], s = max(lo - memory + 1, 0) (earlier samples
+    are zero). Their lag columns are rows lo - s to hi - s - 1 of the full
+    convolution matrix of those samples, whose Gram matrix is the
+    Hermitian Toeplitz matrix of their autocorrelation at lags 0 to
+    ``memory`` - 1, taken by FFT on at least hi - s + memory - 1 points
+    so that no lag wraps. The lag block is that matrix less the Gram
+    matrices of the partial rows at both ends: the lo - s rows before
+    ``lo``, which hold only the first samples, and the memory - 1 rows
+    the full convolution adds past the end, which hold only the last (a
+    zero tail makes them zero). The border is the row count and the
+    partial sums of x; with y, the last column is A^H y over the rows
+    (``_design_adjoint``) and the corner is ||y||^2 over them.
     """
-    n = len(x)
-    spectrum = sfft.fft(x, sfft.next_fast_len(n + memory - 1))
+    hi = len(x) if hi is None else hi
+    s = max(lo - memory + 1, 0)
+    seg = x[s:hi]
+    m = len(seg)
+    spectrum = sfft.fft(seg, sfft.next_fast_len(m + memory - 1))
     lags = sfft.ifft(np.abs(spectrum) ** 2)[:memory].conj()
-    past = np.concatenate((x[n - memory + 1:],
-                           np.zeros(memory, dtype=complex)))
-    b = _lagged(past, memory)[memory - 1:-1]
-    gram = np.empty((memory + 1, memory + 1), dtype=complex)
-    gram[0, 0] = n
-    gram[0, 1:] = np.cumsum(x)[:-memory - 1:-1]
-    gram[1:, 0] = gram[0, 1:].conj()
-    gram[1:, 1:] = toeplitz(lags.conj(), lags) - b.conj().T @ b
+    last = seg[max(m - memory + 1, 0):]
+    past = np.concatenate((last, np.zeros(memory, dtype=complex)))
+    b = _lagged(past, memory)[len(last):-1]
+    size = memory + 1 + (y is not None)
+    gram = np.empty((size, size), dtype=complex)
+    gram[0, 0] = hi - lo
+    sums = np.concatenate(([0], np.cumsum(seg)))
+    j = np.arange(memory)
+    gram[0, 1:memory + 1] = (sums[np.maximum(m - j, 0)]
+                             - sums[np.maximum(lo - s - j, 0)])
+    gram[1:memory + 1, 0] = gram[0, 1:memory + 1].conj()
+    block = toeplitz(lags.conj(), lags) - b.conj().T @ b
+    if lo > s:
+        head = _lagged(seg[:lo - s], memory)
+        block -= head.conj().T @ head
+    gram[1:memory + 1, 1:memory + 1] = block
+    if y is not None:
+        v = y[s:hi].copy()
+        v[:lo - s] = 0.0
+        gram[:-1, -1] = _design_adjoint(spectrum, v, memory)
+        gram[-1, :-1] = gram[:-1, -1].conj()
+        gram[-1, -1] = np.vdot(v, v)
     return gram, spectrum
 
 
@@ -460,77 +473,7 @@ class CVConfig:
         object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
 
 
-_pool_state = None  # (pid, executor) of the process that made the pool
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-
-def _workers() -> int:
-    """Pool size: the CPUs this process may use over BLAS's threads per call.
-
-    OpenBLAS runs each call on the first positive count among
-    ``_BLAS_THREAD_VARS`` and on every usable CPU when none is set. Pool
-    workers beyond cpus // threads would only contend with those threads,
-    so that many workers run, at least one: an unpinned BLAS gets one.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    threads = cpus
-    for name in _BLAS_THREAD_VARS:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            threads = int(value)
-            break
-    return max(1, cpus // threads)
-
-
-def _pool():
-    """The process's ``ThreadPoolExecutor`` of ``_workers()`` threads.
-
-    ``None`` when ``_workers()`` is 1: then ``_run`` runs the tasks in
-    order through the builtin ``map`` on the calling thread, because with
-    multithreaded OpenBLAS a fit on a pool thread took about twice as long
-    in the median as on the thread that called it. Made on first use and
-    again in a forked child, whose copy of the parent's pool has no
-    threads and would never run a task.
-    """
-    global _pool_state
-    with _LOCK:
-        pid = os.getpid()
-        if _pool_state is None or _pool_state[0] != pid:
-            executor = None
-            workers = _workers()
-            if workers > 1:
-                from concurrent.futures.thread import ThreadPoolExecutor
-                executor = ThreadPoolExecutor(max_workers=workers)
-            _pool_state = (pid, executor)
-        return _pool_state[1]
-
-
-def _run(tasks: list) -> list:
-    """Results of the ``(fn, *args)`` tasks, in order.
-
-    The tasks run on ``_pool()``'s threads, or, with no pool, one after
-    another through the builtin ``map`` on the calling thread.
-    """
-    pool = _pool()
-    return list((map if pool is None else pool.map)(
-        lambda task: task[0](*task[1:]), tasks))
-
-
-def _block_factor(inp: ComplexEnvelope, memory: int, lo: int, hi: int,
-                  y: np.ndarray) -> tuple:
-    """``_design_tsqr``'s factor rz of rows ``lo:hi`` of [A | y], and its
-    Gram matrix rz^H rz, the block's [A | y]^H [A | y]."""
-    rz = _design_tsqr(inp, memory, lo=lo, hi=hi, y=y)[0]
-    return rz, rz.conj().T @ rz
-
-
-def _fold_mse(factors: tuple, grams: tuple, k: int, lagged: np.ndarray,
+def _fold_mse(grams: list, k: int, inp: ComplexEnvelope, lagged: np.ndarray,
               y: np.ndarray, lo: int, hi: int, lams) -> np.ndarray:
     """Validation MSE per ``lams`` entry of the fit without fold ``k``,
     whose rows are ``lo:hi``.
@@ -539,22 +482,23 @@ def _fold_mse(factors: tuple, grams: tuple, k: int, lagged: np.ndarray,
     G = [A | y]^H [A | y] over the training rows, so H = A^H A and
     b = A^H y. Each lam > 0 solves (H + lam I) th = b by one Cholesky
     factor (``zpotrf``, ``zpotrs``). lam = 0, and any lam whose shifted
-    H does not factor, takes ``_ridge_path`` on the TSQR of the other
-    folds' stacked factors (minimum norm, with the ``lstsq`` cutoff),
-    reduced at most once. The normal equations square the condition
-    number (Bjorck, *Numerical Methods for Least Squares Problems*,
-    2.2): on gate pulses through 40 channels the held-out errors moved
-    by at most 1.7e-9 relative from the SVD path's, and lambda_star held.
-    The final fit, whose bits are the model, does not take them.
+    H does not factor, takes ``_ridge_path`` (minimum norm, with the
+    ``lstsq`` cutoff) on an R factor of the training rows, made once and
+    only then: the rows on each side of the fold by ``_design_tsqr``,
+    their factors stacked and reduced. The normal equations square the
+    condition number (Bjorck, *Numerical Methods for Least Squares
+    Problems*, 2.2): on 144 gate pulses the held-out errors moved by at
+    most 4.7e-9 relative from the orthogonal factor's, and lambda_star
+    held. The errors are the mean squared residuals of the fold's rows.
     """
     gram = sum(grams[:k] + grams[k + 1:])
     p = gram.shape[0] - 1
-    n = len(lagged) - (hi - lo)
+    n, memory = inp.grid.n, lagged.shape[1]
     thetas = np.empty((len(lams), p), dtype=complex)
     rest = []
     for i, lam in enumerate(lams):
         if lam > 0:
-            shifted = gram[:p, :p].copy()
+            shifted = np.array(gram[:p, :p], order="F")  # zpotrf's layout
             shifted.flat[::p + 1] += lam
             c, info = lapack.zpotrf(shifted, overwrite_a=True)
             if info == 0:
@@ -562,8 +506,10 @@ def _fold_mse(factors: tuple, grams: tuple, k: int, lagged: np.ndarray,
                 continue
         rest.append(i)
     if rest:
-        rz = _triangular(np.vstack(factors[:k] + factors[k + 1:]))
-        thetas[rest] = _ridge_path(rz, n, [lams[i] for i in rest])
+        rz = _triangular(np.vstack([
+            _design_tsqr(inp, memory, lo=a, hi=b, y=y)[0]
+            for a, b in ((0, lo), (hi, n)) if a < b]))
+        thetas[rest] = _ridge_path(rz, n - (hi - lo), [lams[i] for i in rest])
     val = _rows(lagged, lo, hi, y)
     r = thetas @ val[:, :-1].T - val[:, -1]
     return np.mean(np.abs(r) ** 2, axis=1)
@@ -575,37 +521,20 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
 
     Splits the samples into ``cv.folds`` contiguous blocks; each serves
     once as the validation set while the model is fitted on the rest.
-    Each block's rows of [A | y] are built straight into TSQR blocks and
-    reduced to an R factor once, with its Gram matrix R^H R
-    (``_block_factor``). A fold's fit sums the other blocks' Gram
-    matrices and takes one Cholesky solve per lambda > 0; lambda = 0,
-    and any lambda whose shifted Gram does not factor, reduce the other
-    blocks' stacked factors and take one small SVD (``_fold_mse``). The
-    final fit reduces all the block factors (TSQR), so a long design
-    matrix is never factored again; it keeps the orthogonal factor,
-    since a Gram fit moved its taps by up to 2.3e-6 relative on the
-    gate pulses. A record that fits one TSQR block is factored
-    directly, as ``estimate_kernel`` does: a short, near-square fit is
-    ill-conditioned, so the two reductions' rounding would differ by up
-    to cond(A) * eps.
-
-    The block factors, then the final factor and its SVD (first, as the
-    longest task) beside the fold fits, run on a pool of ``_workers()``
-    threads (LAPACK and the SVD release the interpreter lock), or in
-    order on the calling thread for one worker. The model is one gain
-    step on the pooled SVD at any lambda_star, so the calling thread
-    takes no QR, Cholesky or SVD. Each task runs a serial loop's
-    arithmetic, and the Gram matrices and the fold errors are summed in
-    fold order, so the result is bit-identical whatever the worker
-    count.
+    Each block's [A | y]^H [A | y] comes from FFT correlations of the
+    samples its rows read (``_gram`` on the block's rows), and a fold's
+    fit sums the other blocks' and takes one Cholesky solve per
+    lambda > 0; only lambda = 0, and a lambda whose shifted Gram does not
+    factor, take a QR and an SVD of the training rows (``_fold_mse``).
+    Everything runs on the calling thread.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
-    the table minimum (first entry on ties), and ``model`` is the fit to
-    all samples at lambda_star, as ``estimate_kernel`` would return it
-    (to rounding: its factor is of [A | y], ``estimate_kernel``'s of A,
-    and at lambda_star = 0 it takes the SVD where ``estimate_kernel``
-    may back-substitute).
+    the table minimum (first entry on ties), and ``model`` is
+    ``estimate_kernel(inp, out, memory, lambda_star)``, bit for bit. At
+    lambda_star > 0 that is a Gram fit with one refinement step, which
+    was within 7.1e-10 relative of the whole design matrix's SVD fit on
+    144 gate pulses.
     """
     _check_pair(inp, out, memory)
     n = inp.grid.n
@@ -615,14 +544,9 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     y, lagged = out.samples, _lagged(inp.samples, memory)
     bounds = [(fold[0], fold[-1] + 1)
               for fold in np.array_split(np.arange(n), cv.folds)]
-    factors, grams = zip(*_run([(_block_factor, inp, memory, lo, hi, y)
-                                for lo, hi in bounds]))
-    whole = (np.vstack(factors) if n > _TSQR_BLOCK * (memory + 2)
-             else _rows(lagged, 0, n, y))
-    svd, *fold_mse = _run([(lambda: _ridge_svd(_triangular(whole), n),)] + [
-        (_fold_mse, factors, grams, k, lagged, y, lo, hi, cv.lambda_grid)
-        for k, (lo, hi) in enumerate(bounds)])
+    grams = [_gram(inp.samples, memory, lo, hi, y)[0] for lo, hi in bounds]
+    fold_mse = [_fold_mse(grams, k, inp, lagged, y, lo, hi, cv.lambda_grid)
+                for k, (lo, hi) in enumerate(bounds)]
     scores = np.column_stack([cv.lambda_grid, sum(fold_mse) / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
-    theta = _ridge_gain(*svd, [lambda_star])[0]
-    return lambda_star, scores, VolterraModel(h0=theta[0], h1=theta[1:])
+    return lambda_star, scores, estimate_kernel(inp, out, memory, lambda_star)

@@ -519,10 +519,11 @@ def test_estimate_cv_model_equals_a_fit_at_the_scores_minimum(outdir):
 @pytest.mark.parametrize("grid", ["1e-6,1e-5,1e-4,1e-3,1e-2,1e-1,1",
                                   "0,1e-6"])
 def test_estimate_writes_the_svd_scorers_model(tmp_path, duration, grid):
-    # The folds' Cholesky scores move scores.csv by rounding only; the
-    # model comes from the whole factor, so model.json keeps the bytes
-    # of the per-fold QR and SVD scorer's fit at the same lambda_star,
-    # taken at the one BLAS thread the command runs at.
+    # The folds' Cholesky scores move scores.csv from the per-fold QR and
+    # SVD scorer's by rounding only, and the model is estimate_kernel's
+    # at lambda_star, so model.json keeps the bytes of the SVD scorer's
+    # model and of estimate --lambda at the scores' minimum, each taken
+    # at the one BLAS thread the command runs at.
     outdir = str(tmp_path)
     pulse = _make_pulse(outdir, duration)
     chan = _write_channel(os.path.join(outdir, "chan.json"))
@@ -536,15 +537,37 @@ def test_estimate_writes_the_svd_scorers_model(tmp_path, duration, grid):
     out, _ = _align_to_target(fileio.read_envelope(simulated), inp)
     cv = CVConfig(lambda_grid=tuple(float(v) for v in grid.split(",")))
     with cli._one_blas_thread():
-        _, scores, model = serial_cross_validate(inp, out, 64, cv,
-                                                 fold_thetas_by_svd)
+        lam, scores, model = serial_cross_validate(inp, out, 64, cv,
+                                                   fold_thetas_by_svd)
     ref = os.path.join(outdir, "ref.json")
     fileio.write_model_json(ref, model)
     assert Path(est, "model.json").read_bytes() == Path(ref).read_bytes()
+    fixed = os.path.join(outdir, "fixed")
+    assert main(["estimate", "--input", pulse, "--output", simulated,
+                 "--lambda", repr(lam), "--outdir", fixed]) == 0
+    assert Path(fixed, "model.json").read_bytes() == Path(ref).read_bytes()
     got = np.array([line.split(",") for line in Path(
         est, "scores.csv").read_text().splitlines()[1:]], dtype=float)
+    assert got[np.argmin(got[:, 1]), 0] == lam
     np.testing.assert_array_equal(got[:, 0], scores[:, 0])
     np.testing.assert_allclose(got[:, 1], scores[:, 1], rtol=1e-7)
+
+
+@pytest.mark.parametrize("flags", [["--lambda-grid", "1e-3,nan"],
+                                   ["--lambda-grid", "1e-3,x"],
+                                   ["--cv-folds", "1"]])
+def test_estimate_rejects_a_bad_grid_before_reading_its_inputs(outdir, capsys,
+                                                               flags):
+    # The grid and folds are checked first, so a missing --input does
+    # not mask the error, and nothing is read or written.
+    missing = os.path.join(outdir, "missing.csv")
+    assert main(["estimate", "--input", missing, "--output", missing,
+                 "--outdir", outdir] + flags) == 2
+    err = capsys.readouterr().err
+    assert "pulseloop estimate" in err
+    assert ("lambda" in err) if "--lambda-grid" in flags else ("folds" in err)
+    assert "missing.csv" not in err
+    assert not os.path.exists(os.path.join(outdir, "model.json"))
 
 
 @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--lambda", "inf"],

@@ -1,14 +1,12 @@
 """Design matrix, ridge kernel estimation, and cross-validation."""
 
 import itertools
-import multiprocessing
-import os
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.linalg import lapack
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
@@ -23,8 +21,9 @@ from pulseloop.sysid import (CVConfig, VolterraModel, build_design_matrix,
                              cross_validate, estimate_kernel,
                              volterra_forward)
 
-from cv_reference import (assert_matches_the_svd_scorer, fold_thetas_by_svd,
-                          reference_factors, serial_cross_validate)
+from cv_reference import (assert_matches_the_svd_scorer, fold_grams,
+                          fold_parts, fold_thetas_by_svd,
+                          serial_cross_validate, whole_factor_fit)
 
 
 def _env(samples, dt=1e-9):
@@ -248,11 +247,12 @@ def test_estimate_rejects_bad_inputs():
 @pytest.mark.parametrize("memory", [2.5, 4.0, True])
 def test_fits_reject_a_memory_that_is_not_an_integer(memory, monkeypatch):
     # 2.5 used to fail as a bare TypeError from range(), and True fitted
-    # one tap. The check runs before cross_validate submits any task.
-    def no_pool():
-        raise AssertionError("a task started before memory was checked")
+    # one tap. The check runs before either fit builds anything.
+    def no_build(*args, **kwargs):
+        raise AssertionError("a fit started before memory was checked")
 
-    monkeypatch.setattr(sysid, "_pool", no_pool)
+    for name in ("_gram", "_design_tsqr"):
+        monkeypatch.setattr(sysid, name, no_build)
     inp = _random_env(np.random.default_rng(9), 32)
     with pytest.raises(InvalidSpecError, match="memory"):
         estimate_kernel(inp, inp, memory, 0.0)
@@ -460,14 +460,13 @@ def test_minimum_norm_cutoff_counts_the_design_rows(monkeypatch):
     assert _rel_err(_theta(model), ref) < 1e-9
     cv = CVConfig(5, (0.0,))
     _, scores, cv_model = cross_validate(inp, out, 4, cv)
-    # One path per fold; the final fit is a gain step on the whole
-    # factor's pooled SVD, which goes through _ridge_svd alone.
-    assert len(calls) == 1 + cv.folds
+    # One path per fold, on its 3200 training rows, and one for the final
+    # fit, which is estimate_kernel's at lambda_star = 0.
+    assert len(calls) == 1 + cv.folds + 1
+    assert [call[1] for call in calls[1:]] == [3200] * cv.folds + [n]
     np.testing.assert_allclose(scores[:, 1], _cv_oracle(inp, out, 4, cv),
                                rtol=1e-6)
-    # The final fit reduces the fold factors but keeps the cutoff of all
-    # 4000 rows, so it drops the same direction.
-    assert _rel_err(_theta(cv_model), ref) < 1e-9
+    np.testing.assert_array_equal(_theta(cv_model), _theta(model))
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
@@ -529,10 +528,9 @@ def test_design_factor_reproduces_the_design_matrix(n):
 
 @pytest.mark.parametrize("n", [90, 528, 1100])
 def test_triangular_leaves_its_rows_as_they_were(n):
-    # _tsqr reduces blocks in place. cross_validate builds each fold into
-    # blocks of its own, but _triangular takes rows its caller may keep,
-    # such as views of one [A | y] (``reference_factors``), so it must
-    # reduce copies.
+    # _tsqr reduces blocks in place. _design_tsqr builds its blocks of
+    # its own, but _triangular takes rows its caller may keep, such as
+    # views of one [A | y] (``fold_parts``), so it must reduce copies.
     rng = np.random.default_rng(n)
     rows = np.hstack((build_design_matrix(_random_env(rng, n), 64),
                       rng.standard_normal((n, 1))))
@@ -719,13 +717,16 @@ def test_cv_block_edges_match_refits(n, folds):
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
 def test_cv_model_equals_estimate_kernel_on_gate(duration):
-    # The final fit comes from the stacked fold factors, a different
-    # reduction of the same rows than estimate_kernel's full-data TSQR.
+    # The model is estimate_kernel's Gram fit at lambda_star, refined
+    # once; it was within 7.1e-10 relative of the SVD fit of all rows on
+    # 144 gate pulses.
     inp, out = _gate_pair(duration, seed=1)
     lam, _, model = cross_validate(inp, out, 64, CVConfig())
     assert lam > 0
     ref = estimate_kernel(inp, out, 64, lam)
-    assert _rel_err(_theta(model), _theta(ref)) < 1e-9
+    np.testing.assert_array_equal(_theta(model), _theta(ref))
+    svd = whole_factor_fit(inp, out, 64, lam)
+    assert _rel_err(_theta(model), svd) < 1e-9
 
 
 @pytest.mark.parametrize("n, folds", [(90, 3), (529, 5), (66, 2)])
@@ -736,20 +737,17 @@ def test_cv_model_equals_estimate_kernel_at_block_edges(n, folds, lam):
     lam_star, _, model = cross_validate(inp, out, 64, CVConfig(folds, (lam,)))
     assert lam_star == lam
     ref = estimate_kernel(inp, out, 64, lam)
-    if lam > 0:
-        assert _rel_err(_theta(model), _theta(ref)) < 1e-9
-    else:
-        a = build_design_matrix(inp, 64)
-        assert _rel_err(a @ _theta(model), a @ _theta(ref)) < 1e-9
+    np.testing.assert_array_equal(_theta(model), _theta(ref))
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
-@pytest.mark.parametrize("grid", [CVConfig().lambda_grid, (0.0, 1e-6)])
+@pytest.mark.parametrize("grid", [CVConfig().lambda_grid, (0.0, 1e-6),
+                                  (0.0,)])
 def test_cv_scores_match_the_svd_scorer_on_gate(duration, grid):
     # The Gram solves square the condition number (cond(H + 1e-6 I) is
     # 5.8e9-1e11 on these pulses), which moves the held-out errors by
-    # rounding only; the model is fitted from the whole factor, so it
-    # keeps its bits.
+    # rounding only. On (0.0,) every fold takes the SVD path, and the
+    # model is estimate_kernel's at lambda_star = 0, bit for bit.
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig(lambda_grid=grid)
     assert_matches_the_svd_scorer(cross_validate(inp, out, 64, cv),
@@ -760,8 +758,9 @@ def test_cv_scores_match_the_svd_scorer_on_gate(duration, grid):
 @pytest.mark.parametrize("grid", [CVConfig().lambda_grid,
                                   (0.0, 1e-6, 1e-3, 1.0)])
 def test_cv_scores_match_the_svd_scorer_at_block_edges(n, folds, grid):
-    # 66 and 90 rows train on fewer rows than coefficients, from
-    # trapezoidal block factors, and 529 leaves a one-row last block.
+    # 66 and 90 rows train on fewer rows than coefficients, and their
+    # folds are shorter than the memory; 529 leaves a one-row last TSQR
+    # block.
     rng = np.random.default_rng(n)
     inp, out = _random_env(rng, n), _random_env(rng, n)
     cv = CVConfig(folds, grid)
@@ -775,25 +774,27 @@ def test_cv_scores_a_shifted_gram_that_does_not_factor_by_the_svd(
     # equal, so every fold's H = A^H A is singular. At lambda = 1e-15,
     # below the rounding of H's entries, zpotrf stops at that pivot
     # (info > 0) and each fold scores lambda by the SVD path, to the
-    # SVD scorer's bits; H + 1e-3 I still factors.
+    # SVD scorer's bits; H + 1e-3 I still factors. The final fit at
+    # 1e-15 does not factor either and takes estimate_kernel's SVD.
     n, p = 400, 65
     inp = _env(np.ones(n))
     out = _random_env(np.random.default_rng(23), n)
-    _, factors, _ = reference_factors(inp, out, 64, 5)
+    grams = fold_grams(inp, out, 64, fold_parts(inp, out, 64, 5))
     for k in range(5):
-        gram = sum(f.conj().T @ f for j, f in enumerate(factors) if j != k)
+        gram = sum(grams[:k] + grams[k + 1:])
         assert lapack.zpotrf(gram[:p, :p] + 1e-15 * np.eye(p))[1] > 0
         assert lapack.zpotrf(gram[:p, :p] + 1e-3 * np.eye(p))[1] == 0
     calls = _spy_ridge_path(monkeypatch)
     cv = CVConfig(5, (1e-15,))
     got = cross_validate(inp, out, 64, cv)
-    assert [list(call[2]) for call in calls] == [[1e-15]] * cv.folds
+    assert [list(call[2]) for call in calls] == [[1e-15]] * (cv.folds + 1)
     ref = serial_cross_validate(inp, out, 64, cv, fold_thetas_by_svd)
     _assert_same_fit(got, ref)
     # With lambda = 0 beside it, each fold takes one SVD for both.
     del calls[:]
     cv = CVConfig(5, (0.0, 1e-15, 1e-3))
     got = cross_validate(inp, out, 64, cv)
+    assert got[0] == 1e-3
     assert [list(call[2]) for call in calls] == [[0.0, 1e-15]] * cv.folds
     assert_matches_the_svd_scorer(got, inp, out, 64, cv)
 
@@ -915,59 +916,40 @@ def test_cv_rejects_too_few_samples_for_the_final_fit():
         cross_validate(inp, inp, 8, CVConfig(2, (1e-3,)))
 
 
-# ------------------------------------------ concurrent cross-validation
+# ------------------------------------------------- fold Gram matrices
 
 
-@pytest.mark.parametrize("env, workers", [
-    ({}, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
-    ({"OMP_NUM_THREADS": "1"}, 4),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
-    ({"OPENBLAS_NUM_THREADS": "two"}, 1),
-])
-def test_pool_leaves_the_cpus_to_the_blas_threads(env, workers, monkeypatch):
-    # OpenBLAS left at its default runs a thread per usable CPU, and pool
-    # workers beside it made cross_validate slower, not faster.
-    for name in sysid._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    assert sysid._workers() == workers
+@pytest.mark.parametrize("memory", [1, 7, 64])
+@pytest.mark.parametrize("kind, folds", [
+    ("random-66", 2), ("random-90", 3), ("random-529", 5), ("180ns", 5),
+    ("2us", 5)])
+def test_the_fold_gram_equals_the_rows_products(kind, folds, memory):
+    # Each fold's [A | y]^H [A | y] comes from FFT correlations of the
+    # samples its rows read, less the partial rows at both ends. 66 and
+    # 90 rows make folds shorter than 64 taps, and 529 leaves a one-row
+    # last TSQR block for the fallback; 360 and 4,000 are the gate
+    # pulses at 180 ns and 2 us.
+    if kind.startswith("random"):
+        n = int(kind.split("-")[1])
+        rng = np.random.default_rng(n)
+        inp, out = _random_env(rng, n), _random_env(rng, n)
+    else:
+        inp, out = _fit_pair(kind)
+    n, y = inp.grid.n, out.samples
+    lagged = sysid._lagged(inp.samples, memory)
+    for fold in np.array_split(np.arange(n), folds):
+        lo, hi = fold[0], fold[-1] + 1
+        rows = sysid._rows(lagged, lo, hi, y)
+        ref = rows.conj().T @ rows
+        gram, spectrum = sysid._gram(inp.samples, memory, lo, hi, y)
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # The spectrum is that of the samples the rows read.
+        start = max(lo - memory + 1, 0)
+        np.testing.assert_array_equal(
+            spectrum, sfft.fft(inp.samples[start:hi], len(spectrum)))
 
 
-@pytest.fixture(params=[1, 4], ids=["1-worker", "4-workers"])
-def workers(request, monkeypatch):
-    """A fresh pool of ``request.param`` workers, whatever the BLAS threads."""
-    monkeypatch.setattr(sysid, "_workers", lambda: request.param)
-    monkeypatch.setattr(sysid, "_pool_state", None)
-    pool = sysid._pool()
-    yield request.param
-    if pool is not None:
-        pool.shutdown()
-
-
-@pytest.mark.parametrize("workers", [1], indirect=True)
-def test_one_worker_fits_on_the_calling_thread(workers, monkeypatch):
-    # With multithreaded OpenBLAS a fit on a pool thread ran about twice
-    # as long in the median as on the calling thread.
-    threads = set()
-    triangular = sysid._triangular
-
-    def spy(rows):
-        threads.add(threading.get_ident())
-        return triangular(rows)
-
-    monkeypatch.setattr(sysid, "_triangular", spy)
-    inp, out = _gate_pair(5e-7, seed=1)
-    cross_validate(inp, out, 64, CVConfig())
-    assert threads == {threading.get_ident()}
-    assert sysid._pool() is None
+# ------------------------------------------------- serial references
 
 
 def _assert_same_fit(got, ref):
@@ -977,26 +959,48 @@ def _assert_same_fit(got, ref):
     assert np.array_equal(got[2].h1, ref[2].h1)
 
 
+def _fits_at_once(workers, fit):
+    """``fit()``'s result on each of ``workers`` threads started together."""
+    results = [None] * workers
+    start = threading.Barrier(workers)
+
+    def run(i):
+        start.wait(timeout=30)
+        results[i] = fit()
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 @pytest.mark.parametrize("duration, folds", [
     (1.8e-7, 5), (5e-7, 5), (2e-6, 5), (5e-7, 2), (5e-7, 7), (1.8e-7, 7)])
+@pytest.mark.parametrize("workers", [1, 4], ids=["1-worker", "4-workers"])
 def test_cv_equals_the_serial_fits_bit_for_bit(duration, folds, workers):
     # Each fold scores every lambda > 0 by a Cholesky solve on the other
-    # folds' summed Gram matrices. 360 samples fit one TSQR block; 1,000
-    # and 4,000 take the stacked block factors for the final fit.
+    # folds' summed Gram matrices; the model is estimate_kernel's. The
+    # bits do not depend on how many threads fit at once.
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig(folds=folds)
-    _assert_same_fit(cross_validate(inp, out, 64, cv),
-                     serial_cross_validate(inp, out, 64, cv))
+    ref = serial_cross_validate(inp, out, 64, cv)
+    for got in _fits_at_once(
+            workers, lambda: cross_validate(inp, out, 64, cv)):
+        _assert_same_fit(got, ref)
 
 
 @pytest.mark.parametrize("n", [66, 360, 529, 1000, 4300])
 @pytest.mark.parametrize("folds", [5, 7])
 def test_row_builder_gives_the_split_whole_rows_bit_for_bit(n, folds):
     # Every regression is built by _rows: the design matrix's TSQR blocks,
-    # each fold's blocks counted from the fold start, and each fold's
-    # validation rows. They are pinned to one [A | y] cut as a whole:
-    # one block at 66 and 360 rows, a one-row last block at 529, and at
-    # 4300 rows folds that each span two blocks.
+    # the blocks of the rows on each side of a fold, counted from their
+    # first row, and each fold's validation rows. They are pinned to one
+    # [A | y] cut as a whole: one block at 66 and 360 rows, a one-row
+    # last block at 529, and at 4300 rows folds that each span two blocks.
     rng = np.random.default_rng(n + folds)
     inp, out = _random_env(rng, n), _random_env(rng, n)
     a = build_design_matrix(inp, 64)
@@ -1004,30 +1008,27 @@ def test_row_builder_gives_the_split_whole_rows_bit_for_bit(n, folds):
     ref = sysid._tsqr([np.array(a[i:i + step], order="F")
                        for i in range(0, n, step)], step)[0]
     np.testing.assert_array_equal(sysid._design_tsqr(inp, 64)[0], ref)
-    parts, factors, _ = reference_factors(inp, out, 64, folds)
+    parts = fold_parts(inp, out, 64, folds)
     lagged, lo = sysid._lagged(inp.samples, 64), 0
-    for part, factor in zip(parts, factors):
+    for part in parts:
         hi = lo + len(part)
         np.testing.assert_array_equal(
             sysid._rows(lagged, lo, hi, out.samples), part)
-        got, gram = sysid._block_factor(inp, 64, lo, hi, out.samples)
-        np.testing.assert_array_equal(got, factor)
-        np.testing.assert_array_equal(gram, factor.conj().T @ factor)
+        np.testing.assert_array_equal(
+            sysid._design_tsqr(inp, 64, lo=lo, hi=hi, y=out.samples)[0],
+            sysid._triangular(part))
         lo = hi
-    # The scores take the fold factors' Gram matrices and the validation
-    # rows; the model is the gain step on the whole factor's SVD.
     cv = CVConfig(folds=folds)
     _assert_same_fit(cross_validate(inp, out, 64, cv),
                      serial_cross_validate(inp, out, 64, cv))
 
 
 @pytest.mark.parametrize("duration", [1.8e-7, 5e-7, 2e-6])
-@pytest.mark.parametrize("workers", [4], indirect=True)
-def test_cv_takes_every_svd_on_the_pool(duration, workers, monkeypatch):
+def test_cv_takes_no_qr_or_svd_on_the_default_grid(duration, monkeypatch):
     # The folds score the default grid by Cholesky solves alone, and the
-    # final factor's SVD, the only one, runs beside them, so at
-    # lambda_star > 0 the model is one gain step on the calling thread.
-    threads = {"svd": [], "cholesky": []}
+    # model is estimate_kernel's Gram fit: one more Cholesky factor, no
+    # QR, no SVD, and every call on the calling thread.
+    threads = {"qr": [], "svd": [], "cholesky": []}
 
     def spy(kind, fn):
         def call(*args, **kwargs):
@@ -1035,42 +1036,39 @@ def test_cv_takes_every_svd_on_the_pool(duration, workers, monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(sysid, "_ridge_svd", spy("svd", sysid._ridge_svd))
+    monkeypatch.setattr(sysid.lapack, "zgeqrf", spy("qr", sysid.lapack.zgeqrf))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     monkeypatch.setattr(sysid.lapack, "zpotrf",
                         spy("cholesky", sysid.lapack.zpotrf))
-    paths = _spy_ridge_path(monkeypatch)
     inp, out = _gate_pair(duration, seed=1)
     cv = CVConfig()
     lam = cross_validate(inp, out, 64, cv)[0]
     assert lam > 0
-    assert paths == []
-    assert len(threads["svd"]) == 1
-    assert len(threads["cholesky"]) == cv.folds * len(cv.lambda_grid)
-    for ids in threads.values():
-        assert threading.get_ident() not in ids
+    assert threads["qr"] == threads["svd"] == []
+    assert threads["cholesky"] == (
+        [threading.get_ident()] * (cv.folds * len(cv.lambda_grid) + 1))
 
 
-def test_cv_at_lambda_zero_takes_the_pooled_svd_of_the_whole_factor(
-        workers, monkeypatch):
+def test_cv_at_lambda_zero_takes_estimate_kernels_fit(monkeypatch):
     rng = np.random.default_rng(22)
     inp, out = _noisy_channel_pair(rng)
     cv = CVConfig(folds=5, lambda_grid=(0.0, 1e-6))
     calls = _spy_ridge_path(monkeypatch)
     got = cross_validate(inp, out, 4, cv)
     assert got[0] == 0.0
-    # Each fold scores lambda = 0 alone by the SVD, and 1e-6 by Cholesky.
+    # Each fold scores lambda = 0 alone by the SVD, and 1e-6 by Cholesky;
+    # the final fit back-substitutes, as estimate_kernel's does.
     assert [list(call[2]) for call in calls] == [[0.0]] * cv.folds
-    whole = reference_factors(inp, out, 4, cv.folds)[2]
-    theta = sysid._ridge_path(whole, inp.grid.n, [0.0])[0]
-    assert got[2].h0 == theta[0]
-    assert np.array_equal(got[2].h1, theta[1:])
+    ref = estimate_kernel(inp, out, 4, 0.0)
+    assert got[2].h0 == ref.h0
+    assert np.array_equal(got[2].h1, ref.h1)
     _assert_same_fit(got, serial_cross_validate(inp, out, 4, cv))
 
 
-@pytest.mark.parametrize("workers", [4], indirect=True)
-def test_cv_from_four_threads_at_once_equals_each_solo_fit(workers):
+@pytest.mark.parametrize("threads", [4])
+def test_cv_from_four_threads_at_once_equals_each_solo_fit(threads):
     pairs = [_gate_pair(d, seed=s) for d, s in
-             ((1.8e-7, 1), (5e-7, 2), (1.8e-7, 3), (2e-6, 4))]
+             ((1.8e-7, 1), (5e-7, 2), (1.8e-7, 3), (2e-6, 4))[:threads]]
     cv = CVConfig()
     solo = [cross_validate(inp, out, 64, cv) for inp, out in pairs]
     start = threading.Barrier(len(pairs))
@@ -1081,63 +1079,27 @@ def test_cv_from_four_threads_at_once_equals_each_solo_fit(workers):
         for _ in range(2):
             got[i].append(cross_validate(*pairs[i], 64, cv))
 
-    threads = [threading.Thread(target=fit, args=(i,))
+    callers = [threading.Thread(target=fit, args=(i,))
                for i in range(len(pairs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for t in threads:
+        for t in callers:
             t.start()
-        for t in threads:
+        for t in callers:
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in callers)
     for ref, results in zip(solo, got):
         assert len(results) == 2
         for result in results:
             _assert_same_fit(result, ref)
 
 
-def _fit_in_child(conn, inp, out):
-    lam, scores, model = cross_validate(inp, out, 64, CVConfig())
-    conn.send((lam, scores, model.h0, model.h1))
-    conn.close()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-@pytest.mark.parametrize("workers", [4], indirect=True)
-def test_cv_in_a_forked_child_after_the_parent_used_the_pool(workers):
-    # The child inherits the parent's pool without its threads; a task
-    # submitted to that copy would never run.
-    inp, out = _gate_pair(5e-7, seed=1)
-    ref = cross_validate(inp, out, 64, CVConfig())
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_fit_in_child, args=(send, inp, out))
-    with warnings.catch_warnings():
-        # Python 3.12 warns on forking a process that runs threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        child.start()
-    send.close()
-    try:
-        assert recv.poll(60), "the forked child's fit did not finish"
-        lam, scores, h0, h1 = recv.recv()
-        child.join(timeout=30)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join(timeout=10)
-        recv.close()
-    _assert_same_fit((lam, scores, VolterraModel(h0, h1)), ref)
-
-
-def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch,
-                                                        workers):
+def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
     # A fold's Cholesky solve fails; the error reaches the caller, and
-    # the pool fits the next call as before.
+    # the next call fits as before.
     inp, out = _gate_pair(5e-7, seed=1)
     ref = cross_validate(inp, out, 64, CVConfig())
     error = RuntimeError("fold fit failed")
