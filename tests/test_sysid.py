@@ -1049,20 +1049,25 @@ def test_cv_takes_no_qr_or_svd_on_the_default_grid(duration, monkeypatch):
         [threading.get_ident()] * (cv.folds * len(cv.lambda_grid) + 1))
 
 
-def test_cv_at_lambda_zero_takes_estimate_kernels_fit(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 4], ids=["1-worker", "4-workers"])
+def test_cv_at_lambda_zero_takes_the_pooled_svd_of_the_whole_factor(
+        workers, monkeypatch):
+    # lambda* = 0 from ``workers`` callers at once: each fold scores
+    # lambda = 0 alone by the SVD of its training rows, and 1e-6 by
+    # Cholesky; the final fit back-substitutes, as estimate_kernel's does.
     rng = np.random.default_rng(22)
     inp, out = _noisy_channel_pair(rng)
     cv = CVConfig(folds=5, lambda_grid=(0.0, 1e-6))
     calls = _spy_ridge_path(monkeypatch)
-    got = cross_validate(inp, out, 4, cv)
-    assert got[0] == 0.0
-    # Each fold scores lambda = 0 alone by the SVD, and 1e-6 by Cholesky;
-    # the final fit back-substitutes, as estimate_kernel's does.
-    assert [list(call[2]) for call in calls] == [[0.0]] * cv.folds
+    results = _fits_at_once(workers, lambda: cross_validate(inp, out, 4, cv))
+    assert [list(call[2]) for call in calls] == [[0.0]] * cv.folds * workers
     ref = estimate_kernel(inp, out, 4, 0.0)
-    assert got[2].h0 == ref.h0
-    assert np.array_equal(got[2].h1, ref.h1)
-    _assert_same_fit(got, serial_cross_validate(inp, out, 4, cv))
+    serial = serial_cross_validate(inp, out, 4, cv)
+    for got in results:
+        assert got[0] == 0.0
+        assert got[2].h0 == ref.h0
+        assert np.array_equal(got[2].h1, ref.h1)
+        _assert_same_fit(got, serial)
 
 
 @pytest.mark.parametrize("threads", [4])
@@ -1097,9 +1102,12 @@ def test_cv_from_four_threads_at_once_equals_each_solo_fit(threads):
             _assert_same_fit(result, ref)
 
 
-def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
-    # A fold's Cholesky solve fails; the error reaches the caller, and
-    # the next call fits as before.
+@pytest.mark.parametrize("workers", [1, 4], ids=["1-worker", "4-workers"])
+def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch,
+                                                        workers):
+    # A fold's Cholesky solve fails while ``workers`` callers fit at once;
+    # the error reaches the one caller whose solve failed, the others fit
+    # as before, and so does every next call.
     inp, out = _gate_pair(5e-7, seed=1)
     ref = cross_validate(inp, out, 64, CVConfig())
     error = RuntimeError("fold fit failed")
@@ -1111,12 +1119,22 @@ def test_cv_reraises_a_failing_fold_and_then_fits_again(monkeypatch):
             raise error
         return zpotrs(*args, **kwargs)
 
+    def attempt():
+        try:
+            return cross_validate(inp, out, 64, CVConfig())
+        except RuntimeError as raised:
+            return raised
+
     monkeypatch.setattr(sysid.lapack, "zpotrs", failing_zpotrs)
-    with pytest.raises(RuntimeError) as raised:
-        cross_validate(inp, out, 64, CVConfig())
-    assert raised.value is error
+    results = _fits_at_once(workers, attempt)
+    assert sum(got is error for got in results) == 1
+    for got in results:
+        if got is not error:
+            _assert_same_fit(got, ref)
     monkeypatch.setattr(sysid.lapack, "zpotrs", zpotrs)
-    _assert_same_fit(cross_validate(inp, out, 64, CVConfig()), ref)
+    for got in _fits_at_once(
+            workers, lambda: cross_validate(inp, out, 64, CVConfig())):
+        _assert_same_fit(got, ref)
 
 
 # ------------------------------------------------------- fitted-output error
