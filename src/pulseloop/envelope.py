@@ -189,14 +189,20 @@ class PulseSpec:
 def default_grid(duration: float, dt: float = DEFAULT_DT,
                  margin_frac: float = 0.5) -> TimeGrid:
     """Grid sized to hold a pulse of the given duration, centered, with
-    near-zero margin of ``margin_frac * duration`` on each side."""
+    near-zero margin of ``margin_frac * duration`` on each side.
+
+    The grid has at least the samples whose span holds the pulse, as
+    ``make_pulse`` asks, so a margin below half a sample (zero, say)
+    gives duration / dt + 1 samples, the first and last at the pulse's
+    ends."""
     _check_real("duration", duration, 0, strict=True)
     _check_real("dt", dt, 0, strict=True)
     _check_real("margin_frac", margin_frac, 0)
     n = duration * (1 + 2 * margin_frac) / dt
     if not np.isfinite(n):
         raise InvalidSpecError(f"grid length {n} is not finite")
-    return TimeGrid(t0=0.0, dt=dt, n=int(round(n)))
+    held = int(np.ceil(duration / dt - 0.5)) + 1
+    return TimeGrid(t0=0.0, dt=dt, n=max(int(round(n)), held))
 
 
 def make_pulse(spec: PulseSpec, grid: TimeGrid) -> ComplexEnvelope:

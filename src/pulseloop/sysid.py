@@ -7,8 +7,9 @@ squares on a QR factor of the design matrix, or, at a ridge weight above
 zero, by one Cholesky solve on its Gram matrix, built from FFT
 correlations and refined once. Cross-validation on contiguous held-out
 blocks chooses the ridge weight; each fold's fit at a ridge weight above
-zero is one Cholesky solve on the other folds' Gram matrices, built the
-same way, and the model is the fit at the chosen weight.
+zero is one Cholesky solve on the other folds' Gram matrices, built from
+each fold's rows that read the input's nonzero span, and the model is
+the fit at the chosen weight.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg import lapack, toeplitz
+from scipy.linalg import blas, lapack, toeplitz
 
 from .envelope import (ComplexEnvelope, GridMismatchError, InvalidSpecError,
                        _check_integer, _check_real, _support)
@@ -334,6 +335,52 @@ def _gram(x: np.ndarray, memory: int, lo: int = 0, hi=None, y=None) -> tuple:
     return gram, spectrum
 
 
+# A fold's rows that read the input's nonzero span take one dense product
+# while rows x (memory + 2)^2 stays within one default TSQR block's
+# multiply-adds (528 x 66^2), and ``_gram`` beyond that: at memory 8, 64
+# and 128 (one BLAS thread) the dense product was the faster at every
+# length it takes.
+_DENSE_GRAM = _TSQR_BLOCK * (DEFAULT_MEMORY + 2) ** 3
+
+
+def _live_rows(span: tuple, memory: int, lo: int, hi: int) -> tuple:
+    """The rows ``c:d`` of ``lo:hi`` that can read the input's nonzero
+    ``span`` [a, b) (``_support``): every row outside [a, b + memory - 1)
+    reads zeros only, so it is [1, 0, ..., 0]. ``c == d`` when none do."""
+    a, b = span
+    c, d = max(lo, a), min(hi, b + memory - 1)
+    return (c, d) if a < b and c < d else (lo, lo)
+
+
+def _fold_gram(x: np.ndarray, lagged: np.ndarray, lo: int, hi: int,
+               y: np.ndarray, span: tuple) -> np.ndarray:
+    """[A | y]^H [A | y] over rows ``lo:hi`` of the design matrix of the
+    input ``x``, whose ``_lagged`` view is ``lagged``, from the rows
+    ``_live_rows`` keeps, ``c:d``: one ``_rows`` block and one ``zherk``
+    while (d - c)(memory + 2)^2 <= ``_DENSE_GRAM``, ``_gram`` on them
+    beyond that, and no rows when there are none (``zherk`` rejects
+    zero rows). The other rows are [1, 0, ..., 0] and add only their
+    count, the sum of their y and the sum of its squared magnitude to
+    the border.
+    """
+    memory = lagged.shape[1]
+    c, d = _live_rows(span, memory, lo, hi)
+    size = memory + 2
+    if c == d:
+        gram = np.zeros((size, size), dtype=complex)
+    elif (d - c) * size ** 2 <= _DENSE_GRAM:
+        gram = blas.zherk(1.0, _rows(lagged, c, d, y), trans=2)
+        gram += np.triu(gram, 1).conj().T  # zherk fills the upper half
+    else:
+        gram = _gram(x, memory, c, d, y)[0]
+    rest = np.concatenate((y[lo:c], y[d:hi]))
+    gram[0, 0] += len(rest)
+    gram[0, -1] += rest.sum()
+    gram[-1, 0] = np.conj(gram[0, -1])
+    gram[-1, -1] += np.vdot(rest, rest)
+    return gram
+
+
 def _design_adjoint(spectrum: np.ndarray, v: np.ndarray,
                     memory: int) -> np.ndarray:
     """A^H v for ``_gram``'s design matrix, whose input has the transform
@@ -474,7 +521,8 @@ class CVConfig:
 
 
 def _fold_mse(grams: list, k: int, inp: ComplexEnvelope, lagged: np.ndarray,
-              y: np.ndarray, lo: int, hi: int, lams) -> np.ndarray:
+              y: np.ndarray, lo: int, hi: int, span: tuple,
+              lams) -> np.ndarray:
     """Validation MSE per ``lams`` entry of the fit without fold ``k``,
     whose rows are ``lo:hi``.
 
@@ -488,8 +536,11 @@ def _fold_mse(grams: list, k: int, inp: ComplexEnvelope, lagged: np.ndarray,
     their factors stacked and reduced. The normal equations square the
     condition number (Bjorck, *Numerical Methods for Least Squares
     Problems*, 2.2): on 144 gate pulses the held-out errors moved by at
-    most 4.7e-9 relative from the orthogonal factor's, and lambda_star
-    held. The errors are the mean squared residuals of the fold's rows.
+    most 6.0e-9 relative from the orthogonal factor's, and lambda_star
+    held. The errors are the mean squared residuals of the fold's rows:
+    th0 - y on the rows that read only zeros of the input's nonzero
+    ``span``, and the product with the rows ``_live_rows`` keeps, built
+    again here, on the rest.
     """
     gram = sum(grams[:k] + grams[k + 1:])
     p = gram.shape[0] - 1
@@ -510,8 +561,11 @@ def _fold_mse(grams: list, k: int, inp: ComplexEnvelope, lagged: np.ndarray,
             _design_tsqr(inp, memory, lo=a, hi=b, y=y)[0]
             for a, b in ((0, lo), (hi, n)) if a < b]))
         thetas[rest] = _ridge_path(rz, n - (hi - lo), [lams[i] for i in rest])
-    val = _rows(lagged, lo, hi, y)
-    r = thetas @ val[:, :-1].T - val[:, -1]
+    r = thetas[:, :1] - y[lo:hi]
+    c, d = _live_rows(span, memory, lo, hi)
+    if c < d:
+        val = _rows(lagged, c, d, y)
+        r[:, c - lo:d - lo] = thetas @ val[:, :-1].T - val[:, -1]
     return np.mean(np.abs(r) ** 2, axis=1)
 
 
@@ -521,12 +575,13 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
 
     Splits the samples into ``cv.folds`` contiguous blocks; each serves
     once as the validation set while the model is fitted on the rest.
-    Each block's [A | y]^H [A | y] comes from FFT correlations of the
-    samples its rows read (``_gram`` on the block's rows), and a fold's
-    fit sums the other blocks' and takes one Cholesky solve per
-    lambda > 0; only lambda = 0, and a lambda whose shifted Gram does not
-    factor, take a QR and an SVD of the training rows (``_fold_mse``).
-    Everything runs on the calling thread.
+    Each block's [A | y]^H [A | y] comes from its rows that read the
+    input's nonzero span, by one dense product or, for long blocks, FFT
+    correlations (``_fold_gram``), and a fold's fit sums the other
+    blocks' and takes one Cholesky solve per lambda > 0; only
+    lambda = 0, and a lambda whose shifted Gram does not factor, take a
+    QR and an SVD of the training rows (``_fold_mse``). Everything runs
+    on the calling thread.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
@@ -544,8 +599,11 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     y, lagged = out.samples, _lagged(inp.samples, memory)
     bounds = [(fold[0], fold[-1] + 1)
               for fold in np.array_split(np.arange(n), cv.folds)]
-    grams = [_gram(inp.samples, memory, lo, hi, y)[0] for lo, hi in bounds]
-    fold_mse = [_fold_mse(grams, k, inp, lagged, y, lo, hi, cv.lambda_grid)
+    span = _support(inp.samples)
+    grams = [_fold_gram(inp.samples, lagged, lo, hi, y, span)
+             for lo, hi in bounds]
+    fold_mse = [_fold_mse(grams, k, inp, lagged, y, lo, hi, span,
+                          cv.lambda_grid)
                 for k, (lo, hi) in enumerate(bounds)]
     scores = np.column_stack([cv.lambda_grid, sum(fold_mse) / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])

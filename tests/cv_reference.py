@@ -7,9 +7,14 @@ Two fold scorers give each fold's ridge fits, one row per lambda:
   (``training_factor``) and takes one SVD for the whole grid. It is the
   orthogonal-factor scorer that the Gram scores are checked against.
 - ``fold_thetas_by_cholesky`` follows ``cross_validate``'s rule: a
-  Cholesky solve on the other folds' summed Gram matrices (``_gram`` on
-  each fold's rows) for each lambda > 0, and the SVD path, once per
+  Cholesky solve on the other folds' summed Gram matrices (``_fold_gram``
+  on each fold's rows) for each lambda > 0, and the SVD path, once per
   fold, for lambda = 0 and any lambda whose shifted Gram does not factor.
+
+A fold's held-out residuals are th0 - y on the rows that read only zeros
+of the input, and the product with the fold's rows on the rest, as
+``cross_validate`` takes them, so ``serial_cross_validate`` with the
+Cholesky scorer gives its bits.
 
 The model is ``estimate_kernel`` at lambda_star; ``whole_factor_fit`` is
 the orthogonal-factor fit of all rows that it is checked against.
@@ -30,13 +35,28 @@ def fold_parts(inp, out, memory, folds):
 
 
 def fold_grams(inp, out, memory, parts):
-    """Each fold's [A | y]^H [A | y] by ``sysid._gram`` on its rows."""
+    """Each fold's [A | y]^H [A | y] by ``sysid._fold_gram`` on its rows."""
+    lagged = sysid._lagged(inp.samples, memory)
+    span = sysid._support(inp.samples)
     grams, lo = [], 0
     for part in parts:
-        grams.append(sysid._gram(inp.samples, memory, lo, lo + len(part),
-                                 out.samples)[0])
+        grams.append(sysid._fold_gram(inp.samples, lagged, lo, lo + len(part),
+                                      out.samples, span))
         lo += len(part)
     return grams
+
+
+def fold_residuals(thetas, val, lo, memory, span):
+    """Residuals of the fits ``thetas`` on the fold rows ``val`` of
+    [A | y], the first of them row ``lo``: th0 - y on the rows outside
+    [a, b + memory - 1) for the input's nonzero ``span`` [a, b), whose
+    lag entries are all zero, and the full product on the rest."""
+    r = thetas[:, :1] - val[:, -1]
+    a, b = span
+    c, d = max(lo, a) - lo, min(lo + len(val), b + memory - 1) - lo
+    if a < b and c < d:
+        r[:, c:d] = thetas @ val[c:d, :-1].T - val[c:d, -1]
+    return r
 
 
 def training_factor(parts, k):
@@ -81,17 +101,26 @@ def fold_thetas_by_cholesky(grams, parts, k, lams):
 
 
 def serial_cross_validate(inp, out, memory, cv,
-                          fold_thetas=fold_thetas_by_cholesky):
+                          fold_thetas=fold_thetas_by_cholesky, clipped=True):
     """``cross_validate`` fold by fold, with each fold's fits from
-    ``fold_thetas`` and its error from the residuals of its rows; the
-    model is ``estimate_kernel`` at lambda_star."""
+    ``fold_thetas`` and its error from ``fold_residuals`` on its rows;
+    the model is ``estimate_kernel`` at lambda_star. With ``clipped``
+    false, every row of every fold is built: each fold's Gram matrix is
+    the product of its rows with themselves, and its residuals are those
+    of all its rows."""
     parts = fold_parts(inp, out, memory, cv.folds)
-    grams = fold_grams(inp, out, memory, parts)
-    mse_sum = np.zeros(len(cv.lambda_grid))
+    if clipped:
+        grams = fold_grams(inp, out, memory, parts)
+        span = sysid._support(inp.samples)
+    else:
+        grams = [part.conj().T @ part for part in parts]
+        span = (0, inp.grid.n)
+    mse_sum, lo = np.zeros(len(cv.lambda_grid)), 0
     for k, val in enumerate(parts):
         thetas = fold_thetas(grams, parts, k, cv.lambda_grid)
-        r = thetas @ val[:, :-1].T - val[:, -1]
+        r = fold_residuals(thetas, val, lo, memory, span)
         mse_sum += np.mean(np.abs(r) ** 2, axis=1)
+        lo += len(val)
     scores = np.column_stack([cv.lambda_grid, mse_sum / cv.folds])
     lambda_star = float(scores[np.argmin(scores[:, 1]), 0])
     return lambda_star, scores, estimate_kernel(inp, out, memory, lambda_star)

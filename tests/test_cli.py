@@ -632,6 +632,7 @@ def test_loop_example_invocation(outdir):
     assert code == 0
     report = json.loads(Path(outdir, "report.json").read_text())
     assert report["converged"] is True
+    assert report["stop"] == "converged"
     conv = Path(outdir, "convergence.csv").read_text().splitlines()
     assert conv[0] == "iteration,mase"
     assert len(conv) == len(report["records"]) + 1
@@ -743,8 +744,9 @@ def test_loop_non_convergence_exits_3(outdir):
                  "--max-iters", "1", "--converge-mase", "1e-12",
                  "--outdir", outdir])
     assert code == 3
-    # The partial report is still written for inspection.
-    assert os.path.exists(os.path.join(outdir, "report.json"))
+    # The report is still written for inspection, and says why it ended.
+    report = json.loads(Path(outdir, "report.json").read_text())
+    assert report["stop"] == "max_iters"
 
 
 def test_loop_failure_exits_3_and_keeps_the_shots_taken(outdir,
@@ -768,6 +770,7 @@ def test_loop_failure_exits_3_and_keeps_the_shots_taken(outdir,
     with open(os.path.join(run, "report.json")) as fh:
         report = json.load(fh)
     assert report["converged"] is False
+    assert report["stop"] == "SingularUpdateError"
     n = len(report["records"])
     assert n == 2
     with open(os.path.join(run, "manifest.json")) as fh:

@@ -79,6 +79,18 @@ def test_default_grid_doubles_the_duration():
     assert grid.span == pytest.approx(1e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("duration, n", [(1.8e-7, 181), (5e-7, 501),
+                                         (4e-6, 4001)])
+def test_a_margin_free_grid_holds_its_pulse(duration, n):
+    # duration / dt samples span one sample less than the pulse, which
+    # make_pulse refused; the grid takes one more, at the pulse's ends.
+    grid = default_grid(duration, margin_frac=0.0)
+    assert grid.n == n
+    env = make_pulse(PulseSpec(kind="gate-standin", duration=duration), grid)
+    assert env.samples[0] == env.samples[-1] == 0
+    assert np.all(env.samples[1:-1] != 0)
+
+
 def test_envelope_length_must_match_grid():
     grid = TimeGrid(0.0, 1e-9, 4)
     with pytest.raises(InvalidSpecError):

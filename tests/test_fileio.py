@@ -308,9 +308,12 @@ def _tiny_report():
 
 def test_report_json_shape(tmp_path):
     path = str(tmp_path / "report.json")
-    fileio.write_report_json(path, _tiny_report())
+    fileio.write_report_json(path, _tiny_report(), "converged")
     data = json.loads(Path(path).read_text())
     assert data["converged"] is True
+    # What ended the loop, as the caller saw it.
+    assert data["stop"] == "converged"
+    assert set(data) == {"converged", "stop", "final_model", "records"}
     assert len(data["records"]) == 2
     assert data["records"][0]["model_error"] is None  # NaN becomes null
     assert data["records"][1]["model_error"] == 0.005

@@ -32,7 +32,8 @@ from pulseloop.sysid import (CVConfig, VolterraModel,  # noqa: E402
                              estimate_kernel, volterra_forward)
 
 from band_reference import damped_band_solve  # noqa: E402
-from cv_reference import assert_matches_the_svd_scorer  # noqa: E402
+from cv_reference import (assert_matches_the_svd_scorer,  # noqa: E402
+                          serial_cross_validate)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -257,6 +258,32 @@ def test_cv_model_matches_augmented_least_squares_at_lambda_star(
     ref, tol = _ridge_oracle(build_design_matrix(inp, memory), out.samples,
                              lam)
     assert np.linalg.norm(theta - ref) <= tol * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=seeds, n=st.integers(130, 3000),
+       memory=st.integers(1, 64), folds=st.integers(2, 7))
+def test_cv_on_the_nonzero_span_equals_a_scorer_of_every_row(data, seed, n,
+                                                             memory, folds):
+    # Zero margins of up to n / 3 on each side: the rows outside
+    # [a, b + memory - 1) of the input's nonzero span [a, b) read zeros
+    # only, and cross_validate builds none of them, which is exact. A
+    # span end one row short drops the last sample's lag entry from a
+    # fold; it moved the scores by up to 1.5e2 relative on 100 such
+    # draws.
+    before = data.draw(st.integers(0, n // 3), label="before")
+    after = data.draw(st.integers(0, n // 3), label="after")
+    x = np.zeros(n, dtype=complex)
+    x[before:n - after] = _noise(seed, n - before - after)
+    h1 = _noise(seed + 1, memory)
+    y = 0.1 + np.convolve(x, h1)[:n] + 1e-2 * _noise(seed + 2, n)
+    inp, out = _env(x), _env(y)
+    cv = CVConfig(folds)
+    lam, scores, _ = cross_validate(inp, out, memory, cv)
+    ref_lam, ref_scores, _ = serial_cross_validate(inp, out, memory, cv,
+                                                   clipped=False)
+    assert lam == ref_lam
+    np.testing.assert_allclose(scores[:, 1], ref_scores[:, 1], rtol=1e-8)
 
 
 # ------------------------------------------------------ the closed loop
