@@ -228,10 +228,10 @@ def _cmd_estimate(args, run: _Run) -> int:
 
 # -------------------------------------------------------------------- loop
 
-def _write_loop(run: _Run, report, stop: str) -> None:
-    """Write a loop report, with ``stop``, what ended the loop, its
-    convergence table and every shot's input and output."""
-    fileio.write_report_json(run.out_path("report.json"), report, stop)
+def _write_loop(run: _Run, report) -> None:
+    """Write a loop report, its convergence table and every shot's input
+    and output."""
+    fileio.write_report_json(run.out_path("report.json"), report)
     fileio.write_convergence_csv(run.out_path("convergence.csv"), report)
     for rec in report.records:
         fileio.write_envelope_csv(
@@ -269,9 +269,9 @@ def _cmd_loop(args, run: _Run) -> int:
         report = closed_loop(measure, target, loop_config)
     except _LOOP_FAILURES as exc:
         if exc.report is not None:  # keep the shots taken before it
-            _write_loop(run, exc.report, type(exc).__name__)
+            _write_loop(run, exc.report)
         raise
-    _write_loop(run, report, "converged" if report.converged else "max_iters")
+    _write_loop(run, report)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 

@@ -321,13 +321,10 @@ def _offline_summary(offline) -> dict:
             "offline_converged": bool(offline.converged)}
 
 
-def report_to_dict(report, stop: str) -> dict:
-    """A loop report as JSON values; ``stop`` names what ended the loop:
-    ``converged``, ``max_iters``, or the class name of the error that
-    ended a partial report."""
+def report_to_dict(report) -> dict:
     return {
         "converged": report.converged,
-        "stop": stop,
+        "stop": report.stop,
         "final_model": (model_to_dict(report.final_model)
                         if report.final_model is not None else None),
         "records": [{"index": r.index, "mase": r.mase, "mse": r.mse,
@@ -341,8 +338,8 @@ def report_to_dict(report, stop: str) -> dict:
     }
 
 
-def write_report_json(path: str, report, stop: str) -> None:
-    atomic_write_text(path, _json_text(report_to_dict(report, stop)))
+def write_report_json(path: str, report) -> None:
+    atomic_write_text(path, _json_text(report_to_dict(report)))
 
 
 def write_convergence_csv(path: str, report) -> None:

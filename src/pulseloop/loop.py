@@ -122,15 +122,24 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class LoopReport:
-    """Full history of a closed-loop run."""
+    """Full history of a closed-loop run.
+
+    ``stop`` names what ended the run: ``converged``, ``max_iters``, or
+    the class name of the error that ended a partial report; by default
+    the first or the second, from ``converged``.
+    """
 
     records: tuple
     converged: bool
+    stop: Optional[str] = None
 
     def __post_init__(self):
         if not self.records:
             raise InvalidSpecError("report requires at least one record")
         object.__setattr__(self, "records", tuple(self.records))
+        if self.stop is None:
+            object.__setattr__(self, "stop", "converged" if self.converged
+                               else "max_iters")
 
     @property
     def mase_trace(self) -> np.ndarray:
@@ -425,7 +434,8 @@ def closed_loop(measure: Callable[[ComplexEnvelope], ComplexEnvelope],
             if it < config.max_loop_iters:
                 s_in, model, offline = update(s_in, s_target, s_out, config)
     except _LOOP_FAILURES as exc:
-        exc.report = LoopReport(records, False) if records else None
+        exc.report = (LoopReport(records, False, type(exc).__name__)
+                      if records else None)
         raise
     return LoopReport(records, False)
 

@@ -285,62 +285,32 @@ def _solve(rz: np.ndarray, n: int, lam: float, safe=None) -> np.ndarray:
     return _ridge_path(rz, n, [lam])[0]
 
 
-def _gram(x: np.ndarray, memory: int, lo: int = 0, hi=None, y=None) -> tuple:
-    """A^H A for rows ``lo:hi`` (default all) of the design matrix
-    A = [1 | ``_lagged(x, memory)``], or [A | y]^H [A | y] with ``y``, from
-    FFT correlations, with the transform of the samples the rows read
-    that ``_design_adjoint`` takes: ``(gram, spectrum)``.
+def _gram(x: np.ndarray, memory: int) -> tuple:
+    """A^H A for the design matrix A = [1 | ``_lagged(x, memory)``], from
+    FFT correlations, with the transform of x that ``_design_adjoint``
+    takes: ``(gram, spectrum)``.
 
-    The rows read x[s:hi], s = max(lo - memory + 1, 0) (earlier samples
-    are zero). Their lag columns are rows lo - s to hi - s - 1 of the full
-    convolution matrix of those samples, whose Gram matrix is the
-    Hermitian Toeplitz matrix of their autocorrelation at lags 0 to
-    ``memory`` - 1, taken by FFT on at least hi - s + memory - 1 points
-    so that no lag wraps. The lag block is that matrix less the Gram
-    matrices of the partial rows at both ends: the lo - s rows before
-    ``lo``, which hold only the first samples, and the memory - 1 rows
-    the full convolution adds past the end, which hold only the last (a
-    zero tail makes them zero). The border is the row count and the
-    partial sums of x; with y, the last column is A^H y over the rows
-    (``_design_adjoint``) and the corner is ||y||^2 over them.
+    A's lag columns are the first n rows of the full convolution matrix
+    of x, whose Gram matrix is the Hermitian Toeplitz matrix of x's
+    autocorrelation at lags 0 to ``memory`` - 1, taken by FFT on at
+    least n + memory - 1 points so that no lag wraps. A^H A's lag block
+    is that matrix less the Gram matrix B^H B of the memory - 1 rows the
+    full convolution adds past the record's end, which hold only its
+    last memory - 1 samples (B is zero for a record whose tail is zero).
+    The border is n and the partial sums of x.
     """
-    hi = len(x) if hi is None else hi
-    s = max(lo - memory + 1, 0)
-    seg = x[s:hi]
-    m = len(seg)
-    spectrum = sfft.fft(seg, sfft.next_fast_len(m + memory - 1))
+    n = len(x)
+    spectrum = sfft.fft(x, sfft.next_fast_len(n + memory - 1))
     lags = sfft.ifft(np.abs(spectrum) ** 2)[:memory].conj()
-    last = seg[max(m - memory + 1, 0):]
-    past = np.concatenate((last, np.zeros(memory, dtype=complex)))
-    b = _lagged(past, memory)[len(last):-1]
-    size = memory + 1 + (y is not None)
-    gram = np.empty((size, size), dtype=complex)
-    gram[0, 0] = hi - lo
-    sums = np.concatenate(([0], np.cumsum(seg)))
-    j = np.arange(memory)
-    gram[0, 1:memory + 1] = (sums[np.maximum(m - j, 0)]
-                             - sums[np.maximum(lo - s - j, 0)])
-    gram[1:memory + 1, 0] = gram[0, 1:memory + 1].conj()
-    block = toeplitz(lags.conj(), lags) - b.conj().T @ b
-    if lo > s:
-        head = _lagged(seg[:lo - s], memory)
-        block -= head.conj().T @ head
-    gram[1:memory + 1, 1:memory + 1] = block
-    if y is not None:
-        v = y[s:hi].copy()
-        v[:lo - s] = 0.0
-        gram[:-1, -1] = _design_adjoint(spectrum, v, memory)
-        gram[-1, :-1] = gram[:-1, -1].conj()
-        gram[-1, -1] = np.vdot(v, v)
+    past = np.concatenate((x[n - memory + 1:],
+                           np.zeros(memory, dtype=complex)))
+    b = _lagged(past, memory)[memory - 1:-1]
+    gram = np.empty((memory + 1, memory + 1), dtype=complex)
+    gram[0, 0] = n
+    gram[0, 1:] = np.cumsum(x)[:-memory - 1:-1]
+    gram[1:, 0] = gram[0, 1:].conj()
+    gram[1:, 1:] = toeplitz(lags.conj(), lags) - b.conj().T @ b
     return gram, spectrum
-
-
-# A fold's rows that read the input's nonzero span take one dense product
-# while rows x (memory + 2)^2 stays within one default TSQR block's
-# multiply-adds (528 x 66^2), and ``_gram`` beyond that: at memory 8, 64
-# and 128 (one BLAS thread) the dense product was the faster at every
-# length it takes.
-_DENSE_GRAM = _TSQR_BLOCK * (DEFAULT_MEMORY + 2) ** 3
 
 
 def _live_rows(span: tuple, memory: int, lo: int, hi: int) -> tuple:
@@ -352,27 +322,22 @@ def _live_rows(span: tuple, memory: int, lo: int, hi: int) -> tuple:
     return (c, d) if a < b and c < d else (lo, lo)
 
 
-def _fold_gram(x: np.ndarray, lagged: np.ndarray, lo: int, hi: int,
-               y: np.ndarray, span: tuple) -> np.ndarray:
-    """[A | y]^H [A | y] over rows ``lo:hi`` of the design matrix of the
-    input ``x``, whose ``_lagged`` view is ``lagged``, from the rows
-    ``_live_rows`` keeps, ``c:d``: one ``_rows`` block and one ``zherk``
-    while (d - c)(memory + 2)^2 <= ``_DENSE_GRAM``, ``_gram`` on them
-    beyond that, and no rows when there are none (``zherk`` rejects
-    zero rows). The other rows are [1, 0, ..., 0] and add only their
-    count, the sum of their y and the sum of its squared magnitude to
-    the border.
+def _fold_gram(lagged: np.ndarray, lo: int, hi: int, y: np.ndarray,
+               span: tuple) -> np.ndarray:
+    """[A | y]^H [A | y] over rows ``lo:hi`` of the design matrix whose
+    input has the ``_lagged`` view ``lagged``: one ``_rows`` block and
+    one ``zherk`` on the rows ``_live_rows`` keeps, and no rows when
+    there are none (``zherk`` rejects zero rows). The other rows are
+    [1, 0, ..., 0] and add only their count, the sum of their y and the
+    sum of its squared magnitude to the border.
     """
     memory = lagged.shape[1]
     c, d = _live_rows(span, memory, lo, hi)
-    size = memory + 2
     if c == d:
-        gram = np.zeros((size, size), dtype=complex)
-    elif (d - c) * size ** 2 <= _DENSE_GRAM:
+        gram = np.zeros((memory + 2, memory + 2), dtype=complex)
+    else:
         gram = blas.zherk(1.0, _rows(lagged, c, d, y), trans=2)
         gram += np.triu(gram, 1).conj().T  # zherk fills the upper half
-    else:
-        gram = _gram(x, memory, c, d, y)[0]
     rest = np.concatenate((y[lo:c], y[d:hi]))
     gram[0, 0] += len(rest)
     gram[0, -1] += rest.sum()
@@ -575,13 +540,12 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
 
     Splits the samples into ``cv.folds`` contiguous blocks; each serves
     once as the validation set while the model is fitted on the rest.
-    Each block's [A | y]^H [A | y] comes from its rows that read the
-    input's nonzero span, by one dense product or, for long blocks, FFT
-    correlations (``_fold_gram``), and a fold's fit sums the other
-    blocks' and takes one Cholesky solve per lambda > 0; only
-    lambda = 0, and a lambda whose shifted Gram does not factor, take a
-    QR and an SVD of the training rows (``_fold_mse``). Everything runs
-    on the calling thread.
+    Each block's [A | y]^H [A | y] is one dense product of its rows that
+    read the input's nonzero span (``_fold_gram``), and a fold's fit
+    sums the other blocks' and takes one Cholesky solve per lambda > 0;
+    only lambda = 0, and a lambda whose shifted Gram does not factor,
+    take a QR and an SVD of the training rows (``_fold_mse``).
+    Everything runs on the calling thread.
 
     Returns ``(lambda_star, scores, model)``: ``scores`` is an array of
     (lambda, mean validation MSE) rows in grid order, lambda_star attains
@@ -600,8 +564,7 @@ def cross_validate(inp: ComplexEnvelope, out: ComplexEnvelope, memory: int,
     bounds = [(fold[0], fold[-1] + 1)
               for fold in np.array_split(np.arange(n), cv.folds)]
     span = _support(inp.samples)
-    grams = [_fold_gram(inp.samples, lagged, lo, hi, y, span)
-             for lo, hi in bounds]
+    grams = [_fold_gram(lagged, lo, hi, y, span) for lo, hi in bounds]
     fold_mse = [_fold_mse(grams, k, inp, lagged, y, lo, hi, span,
                           cv.lambda_grid)
                 for k, (lo, hi) in enumerate(bounds)]

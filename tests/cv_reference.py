@@ -40,8 +40,8 @@ def fold_grams(inp, out, memory, parts):
     span = sysid._support(inp.samples)
     grams, lo = [], 0
     for part in parts:
-        grams.append(sysid._fold_gram(inp.samples, lagged, lo, lo + len(part),
-                                      out.samples, span))
+        grams.append(sysid._fold_gram(lagged, lo, lo + len(part), out.samples,
+                                      span))
         lo += len(part)
     return grams
 

@@ -308,10 +308,10 @@ def _tiny_report():
 
 def test_report_json_shape(tmp_path):
     path = str(tmp_path / "report.json")
-    fileio.write_report_json(path, _tiny_report(), "converged")
+    fileio.write_report_json(path, _tiny_report())
     data = json.loads(Path(path).read_text())
     assert data["converged"] is True
-    # What ended the loop, as the caller saw it.
+    # What ended the loop: a converged report's default.
     assert data["stop"] == "converged"
     assert set(data) == {"converged", "stop", "final_model", "records"}
     assert len(data["records"]) == 2

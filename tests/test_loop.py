@@ -789,6 +789,7 @@ def test_a_failed_update_keeps_the_shots_taken(monkeypatch):
                                convergence_mase=1e-12))
     report = info.value.report
     assert not report.converged
+    assert report.stop == "SingularUpdateError"
     assert len(report.records) == 1
     assert report.records[0].s_pred is target
     assert report.final_model is None  # the failed update's fit is lost
@@ -857,6 +858,7 @@ def test_a_failed_measurement_keeps_the_shots_before_it(fail_at):
         assert report is None
         return
     assert not report.converged
+    assert report.stop == "MeasurementError"
     assert [r.index for r in report.records] == [1, 2]
     assert [r.s_pred for r in report.records] == shots[:2]
     assert report.final_model is report.records[-1].model
@@ -969,6 +971,7 @@ def test_an_unconverged_run_updates_between_shots_only(shots):
     report = closed_loop(_linear_channel(_THREE_TAP), target,
                          LoopConfig(max_loop_iters=shots, **_UNCONVERGED))
     assert not report.converged
+    assert report.stop == "max_iters"
     assert len(report.records) == shots
     last = report.records[-1]
     if shots == 1:

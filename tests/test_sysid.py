@@ -6,7 +6,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from scipy.linalg import lapack
 
 from pulseloop.channel import ChannelConfig, SimulatedChannel
@@ -923,18 +922,14 @@ def test_cv_rejects_too_few_samples_for_the_final_fit():
 @pytest.mark.parametrize("kind, folds", [
     ("random-66", 2), ("random-90", 3), ("random-529", 5), ("180ns", 5),
     ("2us", 5), ("zeros-400", 5)])
-def test_the_fold_gram_equals_the_rows_products(kind, folds, memory,
-                                                monkeypatch):
-    # Each fold's [A | y]^H [A | y] comes from its rows on the input's
-    # nonzero span, by one dense product or, past the cutoff, by FFT
-    # correlations of the samples those rows read less the partial rows
-    # at both ends; the rows past the span add only to the border. 66
-    # and 90 rows make folds shorter than 64 taps, and 529 leaves a
-    # one-row last TSQR block for the fallback; 360 and 4,000 are the
-    # gate pulses at 180 ns and 2 us, whose folds lie outside the pulse,
-    # are clipped at either end of it or lie inside it; zeros-400 is an
-    # all-zero input. Each fold is built at the module's cutoff and with
-    # every fold forced to each side of it.
+def test_the_fold_gram_equals_the_rows_products(kind, folds, memory):
+    # Each fold's [A | y]^H [A | y] is one dense product of its rows on
+    # the input's nonzero span; the rows past the span add only to the
+    # border. 66 and 90 rows make folds shorter than 64 taps, and 529
+    # leaves a one-row last TSQR block for the fallback; 360 and 4,000
+    # are the gate pulses at 180 ns and 2 us, whose folds lie outside the
+    # pulse, are clipped at either end of it or lie inside it; zeros-400
+    # is an all-zero input.
     if kind.startswith("random"):
         n = int(kind.split("-")[1])
         rng = np.random.default_rng(n)
@@ -951,17 +946,8 @@ def test_the_fold_gram_equals_the_rows_products(kind, folds, memory,
     for lo, hi in bounds:
         rows = sysid._rows(lagged, lo, hi, y)
         ref = rows.conj().T @ rows
-        for cutoff in (sysid._DENSE_GRAM, 0, np.inf):
-            monkeypatch.setattr(sysid, "_DENSE_GRAM", cutoff)
-            gram = sysid._fold_gram(inp.samples, lagged, lo, hi, y, span)
-            assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # _gram on any row range gives the same products, with the
-        # spectrum of the samples the rows read.
-        gram, spectrum = sysid._gram(inp.samples, memory, lo, hi, y)
+        gram = sysid._fold_gram(lagged, lo, hi, y, span)
         assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
-        start = max(lo - memory + 1, 0)
-        np.testing.assert_array_equal(
-            spectrum, sfft.fft(inp.samples[start:hi], len(spectrum)))
     if kind in ("180ns", "2us"):
         a, b = span
         live = [sysid._live_rows(span, memory, lo, hi) for lo, hi in bounds]
