@@ -501,7 +501,7 @@ def _fold_mse(grams: list, k: int, inp: ComplexEnvelope, lagged: np.ndarray,
     their factors stacked and reduced. The normal equations square the
     condition number (Bjorck, *Numerical Methods for Least Squares
     Problems*, 2.2): on 144 gate pulses the held-out errors moved by at
-    most 6.0e-9 relative from the orthogonal factor's, and lambda_star
+    most 7.9e-9 relative from the orthogonal factor's, and lambda_star
     held. The errors are the mean squared residuals of the fold's rows:
     th0 - y on the rows that read only zeros of the input's nonzero
     ``span``, and the product with the rows ``_live_rows`` keeps, built
